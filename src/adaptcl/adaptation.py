@@ -3,24 +3,24 @@ prototype-anchored contrastive loss with its analytic gradient, a
 cross-entropy ablation loss, and the mini-batch adaptation loop.
 
 Prototypes are computed once from the model state at phase entry and stay
-frozen for the whole phase; the loop asserts the misclassification-threshold
-and Markov bounds per batch and records the feature-deviation bound per epoch.
+frozen for the whole phase; the loop asserts the per-sample misclassification
+threshold per batch, and the feature-deviation and Markov bounds per epoch.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVector, NonFiniteLoss, UnknownLabel
+from .errors import BoundViolation, DegenerateVector, NonFiniteLoss, UnknownLabel
+from .metrics import LOG2, check_markov_bound, check_stability_bound
 from .model import (
     Classifier,
     backprop,
     classify,
     embed,
-    embed_many,
     embed_with_tape,
     model_params,
+    stack_samples,
 )
 from .numerics import (
     OptimizerState,
@@ -29,8 +29,6 @@ from .numerics import (
     params_hash,
     sgd_step,
 )
-
-LOG2 = math.log(2.0)
 
 ADAPT_MODES = ("acl", "ce_ablation", "lightweight_only", "disabled")
 
@@ -77,58 +75,66 @@ def compute_prototypes(backbone, adapter, data) -> PrototypeTable:
     data: sequence of (x, y) pairs. A class whose embedding mean is
     (numerically) zero raises DegenerateVector rather than being patched.
     """
-    sums, counts = {}, {}
-    for x, y in data:
-        e = embed(backbone, adapter, x)
-        if y in sums:
-            sums[y] += e
-            counts[y] += 1
-        else:
-            sums[y] = e.copy()
-            counts[y] = 1
+    x, labels = stack_samples(data)
+    embeddings = embed(backbone, adapter, x)
     protos = {}
-    for y in sums:
-        mean = sums[y] / counts[y]
+    for y in dict.fromkeys(labels.tolist()):
         try:
-            protos[y] = l2_normalize(mean)
+            protos[y] = l2_normalize(embeddings[labels == y].mean(axis=0))
         except DegenerateVector as e:
             raise DegenerateVector(f"class {y}: {e}") from e
     return PrototypeTable(protos, provenance=params_hash(model_params(backbone, adapter)))
 
 
+def _label_index(class_ids, labels, owner):
+    """Positions of an (n,) label array in class_ids."""
+    position = {c: i for i, c in enumerate(class_ids)}
+    try:
+        return np.array([position[y] for y in labels.tolist()])
+    except KeyError as e:
+        raise UnknownLabel(f"label {e.args[0]!r} not in {owner}") from None
+
+
 def acl_loss(e_star: np.ndarray, label, protos: PrototypeTable, tau: float):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
-    the embedding as a free vector, before the normalization Jacobian."""
-    if label not in protos:
-        raise UnknownLabel(f"label {label!r} not in prototype table")
-    ids = protos.class_ids()
+    the embedding as a free vector, before the normalization Jacobian.
+
+    One embedding (d,) and label give a float and a (d,) gradient; a batch
+    (n, d) with n labels gives per-row losses (n,) and gradients (n, d)."""
+    e = np.atleast_2d(e_star)
+    y_idx = _label_index(protos.class_ids(), np.atleast_1d(label), "prototype table")
     p = protos.matrix()  # (C, d)
-    scores = (p @ e_star) / tau
-    y_idx = ids.index(label)
+    scores = (e @ p.T) / tau
     lse = log_sum_exp(scores)
-    loss = lse - scores[y_idx]
-    soft = np.exp(scores - lse)
+    loss = lse - scores[np.arange(len(e)), y_idx]
+    soft = np.exp(scores - lse[:, None])
     grad = (soft @ p - p[y_idx]) / tau
-    return float(loss), grad
+    if np.ndim(e_star) == 1:
+        return float(loss[0]), grad[0]
+    return loss, grad
 
 
 def ce_adapt_loss(e_star: np.ndarray, label, head: Classifier):
     """Softmax cross-entropy on linear-head logits.
 
-    Returns (loss, d_loss/d_e_star, d_loss/d_W, d_loss/d_b)."""
-    if label not in head.class_ids:
-        raise UnknownLabel(f"label {label!r} not in head")
-    logits = head.weight @ e_star + head.bias
-    y_idx = head.class_ids.index(label)
+    Returns (loss, d_loss/d_e_star, d_loss/d_W, d_loss/d_b). For a batch
+    (n, d) with n labels, loss and d_e are per row and d_W, d_b are the
+    gradients of the summed loss."""
+    e = np.atleast_2d(e_star)
+    y_idx = _label_index(head.class_ids, np.atleast_1d(label), "head")
+    rows = np.arange(len(e))
+    logits = e @ head.weight.T + head.bias
     lse = log_sum_exp(logits)
-    loss = lse - logits[y_idx]
-    soft = np.exp(logits - lse)
-    delta = soft.copy()
-    delta[y_idx] -= 1.0
-    d_e = head.weight.T @ delta
-    d_w = np.outer(delta, e_star)
-    return float(loss), d_e, d_w, delta
+    loss = lse - logits[rows, y_idx]
+    delta = np.exp(logits - lse[:, None])
+    delta[rows, y_idx] -= 1.0
+    d_e = delta @ head.weight
+    d_w = delta.T @ e
+    d_b = delta.sum(axis=0)
+    if np.ndim(e_star) == 1:
+        return float(loss[0]), d_e[0], d_w, d_b
+    return loss, d_e, d_w, d_b
 
 
 @dataclass
@@ -154,20 +160,18 @@ class AdaptReport:
         ]
 
 
-class BoundViolation(AssertionError):
-    """A theoretical guarantee failed at runtime; always an implementation bug."""
+def _check_batch_bounds(losses, wrong):
+    """Per-sample loss threshold: every misclassified sample has loss >= log 2.
 
-
-def _check_batch_bounds(losses, wrong_flags):
-    for loss, wrong in zip(losses, wrong_flags):
-        if wrong and loss < LOG2 - 1e-12:
-            raise BoundViolation(
-                f"misclassified sample with loss {loss!r} < log 2"
-            )
-    rate = float(np.mean(wrong_flags))
-    bound = float(np.mean(losses)) / LOG2
-    if rate > bound + 1e-12:
-        raise BoundViolation(f"error rate {rate} exceeds loss bound {bound}")
+    This implies the batch's Markov bound (error rate <= mean loss / log 2):
+    each misclassified sample adds at least log 2 / n to the mean loss, so
+    the Markov check is not repeated per batch; adapt() checks it per epoch.
+    """
+    low = wrong & (losses < LOG2 - 1e-12)
+    if np.any(low):
+        raise BoundViolation(
+            f"misclassified sample with loss {float(losses[low][0])!r} < log 2"
+        )
 
 
 def _trainable_params(backbone, adapter, mode):
@@ -194,12 +198,12 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     protos = compute_prototypes(backbone, adapter, data)
     report.prototype_provenance = protos.provenance
     proto_classifier = Classifier.cosine(protos.prototypes)
-    labels = [y for _, y in data]
-    old_embeds = embed_many(backbone, adapter, [x for x, _ in data])
+    x, labels = stack_samples(data)
+    old_embeds = embed(backbone, adapter, x)
 
     head = None
     if config.mode == "ce_ablation":
-        head = Classifier.linear(sorted(set(labels)), old_embeds.shape[1])
+        head = Classifier.linear(labels.tolist(), old_embeds.shape[1])
 
     if config.epochs == 0:
         return backbone, adapter, report
@@ -211,66 +215,48 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(data))
         for start in range(0, len(data), config.batch_size):
-            batch = [data[i] for i in order[start : start + config.batch_size]]
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
-            head_grads = None
+            idx = order[start : start + config.batch_size]
+            y = labels[idx]
+            e_star, tape = embed_with_tape(backbone, adapter, x[idx])
             if head is not None:
-                head_grads = {
-                    "W": np.zeros_like(head.weight),
-                    "b": np.zeros_like(head.bias),
-                }
-            batch_losses, batch_wrong = [], []
-            for x, y in batch:
-                e_star, tape = embed_with_tape(backbone, adapter, x)
-                if config.mode == "ce_ablation":
-                    loss, d_e, d_w, d_b = ce_adapt_loss(e_star, y, head)
-                    head_grads["W"] += d_w / len(batch)
-                    head_grads["b"] += d_b / len(batch)
-                else:
-                    loss, d_e = acl_loss(e_star, y, protos, config.temperature)
-                    pred, _ = classify(proto_classifier, e_star)
-                    batch_losses.append(loss)
-                    batch_wrong.append(pred != y)
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(f"loss {loss} in epoch {epoch}")
-                sample_grads = backprop(tape, backbone, adapter, d_e)
-                for name in grads:
-                    grads[name] += sample_grads[name] / len(batch)
-            if batch_losses:
-                _check_batch_bounds(batch_losses, batch_wrong)
-            sgd_step(params, grads, state)
+                losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y, head)
+            else:
+                losses, d_e = acl_loss(e_star, y, protos, config.temperature)
+            if not np.isfinite(losses).all():
+                raise NonFiniteLoss(f"loss {losses} in epoch {epoch}")
+            if head is None:
+                pred, _ = classify(proto_classifier, e_star)
+                _check_batch_bounds(losses, pred != y)
+            sgd_step(params, backprop(tape, backbone, adapter, d_e / len(idx)), state)
             if head is not None:
                 sgd_step(
-                    {"W": head.weight, "b": head.bias}, head_grads, head_state
+                    {"W": head.weight, "b": head.bias},
+                    {"W": d_w / len(idx), "b": d_b / len(idx)},
+                    head_state,
                 )
 
-        new_embeds = embed_many(backbone, adapter, [x for x, _ in data])
-        epoch_losses, epoch_wrong = [], []
-        for e_star, y in zip(new_embeds, labels):
-            loss, _ = acl_loss(e_star, y, protos, config.temperature)
-            pred, _ = classify(proto_classifier, e_star)
-            epoch_losses.append(loss)
-            epoch_wrong.append(pred != y)
-        proto_mat = np.stack([protos.prototypes[y] for y in labels])
-        dev = np.sum((new_embeds - old_embeds) ** 2, axis=1)
-        new_to_p = np.sum((new_embeds - proto_mat) ** 2, axis=1)
-        old_to_p = np.sum((old_embeds - proto_mat) ** 2, axis=1)
-        bound_lhs = float(np.mean(dev))
-        bound_rhs = 2.0 * (float(np.mean(new_to_p)) + float(np.mean(old_to_p)))
-        if bound_lhs > bound_rhs + 1e-9:
-            raise BoundViolation(
-                f"feature-deviation bound violated: {bound_lhs} > {bound_rhs}"
-            )
-        markov_lhs = float(np.mean(epoch_wrong))
-        markov_rhs = float(np.mean(epoch_losses)) / LOG2
+        new_embeds = embed(backbone, adapter, x)
+        losses, _ = acl_loss(new_embeds, labels, protos, config.temperature)
+        pred, _ = classify(proto_classifier, new_embeds)
+        stability = check_stability_bound(
+            old_embeds, new_embeds, protos.prototypes, labels, context="stability"
+        )
+        markov = check_markov_bound(losses, pred == labels, context="markov")
+        for check in (stability, markov):
+            if not check.passed:
+                raise BoundViolation(
+                    f"{check.context} bound violated in epoch {epoch}: "
+                    f"{check.lhs} > {check.rhs}"
+                )
         report.epochs.append(
             {
                 "epoch": epoch,
-                "mean_loss": float(np.mean(epoch_losses)),
-                "bound_lhs": bound_lhs,
-                "bound_rhs": bound_rhs,
-                "markov_lhs": markov_lhs,
-                "markov_rhs": markov_rhs,
+                "mean_loss": float(np.mean(losses)),
+                "bound_lhs": stability.lhs,
+                "bound_rhs": stability.rhs,
+                "markov_lhs": markov.lhs,
+                "markov_rhs": markov.rhs,
+                "checks": (stability, markov),
             }
         )
     assert protos.provenance == report.prototype_provenance

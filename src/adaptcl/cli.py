@@ -25,7 +25,7 @@ from .metrics import (
     last_accuracy,
     plasticity,
 )
-from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint
+from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint, stack_samples
 from .numerics import make_rng
 from .verify import VerifySizes, run_all
 
@@ -205,14 +205,14 @@ def _write_matrix_csv(path, matrix, K, status):
             f.write(f"{b}," + ",".join(cells) + f",{status}\n")
 
 
-def run_single(config: RunConfig, seed: int, mode: str, pretrained=None):
-    """One (seed, mode) cell: data, pretrain, continual run. Returns a dict
-    of results plus the pretrained model for reuse across modes."""
-    _, _, stream = generate_synthetic(config.spec)
+def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
+    """One (seed, mode) cell: pretrain, then the continual run. data is the
+    (pretrain_train, stream) pair from generate_synthetic(config.spec).
+    Returns the run result plus the pretrained model for reuse across modes."""
+    pre_train, stream = data
     stream = stream.permuted(make_rng(seed, 1))
     if pretrained is None:
         backbone, adapter = init_model(config.model, make_rng(seed, 2), config.adapter_rank)
-        pre_train, _, _ = generate_synthetic(config.spec)
         backbone = pretrain_backbone(
             backbone, pre_train, config.pretrain_epochs, config.pretrain_lr, make_rng(seed, 3)
         )
@@ -248,13 +248,16 @@ def cmd_run(config: RunConfig) -> int:
     exit_code = 0
     multi_mode = len(config.modes) > 1
     try:
+        pre_train, _, stream = generate_synthetic(config.spec)
         for seed in config.seeds:
             pretrained = None
             for mode in config.modes:
                 t0 = time.perf_counter()
                 cell = f"seed={seed},mode={mode}"
                 try:
-                    result, pretrained = run_single(config, seed, mode, pretrained)
+                    result, pretrained = run_single(
+                        config, seed, mode, (pre_train, stream), pretrained
+                    )
                 except AdaptclError as e:
                     manifest["status"][cell] = f"error: {e}"
                     exit_code = 1
@@ -305,22 +308,10 @@ def cmd_run(config: RunConfig) -> int:
                                 )
                     manifest["files"].append(report_name)
                 for task_k, report in result.adapt_reports:
-                    for row in report.rows():
-                        epoch, mean_loss, b_lhs, b_rhs, m_lhs, m_rhs = row
-                        bounds_rows.append(
-                            (
-                                f"stability/mode={mode}/seed={seed}/task={task_k}/epoch={epoch}",
-                                b_lhs,
-                                b_rhs,
-                            )
-                        )
-                        bounds_rows.append(
-                            (
-                                f"markov/mode={mode}/seed={seed}/task={task_k}/epoch={epoch}",
-                                m_lhs,
-                                m_rhs,
-                            )
-                        )
+                    for epoch in report.epochs:
+                        where = f"mode={mode}/seed={seed}/task={task_k}/epoch={epoch['epoch']}"
+                        for check in epoch["checks"]:
+                            bounds_rows.append((f"{check.context}/{where}", check))
                 manifest["wall_clock"][cell] = round(time.perf_counter() - t0, 3)
 
         with open(out / "metrics.csv", "w", newline="\n") as f:
@@ -334,11 +325,12 @@ def cmd_run(config: RunConfig) -> int:
 
         with open(out / "bounds.csv", "w", newline="\n") as f:
             f.write("context,lhs,rhs,slack,pass\n")
-            for context, lhs, rhs in bounds_rows:
-                tol = 1e-9 if context.startswith("stability") else 1e-12
-                ok = rhs - lhs >= -tol
-                f.write(f"{context},{_fmt(lhs)},{_fmt(rhs)},{_fmt(rhs - lhs)},{ok}\n")
-                if not ok:
+            for context, check in bounds_rows:
+                f.write(
+                    f"{context},{_fmt(check.lhs)},{_fmt(check.rhs)},"
+                    f"{_fmt(check.slack)},{check.passed}\n"
+                )
+                if not check.passed:
                     exit_code = 1
         manifest["files"].append("bounds.csv")
     finally:
@@ -405,8 +397,8 @@ def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits=("train"
         f.write("task_id,class_id,split," + ",".join(f"e_{i + 1}" for i in range(d)) + "\n")
         for k, task in enumerate(stream.tasks, start=1):
             for split in splits:
-                for x, y in getattr(task, split):
-                    e = embed(backbone, adapter, x)
+                x, labels = stack_samples(getattr(task, split))
+                for y, e in zip(labels, embed(backbone, adapter, x)):
                     f.write(f"{k},{y},{split}," + ",".join(_fmt(v) for v in e) + "\n")
     return 0
 
@@ -453,14 +445,20 @@ def main(argv=None) -> int:
             sizes = VerifySizes()
             if args.sizes:
                 for item in args.sizes.split(","):
-                    name, count = item.split("=")
+                    name, sep, count = item.partition("=")
+                    if not sep:
+                        raise ConfigError(f"--sizes item {item!r} is not name=count")
                     if not hasattr(sizes, name):
                         raise ConfigError(f"unknown size {name!r}")
+                    if not count.strip().isdecimal():
+                        raise ConfigError(f"size {name} must be a count >= 0, got {count!r}")
                     setattr(sizes, name, int(count))
             return cmd_verify(args.seed, sizes)
         if args.command == "dump-embeddings":
             config = load_config(args.config)
             splits = tuple(s for s in args.splits.split(",") if s)
+            if not splits or not set(splits) <= {"train", "test"}:
+                raise ConfigError(f"--splits must name train and/or test, got {args.splits!r}")
             return cmd_dump_embeddings(config, args.checkpoint, args.out, splits)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

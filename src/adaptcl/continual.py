@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptation import AdaptConfig, adapt, compute_prototypes, ce_adapt_loss
-from .errors import NonFiniteLoss
+from .errors import AdaptclError, BoundViolation, NonFiniteLoss
 from .metrics import AccuracyMatrix
 from .model import (
     Classifier,
@@ -20,6 +20,7 @@ from .model import (
     classify,
     embed,
     embed_with_tape,
+    stack_samples,
 )
 from .numerics import OptimizerState, params_hash, sgd_step
 
@@ -88,34 +89,29 @@ def core_learn_linear(
     """Cross-entropy fine-tuning of the linear head (optionally the adapter)
     on current-task data; the backbone stays bit-identical."""
     before = params_hash(state.backbone.param_dict())
-    task_data = list(task_data)
-    state.classifier.add_classes(sorted({y for _, y in task_data}))
+    x, labels = stack_samples(task_data)
+    state.classifier.add_classes(labels.tolist())
     head = state.classifier
     head_state = OptimizerState(lr=lr)
     adapter_state = OptimizerState(lr=lr)
     adapter_params = (
         state.adapter.param_dict() if (tune_adapter and state.adapter) else None
     )
+    if adapter_params is None:
+        frozen = embed(state.backbone, state.adapter, x)
     for _ in range(epochs):
-        order = rng.permutation(len(task_data))
-        for i in order:
-            x, y = task_data[i]
-            if adapter_params is not None:
-                e, tape = embed_with_tape(state.backbone, state.adapter, x)
+        for i in rng.permutation(len(labels)):
+            if adapter_params is None:
+                e = frozen[i]
             else:
-                e = embed(state.backbone, state.adapter, x)
-                tape = None
-            loss, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
+                e, tape = embed_with_tape(state.backbone, state.adapter, x[i])
+            loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[i], head)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"core-learning loss {loss}")
             sgd_step({"W": head.weight, "b": head.bias}, {"W": d_w, "b": d_b}, head_state)
             if adapter_params is not None:
                 grads = backprop(tape, state.backbone, state.adapter, d_e)
-                sgd_step(
-                    adapter_params,
-                    {k: grads[k] for k in adapter_params},
-                    adapter_state,
-                )
+                sgd_step(adapter_params, grads, adapter_state)
     assert params_hash(state.backbone.param_dict()) == before
     return state
 
@@ -123,14 +119,10 @@ def core_learn_linear(
 def evaluate(state: ExperimentState, stream: TaskStream, up_to_task: int):
     """Per-task accuracies a[k][j] for j <= k over the union label space."""
     row = []
-    for j in range(up_to_task):
-        test = stream.tasks[j].test
-        correct = 0
-        for x, y in test:
-            e = embed(state.backbone, state.adapter, x)
-            pred, _ = classify(state.classifier, e)
-            correct += pred == y
-        row.append(correct / len(test))
+    for task in stream.tasks[:up_to_task]:
+        x, labels = stack_samples(task.test)
+        pred, _ = classify(state.classifier, embed(state.backbone, state.adapter, x))
+        row.append(float(np.mean(pred == labels)))
     return row
 
 
@@ -186,7 +178,7 @@ def run_acl(
                     tune_adapter=tune_adapter,
                 )
             rows.append(evaluate(state, stream, k))
-    except Exception as e:  # noqa: BLE001 - partial matrix must survive
+    except (AdaptclError, BoundViolation) as e:  # the partial matrix must survive
         return RunResult(
             AccuracyMatrix(rows, expected_tasks=len(stream)),
             reports,

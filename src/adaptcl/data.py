@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from .continual import Task, TaskStream
 from .errors import DimInconsistent, InvalidSpec, NonFiniteLoss, ParseError
-from .model import Classifier, backprop, embed_with_tape
+from .model import Classifier, backprop, embed_with_tape, stack_samples
 from .adaptation import ce_adapt_loss
 from .numerics import OptimizerState, make_rng, sgd_step
 
@@ -142,29 +142,25 @@ def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: i
     backbone = backbone.copy()
     if epochs == 0:
         return backbone
-    d = backbone.weights[-1].shape[0]
-    head = Classifier.linear(sorted({y for _, y in data}), d)
+    x, labels = stack_samples(data)
+    head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     params = backbone.param_dict()
     state = OptimizerState(lr=lr, momentum=0.9)
     head_state = OptimizerState(lr=lr, momentum=0.9)
     for _ in range(epochs):
         order = rng.permutation(len(data))
         for start in range(0, len(data), batch_size):
-            batch = [data[i] for i in order[start : start + batch_size]]
-            grads = {name: np.zeros_like(p) for name, p in params.items()}
-            head_grads = {"W": np.zeros_like(head.weight), "b": np.zeros_like(head.bias)}
-            for x, y in batch:
-                e, tape = embed_with_tape(backbone, None, x)
-                loss, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
-                if not np.isfinite(loss):
-                    raise NonFiniteLoss(f"pretraining loss {loss}")
-                head_grads["W"] += d_w / len(batch)
-                head_grads["b"] += d_b / len(batch)
-                sample = backprop(tape, backbone, None, d_e)
-                for name in grads:
-                    grads[name] += sample[name] / len(batch)
-            sgd_step(params, grads, state)
-            sgd_step({"W": head.weight, "b": head.bias}, head_grads, head_state)
+            idx = order[start : start + batch_size]
+            e, tape = embed_with_tape(backbone, None, x[idx])
+            loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[idx], head)
+            if not np.isfinite(loss).all():
+                raise NonFiniteLoss(f"pretraining loss {loss}")
+            sgd_step(params, backprop(tape, backbone, None, d_e / len(idx)), state)
+            sgd_step(
+                {"W": head.weight, "b": head.bias},
+                {"W": d_w / len(idx), "b": d_b / len(idx)},
+                head_state,
+            )
     return backbone
 
 

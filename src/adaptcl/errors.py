@@ -71,3 +71,7 @@ class ConfigError(AdaptclError):
 
 class CheckpointError(AdaptclError):
     """Model checkpoint file is missing or malformed."""
+
+
+class BoundViolation(AssertionError):
+    """A theoretical guarantee failed at runtime; always an implementation bug."""

@@ -18,7 +18,7 @@ from .errors import (
     EmptyClassifier,
     TapeConsumed,
 )
-from .numerics import EPS_NORM, cosine_sim, l2_normalize
+from .numerics import EPS_NORM
 
 
 @dataclass(frozen=True)
@@ -109,82 +109,85 @@ def init_model(config: ModelConfig, rng: np.random.Generator, adapter_rank: int 
 
 @dataclass
 class Tape:
-    """Intermediates of one forward pass; consumed exactly once by backprop."""
+    """Intermediates of one forward pass over a batch; consumed exactly once
+    by backprop. unit, pre_norm and norm keep the caller's shape (a vector and
+    a float for one 1-D input, (n, d) and (n,) for a batch); the per-layer
+    intermediates are always (n, width) matrices."""
 
-    x: np.ndarray
     pre_acts: list  # z_l for hidden layers
     acts: list  # inputs to each layer (a_0 = x, ...)
     raw_embed: np.ndarray  # backbone output before adapter
-    adapter_hidden: "np.ndarray | None"  # Down @ e, pre-activation
+    adapter_hidden: "np.ndarray | None"  # e @ Down^T, pre-activation
     pre_norm: np.ndarray  # embedding before normalization
-    norm: float
+    norm: "float | np.ndarray"
     unit: np.ndarray
     has_adapter: bool
     consumed: bool = False
 
 
-def _forward(backbone, adapter, x, record):
+def _forward(backbone, adapter, x):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (backbone.weights[0].shape[1],):
+    in_dim = backbone.weights[0].shape[1]
+    if x.ndim not in (1, 2) or x.shape[-1] != in_dim:
         raise DimensionMismatch(
-            f"input dim {x.shape} vs expected ({backbone.weights[0].shape[1]},)"
+            f"input shape {x.shape} vs expected ({in_dim},) or (n, {in_dim})"
         )
-    a = x
-    acts, pre_acts = [a], []
+    a = x if x.ndim == 2 else x[None]
+    acts, pre_acts = [], []
     n_layers = len(backbone.weights)
     for i, (w, b) in enumerate(zip(backbone.weights, backbone.biases)):
-        z = w @ a + b
+        acts.append(a)
+        z = a @ w.T + b
         if i < n_layers - 1:
             pre_acts.append(z)
             a = _act(backbone.activation, z)
         else:
             a = z
-        acts.append(a)
     raw = a
     adapter_hidden = None
     if adapter is not None:
-        adapter_hidden = adapter.down @ raw
-        a = raw + adapter.up @ _act(adapter.activation, adapter_hidden)
-    pre_norm = a
-    n = np.linalg.norm(pre_norm)
-    if n <= EPS_NORM:
-        raise DegenerateVector(f"embedding norm {n:g} <= {EPS_NORM:g}")
-    unit = pre_norm / n
-    if not record:
-        return unit, None
+        adapter_hidden = raw @ adapter.down.T
+        a = raw + _act(adapter.activation, adapter_hidden) @ adapter.up.T
+    norm = np.sqrt((a * a).sum(axis=1))
+    if (norm <= EPS_NORM).any():
+        raise DegenerateVector(f"embedding norm {norm.min():g} <= {EPS_NORM:g}")
+    pre_norm, unit = a, a / norm[:, None]
+    if x.ndim == 1:
+        pre_norm, norm, unit = pre_norm[0], norm[0], unit[0]
     tape = Tape(
-        x=x,
         pre_acts=pre_acts,
-        acts=acts[:-1],
+        acts=acts,
         raw_embed=raw,
         adapter_hidden=adapter_hidden,
         pre_norm=pre_norm,
-        norm=n,
+        norm=norm,
         unit=unit,
         has_adapter=adapter is not None,
     )
     return unit, tape
 
 
+def stack_samples(data):
+    """(x, y) pairs as an (n, D) input matrix and an (n,) label array."""
+    xs, ys = zip(*data)
+    return np.stack(xs), np.array(ys)
+
+
 def embed(backbone: Backbone, adapter, x) -> np.ndarray:
-    """Forward pass to a unit-norm embedding."""
-    unit, _ = _forward(backbone, adapter, x, record=False)
-    return unit
+    """Forward pass to unit-norm embeddings: (D,) -> (d,), (n, D) -> (n, d)."""
+    return _forward(backbone, adapter, x)[0]
 
 
 def embed_with_tape(backbone: Backbone, adapter, x):
-    return _forward(backbone, adapter, x, record=True)
-
-
-def embed_many(backbone: Backbone, adapter, xs) -> np.ndarray:
-    return np.stack([embed(backbone, adapter, x) for x in xs])
+    return _forward(backbone, adapter, x)
 
 
 def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -> dict:
-    """Gradients of <unit_embedding, d_embedding> w.r.t. all parameters.
+    """Gradients of sum_i <unit_i, d_embedding_i> w.r.t. all parameters.
 
-    Applies the normalization Jacobian (I - uu^T)/||v||, then the adapter
-    residual, then the backbone layers in reverse.
+    Applies the normalization Jacobian (I - uu^T)/||v|| per row, then the
+    adapter residual, then the backbone layers in reverse. Weight gradients
+    are delta^T @ acts, summed over the rows of the batch.
     """
     if tape.consumed:
         raise TapeConsumed("tape already used")
@@ -194,27 +197,24 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
         raise DimensionMismatch(f"{g.shape} vs {tape.unit.shape}")
 
     grads = {}
-    u = tape.unit
-    d_pre = (g - u * (u @ g)) / tape.norm
+    g = np.atleast_2d(g)
+    u = np.atleast_2d(tape.unit)
+    d_pre = (g - u * np.sum(u * g, axis=1, keepdims=True)) / np.reshape(tape.norm, (-1, 1))
 
     if tape.has_adapter:
         h = tape.adapter_hidden
-        act_h = _act(adapter.activation, h)
-        d_up_in = adapter.up.T @ d_pre
-        d_h = _act_deriv(adapter.activation, h) * d_up_in
-        grads["adapter.up"] = np.outer(d_pre, act_h)
-        grads["adapter.down"] = np.outer(d_h, tape.raw_embed)
-        d_raw = d_pre + adapter.down.T @ d_h
+        d_h = _act_deriv(adapter.activation, h) * (d_pre @ adapter.up)
+        grads["adapter.up"] = d_pre.T @ _act(adapter.activation, h)
+        grads["adapter.down"] = d_h.T @ tape.raw_embed
+        delta = d_pre + d_h @ adapter.down
     else:
-        d_raw = d_pre
+        delta = d_pre
 
-    delta = d_raw
-    n_layers = len(backbone.weights)
-    for i in range(n_layers - 1, -1, -1):
-        grads[f"layer{i}.W"] = np.outer(delta, tape.acts[i])
-        grads[f"layer{i}.b"] = delta.copy()
+    for i in range(len(backbone.weights) - 1, -1, -1):
+        grads[f"layer{i}.W"] = delta.T @ tape.acts[i]
+        grads[f"layer{i}.b"] = delta.sum(axis=0)
         if i > 0:
-            delta = backbone.weights[i].T @ delta
+            delta = delta @ backbone.weights[i]
             delta = delta * _act_deriv(backbone.activation, tape.pre_acts[i - 1])
     return grads
 
@@ -267,20 +267,26 @@ class Classifier:
         self.class_ids, self.weight, self.bias = ids, w, b
 
     def logits(self, embedding: np.ndarray) -> np.ndarray:
+        """Logits per class id: (d,) -> (C,), (n, d) -> (n, C)."""
         if not self.class_ids:
             raise EmptyClassifier("no classes registered")
+        e = np.asarray(embedding, dtype=np.float64)
         if self.variant == "cosine":
-            return np.array(
-                [cosine_sim(embedding, self.prototypes[c]) for c in self.class_ids]
-            )
-        return self.weight @ embedding + self.bias
+            p = np.stack([self.prototypes[c] for c in self.class_ids])
+            if e.shape[-1] != p.shape[1]:
+                raise DimensionMismatch(f"{e.shape} vs prototypes {p.shape}")
+            return np.clip(e @ p.T, -1.0, 1.0)
+        return e @ self.weight.T + self.bias
 
 
 def classify(classifier: Classifier, embedding: np.ndarray):
-    """Predicted class id and logit vector (ordered by ascending class id)."""
+    """Predicted class ids and logits (ordered by ascending class id): an id
+    for one 1-D embedding, an (n,) id array for a batch."""
     logits = classifier.logits(embedding)
-    idx = int(np.argmax(logits))  # argmax returns the first max: lowest id wins
-    return classifier.class_ids[idx], logits
+    idx = np.argmax(logits, axis=-1)  # argmax returns the first max: lowest id wins
+    if logits.ndim == 1:
+        return classifier.class_ids[int(idx)], logits
+    return np.asarray(classifier.class_ids)[idx], logits
 
 
 def save_checkpoint(path, backbone: Backbone, adapter) -> None:
@@ -316,12 +322,13 @@ def load_checkpoint(path):
             values = np.array([float(v) for v in lines[i + 1].split(",")])
             arrays[name] = values.reshape(shape)
             i += 2
+        weights = [arrays[f"layer{i}.W"] for i in range(n_layers)]
+        biases = [arrays[f"layer{i}.b"] for i in range(n_layers)]
+        adapter = None
+        if "adapter.down" in arrays:
+            adapter = AdapterModule(arrays["adapter.down"], arrays["adapter.up"], activation)
+    except KeyError as e:
+        raise CheckpointError(f"malformed checkpoint {path}: missing array {e}") from e
     except (IndexError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
-    weights = [arrays[f"layer{i}.W"] for i in range(n_layers)]
-    biases = [arrays[f"layer{i}.b"] for i in range(n_layers)]
-    backbone = Backbone(weights, biases, activation)
-    adapter = None
-    if "adapter.down" in arrays:
-        adapter = AdapterModule(arrays["adapter.down"], arrays["adapter.up"], activation)
-    return backbone, adapter
+    return Backbone(weights, biases, activation), adapter

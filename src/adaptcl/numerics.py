@@ -57,13 +57,15 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(a @ b, -1.0, 1.0))
 
 
-def log_sum_exp(logits) -> float:
-    """Numerically stable log(sum(exp(s_i)))."""
+def log_sum_exp(logits):
+    """Numerically stable log(sum(exp(s_i))) over the last axis: a float for
+    a vector, one value per row for a matrix."""
     s = np.asarray(logits, dtype=np.float64)
     if s.size == 0:
         raise EmptyInput("log_sum_exp of empty sequence")
-    m = np.max(s)
-    return float(m + np.log(np.sum(np.exp(s - m))))
+    m = s.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(s - m).sum(axis=-1))
+    return float(lse) if lse.ndim == 0 else lse
 
 
 @dataclass

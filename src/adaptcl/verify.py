@@ -3,7 +3,6 @@ distance-cosine identity, the mean-as-minimizer property, the
 misclassification loss threshold, the Markov error bound, the
 feature-deviation bound, and the analytic-vs-numeric gradient battery."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +10,7 @@ import numpy as np
 from . import model as model_mod
 from .adaptation import PrototypeTable, acl_loss
 from .metrics import (
+    LOG2,
     check_markov_bound,
     check_stability_bound,
     verify_lemma1,
@@ -18,8 +18,6 @@ from .metrics import (
 )
 from .model import ModelConfig, classify, embed, init_model, model_params, Classifier
 from .numerics import finite_diff_grad, l2_normalize, make_rng
-
-LOG2 = math.log(2.0)
 
 
 @dataclass

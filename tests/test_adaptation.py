@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import adaptcl.adaptation
 from adaptcl.adaptation import (
     AdaptConfig,
     PrototypeTable,
@@ -11,7 +12,7 @@ from adaptcl.adaptation import (
     ce_adapt_loss,
     compute_prototypes,
 )
-from adaptcl.errors import DegenerateVector, UnknownLabel
+from adaptcl.errors import BoundViolation, DegenerateVector, UnknownLabel
 from adaptcl.model import Classifier, ModelConfig, embed, init_model, model_params
 from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng, params_hash
 
@@ -83,6 +84,22 @@ class TestAclLoss:
         protos = PrototypeTable({0: np.array([1.0, 0.0])}, "t")
         with pytest.raises(UnknownLabel):
             acl_loss(np.array([1.0, 0.0]), 9, protos, 0.1)
+        with pytest.raises(UnknownLabel):
+            acl_loss(np.eye(2), [0, 9], protos, 0.1)
+
+    def test_batch_rows_match_single(self):
+        rng = make_rng(33)
+        protos = PrototypeTable(
+            {c: l2_normalize(rng.standard_normal(5)) for c in (1, 4, 6, 8)}, "t"
+        )
+        es = np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(7)])
+        labels = [4, 1, 8, 8, 6, 1, 4]
+        losses, grads = acl_loss(es, labels, protos, 0.2)
+        assert losses.shape == (7,) and grads.shape == (7, 5)
+        for e, y, loss, grad in zip(es, labels, losses, grads):
+            single_loss, single_grad = acl_loss(e, y, protos, 0.2)
+            assert loss == pytest.approx(single_loss, abs=1e-12)
+            np.testing.assert_allclose(grad, single_grad, rtol=0, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
         rng = make_rng(31)
@@ -134,6 +151,21 @@ class TestCeAdaptLoss:
         )
         np.testing.assert_allclose(d_w, nums["W"], atol=1e-6)
         np.testing.assert_allclose(d_b, nums["b"], atol=1e-6)
+
+
+    def test_batch_sums_head_gradients(self):
+        rng = make_rng(34)
+        head = Classifier.linear([0, 1, 2], 4)
+        head.weight = rng.standard_normal((3, 4))
+        head.bias = rng.standard_normal(3)
+        es = np.stack([l2_normalize(rng.standard_normal(4)) for _ in range(5)])
+        labels = [2, 0, 1, 1, 2]
+        losses, d_e, d_w, d_b = ce_adapt_loss(es, labels, head)
+        singles = [ce_adapt_loss(e, y, head) for e, y in zip(es, labels)]
+        np.testing.assert_allclose(losses, [s[0] for s in singles], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_e, np.stack([s[1] for s in singles]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_w, sum(s[2] for s in singles), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_b, sum(s[3] for s in singles), rtol=0, atol=1e-12)
 
 
 def _toy_task(rng, n_per_class=20):
@@ -194,6 +226,20 @@ class TestAdapt:
         for row in report.epochs:
             assert row["bound_lhs"] <= row["bound_rhs"] + 1e-9
             assert row["markov_lhs"] <= row["markov_rhs"] + 1e-12
+
+    @pytest.mark.parametrize("check", ["check_stability_bound", "check_markov_bound"])
+    def test_failed_bound_report_raises(self, toy_setup, monkeypatch, check):
+        backbone, adapter, data, rng = toy_setup
+        real = getattr(adaptcl.adaptation, check)
+
+        def failing(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.lhs = report.rhs + 1.0
+            return report
+
+        monkeypatch.setattr(adaptcl.adaptation, check, failing)
+        with pytest.raises(BoundViolation):
+            adapt(backbone, adapter, data, AdaptConfig(epochs=1, lr=0.1), rng)
 
     def test_prototypes_frozen(self, toy_setup):
         backbone, adapter, data, rng = toy_setup

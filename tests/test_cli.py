@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from adaptcl.cli import main
+from adaptcl.model import ModelConfig, init_model, save_checkpoint
+from adaptcl.numerics import make_rng
 
 TINY_CFG = """
 data.input_dim = 8
@@ -142,6 +144,25 @@ class TestRun:
         assert len(metrics) == 3  # header + 2 seeds
 
 
+    def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch):
+        import adaptcl.cli
+
+        calls = []
+        real = adaptcl.cli.generate_synthetic
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(adaptcl.cli, "generate_synthetic", counted)
+        cfg = tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        path = tiny_config.parent / "two_modes.cfg"
+        path.write_text(cfg)
+        argv = ["run", "--config", str(path), "--seeds", "5,6", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
 class TestSweep:
     def test_temperature_sweep(self, tiny_config, tmp_path):
         out = tmp_path / "sweep"
@@ -205,6 +226,23 @@ class TestVerify:
         assert main(["verify", "--sizes", sizes]) == 0
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes", ["foo", "lemma1_pairs=x", "not_a_size=3", "lemma1_pairs=-5"]
+    )
+    def test_verify_malformed_sizes(self, sizes, capsys):
+        assert main(["verify", "--sizes", sizes]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.fixture
+def fresh_checkpoint(tmp_path):
+    """An untrained checkpoint matching TINY_CFG's model shape."""
+    path = tmp_path / "fresh.ckpt"
+    cfg = ModelConfig(input_dim=8, embed_dim=6, hidden=(12,))
+    save_checkpoint(path, *init_model(cfg, make_rng(0), adapter_rank=3))
+    return path
+
 
 class TestDumpEmbeddings:
     def test_dump(self, tiny_config, tmp_path):
@@ -232,9 +270,26 @@ class TestDumpEmbeddings:
             vec = np.array([float(v) for v in line.split(",")[3:]])
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
-    def test_bad_checkpoint(self, tiny_config, tmp_path):
+    def test_unknown_split(self, tiny_config, fresh_checkpoint, tmp_path, capsys):
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--splits", "foo"]
+        argv += ["--checkpoint", str(fresh_checkpoint), "--out", str(tmp_path / "e.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "drop",
+        [None, "layer1.W", "layer0.b", "adapter.up"],
+        ids=["garbage", "no-layer1.W", "no-layer0.b", "down-without-up"],
+    )
+    def test_bad_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, drop):
         bad = tmp_path / "bad.ckpt"
-        bad.write_text("not a checkpoint")
+        if drop is None:
+            bad.write_text("not a checkpoint")
+        else:
+            lines = fresh_checkpoint.read_text().splitlines()
+            i = next(k for k, line in enumerate(lines) if line.startswith(f"{drop};"))
+            bad.write_text("\n".join(lines[:i] + lines[i + 2 :]) + "\n")
         assert (
             main(
                 [
@@ -247,3 +302,5 @@ class TestDumpEmbeddings:
             )
             == 1
         )
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import adaptcl.continual
 from adaptcl.adaptation import AdaptConfig
 from adaptcl.continual import (
     ExperimentState,
@@ -11,6 +12,7 @@ from adaptcl.continual import (
     evaluate,
     run_acl,
 )
+from adaptcl.errors import BoundViolation
 from adaptcl.model import Classifier, ModelConfig, classify, embed, init_model
 from adaptcl.numerics import make_rng, params_hash
 
@@ -172,6 +174,34 @@ class TestRunAcl:
         )
         assert result.status == "ok"
         assert result.state.classifier.class_ids == [0, 1, 2, 3]
+
+
+    def test_programming_error_propagates(self, stream_and_model, monkeypatch):
+        stream, backbone, adapter = stream_and_model
+
+        def broken(state, task_data):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", broken)
+        with pytest.raises(TypeError, match="planted"):
+            run_acl(stream, backbone, adapter, AdaptConfig(epochs=1), "ncm", make_rng(5))
+
+    def test_bound_violation_returns_partial_matrix(self, stream_and_model, monkeypatch):
+        stream, backbone, adapter = stream_and_model
+        real_ncm = adaptcl.continual.core_learn_ncm
+
+        def violates_on_second_task(state, task_data):
+            if state.task_index == 2:
+                raise BoundViolation("planted")
+            return real_ncm(state, task_data)
+
+        monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", violates_on_second_task)
+        result = run_acl(
+            stream, backbone, adapter, AdaptConfig(epochs=1), "ncm", make_rng(5)
+        )
+        assert result.status == "failed"
+        assert result.error == "BoundViolation: planted"
+        assert result.matrix.K == 1 and not result.matrix.complete
 
 
 class TestEvaluate:

@@ -64,11 +64,45 @@ class TestEmbed:
             embed(backbone, adapter, x), embed(backbone, adapter, x)
         )
 
+    def test_batch_matches_single_rows(self, small_model):
+        _, backbone, adapter = small_model
+        adapter.up[:] = 0.3
+        xs = make_rng(5).standard_normal((7, 2))
+        batch = embed(backbone, adapter, xs)
+        assert batch.shape == (7, 3)
+        singles = [embed(backbone, adapter, x) for x in xs]
+        assert all(e.shape == (3,) for e in singles)
+        np.testing.assert_allclose(batch, np.stack(singles), rtol=0, atol=1e-12)
+
     def test_tape_matches_plain_embed(self, small_model):
         _, backbone, adapter = small_model
         x = make_rng(3).standard_normal(2)
         e, _tape = embed_with_tape(backbone, adapter, x)
         np.testing.assert_array_equal(e, embed(backbone, adapter, x))
+
+
+def _batch_gradient_error(backprop_fn, seed, n_rows=5):
+    """Worst relative error of backprop_fn against central differences of
+    sum_i <u_i, g_i> over a batch of n_rows inputs."""
+    cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,))
+    rng = make_rng(seed, 78)
+    backbone, adapter = init_model(cfg, rng, adapter_rank=2)
+    adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+    xs = rng.standard_normal((n_rows, 2))
+    directions = rng.standard_normal((n_rows, 3))
+
+    def loss_fn(_):
+        return float(np.sum(embed(backbone, adapter, xs) * directions))
+
+    params = model_params(backbone, adapter)
+    _, tape = embed_with_tape(backbone, adapter, xs)
+    analytic = backprop_fn(tape, backbone, adapter, directions)
+    numeric = finite_diff_grad(loss_fn, params, 1e-5)
+    return max(
+        np.linalg.norm(analytic[name] - numeric[name])
+        / max(np.linalg.norm(numeric[name]), 1e-10)
+        for name in params
+    )
 
 
 class TestBackprop:
@@ -109,6 +143,16 @@ class TestBackprop:
                 err = np.linalg.norm(analytic[name] - numeric[name])
                 scale = max(np.linalg.norm(numeric[name]), 1e-10)
                 assert err / scale <= 1e-4, name
+        assert _batch_gradient_error(backprop, seed) <= 1e-4
+
+    def test_row_zero_only_mutation_caught(self):
+        # a backprop that drops every row but the first must fail the batch check
+        def row_zero_only(tape, backbone, adapter, d_embedding):
+            kept = np.zeros_like(d_embedding)
+            kept[0] = d_embedding[0]
+            return backprop(tape, backbone, adapter, kept)
+
+        assert _batch_gradient_error(row_zero_only, 0) > 1e-2
 
     def test_normalization_jacobian(self, small_model):
         # d<u,g>/d pre_norm must equal (I - uu^T) g / ||v||
@@ -159,6 +203,23 @@ class TestClassify:
             expected = min(c for c in sims if sims[c] == max(sims.values()))
             pred, _ = classify(clf, e)
             assert pred == expected
+
+    @pytest.mark.parametrize("variant", ["cosine", "linear"])
+    def test_batch_matches_single_rows(self, variant):
+        rng = make_rng(23)
+        if variant == "cosine":
+            clf = Classifier.cosine({c: l2_normalize(rng.standard_normal(4)) for c in (2, 5, 9)})
+        else:
+            clf = Classifier.linear([2, 5, 9], 4)
+            clf.weight = rng.standard_normal((3, 4))
+            clf.bias = rng.standard_normal(3)
+        es = np.stack([l2_normalize(rng.standard_normal(4)) for _ in range(6)])
+        preds, logits = classify(clf, es)
+        assert logits.shape == (6, 3)
+        for e, pred, row in zip(es, preds, logits):
+            single_pred, single_logits = classify(clf, e)
+            assert pred == single_pred
+            np.testing.assert_allclose(row, single_logits, rtol=0, atol=1e-12)
 
     def test_positive_rescale_invariance(self):
         rng = make_rng(22)

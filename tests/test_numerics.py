@@ -101,6 +101,12 @@ class TestLogSumExp:
             oracle = float(mpmath.log(mpmath.fsum(mpmath.exp(x) for x in s)))
             assert abs(log_sum_exp(s) - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
+    def test_rows_of_a_matrix(self):
+        s = make_rng(43).uniform(-50, 50, size=(6, 4))
+        rows = log_sum_exp(s)
+        assert rows.shape == (6,)
+        assert list(rows) == [log_sum_exp(r) for r in s]
+
     @given(st.lists(finite_floats, min_size=1, max_size=8), finite_floats)
     def test_shift_invariance(self, values, c):
         s = np.array(values)
