@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundViolation, DegenerateVector, NonFiniteLoss, UnknownLabel
+from .errors import BoundViolation, DegenerateVector, NonFiniteLoss
 from .metrics import LOG2, check_markov_bound, check_stability_bound
 from .model import (
     Classifier,
@@ -19,6 +19,7 @@ from .model import (
     classify,
     embed,
     embed_with_tape,
+    label_index,
     model_params,
     stack_samples,
 )
@@ -86,15 +87,6 @@ def compute_prototypes(backbone, adapter, data) -> PrototypeTable:
     return PrototypeTable(protos, provenance=params_hash(model_params(backbone, adapter)))
 
 
-def _label_index(class_ids, labels, owner):
-    """Positions of an (n,) label array in class_ids."""
-    position = {c: i for i, c in enumerate(class_ids)}
-    try:
-        return np.array([position[y] for y in labels.tolist()])
-    except KeyError as e:
-        raise UnknownLabel(f"label {e.args[0]!r} not in {owner}") from None
-
-
 def acl_loss(e_star: np.ndarray, label, protos: PrototypeTable, tau: float):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
@@ -103,7 +95,7 @@ def acl_loss(e_star: np.ndarray, label, protos: PrototypeTable, tau: float):
     One embedding (d,) and label give a float and a (d,) gradient; a batch
     (n, d) with n labels gives per-row losses (n,) and gradients (n, d)."""
     e = np.atleast_2d(e_star)
-    y_idx = _label_index(protos.class_ids(), np.atleast_1d(label), "prototype table")
+    y_idx = label_index(protos.class_ids(), np.atleast_1d(label), "prototype table")
     p = protos.matrix()  # (C, d)
     scores = (e @ p.T) / tau
     lse = log_sum_exp(scores)
@@ -122,7 +114,7 @@ def ce_adapt_loss(e_star: np.ndarray, label, head: Classifier):
     (n, d) with n labels, loss and d_e are per row and d_W, d_b are the
     gradients of the summed loss."""
     e = np.atleast_2d(e_star)
-    y_idx = _label_index(head.class_ids, np.atleast_1d(label), "head")
+    y_idx = label_index(head.class_ids, np.atleast_1d(label), "head")
     rows = np.arange(len(e))
     logits = e @ head.weight.T + head.bias
     lse = log_sum_exp(logits)

@@ -233,7 +233,11 @@ def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
     return result, pretrained
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(config: RunConfig, pretrained=None) -> int:
+    """Every (seed, mode) cell of one config. pretrained maps a seed to its
+    pretrained (backbone, adapter); a seed's modes share one entry, and
+    cmd_sweep passes one dict to all its cells."""
+    pretrained = {} if pretrained is None else pretrained
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -250,13 +254,12 @@ def cmd_run(config: RunConfig) -> int:
     try:
         pre_train, _, stream = generate_synthetic(config.spec)
         for seed in config.seeds:
-            pretrained = None
             for mode in config.modes:
                 t0 = time.perf_counter()
                 cell = f"seed={seed},mode={mode}"
                 try:
-                    result, pretrained = run_single(
-                        config, seed, mode, (pre_train, stream), pretrained
+                    result, pretrained[seed] = run_single(
+                        config, seed, mode, (pre_train, stream), pretrained.get(seed)
                     )
                 except AdaptclError as e:
                     manifest["status"][cell] = f"error: {e}"
@@ -349,6 +352,7 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     root.mkdir(parents=True, exist_ok=True)
     overall = 0
     agg = []
+    pretrained = {}  # sweep axes are adapt.* keys, which pretraining never reads
     for value in values:
         cell_values = parse_config_text(config.raw_text)
         cell_values[f"adapt.{axis}"] = str(value)
@@ -357,7 +361,7 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
         cell_values["run.seeds"] = ",".join(str(s) for s in config.seeds)
         try:
             cell_cfg = RunConfig.from_values(cell_values, raw_text=config.raw_text)
-            code = cmd_run(cell_cfg)
+            code = cmd_run(cell_cfg, pretrained)
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
             overall = 1

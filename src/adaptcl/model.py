@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptyClassifier,
     TapeConsumed,
+    UnknownLabel,
 )
 from .numerics import EPS_NORM
 
@@ -217,6 +218,16 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
             delta = delta @ backbone.weights[i]
             delta = delta * _act_deriv(backbone.activation, tape.pre_acts[i - 1])
     return grads
+
+
+def label_index(class_ids, labels, owner):
+    """Positions of an (n,) label array in class_ids, the row order of a
+    Classifier's weight or of a prototype table."""
+    position = {c: i for i, c in enumerate(class_ids)}
+    try:
+        return np.array([position[y] for y in labels.tolist()])
+    except KeyError as e:
+        raise UnknownLabel(f"label {e.args[0]!r} not in {owner}") from None
 
 
 @dataclass

@@ -207,6 +207,45 @@ class TestSweep:
         )
         assert (out / "sweep.csv").exists()
 
+    def test_pretrains_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+        import adaptcl.cli
+
+        calls = []
+        real = adaptcl.cli.pretrain_backbone
+
+        def counted(backbone, data, epochs, lr, rng):
+            calls.append(epochs)
+            return real(backbone, data, epochs, lr, rng)
+
+        monkeypatch.setattr(adaptcl.cli, "pretrain_backbone", counted)
+        argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs"]
+        argv += ["--values", "1,2,3", "--seeds", "5,6", "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+        assert len(calls) == 2
+
+    def test_cells_match_standalone_runs(self, tiny_config, tmp_path):
+        text = tiny_config.read_text() + "core.strategy = linear\ncore.epochs = 2\n"
+        text = text.replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        path = tmp_path / "linear.cfg"
+        path.write_text(text)
+        sweep = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(path), "--axis", "epochs", "--values", "1,2"]
+        assert main(argv + ["--seeds", "5,6", "--out", str(sweep)]) == 0
+        for value in ("1", "2"):
+            cell_cfg = tmp_path / f"cell_{value}.cfg"
+            cell_cfg.write_text(text + f"adapt.epochs = {value}\n")
+            alone = tmp_path / f"run_{value}"
+            argv = ["run", "--config", str(cell_cfg), "--seeds", "5,6", "--out", str(alone)]
+            assert main(argv) == 0
+            cell = sweep / f"sweep_epochs_{value}"
+            names = sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
+            assert names == sorted(
+                p.name for p in cell.iterdir() if p.name != "manifest.json"
+            )
+            assert any(n.endswith(".csv") for n in names)
+            for name in names:
+                assert (cell / name).read_bytes() == (alone / name).read_bytes(), name
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import adaptcl.continual
-from adaptcl.adaptation import AdaptConfig
+from adaptcl.adaptation import AdaptConfig, ce_adapt_loss
 from adaptcl.continual import (
     ExperimentState,
     Task,
@@ -12,9 +12,18 @@ from adaptcl.continual import (
     evaluate,
     run_acl,
 )
-from adaptcl.errors import BoundViolation
-from adaptcl.model import Classifier, ModelConfig, classify, embed, init_model
-from adaptcl.numerics import make_rng, params_hash
+from adaptcl.errors import BoundViolation, NonFiniteLoss
+from adaptcl.model import (
+    Classifier,
+    ModelConfig,
+    backprop,
+    classify,
+    embed,
+    embed_with_tape,
+    init_model,
+    stack_samples,
+)
+from adaptcl.numerics import OptimizerState, make_rng, params_hash, sgd_step
 
 
 def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
@@ -113,6 +122,66 @@ class TestCoreLearnLinear:
         before = acc(state)
         core_learn_linear(state, data, 10, 0.1, make_rng(1))
         assert acc(state) >= before
+
+
+def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter):
+    """Per-sample head SGD spelled out with ce_adapt_loss and sgd_step; a
+    frozen adapter embeds the task once, as core_learn_linear does."""
+    x, labels = stack_samples(task_data)
+    state.classifier.add_classes(labels.tolist())
+    head = state.classifier
+    head_state, adapter_state = OptimizerState(lr=lr), OptimizerState(lr=lr)
+    frozen = embed(state.backbone, state.adapter, x)
+    for _ in range(epochs):
+        for i in rng.permutation(len(labels)):
+            if tune_adapter:
+                e, tape = embed_with_tape(state.backbone, state.adapter, x[i])
+            else:
+                e = frozen[i]
+            _, d_e, d_w, d_b = ce_adapt_loss(e, labels[i], head)
+            sgd_step({"W": head.weight, "b": head.bias}, {"W": d_w, "b": d_b}, head_state)
+            if tune_adapter:
+                grads = backprop(tape, state.backbone, state.adapter, d_e)
+                sgd_step(state.adapter.param_dict(), grads, adapter_state)
+    return state
+
+
+class TestCoreLearnLinearReference:
+    @pytest.mark.parametrize("tune_adapter", [False, True])
+    def test_matches_reference_loop(self, stream_and_model, tune_adapter):
+        stream, backbone, adapter = stream_and_model
+        adapter.up[:] = make_rng(53).uniform(-0.3, 0.3, adapter.up.shape)
+        states = [
+            ExperimentState(backbone.copy(), adapter.copy(), Classifier.linear([], 6))
+            for _ in range(2)
+        ]
+        for task in stream.tasks:  # the second task grows a trained head
+            core_learn_linear(
+                states[0], task.train, 3, 0.1, make_rng(54), tune_adapter=tune_adapter
+            )
+            _reference_core_learn_linear(
+                states[1], task.train, 3, 0.1, make_rng(54), tune_adapter
+            )
+        lean, ref = states
+        assert lean.classifier.class_ids == ref.classifier.class_ids == [0, 1, 2, 3]
+        assert np.abs(lean.classifier.weight).max() > 0
+        lean_params = {"W": lean.classifier.weight, "b": lean.classifier.bias}
+        lean_params.update(lean.adapter.param_dict())
+        ref_params = {"W": ref.classifier.weight, "b": ref.classifier.bias}
+        ref_params.update(ref.adapter.param_dict())
+        for name, value in ref_params.items():
+            np.testing.assert_allclose(lean_params[name], value, rtol=0, atol=1e-12)
+        if tune_adapter:
+            assert not np.array_equal(lean.adapter.up, adapter.up)
+        else:
+            np.testing.assert_array_equal(lean.adapter.up, adapter.up)
+
+    def test_non_finite_logit_raises(self, stream_and_model):
+        stream, backbone, adapter = stream_and_model
+        state = ExperimentState(backbone, adapter, Classifier.linear([0], 6))
+        state.classifier.bias[0] = np.inf
+        with pytest.raises(NonFiniteLoss), np.errstate(invalid="ignore"):
+            core_learn_linear(state, stream.tasks[0].train, 1, 0.1, make_rng(1))
 
 
 class TestRunAcl:

@@ -1,11 +1,13 @@
 import numpy as np
 
+import adaptcl.metrics
 import adaptcl.model
 from adaptcl.verify import (
     VerifySizes,
     run_all,
     run_gradient_battery,
     run_lemma1,
+    run_lemma2,
     run_markov,
     run_stability,
     run_threshold,
@@ -52,6 +54,38 @@ def test_sign_flip_mutation_caught(monkeypatch):
     monkeypatch.setattr(adaptcl.model, "backprop", flipped)
     result = run_gradient_battery(0, 1, 3)
     assert not result.passed
+
+
+def test_row_zero_only_mutation_caught(monkeypatch):
+    # a backprop that drops every batch row but the first must fail the battery
+    real_backprop = adaptcl.model.backprop
+
+    def row_zero_only(tape, backbone, adapter, d_embedding):
+        kept = np.array(d_embedding)
+        if kept.ndim == 2:
+            kept[1:] = 0.0
+        return real_backprop(tape, backbone, adapter, kept)
+
+    monkeypatch.setattr(adaptcl.model, "backprop", row_zero_only)
+    result = run_gradient_battery(0, 1, 3)
+    assert not result.passed
+    assert "probe 1 " in result.detail
+
+
+def test_lemma2_shifted_point_mutation_caught(monkeypatch):
+    # the gradient check must fail when it probes the renormalized prototype
+    # instead of the mean
+    real_fd = adaptcl.metrics.finite_diff_grad
+
+    def at_prototype(loss_fn, params, h):
+        z = params["z"]
+        return real_fd(loss_fn, {"z": z / np.linalg.norm(z)}, h)
+
+    assert run_lemma2(0, 5, 20).passed
+    monkeypatch.setattr(adaptcl.metrics, "finite_diff_grad", at_prototype)
+    result = run_lemma2(0, 5, 20)
+    assert not result.passed
+    assert "grad=" in result.detail
 
 
 def test_individual_campaigns_report_detail():
