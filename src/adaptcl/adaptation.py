@@ -49,6 +49,8 @@ class AdaptConfig:
             raise ValueError("temperature must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.mode not in ADAPT_MODES:
             raise ValueError(f"unknown adaptation mode {self.mode!r}")
 

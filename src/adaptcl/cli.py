@@ -11,8 +11,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin
 
 from . import __version__
 from .adaptation import ADAPT_MODES, AdaptConfig
@@ -34,154 +36,84 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-_DEFAULTS = {
-    "data.input_dim": "32",
-    "data.n_pretrain_classes": "10",
-    "data.n_incremental_classes": "8",
-    "data.n_tasks": "4",
-    "data.train_per_class": "100",
-    "data.test_per_class": "50",
-    "data.sigma": "0.3",
-    "data.domain_shift": "2.0",
-    "data.seed": "0",
-    "model.embed_dim": "16",
-    "model.hidden": "64,64",
-    "model.activation": "tanh",
-    "model.adapter_rank": "8",
-    "pretrain.epochs": "30",
-    "pretrain.lr": "0.05",
-    "adapt.temperature": "0.1",
-    "adapt.epochs": "1",
-    "adapt.lr": "0.05",
-    "adapt.batch_size": "32",
-    "adapt.momentum": "0.0",
-    "adapt.modes": "acl",
-    "adapt.first_task_only": "false",
-    "core.strategy": "ncm",
-    "core.epochs": "10",
-    "core.lr": "0.1",
-    "core.tune_adapter": "false",
-    "metrics.plasticity": "best_ever",
-    "run.out": "out",
-}
-_REQUIRED = ("run.seeds",)
-
-
-def parse_config_text(text: str) -> dict:
-    values = dict(_DEFAULTS)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'section.key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS and key not in _REQUIRED:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = value
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-    return values
-
-
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    spec: SyntheticSpec
+    """The config schema. Key `section.key` is field `key` of data, model or
+    adapt, or field `section_key` below; a field's default is the key's
+    default, and a field without one is a required key. model.input_dim is
+    data.input_dim, and adapt.mode is the first of adapt_modes."""
+
+    data: SyntheticSpec
     model: ModelConfig
-    adapter_rank: int
-    pretrain_epochs: int
-    pretrain_lr: float
-    adapt_base: dict  # AdaptConfig kwargs without mode
-    modes: tuple
-    core_strategy: str
-    core_epochs: int
-    core_lr: float
-    tune_adapter: bool
-    seeds: tuple
-    out: Path
-    plasticity_variant: str = "best_ever"
+    adapt: AdaptConfig
+    model_adapter_rank: int = 8
+    pretrain_epochs: int = 30
+    pretrain_lr: float = 0.05
+    adapt_modes: tuple[str, ...] = ("acl",)
+    core_strategy: str = "ncm"
+    core_epochs: int = 10
+    core_lr: float = 0.1
+    core_tune_adapter: bool = False
+    metrics_plasticity: str = "best_ever"
+    run_seeds: tuple[int, ...]
+    run_out: Path = Path("out")
     raw_text: str = ""
 
-    @classmethod
-    def from_values(cls, values: dict, raw_text: str = "") -> "RunConfig":
-        def _int(k):
-            return int(values[k])
+    def __post_init__(self):
+        for m in self.adapt_modes:
+            if m not in ADAPT_MODES:
+                raise ConfigError(f"unknown adaptation mode {m!r}")
+        if not self.adapt_modes:
+            raise ConfigError("adapt.modes is empty")
+        if self.core_strategy not in CORE_STRATEGIES:
+            raise ConfigError(f"unknown core strategy {self.core_strategy!r}")
+        if not self.run_seeds:
+            raise ConfigError("run.seeds is empty")
+        if self.metrics_plasticity not in ("best_ever", "immediate"):
+            raise ConfigError(
+                f"metrics.plasticity must be best_ever or immediate, "
+                f"got {self.metrics_plasticity!r}"
+            )
+        for name in ("model_adapter_rank", "pretrain_epochs", "core_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name.replace('_', '.', 1)} must be >= 0")
+        object.__setattr__(self, "adapt", replace(self.adapt, mode=self.adapt_modes[0]))
 
-        def _float(k):
-            return float(values[k])
 
-        def _bool(k):
-            v = values[k].lower()
-            if v not in ("true", "false"):
-                raise ConfigError(f"{k} must be true or false")
-            return v == "true"
+def _config_keys() -> dict:
+    """section.key -> (RunConfig section field or None, the key's field)."""
+    keys = {}
+    for f in fields(RunConfig):
+        if is_dataclass(f.type):
+            keys.update({f"{f.name}.{g.name}": (f.name, g) for g in fields(f.type)})
+        elif f.name != "raw_text":
+            keys[f.name.replace("_", ".", 1)] = (None, f)
+    del keys["model.input_dim"], keys["adapt.mode"]
+    return keys
 
-        try:
-            spec = SyntheticSpec(
-                input_dim=_int("data.input_dim"),
-                n_pretrain_classes=_int("data.n_pretrain_classes"),
-                n_incremental_classes=_int("data.n_incremental_classes"),
-                n_tasks=_int("data.n_tasks"),
-                train_per_class=_int("data.train_per_class"),
-                test_per_class=_int("data.test_per_class"),
-                sigma=_float("data.sigma"),
-                domain_shift=_float("data.domain_shift"),
-                seed=_int("data.seed"),
-            )
-            hidden = tuple(int(h) for h in values["model.hidden"].split(",") if h)
-            model = ModelConfig(
-                input_dim=spec.input_dim,
-                embed_dim=_int("model.embed_dim"),
-                hidden=hidden,
-                activation=values["model.activation"],
-            )
-            modes = tuple(m.strip() for m in values["adapt.modes"].split(",") if m.strip())
-            for m in modes:
-                if m not in ADAPT_MODES:
-                    raise ConfigError(f"unknown adaptation mode {m!r}")
-            if not modes:
-                raise ConfigError("adapt.modes is empty")
-            strategy = values["core.strategy"]
-            if strategy not in CORE_STRATEGIES:
-                raise ConfigError(f"unknown core strategy {strategy!r}")
-            seeds = tuple(int(s) for s in values["run.seeds"].split(",") if s.strip())
-            if not seeds:
-                raise ConfigError("run.seeds is empty")
-            plasticity_variant = values["metrics.plasticity"]
-            if plasticity_variant not in ("best_ever", "immediate"):
-                raise ConfigError(
-                    f"metrics.plasticity must be best_ever or immediate, "
-                    f"got {plasticity_variant!r}"
-                )
-            adapt_base = dict(
-                temperature=_float("adapt.temperature"),
-                epochs=_int("adapt.epochs"),
-                lr=_float("adapt.lr"),
-                batch_size=_int("adapt.batch_size"),
-                momentum=_float("adapt.momentum"),
-                first_task_only=_bool("adapt.first_task_only"),
-            )
-            AdaptConfig(mode=modes[0], **adapt_base)  # validate eagerly
-            return cls(
-                spec=spec,
-                model=model,
-                adapter_rank=_int("model.adapter_rank"),
-                pretrain_epochs=_int("pretrain.epochs"),
-                pretrain_lr=_float("pretrain.lr"),
-                adapt_base=adapt_base,
-                modes=modes,
-                core_strategy=strategy,
-                core_epochs=_int("core.epochs"),
-                core_lr=_float("core.lr"),
-                tune_adapter=_bool("core.tune_adapter"),
-                seeds=seeds,
-                out=Path(values["run.out"]),
-                plasticity_variant=plasticity_variant,
-                raw_text=raw_text,
-            )
-        except (ValueError, AdaptclError) as e:
-            raise ConfigError(str(e)) from e
+
+CONFIG_KEYS = _config_keys()
+
+
+def _convert(key: str, text: str, f):
+    """A config value by its field's type; a tuple is a comma list."""
+    if f.type is bool:
+        if text.lower() not in ("true", "false"):
+            raise ConfigError(f"{key} must be true or false")
+        return text.lower() == "true"
+    if get_origin(f.type) is tuple:
+        item = get_args(f.type)[0]
+        return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+    return f.type(text)
+
+
+@contextmanager
+def _config_errors():
+    """Report an invalid value or combination as a ConfigError."""
+    try:
+        yield
+    except (ValueError, AdaptclError) as e:
+        raise ConfigError(str(e)) from e
 
 
 def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
@@ -189,12 +121,36 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(str(e)) from e
-    values = parse_config_text(text)
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'section.key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        values[key] = value
+    for key, (_, f) in CONFIG_KEYS.items():
+        if f.default is MISSING and key not in values:
+            raise ConfigError(f"missing required key {key!r}")
     if seeds_override:
         values["run.seeds"] = seeds_override
     if out_override:
         values["run.out"] = str(out_override)
-    return RunConfig.from_values(values, raw_text=text)
+    kwargs = {None: {"raw_text": text}, "data": {}, "model": {}, "adapt": {}}
+    with _config_errors():
+        for key, value in values.items():
+            section, f = CONFIG_KEYS[key]
+            kwargs[section][f.name] = _convert(key, value, f)
+        data = SyntheticSpec(**kwargs["data"])
+        return RunConfig(
+            data=data,
+            model=ModelConfig(input_dim=data.input_dim, **kwargs["model"]),
+            adapt=AdaptConfig(**kwargs["adapt"]),
+            **kwargs[None],
+        )
 
 
 def _write_matrix_csv(path, matrix, K, status):
@@ -207,38 +163,38 @@ def _write_matrix_csv(path, matrix, K, status):
 
 def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
     """One (seed, mode) cell: pretrain, then the continual run. data is the
-    (pretrain_train, stream) pair from generate_synthetic(config.spec).
+    (pretrain_train, stream) pair from generate_synthetic(config.data).
     Returns the run result plus the pretrained model for reuse across modes."""
     pre_train, stream = data
     stream = stream.permuted(make_rng(seed, 1))
     if pretrained is None:
-        backbone, adapter = init_model(config.model, make_rng(seed, 2), config.adapter_rank)
+        backbone, adapter = init_model(config.model, make_rng(seed, 2), config.model_adapter_rank)
         backbone = pretrain_backbone(
             backbone, pre_train, config.pretrain_epochs, config.pretrain_lr, make_rng(seed, 3)
         )
         pretrained = (backbone, adapter)
     backbone, adapter = pretrained
-    adapt_cfg = AdaptConfig(mode=mode, **config.adapt_base)
     result = run_acl(
         stream,
         backbone,
         adapter,
-        adapt_cfg,
+        replace(config.adapt, mode=mode),
         config.core_strategy,
         make_rng(seed, 4),
         core_epochs=config.core_epochs,
         core_lr=config.core_lr,
-        tune_adapter=config.tune_adapter,
+        tune_adapter=config.core_tune_adapter,
     )
     return result, pretrained
 
 
-def cmd_run(config: RunConfig, pretrained=None) -> int:
-    """Every (seed, mode) cell of one config. pretrained maps a seed to its
+def cmd_run(config: RunConfig, data=None, pretrained=None) -> int:
+    """Every (seed, mode) cell of one config. data is
+    generate_synthetic(config.data), and pretrained maps a seed to its
     pretrained (backbone, adapter); a seed's modes share one entry, and
-    cmd_sweep passes one dict to all its cells."""
+    cmd_sweep passes the same data and dict to all its cells."""
     pretrained = {} if pretrained is None else pretrained
-    out = config.out
+    out = config.run_out
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool_version": __version__,
@@ -250,11 +206,11 @@ def cmd_run(config: RunConfig, pretrained=None) -> int:
     metrics_rows = []
     bounds_rows = []
     exit_code = 0
-    multi_mode = len(config.modes) > 1
+    multi_mode = len(config.adapt_modes) > 1
     try:
-        pre_train, _, stream = generate_synthetic(config.spec)
-        for seed in config.seeds:
-            for mode in config.modes:
+        pre_train, _, stream = data or generate_synthetic(config.data)
+        for seed in config.run_seeds:
+            for mode in config.adapt_modes:
                 t0 = time.perf_counter()
                 cell = f"seed={seed},mode={mode}"
                 try:
@@ -265,7 +221,7 @@ def cmd_run(config: RunConfig, pretrained=None) -> int:
                     manifest["status"][cell] = f"error: {e}"
                     exit_code = 1
                     continue
-                K = config.spec.n_tasks
+                K = config.data.n_tasks
                 name = (
                     f"accuracy_matrix_{mode}_{seed}.csv"
                     if multi_mode
@@ -288,7 +244,7 @@ def cmd_run(config: RunConfig, pretrained=None) -> int:
                             avg_incremental_accuracy(m),
                             forgetting(m) if m.K >= 2 else "",
                             plasticity(
-                                m, immediate=config.plasticity_variant == "immediate"
+                                m, immediate=config.metrics_plasticity == "immediate"
                             ),
                         )
                     )
@@ -348,20 +304,20 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    root = config.out
+    root = config.run_out
     root.mkdir(parents=True, exist_ok=True)
     overall = 0
     agg = []
-    pretrained = {}  # sweep axes are adapt.* keys, which pretraining never reads
+    # sweep axes are adapt.* keys, which data generation and pretraining never read
+    data = generate_synthetic(config.data)
+    pretrained = {}
+    key = f"adapt.{axis}"
     for value in values:
-        cell_values = parse_config_text(config.raw_text)
-        cell_values[f"adapt.{axis}"] = str(value)
         cell_out = root / f"sweep_{axis}_{value}"
-        cell_values["run.out"] = str(cell_out)
-        cell_values["run.seeds"] = ",".join(str(s) for s in config.seeds)
         try:
-            cell_cfg = RunConfig.from_values(cell_values, raw_text=config.raw_text)
-            code = cmd_run(cell_cfg, pretrained)
+            with _config_errors():
+                adapt = replace(config.adapt, **{axis: _convert(key, value, CONFIG_KEYS[key][1])})
+            code = cmd_run(replace(config, adapt=adapt, run_out=cell_out), data, pretrained)
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
             overall = 1
@@ -395,7 +351,7 @@ def cmd_verify(seed: int, sizes: VerifySizes) -> int:
 
 def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits=("train", "test")) -> int:
     backbone, adapter = load_checkpoint(checkpoint)
-    _, _, stream = generate_synthetic(config.spec)
+    _, _, stream = generate_synthetic(config.data)
     d = backbone.weights[-1].shape[0]
     with open(out_path, "w", newline="\n") as f:
         f.write("task_id,class_id,split," + ",".join(f"e_{i + 1}" for i in range(d)) + "\n")

@@ -26,7 +26,7 @@ from .numerics import EPS_NORM
 class ModelConfig:
     input_dim: int = 32
     embed_dim: int = 16
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     activation: str = "tanh"
 
     def __post_init__(self):

@@ -65,7 +65,7 @@ def default_runs(tmp_path_factory):
     return {
         "main": out / "main",
         "fto": out / "fto",
-        "seeds": config.seeds,
+        "seeds": config.run_seeds,
         "elapsed": elapsed,
     }
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptcl.cli import main
+from adaptcl.cli import CONFIG_KEYS, load_config, main
 from adaptcl.model import ModelConfig, init_model, save_checkpoint
 from adaptcl.numerics import make_rng
 
@@ -48,13 +48,77 @@ class TestConfigErrors:
         path.write_text("run.seeds = 1\nnot.a.key = 2\n")
         assert main(["run", "--config", str(path)]) == 2
 
-    def test_bad_value(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "data.sigma = -1",
+            "adapt.batch_size = 0",
+            "adapt.batch_size = -4",
+            "model.adapter_rank = -1",
+            "pretrain.epochs = -1",
+            "core.epochs = -3",
+        ],
+        ids=[
+            "sigma-negative",
+            "batch-size-zero",
+            "batch-size-negative",
+            "adapter-rank-negative",
+            "pretrain-epochs-negative",
+            "core-epochs-negative",
+        ],
+    )
+    def test_bad_value(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
-        path.write_text("run.seeds = 1\ndata.sigma = -1\n")
+        path.write_text(f"run.seeds = 1\n{line}\n")
         assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestSchema:
+    def test_accepted_keys(self):
+        assert set(CONFIG_KEYS) == {
+            "data.input_dim",
+            "data.n_pretrain_classes",
+            "data.n_incremental_classes",
+            "data.n_tasks",
+            "data.train_per_class",
+            "data.test_per_class",
+            "data.sigma",
+            "data.domain_shift",
+            "data.seed",
+            "model.embed_dim",
+            "model.hidden",
+            "model.activation",
+            "model.adapter_rank",
+            "pretrain.epochs",
+            "pretrain.lr",
+            "adapt.temperature",
+            "adapt.epochs",
+            "adapt.lr",
+            "adapt.batch_size",
+            "adapt.momentum",
+            "adapt.modes",
+            "adapt.first_task_only",
+            "core.strategy",
+            "core.epochs",
+            "core.lr",
+            "core.tune_adapter",
+            "metrics.plasticity",
+            "run.seeds",
+            "run.out",
+        }
+        table = (REPO / "README.md").read_text().split("### Config format")[1]
+        table = table.split("\n### ")[0]
+        assert [key for key in CONFIG_KEYS if f"`{key}`" not in table] == []
+        for path in (REPO / "configs" / "default.cfg", REPO / "perfbench" / "default.cfg"):
+            assert load_config(path).run_seeds == (1993, 1994, 1995, 1996, 1997)
 
 
 class TestRun:
@@ -144,7 +208,17 @@ class TestRun:
         assert len(metrics) == 3  # header + 2 seeds
 
 
-    def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch):
+    def test_adapter_rank_zero_runs(self, tiny_config, tmp_path):
+        path = tiny_config.parent / "rank0.cfg"
+        path.write_text(tiny_config.read_text().replace("adapter_rank = 3", "adapter_rank = 0"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["sweep", "--axis", "epochs", "--values", "1,2,3"]],
+        ids=["run", "sweep"],
+    )
+    def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch, command):
         import adaptcl.cli
 
         calls = []
@@ -158,7 +232,7 @@ class TestRun:
         cfg = tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
         path = tiny_config.parent / "two_modes.cfg"
         path.write_text(cfg)
-        argv = ["run", "--config", str(path), "--seeds", "5,6", "--out", str(tmp_path / "o")]
+        argv = [*command, "--config", str(path), "--seeds", "5,6", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         assert len(calls) == 1
 

@@ -2,6 +2,7 @@ import numpy as np
 
 import adaptcl.metrics
 import adaptcl.model
+import adaptcl.verify
 from adaptcl.verify import (
     VerifySizes,
     run_all,
@@ -86,6 +87,64 @@ def test_lemma2_shifted_point_mutation_caught(monkeypatch):
     result = run_lemma2(0, 5, 20)
     assert not result.passed
     assert "grad=" in result.detail
+
+
+def test_lemma1_mutation_caught(monkeypatch):
+    # vectors normalized by a norm one part in 1e6 too large must fail the identity
+    real_norm = np.linalg.norm
+    assert run_lemma1(0, SMALL.lemma1_pairs).passed
+    monkeypatch.setattr(
+        np.linalg, "norm", lambda x, *args, **kwargs: real_norm(x, *args, **kwargs) * (1 + 1e-6)
+    )
+    result = run_lemma1(0, SMALL.lemma1_pairs)
+    assert not result.passed
+    assert "residual" in result.detail
+
+
+def _drop_target_from_denominator(monkeypatch):
+    # the contrastive loss with the target class left out of its denominator:
+    # log sum_{c != y} exp((s_c - s_y) / tau), which is log(exp(loss) - 1)
+    real_acl_loss = adaptcl.verify.acl_loss
+
+    def mutated(e, y, table, tau):
+        loss, d_e = real_acl_loss(e, y, table, tau)
+        return np.log(np.expm1(loss)), d_e
+
+    monkeypatch.setattr(adaptcl.verify, "acl_loss", mutated)
+
+
+def test_threshold_mutation_caught(monkeypatch):
+    assert run_threshold(0, SMALL.threshold_draws).passed
+    _drop_target_from_denominator(monkeypatch)
+    result = run_threshold(0, SMALL.threshold_draws)
+    assert not result.passed
+    assert "violations" in result.detail
+
+
+def test_markov_mutation_caught(monkeypatch):
+    assert run_markov(0, SMALL.markov_batches).passed
+    _drop_target_from_denominator(monkeypatch)
+    result = run_markov(0, SMALL.markov_batches)
+    assert not result.passed
+    assert "lhs=" in result.detail
+
+
+def test_stability_mutation_caught(monkeypatch):
+    # the bound without its factor 2; random unit triples sit far from the
+    # bound, so this needs the campaign's default size
+    draws = VerifySizes().stability_draws
+    real_check = adaptcl.verify.check_stability_bound
+
+    def without_factor_two(*args, **kwargs):
+        report = real_check(*args, **kwargs)
+        report.rhs /= 2
+        return report
+
+    assert run_stability(0, draws).passed
+    monkeypatch.setattr(adaptcl.verify, "check_stability_bound", without_factor_two)
+    result = run_stability(0, draws)
+    assert not result.passed
+    assert "lhs=" in result.detail
 
 
 def test_individual_campaigns_report_detail():
