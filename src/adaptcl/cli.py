@@ -132,13 +132,13 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = value
-    for key, (_, f) in CONFIG_KEYS.items():
-        if f.default is MISSING and key not in values:
-            raise ConfigError(f"missing required key {key!r}")
     if seeds_override:
         values["run.seeds"] = seeds_override
     if out_override:
         values["run.out"] = str(out_override)
+    for key, (_, f) in CONFIG_KEYS.items():
+        if f.default is MISSING and key not in values:
+            raise ConfigError(f"missing required key {key!r}")
     kwargs = {None: {"raw_text": text}, "data": {}, "model": {}, "adapt": {}}
     with _config_errors():
         for key, value in values.items():

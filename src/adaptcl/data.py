@@ -9,7 +9,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .continual import Task, TaskStream
 from .errors import DimInconsistent, InvalidSpec, NonFiniteLoss, ParseError
@@ -60,6 +59,14 @@ class LabeledDataset:
         return len(self.samples)
 
 
+def _expm_skew(a):
+    """exp(a) of a real skew-symmetric matrix. 1j * a is Hermitian, so
+    eigh gives a = v diag(-1j w) v^H with real w and unitary v, and
+    exp(a) = v diag(exp(-1j w)) v^H, a rotation."""
+    w, v = np.linalg.eigh(1j * a)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
 def _domain_transform(spec: SyntheticSpec, rng):
     """Fixed rigid map c -> R c + t with rotation angle and shift scaled by
     the domain_shift magnitude; exactly the identity at zero."""
@@ -69,7 +76,7 @@ def _domain_transform(spec: SyntheticSpec, rng):
     direction = rng.standard_normal(spec.input_dim)
     direction /= np.linalg.norm(direction)
     delta = spec.domain_shift
-    rotation = expm(delta * skew) if delta > 0 else np.eye(spec.input_dim)
+    rotation = _expm_skew(delta * skew) if delta > 0 else np.eye(spec.input_dim)
     translation = delta * direction
     return rotation, translation
 

@@ -104,7 +104,11 @@ class BoundReport:
 
 
 def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
-    """Misclassification rate vs mean(loss)/log 2."""
+    """Misclassification rate vs mean(loss)/log 2.
+
+    The per-sample loss threshold (see verify.run_threshold) implies this
+    bound. It is kept for its aggregate figures, which adapt() reports per
+    epoch in the markov columns of the adapt report."""
     losses = np.asarray(losses, dtype=np.float64)
     correct = np.asarray(correct_flags, dtype=bool)
     if losses.shape != correct.shape:

@@ -16,7 +16,15 @@ from .metrics import (
     verify_lemma1,
     verify_lemma2,
 )
-from .model import ModelConfig, classify, embed, init_model, model_params, Classifier
+from .model import (
+    Classifier,
+    ModelConfig,
+    classify,
+    embed,
+    init_model,
+    model_params,
+    stack_samples,
+)
 from .numerics import finite_diff_grad, l2_normalize, make_rng
 
 
@@ -82,7 +90,11 @@ def run_lemma2(seed, n_sets, n_probes, dim=16) -> CheckResult:
 
 
 def run_threshold(seed, n_draws, dim=16) -> CheckResult:
-    """Cosine-misclassified draws must incur loss >= log 2."""
+    """Cosine-misclassified draws must incur loss >= log 2.
+
+    This per-sample threshold implies the Markov bound that run_markov
+    checks: with losses >= 0 and every misclassified sample at loss >= log 2,
+    the error rate of any batch is at most its mean loss / log 2."""
     if n_draws == 0:
         return CheckResult("loss-threshold", True, "no draws requested", vacuous=True)
     rng = make_rng(seed, 13)
@@ -107,6 +119,8 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
 
 
 def run_markov(seed, n_batches, dim=16) -> CheckResult:
+    """Random batches: error rate <= mean loss / log 2. Each batch is one
+    classify and one acl_loss call on its stacked rows."""
     if n_batches == 0:
         return CheckResult("markov", True, "no batches requested", vacuous=True)
     rng = make_rng(seed, 14)
@@ -114,15 +128,14 @@ def run_markov(seed, n_batches, dim=16) -> CheckResult:
         n_classes = int(rng.integers(2, 9))
         tau = float(rng.uniform(0.02, 0.5))
         table = _random_table(rng, dim, n_classes)
-        clf = Classifier.cosine(table.prototypes)
-        losses, correct = [], []
-        for _ in range(int(rng.integers(5, 40))):
-            e = _random_unit(rng, dim)
-            y = int(rng.integers(n_classes))
-            pred, _ = classify(clf, e)
-            losses.append(acl_loss(e, y, table, tau)[0])
-            correct.append(pred == y)
-        report = check_markov_bound(losses, correct, context=f"batch {i}")
+        draws = [
+            (_random_unit(rng, dim), int(rng.integers(n_classes)))
+            for _ in range(int(rng.integers(5, 40)))
+        ]
+        e, y = stack_samples(draws)
+        pred, _ = classify(Classifier.cosine(table.prototypes), e)
+        losses, _ = acl_loss(e, y, table, tau)
+        report = check_markov_bound(losses, pred == y, context=f"batch {i}")
         if not report.passed:
             return CheckResult(
                 "markov", False, f"batch {i}: lhs={report.lhs!r} rhs={report.rhs!r}"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,15 @@ class TestConfigErrors:
         path.write_text("data.sigma = 0.3\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_seeds_override_supplies_required_key(self, tmp_path, capsys):
+        path = tmp_path / "no_seeds.cfg"
+        path.write_text(TINY_CFG.replace("run.seeds = 11\n", ""))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "missing required key 'run.seeds'" in capsys.readouterr().err
+        assert main(argv + ["--seeds", "5"]) == 0
+        assert len((tmp_path / "o" / "metrics.csv").read_text().splitlines()) == 2
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -417,3 +429,17 @@ class TestDumpEmbeddings:
         )
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # every adaptcl process imports the cli; SciPy at module load would
+    # double its start-up time
+    code = (
+        "import sys, adaptcl.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -38,6 +38,44 @@ class TestSpecValidation:
             SyntheticSpec(n_incremental_classes=7, n_tasks=4)
 
 
+class TestRotation:
+    """The domain rotation R = exp(delta * A) for the unit-norm skew A that
+    _domain_transform draws first from its rng."""
+
+    DELTAS = (0.5, 2.0, 5.0)
+
+    @staticmethod
+    def rotation_and_generator(delta, seed=0):
+        spec = SyntheticSpec(domain_shift=delta)
+        rotation, _ = _domain_transform(spec, make_rng(seed))
+        g = make_rng(seed).standard_normal((spec.input_dim, spec.input_dim))
+        skew = g - g.T
+        return rotation, delta * skew / np.linalg.norm(skew)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_orthogonal_with_unit_determinant(self, delta):
+        rotation, _ = self.rotation_and_generator(delta)
+        eye = np.eye(len(rotation))
+        np.testing.assert_allclose(rotation @ rotation.T, eye, rtol=0, atol=1e-13)
+        assert abs(np.linalg.det(rotation) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_matches_taylor_series(self, delta):
+        rotation, a = self.rotation_and_generator(delta)
+        term = np.eye(len(a))
+        series = term.copy()
+        for k in range(1, 30):
+            term = term @ a / k
+            series += term
+        np.testing.assert_allclose(rotation, series, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_matches_scipy_expm(self, delta):
+        linalg = pytest.importorskip("scipy.linalg")
+        rotation, a = self.rotation_and_generator(delta)
+        np.testing.assert_allclose(rotation, linalg.expm(a), rtol=0, atol=1e-13)
+
+
 class TestGenerate:
     def test_deterministic(self):
         _, _, s1 = generate_synthetic(SMALL)
