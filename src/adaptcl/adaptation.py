@@ -21,7 +21,6 @@ from .model import (
     embed_with_tape,
     label_index,
     model_params,
-    stack_samples,
 )
 from .numerics import (
     OptimizerState,
@@ -62,9 +61,6 @@ class PrototypeTable:
     prototypes: dict
     provenance: str
 
-    def __contains__(self, label):
-        return label in self.prototypes
-
     def class_ids(self):
         return sorted(self.prototypes)
 
@@ -75,10 +71,11 @@ class PrototypeTable:
 def compute_prototypes(backbone, adapter, data) -> PrototypeTable:
     """Renormalized per-class mean of unit embeddings.
 
-    data: sequence of (x, y) pairs. A class whose embedding mean is
-    (numerically) zero raises DegenerateVector rather than being patched.
+    data: an (x, y) pair of (n, D) inputs and (n,) labels. A class whose
+    embedding mean is (numerically) zero raises DegenerateVector rather than
+    being patched.
     """
-    x, labels = stack_samples(data)
+    x, labels = data
     embeddings = embed(backbone, adapter, x)
     protos = {}
     for y in dict.fromkeys(labels.tolist()):
@@ -141,17 +138,8 @@ class AdaptReport:
 
     def rows(self):
         """CSV rows: epoch, mean_loss, bound_lhs, bound_rhs, markov_lhs, markov_rhs."""
-        return [
-            (
-                e["epoch"],
-                e["mean_loss"],
-                e["bound_lhs"],
-                e["bound_rhs"],
-                e["markov_lhs"],
-                e["markov_rhs"],
-            )
-            for e in self.epochs
-        ]
+        keys = ("epoch", "mean_loss", "bound_lhs", "bound_rhs", "markov_lhs", "markov_rhs")
+        return [tuple(e[k] for k in keys) for e in self.epochs]
 
 
 def _check_batch_bounds(losses, wrong):
@@ -180,8 +168,8 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     Returns (adapted backbone, adapted adapter, AdaptReport). The inputs are
     never mutated; mode="disabled" or epochs=0 returns exact copies.
     """
-    data = list(data)
-    if not data:
+    x, labels = data
+    if not len(labels):
         raise ValueError("adaptation data is empty")
     backbone = backbone.copy()
     adapter = adapter.copy() if adapter is not None else None
@@ -192,7 +180,6 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     protos = compute_prototypes(backbone, adapter, data)
     report.prototype_provenance = protos.provenance
     proto_classifier = Classifier.cosine(protos.prototypes)
-    x, labels = stack_samples(data)
     old_embeds = embed(backbone, adapter, x)
 
     head = None
@@ -207,8 +194,8 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     head_state = OptimizerState(lr=config.lr, momentum=config.momentum)
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), config.batch_size):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), config.batch_size):
             idx = order[start : start + config.batch_size]
             y = labels[idx]
             e_star, tape = embed_with_tape(backbone, adapter, x[idx])

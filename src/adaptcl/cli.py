@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 run/verification failure, 2 config error.
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from .metrics import (
     last_accuracy,
     plasticity,
 )
-from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint, stack_samples
+from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint
 from .numerics import make_rng
 from .verify import VerifySizes, run_all
 
@@ -96,7 +97,8 @@ CONFIG_KEYS = _config_keys()
 
 
 def _convert(key: str, text: str, f):
-    """A config value by its field's type; a tuple is a comma list."""
+    """A config value by its field's type; a tuple is a comma list, and a
+    float must be finite. Config files and sweep values both come here."""
     if f.type is bool:
         if text.lower() not in ("true", "false"):
             raise ConfigError(f"{key} must be true or false")
@@ -104,7 +106,10 @@ def _convert(key: str, text: str, f):
     if get_origin(f.type) is tuple:
         item = get_args(f.type)[0]
         return tuple(item(p.strip()) for p in text.split(",") if p.strip())
-    return f.type(text)
+    value = f.type(text)
+    if f.type is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 @contextmanager
@@ -119,7 +124,7 @@ def _config_errors():
 def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(str(e)) from e
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -357,7 +362,7 @@ def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits=("train"
         f.write("task_id,class_id,split," + ",".join(f"e_{i + 1}" for i in range(d)) + "\n")
         for k, task in enumerate(stream.tasks, start=1):
             for split in splits:
-                x, labels = stack_samples(getattr(task, split))
+                x, labels = getattr(task, split)
                 for y, e in zip(labels, embed(backbone, adapter, x)):
                     f.write(f"{k},{y},{split}," + ",".join(_fmt(v) for v in e) + "\n")
     return 0
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
                     name, sep, count = item.partition("=")
                     if not sep:
                         raise ConfigError(f"--sizes item {item!r} is not name=count")
-                    if not hasattr(sizes, name):
+                    if name not in {f.name for f in fields(sizes)}:
                         raise ConfigError(f"unknown size {name!r}")
                     if not count.strip().isdecimal():
                         raise ConfigError(f"size {name} must be a count >= 0, got {count!r}")
@@ -426,7 +431,7 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 1
-    except AdaptclError as e:
+    except (AdaptclError, OSError) as e:  # OSError: an output path cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -7,7 +7,7 @@ prototypes with no training, "linear" fine-tunes a growing linear head on the
 frozen adapted backbone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .model import (
     embed,
     embed_with_tape,
     label_index,
-    stack_samples,
 )
 from .numerics import OptimizerState, params_hash, sgd_step
 
@@ -31,11 +30,11 @@ CORE_STRATEGIES = ("ncm", "linear")
 @dataclass
 class Task:
     class_ids: frozenset
-    train: list  # (x, y) pairs
-    test: list
+    train: tuple  # (x (n, D), y (n,))
+    test: tuple
 
     def __post_init__(self):
-        if not self.train or not self.test:
+        if not len(self.train[1]) or not len(self.test[1]):
             raise ValueError("task must have train and test samples")
 
 
@@ -65,7 +64,6 @@ class ExperimentState:
     backbone: object
     adapter: object
     classifier: Classifier
-    task_index: int = 0
 
 
 def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
@@ -96,7 +94,7 @@ def core_learn_linear(
     gradient (p - onehot(y)) @ W, taken before the head update, is
     backpropagated into the adapter, which takes the same kind of step."""
     before = params_hash(state.backbone.param_dict())
-    x, labels = stack_samples(task_data)
+    x, labels = task_data
     head = state.classifier
     head.add_classes(labels.tolist())
     rows = label_index(head.class_ids, labels, "head")
@@ -136,7 +134,7 @@ def evaluate(state: ExperimentState, stream: TaskStream, up_to_task: int):
     """Per-task accuracies a[k][j] for j <= k over the union label space."""
     row = []
     for task in stream.tasks[:up_to_task]:
-        x, labels = stack_samples(task.test)
+        x, labels = task.test
         pred, _ = classify(state.classifier, embed(state.backbone, state.adapter, x))
         row.append(float(np.mean(pred == labels)))
     return row
@@ -185,7 +183,6 @@ def run_acl(
                     state.backbone, state.adapter, task.train, adapt_cfg, rng
                 )
                 reports.append((k, report))
-            state.task_index = k
             if core == "ncm":
                 core_learn_ncm(state, task.train)
             else:

@@ -1,18 +1,18 @@
 """Synthetic domain-gap benchmark: Gaussian class clusters on the unit
 sphere for pretraining, plus incremental-phase clusters pushed through a
 rigid rotation-and-shift whose magnitude sets the domain gap. Also the
-backbone pretraining loop (the stand-in for a pre-trained model) and CSV
-dataset round-tripping.
+backbone pretraining loop (the stand-in for a pre-trained model).
+
+Every split is an (x, y) pair: an (n, D) input matrix and (n,) int64 labels.
 """
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .continual import Task, TaskStream
-from .errors import DimInconsistent, InvalidSpec, NonFiniteLoss, ParseError
-from .model import Classifier, backprop, embed_with_tape, stack_samples
+from .errors import InvalidSpec, NonFiniteLoss
+from .model import Classifier, backprop, embed_with_tape
 from .adaptation import ce_adapt_loss
 from .numerics import OptimizerState, make_rng, sgd_step
 
@@ -40,23 +40,6 @@ class SyntheticSpec:
             raise InvalidSpec("tasks must evenly partition the incremental classes")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise InvalidSpec("need train and test samples per class")
-
-    def digest(self) -> str:
-        text = ";".join(f"{k}={v}" for k, v in sorted(vars(self).items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-@dataclass
-class LabeledDataset:
-    samples: list  # (x: float64 array, y: int)
-    spec_hash: str = ""
-    split: str = ""
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __len__(self):
-        return len(self.samples)
 
 
 def _expm_skew(a):
@@ -86,13 +69,12 @@ def _sample_class(center, spec, rng, n):
 
 
 def generate_synthetic(spec: SyntheticSpec):
-    """Pretrain train/test datasets plus the incremental task stream.
+    """Pretrain train/test (x, y) splits plus the incremental task stream.
 
     Cluster means are drawn on the unit sphere; incremental means are then
     rotated and shifted by the domain transform. Deterministic in spec.seed.
     """
     rng = make_rng(spec.seed, 101)
-    tag = spec.digest()
 
     def draw_centers(n):
         c = rng.standard_normal((n, spec.input_dim))
@@ -104,26 +86,16 @@ def generate_synthetic(spec: SyntheticSpec):
     inc_centers = inc_centers @ rotation.T + translation
 
     def build_split(centers, labels, per_class):
-        samples = []
-        for center, y in zip(centers, labels):
-            for x in _sample_class(center, spec, rng, per_class):
-                samples.append((x, y))
-        return samples
+        x = np.concatenate([_sample_class(c, spec, rng, per_class) for c in centers])
+        return x, np.repeat(np.array(labels, dtype=np.int64), per_class)
 
-    pre_labels = list(range(spec.n_pretrain_classes))
-    pretrain_train = LabeledDataset(
-        build_split(pre_centers, pre_labels, spec.train_per_class), tag, "pretrain_train"
-    )
-    pretrain_test = LabeledDataset(
-        build_split(pre_centers, pre_labels, spec.test_per_class), tag, "pretrain_test"
-    )
+    pre_labels = range(spec.n_pretrain_classes)
+    pretrain_train = build_split(pre_centers, pre_labels, spec.train_per_class)
+    # never read by the CLI, but drawn before the tasks, whose draws it fixes
+    pretrain_test = build_split(pre_centers, pre_labels, spec.test_per_class)
 
-    inc_labels = list(
-        range(
-            spec.n_pretrain_classes,
-            spec.n_pretrain_classes + spec.n_incremental_classes,
-        )
-    )
+    first = spec.n_pretrain_classes
+    inc_labels = range(first, first + spec.n_incremental_classes)
     per_task = spec.n_incremental_classes // spec.n_tasks
     tasks = []
     for t in range(spec.n_tasks):
@@ -143,20 +115,19 @@ def generate_synthetic(spec: SyntheticSpec):
 def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: int = 32):
     """Supervised warm-up with a throwaway linear head; returns the trained
     backbone (the head is discarded, the input backbone is untouched)."""
-    data = list(data)
-    if not data:
+    x, labels = data
+    if not len(labels):
         raise ValueError("pretraining data is empty")
     backbone = backbone.copy()
     if epochs == 0:
         return backbone
-    x, labels = stack_samples(data)
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     params = backbone.param_dict()
     state = OptimizerState(lr=lr, momentum=0.9)
     head_state = OptimizerState(lr=lr, momentum=0.9)
     for _ in range(epochs):
-        order = rng.permutation(len(data))
-        for start in range(0, len(data), batch_size):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), batch_size):
             idx = order[start : start + batch_size]
             e, tape = embed_with_tape(backbone, None, x[idx])
             loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[idx], head)
@@ -170,43 +141,3 @@ def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: i
             )
     return backbone
 
-
-def save_csv_dataset(path, dataset: LabeledDataset):
-    """Rows `y,x_1..x_D` with a header, LF line endings."""
-    dim = len(dataset.samples[0][0])
-    with open(path, "w", newline="\n") as f:
-        f.write("y," + ",".join(f"x_{i + 1}" for i in range(dim)) + "\n")
-        for x, y in dataset.samples:
-            f.write(str(int(y)) + "," + ",".join(repr(float(v)) for v in x) + "\n")
-
-
-def load_csv_dataset(path, split: str = "") -> LabeledDataset:
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise ParseError(str(e)) from e
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[0] != "y":
-        raise ParseError(f"{path}:1: header must start with 'y'")
-    dim = len(header) - 1
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise ParseError(
-                f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
-            )
-        try:
-            y = int(parts[0])
-            x = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from e
-        if x.shape != (dim,):
-            raise DimInconsistent(f"{path}:{lineno}")
-        samples.append((x, y))
-    return LabeledDataset(samples, split=split)

@@ -57,14 +57,6 @@ class InvalidSpec(AdaptclError):
     """Synthetic benchmark spec fails validation."""
 
 
-class ParseError(AdaptclError):
-    """A file could not be parsed; message names the offending line."""
-
-
-class DimInconsistent(AdaptclError):
-    """Dataset rows disagree on input dimension."""
-
-
 class ConfigError(AdaptclError):
     """Run configuration is missing or malformed."""
 

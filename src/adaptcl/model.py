@@ -21,6 +21,8 @@ from .errors import (
 )
 from .numerics import EPS_NORM
 
+ACTIVATIONS = ("tanh", "relu")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -34,7 +36,7 @@ class ModelConfig:
             raise ValueError("need input_dim >= 1 and embed_dim >= 2")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("need at least one positive hidden width")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
@@ -71,10 +73,6 @@ class AdapterModule:
     down: np.ndarray  # (r, d)
     up: np.ndarray  # (d, r)
     activation: str
-
-    @property
-    def bottleneck(self) -> int:
-        return self.down.shape[0]
 
     def param_dict(self) -> dict:
         return {"adapter.down": self.down, "adapter.up": self.up}
@@ -166,12 +164,6 @@ def _forward(backbone, adapter, x):
         has_adapter=adapter is not None,
     )
     return unit, tape
-
-
-def stack_samples(data):
-    """(x, y) pairs as an (n, D) input matrix and an (n,) label array."""
-    xs, ys = zip(*data)
-    return np.stack(xs), np.array(ys)
 
 
 def embed(backbone: Backbone, adapter, x) -> np.ndarray:
@@ -315,29 +307,46 @@ def save_checkpoint(path, backbone: Backbone, adapter) -> None:
 
 
 def load_checkpoint(path):
+    """The model save_checkpoint wrote. Raises CheckpointError unless the file
+    holds a known activation, finite values and layer shapes that chain."""
     from .errors import CheckpointError
 
     try:
         with open(path) as f:
             lines = [ln.rstrip("\n") for ln in f]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CheckpointError(str(e)) from e
     try:
         activation = lines[0].split(";")[1]
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         n_layers = int(lines[1].split(";")[1])
+        if n_layers < 1:
+            raise ValueError("no layers")
         arrays = {}
         i = 2
         while i < len(lines) and lines[i]:
             name, dims = lines[i].split(";")
             shape = tuple(int(s) for s in dims.split("x"))
-            values = np.array([float(v) for v in lines[i + 1].split(",")])
+            row = lines[i + 1]  # empty for an array of size 0
+            values = np.array([float(v) for v in row.split(",")] if row else [])
+            if not np.isfinite(values).all():
+                raise ValueError(f"non-finite value in {name}")
             arrays[name] = values.reshape(shape)
             i += 2
         weights = [arrays[f"layer{i}.W"] for i in range(n_layers)]
         biases = [arrays[f"layer{i}.b"] for i in range(n_layers)]
+        width = weights[0].shape[-1]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if b.ndim != 1 or w.shape != (len(b), width):
+                raise ValueError(f"layer{i} shapes {w.shape} and {b.shape} do not chain")
+            width = len(b)
         adapter = None
         if "adapter.down" in arrays:
             adapter = AdapterModule(arrays["adapter.down"], arrays["adapter.up"], activation)
+            rank = len(adapter.down)
+            if adapter.down.shape != (rank, width) or adapter.up.shape != (width, rank):
+                raise ValueError(f"adapter shapes do not fit embedding width {width}")
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing array {e}") from e
     except (IndexError, ValueError) as e:

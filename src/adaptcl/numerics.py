@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     DegenerateVector,
-    DimensionMismatch,
     EmptyInput,
     NonFiniteLoss,
     ShapeMismatch,
@@ -46,15 +45,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if n <= EPS_NORM:
         raise DegenerateVector(f"norm {n:g} <= {EPS_NORM:g}")
     return v / n
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return float(np.clip(a @ b, -1.0, 1.0))
 
 
 def log_sum_exp(logits):

@@ -34,7 +34,7 @@ class _IdentityBackbone:
 class TestComputePrototypes:
     def test_symmetric_mean(self):
         backbone = _IdentityBackbone()
-        data = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 0)]
+        data = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
         protos = compute_prototypes(backbone, None, data)
         np.testing.assert_allclose(
             protos.prototypes[0], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12
@@ -43,7 +43,7 @@ class TestComputePrototypes:
     def test_single_sample(self):
         backbone = _IdentityBackbone()
         x = np.array([3.0, 4.0])
-        protos = compute_prototypes(backbone, None, [(x, 1)])
+        protos = compute_prototypes(backbone, None, (x[None], np.array([1])))
         np.testing.assert_allclose(
             protos.prototypes[1], embed(backbone, None, x), atol=0
         )
@@ -54,7 +54,7 @@ class TestComputePrototypes:
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
         backbone.activation = "tanh"
-        data = [(np.array([1.0, 0.0]), 0), (np.array([-1.0, 0.0]), 0)]
+        data = (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 0]))
         with pytest.raises(DegenerateVector):
             compute_prototypes(backbone, None, data)
 
@@ -170,11 +170,8 @@ class TestCeAdaptLoss:
 
 def _toy_task(rng, n_per_class=20):
     centers = [np.array([2.0, 0.0]), np.array([0.0, 2.0]), np.array([-2.0, -2.0])]
-    data = []
-    for y, c in enumerate(centers):
-        for _ in range(n_per_class):
-            data.append((c + 0.2 * rng.standard_normal(2), y))
-    return data
+    x = [c + 0.2 * rng.standard_normal(2) for c in centers for _ in range(n_per_class)]
+    return np.stack(x), np.repeat(np.arange(len(centers)), n_per_class)
 
 
 @pytest.fixture

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import adaptcl.cli
 from adaptcl.cli import CONFIG_KEYS, load_config, main
-from adaptcl.model import ModelConfig, init_model, save_checkpoint
+from adaptcl.model import ACTIVATIONS, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from adaptcl.numerics import make_rng
 
 TINY_CFG = """
@@ -69,6 +75,10 @@ class TestConfigErrors:
             "model.adapter_rank = -1",
             "pretrain.epochs = -1",
             "core.epochs = -3",
+            "data.sigma = nan",
+            "adapt.temperature = nan",
+            "data.domain_shift = inf",
+            "core.lr = -inf",
         ],
         ids=[
             "sigma-negative",
@@ -77,6 +87,10 @@ class TestConfigErrors:
             "adapter-rank-negative",
             "pretrain-epochs-negative",
             "core-epochs-negative",
+            "sigma-nan",
+            "temperature-nan",
+            "domain-shift-inf",
+            "core-lr-minus-inf",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line):
@@ -88,6 +102,25 @@ class TestConfigErrors:
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"run.seeds = 1\ndata.sigma = \xff\n")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_non_finite_sweep_value(self, tiny_config, tmp_path, capsys):
+        argv = ["sweep", "--config", str(tiny_config), "--axis", "temperature"]
+        assert main(argv + ["--values", "nan", "--out", str(tmp_path / "o")]) == 1
+        assert "adapt.temperature must be finite" in capsys.readouterr().err
+
+    def test_out_path_is_a_file(self, tiny_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "--config", str(tiny_config), "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -352,7 +385,7 @@ class TestVerify:
         assert "warning" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sizes", ["foo", "lemma1_pairs=x", "not_a_size=3", "lemma1_pairs=-5"]
+        "sizes", ["foo", "lemma1_pairs=x", "not_a_size=3", "lemma1_pairs=-5", "__class__=3"]
     )
     def test_verify_malformed_sizes(self, sizes, capsys):
         assert main(["verify", "--sizes", sizes]) == 2
@@ -429,6 +462,142 @@ class TestDumpEmbeddings:
         )
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("activation;tanh", "activation;sigmoid"),
+            ("layer1.W;6x12", "layer1.W;12x6"),
+            ("layer0.b;12\n0.0,", "layer0.b;12\nnan,"),
+        ],
+        ids=["unknown-activation", "shapes-do-not-chain", "nan-value"],
+    )
+    def test_invalid_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, old, new):
+        text = fresh_checkpoint.read_text()
+        assert old in text
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(text.replace(old, new, 1))
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(bad)]
+        assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _exit_and_stderr(argv):
+    """main's exit code and stderr; any exception fails the calling test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _one_line(err, *prefixes):
+    return err.count("\n") == 1 and err.startswith(prefixes)
+
+
+def _write(path, text):
+    # a lone surrogate becomes bytes that are not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+
+
+_text = st.text(st.characters(exclude_characters="\n"), max_size=10)
+_value = st.sampled_from(
+    ["0", "-1", "2", "0.5", "nan", "-inf", "1e400", "true", "no", "1,2", ",", "relu", "\udcff"]
+)
+_config_line = st.tuples(
+    st.sampled_from(sorted(CONFIG_KEYS)) | _text,
+    st.sampled_from([" = ", "=", " "]),
+    _value | _text,
+).map("".join)
+
+
+@FUZZ
+@given(lines=st.lists(_config_line | _text, max_size=6))
+def test_fuzz_config(tiny_config, tmp_path, lines):
+    # each config goes through load_config; an accepted one then fails on the
+    # missing checkpoint, so nothing trains
+    path = tmp_path / "fuzz.cfg"
+    _write(path, TINY_CFG + "\n".join(lines))
+    argv = ["dump-embeddings", "--config", str(path), "--checkpoint", str(tmp_path / "none")]
+    code, err = _exit_and_stderr(argv + ["--out", str(tmp_path / "e.csv")])
+    if code == 2:
+        assert _one_line(err, "config error:"), err
+        return
+    assert code == 1 and _one_line(err, "checkpoint error:"), err
+    config = load_config(path)
+    sections = (config, config.data, config.model, config.adapt)
+    values = [getattr(obj, f.name) for obj in sections for f in fields(obj)]
+    assert all(np.isfinite(v) for v in values if isinstance(v, float))
+
+
+_token = st.sampled_from(
+    ["tanh", "sigmoid", "", "-1", "0", "2", "9", "12x6", "6x3", "12", "nan", "1e999", "0.5", "\udcff"]
+)
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 99), _token | _text, st.booleans()),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_fuzz_checkpoint(tiny_config, fresh_checkpoint, tmp_path, edits):
+    # each edit deletes a line, or replaces what follows the ';' of a header
+    # line or one value of a value line
+    lines = fresh_checkpoint.read_text().splitlines()
+    for i, j, token, delete in edits:
+        i %= len(lines) or 1
+        if delete and lines:
+            del lines[i]
+        elif lines:
+            head, sep, _ = lines[i].partition(";")
+            values = lines[i].split(",")
+            values[j % len(values)] = token
+            lines[i] = f"{head};{token}" if sep else ",".join(values)
+    path = tmp_path / "fuzz.ckpt"
+    _write(path, "\n".join(lines) + "\n")
+    out = tmp_path / "e.csv"
+    argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(path)]
+    code, err = _exit_and_stderr(argv + ["--out", str(out)])
+    if code == 1:
+        assert _one_line(err, "checkpoint error:", "error:"), err
+        return
+    assert (code, err) == (0, ""), err
+    backbone, _ = load_checkpoint(path)
+    assert backbone.activation in ACTIVATIONS
+    rows = out.read_text().splitlines()[1:]
+    assert np.isfinite([float(v) for row in rows for v in row.split(",")[3:]]).all()
+
+
+_size_names = [f.name for f in fields(adaptcl.cli.VerifySizes)]
+_size_item = st.tuples(
+    st.sampled_from([*_size_names, "__class__", "__init__", ""]) | _text,
+    st.sampled_from(["=", "", "=="]),
+    st.integers(-3, 10**6).map(str) | _text,
+).map("".join)
+
+
+@FUZZ
+@given(items=st.lists(_size_item | _text, max_size=4))
+def test_fuzz_verify_sizes(monkeypatch, items):
+    # the campaigns are stubbed out: --sizes must parse into counts >= 0 or
+    # exit 2
+    runs = []
+    monkeypatch.setattr(adaptcl.cli, "cmd_verify", lambda seed, sizes: runs.append(sizes) or 0)
+    code, err = _exit_and_stderr(["verify", "--sizes=" + ",".join(items)])
+    if code == 0:
+        assert all(getattr(runs[-1], name) >= 0 for name in _size_names)
+    else:
+        assert code == 2 and _one_line(err, "config error:"), err
 
 
 def test_cli_import_loads_no_scipy():

@@ -21,23 +21,19 @@ from adaptcl.model import (
     embed,
     embed_with_tape,
     init_model,
-    stack_samples,
 )
 from adaptcl.numerics import OptimizerState, make_rng, params_hash, sgd_step
 
 
 def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
     centers = {c: 2.0 * rng.standard_normal(dim) for c in class_ids}
-    train = [
-        (centers[c] + spread * rng.standard_normal(dim), c)
-        for c in class_ids
-        for _ in range(n_train)
-    ]
-    test = [
-        (centers[c] + spread * rng.standard_normal(dim), c)
-        for c in class_ids
-        for _ in range(n_test)
-    ]
+
+    def split(n):
+        x = [centers[c] + spread * rng.standard_normal(dim) for c in class_ids for _ in range(n)]
+        return np.stack(x), np.repeat(class_ids, n)
+
+    train = split(n_train)
+    test = split(n_test)
     return Task(class_ids=frozenset(class_ids), train=train, test=test)
 
 
@@ -80,7 +76,7 @@ class TestCoreLearnNcm:
         state = ExperimentState(backbone, adapter, Classifier.cosine({}))
         core_learn_ncm(state, stream.tasks[0].train)
         core_learn_ncm(state, stream.tasks[1].train)
-        x, _ = stream.tasks[0].test[0]
+        x = stream.tasks[0].test[0][0]
         e = embed(backbone, adapter, x)
         sims = {c: float(e @ p) for c, p in state.classifier.prototypes.items()}
         expected = min(c for c in sims if sims[c] == max(sims.values()))
@@ -110,12 +106,12 @@ class TestCoreLearnLinear:
 
         def acc(state):
             hits = 0
-            for x, y in data:
+            for x, y in zip(*data):
                 pred, _ = classify(
                     state.classifier, embed(state.backbone, state.adapter, x)
                 )
                 hits += pred == y
-            return hits / len(data)
+            return hits / len(data[1])
 
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
         core_learn_linear(state, data, 0, 0.1, make_rng(1))
@@ -127,7 +123,7 @@ class TestCoreLearnLinear:
 def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter):
     """Per-sample head SGD spelled out with ce_adapt_loss and sgd_step; a
     frozen adapter embeds the task once, as core_learn_linear does."""
-    x, labels = stack_samples(task_data)
+    x, labels = task_data
     state.classifier.add_classes(labels.tolist())
     head = state.classifier
     head_state, adapter_state = OptimizerState(lr=lr), OptimizerState(lr=lr)
@@ -258,9 +254,11 @@ class TestRunAcl:
     def test_bound_violation_returns_partial_matrix(self, stream_and_model, monkeypatch):
         stream, backbone, adapter = stream_and_model
         real_ncm = adaptcl.continual.core_learn_ncm
+        calls = []
 
         def violates_on_second_task(state, task_data):
-            if state.task_index == 2:
+            calls.append(task_data)
+            if len(calls) == 2:
                 raise BoundViolation("planted")
             return real_ncm(state, task_data)
 
@@ -277,7 +275,7 @@ class TestEvaluate:
     def test_always_right_and_wrong(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         task = stream.tasks[0]
-        all_zero = [(x, 0) for x, _ in task.test]
+        all_zero = (task.test[0], np.zeros_like(task.test[1]))
         t = Task(class_ids=frozenset([0, 1]), train=task.train, test=all_zero)
         s = TaskStream([t])
         e0 = embed(backbone, adapter, task.test[0][0])
@@ -292,7 +290,7 @@ class TestEvaluate:
         core_learn_ncm(state, stream.tasks[0].train)
         row = evaluate(state, stream, 1)
         hits = 0
-        for x, y in stream.tasks[0].test:
+        for x, y in zip(*stream.tasks[0].test):
             pred, _ = classify(state.classifier, embed(backbone, adapter, x))
             hits += pred == y
-        assert row == [hits / len(stream.tasks[0].test)]
+        assert row == [hits / len(stream.tasks[0].test[1])]

@@ -3,15 +3,12 @@ import pytest
 
 from adaptcl.continual import ExperimentState, core_learn_ncm, evaluate
 from adaptcl.data import (
-    LabeledDataset,
     SyntheticSpec,
     _domain_transform,
     generate_synthetic,
-    load_csv_dataset,
     pretrain_backbone,
-    save_csv_dataset,
 )
-from adaptcl.errors import InvalidSpec, ParseError
+from adaptcl.errors import InvalidSpec
 from adaptcl.model import Classifier, ModelConfig, classify, embed, init_model
 from adaptcl.numerics import make_rng, params_hash
 
@@ -81,9 +78,8 @@ class TestGenerate:
         _, _, s1 = generate_synthetic(SMALL)
         _, _, s2 = generate_synthetic(SMALL)
         for t1, t2 in zip(s1.tasks, s2.tasks):
-            for (x1, y1), (x2, y2) in zip(t1.train, t2.train):
-                np.testing.assert_array_equal(x1, x2)
-                assert y1 == y2
+            for a1, a2 in zip(t1.train, t2.train):  # inputs, then labels
+                np.testing.assert_array_equal(a1, a2)
 
     def test_zero_shift_identity_transform(self):
         spec = SyntheticSpec(**{**vars(SMALL), "domain_shift": 0.0})
@@ -128,9 +124,9 @@ class TestGenerate:
             core_learn_ncm(state, train)
             hits = sum(
                 classify(state.classifier, embed(backbone, None, x))[0] == y
-                for x, y in test
+                for x, y in zip(*test)
             )
-            return hits / len(test)
+            return hits / len(test[1])
 
         acc_pretrain = ncm_accuracy(pre_train, pre_test)
         acc_incremental = ncm_accuracy(stream.tasks[0].train, stream.tasks[0].test)
@@ -162,32 +158,8 @@ class TestPretrain:
         core_learn_ncm(state, pre_train)
         hits = sum(
             classify(state.classifier, embed(backbone, None, x))[0] == y
-            for x, y in pre_test
+            for x, y in zip(*pre_test)
         )
         chance = 1.0 / SMALL.n_pretrain_classes
-        assert hits / len(pre_test) > 3 * chance
+        assert hits / len(pre_test[1]) > 3 * chance
 
-
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        pre_train, _, _ = generate_synthetic(SMALL)
-        path = tmp_path / "data.csv"
-        save_csv_dataset(path, pre_train)
-        loaded = load_csv_dataset(path)
-        assert len(loaded) == len(pre_train)
-        for (x1, y1), (x2, y2) in zip(pre_train, loaded):
-            np.testing.assert_array_equal(x1, x2)
-            assert y1 == y2
-
-    def test_ragged_row_names_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y,x_1,x_2\n0,1.0,2.0\n1,3.0\n")
-        with pytest.raises(ParseError, match=":3"):
-            load_csv_dataset(path)
-
-    def test_hand_written_fixture(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("y,x_1,x_2\n0,1.0,2.0\n1,-0.5,0.25\n2,0.0,9.0\n")
-        ds = load_csv_dataset(path)
-        assert [y for _, y in ds] == [0, 1, 2]
-        np.testing.assert_array_equal(ds.samples[1][0], [-0.5, 0.25])

@@ -239,3 +239,15 @@ def test_checkpoint_roundtrip(tmp_path, small_model):
     b2, a2 = load_checkpoint(path)
     x = make_rng(30).standard_normal(2)
     np.testing.assert_array_equal(embed(backbone, adapter, x), embed(b2, a2, x))
+
+
+def test_checkpoint_roundtrip_rank_zero_adapter(tmp_path, small_model):
+    # a rank-0 adapter writes empty value rows, which must load back
+    cfg = small_model[0]
+    backbone, adapter = init_model(cfg, make_rng(0), adapter_rank=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, backbone, adapter)
+    b2, a2 = load_checkpoint(path)
+    assert a2.down.shape == (0, 3) and a2.up.shape == (3, 0)
+    x = make_rng(30).standard_normal(2)
+    np.testing.assert_array_equal(embed(backbone, adapter, x), embed(b2, a2, x))

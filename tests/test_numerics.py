@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from adaptcl.errors import (
     DegenerateVector,
-    DimensionMismatch,
     EmptyInput,
     NonFiniteLoss,
     ShapeMismatch,
 )
 from adaptcl.numerics import (
     OptimizerState,
-    cosine_sim,
     finite_diff_grad,
     l2_normalize,
     log_sum_exp,
@@ -49,31 +47,6 @@ class TestL2Normalize:
         np.testing.assert_allclose(
             l2_normalize(alpha * v), l2_normalize(v), atol=1e-12
         )
-
-
-class TestCosineSim:
-    def test_identity(self):
-        a = l2_normalize([1.0, 2.0, 3.0])
-        assert cosine_sim(a, a) == pytest.approx(1.0, abs=1e-15)
-
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_antipodal(self):
-        assert cosine_sim([1.0, 0.0], [-1.0, 0.0]) == -1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_symmetric_and_bounded(self, seed):
-        rng = make_rng(seed)
-        a = l2_normalize(rng.standard_normal(5))
-        b = l2_normalize(rng.standard_normal(5))
-        assert cosine_sim(a, b) == cosine_sim(b, a)
-        assert -1.0 <= cosine_sim(a, b) <= 1.0
 
 
 class TestLogSumExp:

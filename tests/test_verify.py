@@ -130,9 +130,9 @@ def test_markov_mutation_caught(monkeypatch):
 
 
 def test_stability_mutation_caught(monkeypatch):
-    # the bound without its factor 2; random unit triples sit far from the
-    # bound, so this needs the campaign's default size
-    draws = VerifySizes().stability_draws
+    # the bound without its factor 2, at the campaign's default size and at
+    # 100 draws, which its midpoint prototypes make fail
+    sizes = (VerifySizes().stability_draws, 100)
     real_check = adaptcl.verify.check_stability_bound
 
     def without_factor_two(*args, **kwargs):
@@ -140,11 +140,21 @@ def test_stability_mutation_caught(monkeypatch):
         report.rhs /= 2
         return report
 
-    assert run_stability(0, draws).passed
+    for draws in sizes:
+        assert run_stability(0, draws).passed
     monkeypatch.setattr(adaptcl.verify, "check_stability_bound", without_factor_two)
-    result = run_stability(0, draws)
-    assert not result.passed
-    assert "lhs=" in result.detail
+    for draws in sizes:
+        result = run_stability(0, draws)
+        assert not result.passed
+        assert "lhs=" in result.detail
+
+
+def test_saturated_gradient_probe_passes():
+    # seed 20 has a saturated probe whose numeric layer0.W gradient is 0 and
+    # whose analytic one is 2.4e-11, both within rounding of the true value;
+    # a purely relative test failed it
+    sizes = VerifySizes()
+    assert run_gradient_battery(20, sizes.grad_seeds, sizes.grad_probes).passed
 
 
 def test_individual_campaigns_report_detail():
