@@ -97,8 +97,9 @@ CONFIG_KEYS = _config_keys()
 
 
 def _convert(key: str, text: str, f):
-    """A config value by its field's type; a tuple is a comma list, and a
-    float must be finite. Config files and sweep values both come here."""
+    """A config value by its field's type; a tuple is a comma list, a float
+    must be finite and a path must not hold a NUL byte. Config files and
+    sweep values both come here."""
     if f.type is bool:
         if text.lower() not in ("true", "false"):
             raise ConfigError(f"{key} must be true or false")
@@ -109,6 +110,8 @@ def _convert(key: str, text: str, f):
     value = f.type(text)
     if f.type is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text!r}")
+    if f.type is Path and "\0" in text:
+        raise ConfigError(f"{key} must not contain a NUL byte, got {text!r}")
     return value
 
 

@@ -147,9 +147,13 @@ def _forward(backbone, adapter, x):
     if adapter is not None:
         adapter_hidden = raw @ adapter.down.T
         a = raw + _act(adapter.activation, adapter_hidden) @ adapter.up.T
-    norm = np.sqrt((a * a).sum(axis=1))
-    if (norm <= EPS_NORM).any():
-        raise DegenerateVector(f"embedding norm {norm.min():g} <= {EPS_NORM:g}")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
+        norm = np.sqrt((a * a).sum(axis=1))
+    ok = (norm > EPS_NORM) & (norm < np.inf)  # False for NaN too
+    if not ok.all():
+        raise DegenerateVector(
+            f"embedding norm {norm[~ok][0]:g}: need a finite norm > {EPS_NORM:g}"
+        )
     pre_norm, unit = a, a / norm[:, None]
     if x.ndim == 1:
         pre_norm, norm, unit = pre_norm[0], norm[0], unit[0]

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import model as model_mod
 from .adaptation import PrototypeTable, acl_loss
+from .errors import DegenerateVector
 from .metrics import (
     LOG2,
     check_markov_bound,
@@ -24,7 +25,7 @@ from .model import (
     init_model,
     model_params,
 )
-from .numerics import finite_diff_grad, l2_normalize, make_rng
+from .numerics import EPS_NORM, finite_diff_grad, l2_normalize, make_rng
 
 EPS = np.finfo(np.float64).eps
 
@@ -49,14 +50,35 @@ class VerifySizes:
     grad_probes: int = 10
 
 
+def _random_units(rng, n, dim):
+    """n unit rows from one (n, dim) normal draw, the same normals as n
+    (dim,) draws. Raises DegenerateVector for a row below EPS_NORM, as
+    l2_normalize does."""
+    v = rng.standard_normal((n, dim))
+    norm = np.linalg.norm(v, axis=1)
+    if not (norm > EPS_NORM).all():
+        raise DegenerateVector(f"norm {norm.min():g} <= {EPS_NORM:g}")
+    return v / norm[:, None]
+
+
 def _random_unit(rng, dim):
-    return l2_normalize(rng.standard_normal(dim))
+    return _random_units(rng, 1, dim)[0]
 
 
 def _random_table(rng, dim, n_classes):
-    return PrototypeTable(
-        {c: _random_unit(rng, dim) for c in range(n_classes)}, "random"
-    )
+    return PrototypeTable(dict(enumerate(_random_units(rng, n_classes, dim))), "random")
+
+
+def _random_batches(rng, dim):
+    """Endless (table, tau, e, y) batches: a table of 2-8 random unit
+    prototypes, tau ~ U(0.02, 0.5), and 5-39 unit rows e with uniform labels
+    y. The rows of a batch share its table and tau."""
+    while True:
+        n_classes = int(rng.integers(2, 9))
+        tau = float(rng.uniform(0.02, 0.5))
+        table = _random_table(rng, dim, n_classes)
+        n = int(rng.integers(5, 40))
+        yield table, tau, _random_units(rng, n, dim), rng.integers(n_classes, size=n)
 
 
 def run_lemma1(seed, n_pairs, dims=(2, 16, 64)) -> CheckResult:
@@ -77,7 +99,7 @@ def run_lemma2(seed, n_sets, n_probes, dim=16) -> CheckResult:
     rng = make_rng(seed, 12)
     for i in range(n_sets):
         n = int(rng.integers(2, 51))
-        embeds = np.stack([_random_unit(rng, dim) for _ in range(n)])
+        embeds = _random_units(rng, n, dim)
         report = verify_lemma2(embeds, rng, n_probes)
         grad = report.extra["grad_norm_at_mean"]
         if not report.passed or grad > report.extra["grad_tolerance"]:
@@ -95,26 +117,27 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
 
     This per-sample threshold implies the Markov bound that run_markov
     checks: with losses >= 0 and every misclassified sample at loss >= log 2,
-    the error rate of any batch is at most its mean loss / log 2."""
+    the error rate of any batch is at most its mean loss / log 2.
+
+    The draws are the rows of random batches, the last one cut to n_draws,
+    so the first k draws are the same for every n_draws >= k."""
     if n_draws == 0:
         return CheckResult("loss-threshold", True, "no draws requested", vacuous=True)
-    rng = make_rng(seed, 13)
-    violations = 0
-    worst = None
-    for i in range(n_draws):
-        n_classes = int(rng.integers(2, 9))
-        tau = float(rng.uniform(0.02, 0.5))
-        table = _random_table(rng, dim, n_classes)
-        e = _random_unit(rng, dim)
-        y = int(rng.integers(n_classes))
+    violations, first, done = 0, None, 0
+    for table, tau, e, y in _random_batches(make_rng(seed, 13), dim):
+        e, y = e[: n_draws - done], y[: n_draws - done]
         pred, _ = classify(Classifier.cosine(table.prototypes), e)
         loss, _ = acl_loss(e, y, table, tau)
-        if pred != y and loss < LOG2 - 1e-12:
-            violations += 1
-            worst = (i, loss)
+        bad = np.flatnonzero((pred != y) & (loss < LOG2 - 1e-12))
+        if bad.size and first is None:
+            first = (done + int(bad[0]), float(loss[bad[0]]))
+        violations += bad.size
+        done += len(y)
+        if done == n_draws:
+            break
     if violations:
         return CheckResult(
-            "loss-threshold", False, f"{violations} violations, first {worst}"
+            "loss-threshold", False, f"{violations} violations, first {first}"
         )
     return CheckResult("loss-threshold", True, f"{n_draws} draws, zero violations")
 
@@ -124,14 +147,8 @@ def run_markov(seed, n_batches, dim=16) -> CheckResult:
     classify and one acl_loss call on its stacked rows."""
     if n_batches == 0:
         return CheckResult("markov", True, "no batches requested", vacuous=True)
-    rng = make_rng(seed, 14)
-    for i in range(n_batches):
-        n_classes = int(rng.integers(2, 9))
-        tau = float(rng.uniform(0.02, 0.5))
-        table = _random_table(rng, dim, n_classes)
-        rows = range(int(rng.integers(5, 40)))
-        e, y = zip(*[(_random_unit(rng, dim), int(rng.integers(n_classes))) for _ in rows])
-        e, y = np.stack(e), np.array(y)
+    batches = _random_batches(make_rng(seed, 14), dim)
+    for i, (table, tau, e, y) in zip(range(n_batches), batches):
         pred, _ = classify(Classifier.cosine(table.prototypes), e)
         losses, _ = acl_loss(e, y, table, tau)
         report = check_markov_bound(losses, pred == y, context=f"batch {i}")

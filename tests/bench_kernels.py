@@ -1,0 +1,90 @@
+"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32.
+
+Run with `python -m pytest tests/bench_kernels.py`. The name does not match
+`test_*.py`, so the test suite does not collect this file. The model has the
+default shape (32 -> 64, 64 -> 16, adapter rank 8) and the prototype table
+and linear head have 10 classes. n = 1 is a single 1-D row; n = 16 and 32
+are (n, D) batches.
+"""
+
+import pytest
+
+from adaptcl.adaptation import PrototypeTable, acl_loss, ce_adapt_loss
+from adaptcl.model import (
+    Classifier,
+    ModelConfig,
+    backprop,
+    classify,
+    embed,
+    embed_with_tape,
+    init_model,
+)
+from adaptcl.numerics import l2_normalize, make_rng
+
+N_CLASSES = 10
+SIZES = (1, 16, 32)
+
+
+@pytest.fixture(scope="module")
+def model():
+    cfg = ModelConfig()
+    rng = make_rng(0)
+    backbone, adapter = init_model(cfg, rng, adapter_rank=8)
+    adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+    table = PrototypeTable(
+        {c: l2_normalize(rng.standard_normal(cfg.embed_dim)) for c in range(N_CLASSES)}, "bench"
+    )
+    head = Classifier.linear(range(N_CLASSES), cfg.embed_dim)
+    head.weight[:] = rng.standard_normal(head.weight.shape)
+    return cfg, backbone, adapter, table, head
+
+
+def _batch(model, n):
+    cfg, backbone, adapter, _, _ = model
+    rng = make_rng(1, n)
+    x = rng.standard_normal((n, cfg.input_dim))
+    y = rng.integers(N_CLASSES, size=n)
+    if n == 1:
+        x, y = x[0], int(y[0])
+    return x, y, embed(backbone, adapter, x)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_forward(benchmark, model, n):
+    _, backbone, adapter, _, _ = model
+    x, _, _ = _batch(model, n)
+    benchmark(embed_with_tape, backbone, adapter, x)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_backprop(benchmark, model, n):
+    # a tape is consumed once, so each round gets a fresh one outside the timing
+    _, backbone, adapter, table, _ = model
+    x, y, e = _batch(model, n)
+    _, d_e = acl_loss(e, y, table, 0.1)
+
+    def fresh_tape():
+        return (embed_with_tape(backbone, adapter, x)[1], backbone, adapter, d_e), {}
+
+    benchmark.pedantic(backprop, setup=fresh_tape, rounds=2000, warmup_rounds=20)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_acl_loss(benchmark, model, n):
+    table = model[3]
+    _, y, e = _batch(model, n)
+    benchmark(acl_loss, e, y, table, 0.1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_ce_adapt_loss(benchmark, model, n):
+    head = model[4]
+    _, y, e = _batch(model, n)
+    benchmark(ce_adapt_loss, e, y, head)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_classify(benchmark, model, n):
+    cosine = Classifier.cosine(model[3].prototypes)
+    _, _, e = _batch(model, n)
+    benchmark(classify, cosine, e)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,6 +115,13 @@ class TestConfigErrors:
         argv = ["sweep", "--config", str(tiny_config), "--axis", "temperature"]
         assert main(argv + ["--values", "nan", "--out", str(tmp_path / "o")]) == 1
         assert "adapt.temperature must be finite" in capsys.readouterr().err
+
+    def test_nul_byte_in_out(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("run.seeds = 1\nrun.out = a\0b\n")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.out") and err.count("\n") == 1
 
     def test_out_path_is_a_file(self, tiny_config, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -481,6 +489,20 @@ class TestDumpEmbeddings:
         assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+    def test_overflowing_norm(self, tiny_config, fresh_checkpoint, tmp_path):
+        # finite weights whose embedding norm overflows to inf gave all-zero
+        # "unit" embeddings and exit 0
+        lines = fresh_checkpoint.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("layer1.W;")) + 1
+        lines[i] = ",".join("1e300" for _ in lines[i].split(","))
+        bad = tmp_path / "big.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(bad)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _exit_and_stderr(argv + ["--out", str(tmp_path / "e.csv")])
+        assert code == 1 and _one_line(err, "error: embedding norm inf"), err
 
 
 FUZZ = settings(

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from adaptcl.errors import TapeConsumed
+from adaptcl.errors import DegenerateVector, TapeConsumed
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -79,6 +81,18 @@ class TestEmbed:
         x = make_rng(3).standard_normal(2)
         e, _tape = embed_with_tape(backbone, adapter, x)
         np.testing.assert_array_equal(e, embed(backbone, adapter, x))
+
+    @pytest.mark.parametrize("value", [1e300, np.nan, 0.0], ids=["overflow", "nan", "zero"])
+    def test_norm_outside_finite_range_raises(self, small_model, value):
+        # a norm that overflows to inf, is NaN or is zero has no unit
+        # direction; the overflow must not warn either
+        _, backbone, adapter = small_model
+        backbone.weights[-1][:] = value
+        xs = make_rng(4).standard_normal((3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVector, match="embedding norm"):
+                embed(backbone, adapter, xs)
 
 
 def _batch_gradient_error(backprop_fn, seed, n_rows=5):

@@ -1,10 +1,16 @@
+import ast
+
 import numpy as np
+import pytest
 
 import adaptcl.metrics
 import adaptcl.model
 import adaptcl.verify
+from adaptcl.errors import DegenerateVector
+from adaptcl.numerics import l2_normalize, make_rng
 from adaptcl.verify import (
     VerifySizes,
+    _random_units,
     run_all,
     run_gradient_battery,
     run_lemma1,
@@ -119,6 +125,50 @@ def test_threshold_mutation_caught(monkeypatch):
     result = run_threshold(0, SMALL.threshold_draws)
     assert not result.passed
     assert "violations" in result.detail
+
+
+def test_threshold_reports_first_violation(monkeypatch):
+    # the reported draw is the earliest violation: the draws up to it pass
+    # and one more fails, since the first k draws are the same for every size
+    _drop_target_from_denominator(monkeypatch)
+    detail = run_threshold(0, VerifySizes().threshold_draws).detail
+    k, loss = ast.literal_eval(detail.split("first ", 1)[1])
+    assert type(k) is int and type(loss) is float
+    assert run_threshold(0, k).passed
+    shorter = run_threshold(0, k + 1)
+    assert not shorter.passed
+    assert shorter.detail == f"1 violations, first {(k, loss)}"
+
+
+def test_threshold_checks_batches(monkeypatch):
+    # one acl_loss call per batch of at least 5 draws, not one per draw
+    real_acl_loss = adaptcl.verify.acl_loss
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real_acl_loss(*args)
+
+    monkeypatch.setattr(adaptcl.verify, "acl_loss", counted)
+    draws = VerifySizes().threshold_draws
+    assert run_threshold(0, draws).passed
+    assert 0 < len(calls) <= draws // 5
+
+
+def test_random_units():
+    # the same normals as per-vector draws, and a zero row raises as
+    # l2_normalize does
+    class ZeroRow:
+        def standard_normal(self, shape):
+            v = np.ones(shape)
+            v[1] = 0.0
+            return v
+
+    rng = make_rng(0)
+    per_vector = [l2_normalize(rng.standard_normal(3)) for _ in range(4)]
+    np.testing.assert_allclose(_random_units(make_rng(0), 4, 3), per_vector, rtol=0, atol=1e-15)
+    with pytest.raises(DegenerateVector):
+        _random_units(ZeroRow(), 3, 4)
 
 
 def test_markov_mutation_caught(monkeypatch):
