@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -70,6 +71,8 @@ class RunConfig:
             raise ConfigError(f"unknown core strategy {self.core_strategy!r}")
         if not self.run_seeds:
             raise ConfigError("run.seeds is empty")
+        _reject_repeats("adapt.modes", self.adapt_modes)
+        _reject_repeats("run.seeds", self.run_seeds)
         if self.metrics_plasticity not in ("best_ever", "immediate"):
             raise ConfigError(
                 f"metrics.plasticity must be best_ever or immediate, "
@@ -79,6 +82,13 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name.replace('_', '.', 1)} must be >= 0")
         object.__setattr__(self, "adapt", replace(self.adapt, mode=self.adapt_modes[0]))
+
+
+def _reject_repeats(what: str, items) -> None:
+    """A repeated mode, seed or sweep value would run one cell twice."""
+    repeated = [v for i, v in enumerate(items) if v in items[:i]]
+    if repeated:
+        raise ConfigError(f"{what} repeats {repeated[0]!r}")
 
 
 def _config_keys() -> dict:
@@ -196,18 +206,26 @@ def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
     return result, pretrained
 
 
-def cmd_run(config: RunConfig, data=None, pretrained=None) -> int:
+def _failure(e: BaseException) -> dict:
+    """The manifest entry of a failed cell."""
+    return {"type": type(e).__name__, "traceback": "".join(traceback.format_exception(e))}
+
+
+def cmd_run(config: RunConfig, data=None, pretrained=None, disabled=None) -> int:
     """Every (seed, mode) cell of one config. data is
-    generate_synthetic(config.data), and pretrained maps a seed to its
-    pretrained (backbone, adapter); a seed's modes share one entry, and
-    cmd_sweep passes the same data and dict to all its cells."""
+    generate_synthetic(config.data), pretrained maps a seed to its
+    pretrained (backbone, adapter), and disabled maps a seed to its
+    mode=disabled RunResult; a seed's modes share one pretrained entry, and
+    cmd_sweep passes the same data and dicts to all its cells."""
     pretrained = {} if pretrained is None else pretrained
+    disabled = {} if disabled is None else disabled
     out = config.run_out
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool_version": __version__,
         "config": config.raw_text,
         "status": {},
+        "failures": {},
         "files": [],
         "wall_clock": {},
     }
@@ -222,13 +240,19 @@ def cmd_run(config: RunConfig, data=None, pretrained=None) -> int:
                 t0 = time.perf_counter()
                 cell = f"seed={seed},mode={mode}"
                 try:
-                    result, pretrained[seed] = run_single(
-                        config, seed, mode, (pre_train, stream), pretrained.get(seed)
-                    )
+                    if mode == "disabled" and seed in disabled:
+                        result = disabled[seed]
+                    else:
+                        result, pretrained[seed] = run_single(
+                            config, seed, mode, (pre_train, stream), pretrained.get(seed)
+                        )
                 except AdaptclError as e:
                     manifest["status"][cell] = f"error: {e}"
+                    manifest["failures"][cell] = _failure(e)
                     exit_code = 1
                     continue
+                if mode == "disabled":
+                    disabled[seed] = result
                 K = config.data.n_tasks
                 name = (
                     f"accuracy_matrix_{mode}_{seed}.csv"
@@ -240,6 +264,7 @@ def cmd_run(config: RunConfig, data=None, pretrained=None) -> int:
                 manifest["status"][cell] = result.status
                 if result.status != "ok":
                     manifest["status"][cell] = f"failed: {result.error}"
+                    manifest["failures"][cell] = _failure(result.exception)
                     exit_code = 1
                 else:
                     m = result.matrix
@@ -312,20 +337,23 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    _reject_repeats("--values", values)
     root = config.run_out
     root.mkdir(parents=True, exist_ok=True)
     overall = 0
     agg = []
-    # sweep axes are adapt.* keys, which data generation and pretraining never read
+    # sweep axes are adapt.* keys, which data generation, pretraining and a
+    # mode=disabled run never read
     data = generate_synthetic(config.data)
-    pretrained = {}
+    pretrained, disabled = {}, {}
     key = f"adapt.{axis}"
     for value in values:
         cell_out = root / f"sweep_{axis}_{value}"
         try:
             with _config_errors():
                 adapt = replace(config.adapt, **{axis: _convert(key, value, CONFIG_KEYS[key][1])})
-            code = cmd_run(replace(config, adapt=adapt, run_out=cell_out), data, pretrained)
+            cell_config = replace(config, adapt=adapt, run_out=cell_out)
+            code = cmd_run(cell_config, data, pretrained, disabled)
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
             overall = 1

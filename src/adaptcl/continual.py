@@ -146,7 +146,12 @@ class RunResult:
     adapt_reports: list
     state: ExperimentState
     status: str = "ok"
-    error: str = ""
+    exception: "BaseException | None" = None  # why a failed run stopped
+
+    @property
+    def error(self) -> str:
+        e = self.exception
+        return f"{type(e).__name__}: {e}" if e is not None else ""
 
 
 def run_acl(
@@ -197,6 +202,6 @@ def run_acl(
             reports,
             state,
             status="failed",
-            error=f"{type(e).__name__}: {e}",
+            exception=e,
         )
     return RunResult(AccuracyMatrix(rows, expected_tasks=len(stream)), reports, state)

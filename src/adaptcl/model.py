@@ -44,11 +44,12 @@ def _act(name, z):
     return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0)
 
 
-def _act_deriv(name, z):
+def _act_deriv(name, a):
+    """The activation's derivative from its output a = _act(name, z): tanh'
+    is 1 - a*a, and relu's max(z, 0) > 0 exactly when z > 0."""
     if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(np.float64)
+        return 1.0 - a * a
+    return (a > 0.0).astype(np.float64)
 
 
 @dataclass
@@ -113,10 +114,9 @@ class Tape:
     a float for one 1-D input, (n, d) and (n,) for a batch); the per-layer
     intermediates are always (n, width) matrices."""
 
-    pre_acts: list  # z_l for hidden layers
-    acts: list  # inputs to each layer (a_0 = x, ...)
+    acts: list  # inputs to each layer: x, then each hidden layer's activation
     raw_embed: np.ndarray  # backbone output before adapter
-    adapter_hidden: "np.ndarray | None"  # e @ Down^T, pre-activation
+    adapter_act: "np.ndarray | None"  # act(e @ Down^T)
     pre_norm: np.ndarray  # embedding before normalization
     norm: "float | np.ndarray"
     unit: np.ndarray
@@ -132,21 +132,16 @@ def _forward(backbone, adapter, x):
             f"input shape {x.shape} vs expected ({in_dim},) or (n, {in_dim})"
         )
     a = x if x.ndim == 2 else x[None]
-    acts, pre_acts = [], []
-    n_layers = len(backbone.weights)
-    for i, (w, b) in enumerate(zip(backbone.weights, backbone.biases)):
+    acts = []
+    for w, b in zip(backbone.weights[:-1], backbone.biases[:-1]):
         acts.append(a)
-        z = a @ w.T + b
-        if i < n_layers - 1:
-            pre_acts.append(z)
-            a = _act(backbone.activation, z)
-        else:
-            a = z
-    raw = a
-    adapter_hidden = None
+        a = _act(backbone.activation, a @ w.T + b)
+    acts.append(a)
+    raw = a @ backbone.weights[-1].T + backbone.biases[-1]
+    a, adapter_act = raw, None
     if adapter is not None:
-        adapter_hidden = raw @ adapter.down.T
-        a = raw + _act(adapter.activation, adapter_hidden) @ adapter.up.T
+        adapter_act = _act(adapter.activation, raw @ adapter.down.T)
+        a = raw + adapter_act @ adapter.up.T
     with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
         norm = np.sqrt((a * a).sum(axis=1))
     ok = (norm > EPS_NORM) & (norm < np.inf)  # False for NaN too
@@ -158,10 +153,9 @@ def _forward(backbone, adapter, x):
     if x.ndim == 1:
         pre_norm, norm, unit = pre_norm[0], norm[0], unit[0]
     tape = Tape(
-        pre_acts=pre_acts,
         acts=acts,
         raw_embed=raw,
-        adapter_hidden=adapter_hidden,
+        adapter_act=adapter_act,
         pre_norm=pre_norm,
         norm=norm,
         unit=unit,
@@ -199,9 +193,9 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
     d_pre = (g - u * np.sum(u * g, axis=1, keepdims=True)) / np.reshape(tape.norm, (-1, 1))
 
     if tape.has_adapter:
-        h = tape.adapter_hidden
+        h = tape.adapter_act
         d_h = _act_deriv(adapter.activation, h) * (d_pre @ adapter.up)
-        grads["adapter.up"] = d_pre.T @ _act(adapter.activation, h)
+        grads["adapter.up"] = d_pre.T @ h
         grads["adapter.down"] = d_h.T @ tape.raw_embed
         delta = d_pre + d_h @ adapter.down
     else:
@@ -212,7 +206,7 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
         grads[f"layer{i}.b"] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ backbone.weights[i]
-            delta = delta * _act_deriv(backbone.activation, tape.pre_acts[i - 1])
+            delta = delta * _act_deriv(backbone.activation, tape.acts[i])
     return grads
 
 

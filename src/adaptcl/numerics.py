@@ -60,7 +60,8 @@ def log_sum_exp(logits):
 
 @dataclass
 class OptimizerState:
-    """Momentum SGD state; velocity buffers are created lazily per parameter."""
+    """Momentum SGD state; velocity buffers are created lazily per parameter
+    and then updated in place."""
 
     lr: float
     momentum: float = 0.0
@@ -79,9 +80,9 @@ def sgd_step(params: dict, grads: dict, state: OptimizerState) -> dict:
             raise ShapeMismatch(f"{name}: {p.shape} vs {g.shape}")
         v = state.velocities.get(name)
         if v is None:
-            v = np.zeros_like(p)
-        v = state.momentum * v + g
-        state.velocities[name] = v
+            v = state.velocities[name] = np.zeros_like(p)
+        v *= state.momentum
+        v += g
         p -= state.lr * v
     return params
 

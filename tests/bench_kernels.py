@@ -1,10 +1,12 @@
-"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32.
+"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32, and
+of one momentum SGD step.
 
 Run with `python -m pytest tests/bench_kernels.py`. The name does not match
 `test_*.py`, so the test suite does not collect this file. The model has the
 default shape (32 -> 64, 64 -> 16, adapter rank 8) and the prototype table
 and linear head have 10 classes. n = 1 is a single 1-D row; n = 16 and 32
-are (n, D) batches.
+are (n, D) batches. The SGD step updates the backbone parameters of the
+default model with momentum 0.9, as each pretraining batch does.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from adaptcl.model import (
     embed_with_tape,
     init_model,
 )
-from adaptcl.numerics import l2_normalize, make_rng
+from adaptcl.numerics import OptimizerState, l2_normalize, make_rng, sgd_step
 
 N_CLASSES = 10
 SIZES = (1, 16, 32)
@@ -88,3 +90,10 @@ def test_classify(benchmark, model, n):
     cosine = Classifier.cosine(model[3].prototypes)
     _, _, e = _batch(model, n)
     benchmark(classify, cosine, e)
+
+
+def test_sgd_step(benchmark, model):
+    rng = make_rng(2)
+    params = {k: v.copy() for k, v in model[1].param_dict().items()}
+    grads = {k: 1e-3 * rng.standard_normal(v.shape) for k, v in params.items()}
+    benchmark(sgd_step, params, grads, OptimizerState(lr=0.05, momentum=0.9))

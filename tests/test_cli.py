@@ -13,8 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import adaptcl.adaptation
 import adaptcl.cli
+import adaptcl.continual
+import adaptcl.data
 from adaptcl.cli import CONFIG_KEYS, load_config, main
+from adaptcl.errors import NonFiniteLoss
 from adaptcl.model import ACTIVATIONS, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from adaptcl.numerics import make_rng
 
@@ -80,6 +84,8 @@ class TestConfigErrors:
             "adapt.temperature = nan",
             "data.domain_shift = inf",
             "core.lr = -inf",
+            "adapt.modes = disabled,acl,disabled",
+            "run.seeds = 5,5",
         ],
         ids=[
             "sigma-negative",
@@ -92,6 +98,8 @@ class TestConfigErrors:
             "temperature-nan",
             "domain-shift-inf",
             "core-lr-minus-inf",
+            "mode-repeated",
+            "seed-repeated",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line):
@@ -115,6 +123,13 @@ class TestConfigErrors:
         argv = ["sweep", "--config", str(tiny_config), "--axis", "temperature"]
         assert main(argv + ["--values", "nan", "--out", str(tmp_path / "o")]) == 1
         assert "adapt.temperature must be finite" in capsys.readouterr().err
+
+    def test_repeated_sweep_value(self, tiny_config, tmp_path, capsys):
+        argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs", "--values", "1,2,1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --values repeats '1'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_nul_byte_in_out(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -372,6 +387,130 @@ class TestSweep:
             assert any(n.endswith(".csv") for n in names)
             for name in names:
                 assert (cell / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+    def test_cells_match_standalone_runs_disabled_first(self, tiny_config, tmp_path):
+        # in this order the disabled run pretrains, and the acl runs reuse it
+        text = tiny_config.read_text() + "core.strategy = linear\ncore.epochs = 2\n"
+        text = text.replace("adapt.modes = acl", "adapt.modes = disabled,acl")
+        path = tmp_path / "linear.cfg"
+        path.write_text(text)
+        sweep = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(path), "--axis", "epochs", "--values", "1,2"]
+        assert main(argv + ["--seeds", "5,6", "--out", str(sweep)]) == 0
+        for value in ("1", "2"):
+            cell_cfg = tmp_path / f"cell_{value}.cfg"
+            cell_cfg.write_text(text + f"adapt.epochs = {value}\n")
+            alone = tmp_path / f"run_{value}"
+            argv = ["run", "--config", str(cell_cfg), "--seeds", "5,6", "--out", str(alone)]
+            assert main(argv) == 0
+            cell = sweep / f"sweep_epochs_{value}"
+            names = sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
+            assert names == sorted(
+                p.name for p in cell.iterdir() if p.name != "manifest.json"
+            )
+            assert "model_disabled_6.ckpt" in names
+            for name in names:
+                assert (cell / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_disabled_runs_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+        modes = []
+        real = adaptcl.cli.run_acl
+
+        def counted(stream, backbone, adapter, adapt_cfg, *args, **kwargs):
+            modes.append(adapt_cfg.mode)
+            return real(stream, backbone, adapter, adapt_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(adaptcl.cli, "run_acl", counted)
+        path = tmp_path / "two_modes.cfg"
+        path.write_text(
+            tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        )
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(path), "--axis", "temperature"]
+        assert main(argv + ["--values", "0.1,0.2,0.5", "--seeds", "5,6", "--out", str(out)]) == 0
+        assert modes.count("disabled") == 2 and modes.count("acl") == 6
+        for value in ("0.1", "0.2", "0.5"):
+            cell = out / f"sweep_temperature_{value}"
+            for seed in (5, 6):
+                assert (cell / f"accuracy_matrix_disabled_{seed}.csv").exists()
+                assert (cell / f"model_disabled_{seed}.ckpt").exists()
+            metrics = (cell / "metrics.csv").read_text().splitlines()[1:]
+            assert sorted(row.split(",")[0] for row in metrics) == [
+                "acl_5", "acl_6", "disabled_5", "disabled_6"
+            ]
+
+    def test_failed_disabled_run_shared(self, tiny_config, tmp_path, monkeypatch):
+        # a failed disabled result is recorded by every cell, like a standalone run
+        def fails(state, task_data):
+            raise NonFiniteLoss("planted")
+
+        monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", fails)
+        path = tmp_path / "disabled.cfg"
+        path.write_text(
+            tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = disabled")
+        )
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(path), "--axis", "epochs", "--values", "1,2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        for value in ("1", "2"):
+            cell = out / f"sweep_epochs_{value}"
+            manifest = json.loads((cell / "manifest.json").read_text())
+            assert manifest["status"] == {"seed=11,mode=disabled": "failed: NonFiniteLoss: planted"}
+            assert manifest["failures"]["seed=11,mode=disabled"]["type"] == "NonFiniteLoss"
+            assert (cell / "accuracy_matrix_11.csv").read_text().splitlines()[1:] == []
+
+
+class TestFailures:
+    """A failed cell leaves its exception type and traceback in the manifest."""
+
+    def test_non_finite_pretraining_loss(self, tiny_config, tmp_path, monkeypatch):
+        real = adaptcl.data.ce_adapt_loss
+
+        def nan_loss(e, labels, head):
+            loss, *grads = real(e, labels, head)
+            return (loss * np.nan, *grads)
+
+        monkeypatch.setattr(adaptcl.data, "ce_adapt_loss", nan_loss)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"]["seed=11,mode=acl"].startswith("error: pretraining loss")
+        failure = manifest["failures"]["seed=11,mode=acl"]
+        assert failure["type"] == "NonFiniteLoss"
+        assert failure["traceback"].startswith("Traceback (most recent call last):")
+        assert "in pretrain_backbone" in failure["traceback"]
+        assert "\nadaptcl.errors.NonFiniteLoss: pretraining loss [nan" in failure["traceback"]
+        assert (out / "metrics.csv").read_text() == "run_id,seed,mode,LA,AIA,forgetting,plasticity\n"
+
+    def test_bound_violation(self, tiny_config, tmp_path, monkeypatch):
+        real = adaptcl.adaptation.check_markov_bound
+
+        def violated(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.lhs = report.rhs + 1.0
+            return report
+
+        monkeypatch.setattr(adaptcl.adaptation, "check_markov_bound", violated)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"]["seed=11,mode=acl"].startswith(
+            "failed: BoundViolation: markov bound violated in epoch 1"
+        )
+        failure = manifest["failures"]["seed=11,mode=acl"]
+        assert failure["type"] == "BoundViolation"
+        assert "in run_acl" in failure["traceback"] and "in adapt" in failure["traceback"]
+        assert failure["traceback"].splitlines()[-1].startswith(
+            "adaptcl.errors.BoundViolation: markov bound violated"
+        )
+        rows = (out / "accuracy_matrix_11.csv").read_text().splitlines()
+        assert rows == ["after_task,task_1,task_2,status"]
+
+    def test_no_failures_on_success(self, tiny_config, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["failures"] == {}
 
 
 class TestVerify:

@@ -95,13 +95,19 @@ class TestEmbed:
                 embed(backbone, adapter, xs)
 
 
-def _batch_gradient_error(backprop_fn, seed, n_rows=5):
+def _batch_gradient_error(backprop_fn, seed, n_rows=5, activation="tanh"):
     """Worst relative error of backprop_fn against central differences of
     sum_i <u_i, g_i> over a batch of n_rows inputs."""
-    cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,))
+    cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,), activation=activation)
     rng = make_rng(seed, 78)
     backbone, adapter = init_model(cfg, rng, adapter_rank=2)
     adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+    if activation == "relu":
+        # with zero biases, a relu model whose hidden units are all dead embeds
+        # to 0, and one with a single live unit embeds to a direction that does
+        # not depend on that unit's scale, so the true layer0 gradient is 0 and
+        # the check would compare rounding noise; an output bias avoids both
+        backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)
     xs = rng.standard_normal((n_rows, 2))
     directions = rng.standard_normal((n_rows, 3))
 
@@ -136,12 +142,18 @@ class TestBackprop:
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_finite_differences(self, seed):
-        cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,))
+    @pytest.mark.parametrize(
+        "seed, activation",
+        [(s, "tanh") for s in range(3)] + [(s, "relu") for s in range(3)],
+        ids=["0", "1", "2", "relu-0", "relu-1", "relu-2"],
+    )
+    def test_matches_finite_differences(self, seed, activation):
+        cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,), activation=activation)
         rng = make_rng(seed, 77)
         backbone, adapter = init_model(cfg, rng, adapter_rank=2)
         adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+        if activation == "relu":
+            backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)  # see _batch_gradient_error
         direction = rng.standard_normal(3)
         for _ in range(10):
             x = rng.standard_normal(2)
@@ -157,7 +169,7 @@ class TestBackprop:
                 err = np.linalg.norm(analytic[name] - numeric[name])
                 scale = max(np.linalg.norm(numeric[name]), 1e-10)
                 assert err / scale <= 1e-4, name
-        assert _batch_gradient_error(backprop, seed) <= 1e-4
+        assert _batch_gradient_error(backprop, seed, activation=activation) <= 1e-4
 
     def test_row_zero_only_mutation_caught(self):
         # a backprop that drops every row but the first must fail the batch check

@@ -108,6 +108,30 @@ class TestSgdStep:
         v2 = 0.9 * v1 + g2
         np.testing.assert_allclose(p["w"], -0.1 * (v1 + v2), atol=1e-15)
 
+    def test_momentum_in_place_matches_formula(self):
+        # three steps leave the gradients untouched, keep one velocity buffer
+        # per parameter and match v = m v + g; p = p - lr v bit for bit
+        rng = make_rng(3)
+        shapes = {"W": (4, 3), "b": (4,)}
+        p = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        want_p = {k: v.copy() for k, v in p.items()}
+        want_v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = OptimizerState(lr=0.05, momentum=0.9)
+        buffers = None
+        for _ in range(3):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            sgd_step(p, grads, state)
+            buffers = buffers or dict(state.velocities)
+            for k in shapes:
+                np.testing.assert_array_equal(grads[k], kept[k])
+                assert state.velocities[k] is buffers[k]
+                want_v[k] = 0.9 * want_v[k] + kept[k]
+                want_p[k] = want_p[k] - 0.05 * want_v[k]
+        for k in shapes:
+            assert p[k].tobytes() == want_p[k].tobytes()
+            assert state.velocities[k].tobytes() == want_v[k].tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sgd_step(
