@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundViolation, DegenerateVector, NonFiniteLoss
-from .metrics import LOG2, check_markov_bound, check_stability_bound
+from .errors import BoundViolation, DegenerateVector
+from .metrics import check_markov_bound, check_stability_bound, loss_threshold_violations
 from .model import (
     Classifier,
     backprop,
@@ -27,6 +27,7 @@ from .numerics import (
     l2_normalize,
     log_sum_exp,
     params_hash,
+    require_finite,
     sgd_step,
 )
 
@@ -54,22 +55,9 @@ class AdaptConfig:
             raise ValueError(f"unknown adaptation mode {self.mode!r}")
 
 
-@dataclass
-class PrototypeTable:
-    """Unit prototypes keyed by class id, tagged with the producing model."""
-
-    prototypes: dict
-    provenance: str
-
-    def class_ids(self):
-        return sorted(self.prototypes)
-
-    def matrix(self):
-        return np.stack([self.prototypes[c] for c in self.class_ids()])
-
-
-def compute_prototypes(backbone, adapter, data) -> PrototypeTable:
-    """Renormalized per-class mean of unit embeddings.
+def compute_prototypes(backbone, adapter, data) -> Classifier:
+    """Renormalized per-class mean of unit embeddings, as a cosine
+    Classifier with one row per class of the data.
 
     data: an (x, y) pair of (n, D) inputs and (n,) labels. A class whose
     embedding mean is (numerically) zero raises DegenerateVector rather than
@@ -77,25 +65,27 @@ def compute_prototypes(backbone, adapter, data) -> PrototypeTable:
     """
     x, labels = data
     embeddings = embed(backbone, adapter, x)
-    protos = {}
-    for y in dict.fromkeys(labels.tolist()):
+    ids = sorted(set(labels.tolist()))
+    rows = []
+    for y in ids:
         try:
-            protos[y] = l2_normalize(embeddings[labels == y].mean(axis=0))
+            rows.append(l2_normalize(embeddings[labels == y].mean(axis=0)))
         except DegenerateVector as e:
             raise DegenerateVector(f"class {y}: {e}") from e
-    return PrototypeTable(protos, provenance=params_hash(model_params(backbone, adapter)))
+    return Classifier(ids, np.stack(rows))
 
 
-def acl_loss(e_star: np.ndarray, label, protos: PrototypeTable, tau: float):
+def acl_loss(e_star: np.ndarray, label, table: Classifier, tau: float):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
     the embedding as a free vector, before the normalization Jacobian.
 
-    One embedding (d,) and label give a float and a (d,) gradient; a batch
+    table: a cosine Classifier whose weight rows are the prototypes. One
+    embedding (d,) and label give a float and a (d,) gradient; a batch
     (n, d) with n labels gives per-row losses (n,) and gradients (n, d)."""
     e = np.atleast_2d(e_star)
-    y_idx = label_index(protos.class_ids(), np.atleast_1d(label), "prototype table")
-    p = protos.matrix()  # (C, d)
+    y_idx = label_index(table.class_ids, np.atleast_1d(label), "prototype table")
+    p = table.weight  # (C, d)
     scores = (e @ p.T) / tau
     lse = log_sum_exp(scores)
     loss = lse - scores[np.arange(len(e)), y_idx]
@@ -142,20 +132,6 @@ class AdaptReport:
         return [tuple(e[k] for k in keys) for e in self.epochs]
 
 
-def _check_batch_bounds(losses, wrong):
-    """Per-sample loss threshold: every misclassified sample has loss >= log 2.
-
-    This implies the batch's Markov bound (error rate <= mean loss / log 2):
-    each misclassified sample adds at least log 2 / n to the mean loss, so
-    the Markov check is not repeated per batch; adapt() checks it per epoch.
-    """
-    low = wrong & (losses < LOG2 - 1e-12)
-    if np.any(low):
-        raise BoundViolation(
-            f"misclassified sample with loss {float(losses[low][0])!r} < log 2"
-        )
-
-
 def _trainable_params(backbone, adapter, mode):
     if mode == "lightweight_only":
         return adapter.param_dict()
@@ -177,9 +153,10 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     if config.mode == "disabled":
         return backbone, adapter, report
 
-    protos = compute_prototypes(backbone, adapter, data)
-    report.prototype_provenance = protos.provenance
-    proto_classifier = Classifier.cosine(protos.prototypes)
+    table = compute_prototypes(backbone, adapter, data)
+    table_hash = params_hash({"prototypes": table.weight})
+    report.prototype_provenance = params_hash(model_params(backbone, adapter))
+    label_protos = table.weight[label_index(table.class_ids, labels, "prototype table")]
     old_embeds = embed(backbone, adapter, x)
 
     head = None
@@ -202,12 +179,16 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
             if head is not None:
                 losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y, head)
             else:
-                losses, d_e = acl_loss(e_star, y, protos, config.temperature)
-            if not np.isfinite(losses).all():
-                raise NonFiniteLoss(f"loss {losses} in epoch {epoch}")
+                losses, d_e = acl_loss(e_star, y, table, config.temperature)
+            require_finite(losses, f"loss in epoch {epoch}")
             if head is None:
-                pred, _ = classify(proto_classifier, e_star)
-                _check_batch_bounds(losses, pred != y)
+                # the threshold implies the batch's Markov bound, checked per epoch
+                pred, _ = classify(table, e_star)
+                low = loss_threshold_violations(losses, pred != y)
+                if low.size:
+                    raise BoundViolation(
+                        f"misclassified sample with loss {float(losses[low[0]])!r} < log 2"
+                    )
             sgd_step(params, backprop(tape, backbone, adapter, d_e / len(idx)), state)
             if head is not None:
                 sgd_step(
@@ -217,10 +198,10 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
                 )
 
         new_embeds = embed(backbone, adapter, x)
-        losses, _ = acl_loss(new_embeds, labels, protos, config.temperature)
-        pred, _ = classify(proto_classifier, new_embeds)
+        losses, _ = acl_loss(new_embeds, labels, table, config.temperature)
+        pred, _ = classify(table, new_embeds)
         stability = check_stability_bound(
-            old_embeds, new_embeds, protos.prototypes, labels, context="stability"
+            old_embeds, new_embeds, label_protos, context="stability"
         )
         markov = check_markov_bound(losses, pred == labels, context="markov")
         for check in (stability, markov):
@@ -240,5 +221,5 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
                 "checks": (stability, markov),
             }
         )
-    assert protos.provenance == report.prototype_provenance
+    assert params_hash({"prototypes": table.weight}) == table_hash, "prototypes changed"
     return backbone, adapter, report

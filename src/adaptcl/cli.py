@@ -206,8 +206,10 @@ def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
     return result, pretrained
 
 
-def _failure(e: BaseException) -> dict:
-    """The manifest entry of a failed cell."""
+def _failure(cell: str, e: BaseException) -> dict:
+    """The manifest entry of a failed cell; also prints one line naming the
+    cell and the exception to stderr."""
+    print(f"error: {cell}: {type(e).__name__}: {e}", file=sys.stderr)
     return {"type": type(e).__name__, "traceback": "".join(traceback.format_exception(e))}
 
 
@@ -248,7 +250,7 @@ def cmd_run(config: RunConfig, data=None, pretrained=None, disabled=None) -> int
                         )
                 except AdaptclError as e:
                     manifest["status"][cell] = f"error: {e}"
-                    manifest["failures"][cell] = _failure(e)
+                    manifest["failures"][cell] = _failure(cell, e)
                     exit_code = 1
                     continue
                 if mode == "disabled":
@@ -264,7 +266,7 @@ def cmd_run(config: RunConfig, data=None, pretrained=None, disabled=None) -> int
                 manifest["status"][cell] = result.status
                 if result.status != "ok":
                     manifest["status"][cell] = f"failed: {result.error}"
-                    manifest["failures"][cell] = _failure(result.exception)
+                    manifest["failures"][cell] = _failure(cell, result.exception)
                     exit_code = 1
                 else:
                     m = result.matrix

@@ -67,16 +67,13 @@ class ExperimentState:
 
 
 def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
-    """Append current-task prototypes computed with the frozen adapted model.
+    """Insert current-task prototypes computed with the frozen adapted model.
 
-    No parameter updates; previously stored prototypes are never touched."""
+    No parameter updates; previously stored prototypes are never touched. A
+    class already in the classifier raises ValueError."""
     before = params_hash(state.backbone.param_dict())
-    protos = compute_prototypes(state.backbone, state.adapter, task_data)
-    for cid, p in protos.prototypes.items():
-        if cid in state.classifier.prototypes:
-            raise ValueError(f"class {cid} already in classifier")
-        state.classifier.prototypes[cid] = p
-    state.classifier.class_ids = sorted(state.classifier.prototypes)
+    table = compute_prototypes(state.backbone, state.adapter, task_data)
+    state.classifier.add_classes(table.class_ids, table.weight)
     assert params_hash(state.backbone.param_dict()) == before
     return state
 
@@ -96,7 +93,8 @@ def core_learn_linear(
     before = params_hash(state.backbone.param_dict())
     x, labels = task_data
     head = state.classifier
-    head.add_classes(labels.tolist())
+    new = sorted(set(labels.tolist()) - set(head.class_ids))
+    head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
     W, b = head.weight, head.bias
     adapter_state = OptimizerState(lr=lr)
@@ -171,11 +169,8 @@ def run_acl(
     status "failed"."""
     if core not in CORE_STRATEGIES:
         raise ValueError(f"unknown core strategy {core!r}")
-    if core == "ncm":
-        classifier = Classifier.cosine({})
-    else:
-        d = backbone.weights[-1].shape[0]
-        classifier = Classifier.linear([], d)
+    d = backbone.weights[-1].shape[0]
+    classifier = Classifier([], np.zeros((0, d))) if core == "ncm" else Classifier.linear([], d)
     state = ExperimentState(backbone.copy(), adapter.copy(), classifier)
     rows, reports = [], []
     try:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continual import Task, TaskStream
-from .errors import InvalidSpec, NonFiniteLoss
+from .errors import InvalidSpec
 from .model import Classifier, backprop, embed_with_tape
 from .adaptation import ce_adapt_loss
-from .numerics import OptimizerState, make_rng, sgd_step
+from .numerics import OptimizerState, make_rng, require_finite, sgd_step
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,7 @@ def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: i
             idx = order[start : start + batch_size]
             e, tape = embed_with_tape(backbone, None, x[idx])
             loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[idx], head)
-            if not np.isfinite(loss).all():
-                raise NonFiniteLoss(f"pretraining loss {loss}")
+            require_finite(loss, "pretraining loss")
             sgd_step(params, backprop(tape, backbone, None, d_e / len(idx)), state)
             sgd_step(
                 {"W": head.weight, "b": head.bias},

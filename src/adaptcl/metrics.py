@@ -106,8 +106,9 @@ class BoundReport:
 def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     """Misclassification rate vs mean(loss)/log 2.
 
-    The per-sample loss threshold (see verify.run_threshold) implies this
-    bound. It is kept for its aggregate figures, which adapt() reports per
+    The per-sample loss threshold (see loss_threshold_violations) implies
+    this bound: each misclassified sample adds at least log 2 / n to the mean
+    loss. It is kept for its aggregate figures, which adapt() reports per
     epoch in the markov columns of the adapt report."""
     losses = np.asarray(losses, dtype=np.float64)
     correct = np.asarray(correct_flags, dtype=bool)
@@ -120,16 +121,22 @@ def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     return BoundReport(context, lhs, rhs, tolerance=1e-12)
 
 
+def loss_threshold_violations(losses, wrong) -> np.ndarray:
+    """Positions of the misclassified samples whose loss is below log 2;
+    the per-sample loss threshold says there are none."""
+    return np.flatnonzero(wrong & (losses < LOG2 - 1e-12))
+
+
 def check_stability_bound(
-    old_embeddings, new_embeddings, prototypes, labels, context="stability"
+    old_embeddings, new_embeddings, label_prototypes, context="stability"
 ) -> BoundReport:
-    """mean||e_new - e_old||^2 vs 2(mean||e_new - p_y||^2 + mean||e_old - p_y||^2)."""
+    """mean||e_new - e_old||^2 vs 2(mean||e_new - p_y||^2 + mean||e_old - p_y||^2),
+    with row i of label_prototypes the prototype p_y of sample i's class."""
     old = np.asarray(old_embeddings, dtype=np.float64)
     new = np.asarray(new_embeddings, dtype=np.float64)
-    labels = list(labels)
-    if not (len(old) == len(new) == len(labels)) or len(old) == 0:
+    p = np.asarray(label_prototypes, dtype=np.float64)
+    if not (len(old) == len(new) == len(p)) or len(old) == 0:
         raise LengthMismatch("aligned non-empty sequences required")
-    p = np.stack([prototypes[y] for y in labels])
     lhs = float(np.mean(np.sum((new - old) ** 2, axis=1)))
     rhs = 2.0 * (
         float(np.mean(np.sum((new - p) ** 2, axis=1)))

@@ -8,7 +8,7 @@ zero-initialized so a fresh adapter is an exact identity.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,7 +212,7 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
 
 def label_index(class_ids, labels, owner):
     """Positions of an (n,) label array in class_ids, the row order of a
-    Classifier's weight or of a prototype table."""
+    Classifier's weight."""
     position = {c: i for i, c in enumerate(class_ids)}
     try:
         return np.array([position[y] for y in labels.tolist()])
@@ -222,61 +222,45 @@ def label_index(class_ids, labels, owner):
 
 @dataclass
 class Classifier:
-    """Cosine (prototype) or linear classification head.
+    """The table of classes: one weight row per class id, in ascending id
+    order. Ties break toward the lowest class id.
 
-    Cosine: class_ids maps to unit prototypes, prediction is the argmax of
-    cosine similarity. Linear: weight rows per class plus bias. Ties break
-    toward the lowest class id.
+    Cosine (no bias): the rows are unit prototypes and the logits are the
+    clipped cosines. Linear: the logits are weight @ e + bias.
     """
 
-    variant: str  # "cosine" | "linear"
-    prototypes: dict = field(default_factory=dict)  # class id -> unit vector
-    weight: "np.ndarray | None" = None  # (|Y|, d), rows follow class_ids order
-    bias: "np.ndarray | None" = None
-    class_ids: list = field(default_factory=list)  # sorted ascending
-
-    @classmethod
-    def cosine(cls, prototypes: dict) -> "Classifier":
-        ids = sorted(prototypes)
-        return cls(variant="cosine", prototypes=dict(prototypes), class_ids=ids)
+    class_ids: list  # ascending
+    weight: np.ndarray  # (C, d), row i belongs to class_ids[i]
+    bias: "np.ndarray | None" = None  # (C,) for a linear head
 
     @classmethod
     def linear(cls, class_ids, embed_dim: int) -> "Classifier":
         ids = sorted(set(class_ids))
-        return cls(
-            variant="linear",
-            weight=np.zeros((len(ids), embed_dim)),
-            bias=np.zeros(len(ids)),
-            class_ids=ids,
-        )
+        return cls(ids, np.zeros((len(ids), embed_dim)), np.zeros(len(ids)))
 
-    def add_classes(self, class_ids):
-        """Grow the head with zero-initialized rows for unseen classes."""
-        new = sorted(set(class_ids) - set(self.class_ids))
-        if not new:
-            return
-        if self.variant != "linear":
-            raise ValueError("add_classes only applies to the linear variant")
-        ids = sorted(self.class_ids + new)
-        d = self.weight.shape[1]
-        w = np.zeros((len(ids), d))
-        b = np.zeros(len(ids))
-        for old_row, cid in enumerate(self.class_ids):
-            row = ids.index(cid)
-            w[row] = self.weight[old_row]
-            b[row] = self.bias[old_row]
-        self.class_ids, self.weight, self.bias = ids, w, b
+    def add_classes(self, class_ids, rows):
+        """Insert one weight row per new class id (and a zero bias for a
+        linear head), keeping the ids ascending; old rows are copied as they
+        are. Raises ValueError for an id already present."""
+        present = set(self.class_ids).intersection(class_ids)
+        if present:
+            raise ValueError(f"class {min(present)} already in classifier")
+        ids = self.class_ids + list(class_ids)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.class_ids = [ids[i] for i in order]
+        self.weight = np.concatenate([self.weight, rows])[order]
+        if self.bias is not None:
+            self.bias = np.concatenate([self.bias, np.zeros(len(rows))])[order]
 
     def logits(self, embedding: np.ndarray) -> np.ndarray:
         """Logits per class id: (d,) -> (C,), (n, d) -> (n, C)."""
         if not self.class_ids:
             raise EmptyClassifier("no classes registered")
         e = np.asarray(embedding, dtype=np.float64)
-        if self.variant == "cosine":
-            p = np.stack([self.prototypes[c] for c in self.class_ids])
-            if e.shape[-1] != p.shape[1]:
-                raise DimensionMismatch(f"{e.shape} vs prototypes {p.shape}")
-            return np.clip(e @ p.T, -1.0, 1.0)
+        if e.shape[-1] != self.weight.shape[1]:
+            raise DimensionMismatch(f"{e.shape} vs weight {self.weight.shape}")
+        if self.bias is None:
+            return np.clip(e @ self.weight.T, -1.0, 1.0)
         return e @ self.weight.T + self.bias
 
 

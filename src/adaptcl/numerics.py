@@ -114,6 +114,14 @@ def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
     return grads
 
 
+def require_finite(losses, what: str) -> None:
+    """Raise NonFiniteLoss unless every per-row loss is finite; the one-line
+    message names the first non-finite value and how many rows had one."""
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        raise NonFiniteLoss(f"{what}: {losses[bad][0]} in {bad.sum()} of {bad.size} rows")
+
+
 def params_hash(params: dict) -> str:
     """Stable digest of a parameter dict, for freeze/provenance assertions."""
     import hashlib

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .adaptation import PrototypeTable, acl_loss
+from .adaptation import acl_loss
 from .errors import DegenerateVector
 from .metrics import (
-    LOG2,
     check_markov_bound,
     check_stability_bound,
+    loss_threshold_violations,
     verify_lemma1,
     verify_lemma2,
 )
@@ -66,7 +66,8 @@ def _random_unit(rng, dim):
 
 
 def _random_table(rng, dim, n_classes):
-    return PrototypeTable(dict(enumerate(_random_units(rng, n_classes, dim))), "random")
+    """A cosine Classifier: ids 0..n_classes-1, random unit prototypes."""
+    return Classifier(list(range(n_classes)), _random_units(rng, n_classes, dim))
 
 
 def _random_batches(rng, dim):
@@ -126,9 +127,9 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
     violations, first, done = 0, None, 0
     for table, tau, e, y in _random_batches(make_rng(seed, 13), dim):
         e, y = e[: n_draws - done], y[: n_draws - done]
-        pred, _ = classify(Classifier.cosine(table.prototypes), e)
+        pred, _ = classify(table, e)
         loss, _ = acl_loss(e, y, table, tau)
-        bad = np.flatnonzero((pred != y) & (loss < LOG2 - 1e-12))
+        bad = loss_threshold_violations(loss, pred != y)
         if bad.size and first is None:
             first = (done + int(bad[0]), float(loss[bad[0]]))
         violations += bad.size
@@ -149,7 +150,7 @@ def run_markov(seed, n_batches, dim=16) -> CheckResult:
         return CheckResult("markov", True, "no batches requested", vacuous=True)
     batches = _random_batches(make_rng(seed, 14), dim)
     for i, (table, tau, e, y) in zip(range(n_batches), batches):
-        pred, _ = classify(Classifier.cosine(table.prototypes), e)
+        pred, _ = classify(table, e)
         losses, _ = acl_loss(e, y, table, tau)
         report = check_markov_bound(losses, pred == y, context=f"batch {i}")
         if not report.passed:
@@ -170,7 +171,7 @@ def run_stability(seed, n_draws, dim=16) -> CheckResult:
         # is tightest: the slack is 16 sin^4(theta / 4) at angle theta between
         # old and new, and the bound without its factor 2 fails every such draw
         p = l2_normalize(old + new) if i % 2 else _random_unit(rng, dim)
-        report = check_stability_bound([old], [new], {0: p}, [0], context=f"draw {i}")
+        report = check_stability_bound([old], [new], [p], context=f"draw {i}")
         if not report.passed:
             return CheckResult(
                 "stability", False, f"draw {i}: lhs={report.lhs!r} rhs={report.rhs!r}"

@@ -3,15 +3,17 @@ of one momentum SGD step.
 
 Run with `python -m pytest tests/bench_kernels.py`. The name does not match
 `test_*.py`, so the test suite does not collect this file. The model has the
-default shape (32 -> 64, 64 -> 16, adapter rank 8) and the prototype table
-and linear head have 10 classes. n = 1 is a single 1-D row; n = 16 and 32
-are (n, D) batches. The SGD step updates the backbone parameters of the
+default shape (32 -> 64, 64 -> 16, adapter rank 8). The prototype table (a
+cosine Classifier, which acl_loss and classify both read) and the linear
+head have 10 classes. n = 1 is a single 1-D row; n = 16 and 32 are (n, D)
+batches. The SGD step updates the backbone parameters of the
 default model with momentum 0.9, as each pretraining batch does.
 """
 
+import numpy as np
 import pytest
 
-from adaptcl.adaptation import PrototypeTable, acl_loss, ce_adapt_loss
+from adaptcl.adaptation import acl_loss, ce_adapt_loss
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -33,9 +35,8 @@ def model():
     rng = make_rng(0)
     backbone, adapter = init_model(cfg, rng, adapter_rank=8)
     adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-    table = PrototypeTable(
-        {c: l2_normalize(rng.standard_normal(cfg.embed_dim)) for c in range(N_CLASSES)}, "bench"
-    )
+    units = [l2_normalize(rng.standard_normal(cfg.embed_dim)) for _ in range(N_CLASSES)]
+    table = Classifier(list(range(N_CLASSES)), np.stack(units))
     head = Classifier.linear(range(N_CLASSES), cfg.embed_dim)
     head.weight[:] = rng.standard_normal(head.weight.shape)
     return cfg, backbone, adapter, table, head
@@ -87,9 +88,8 @@ def test_ce_adapt_loss(benchmark, model, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_classify(benchmark, model, n):
-    cosine = Classifier.cosine(model[3].prototypes)
     _, _, e = _batch(model, n)
-    benchmark(classify, cosine, e)
+    benchmark(classify, model[3], e)
 
 
 def test_sgd_step(benchmark, model):

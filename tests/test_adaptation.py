@@ -6,14 +6,13 @@ import pytest
 import adaptcl.adaptation
 from adaptcl.adaptation import (
     AdaptConfig,
-    PrototypeTable,
     acl_loss,
     adapt,
     ce_adapt_loss,
     compute_prototypes,
 )
 from adaptcl.errors import BoundViolation, DegenerateVector, UnknownLabel
-from adaptcl.model import Classifier, ModelConfig, embed, init_model, model_params
+from adaptcl.model import Classifier, ModelConfig, classify, embed, init_model, model_params
 from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng, params_hash
 
 LOG2 = math.log(2.0)
@@ -37,7 +36,7 @@ class TestComputePrototypes:
         data = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
         protos = compute_prototypes(backbone, None, data)
         np.testing.assert_allclose(
-            protos.prototypes[0], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12
+            protos.weight[protos.class_ids.index(0)], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12
         )
 
     def test_single_sample(self):
@@ -45,7 +44,7 @@ class TestComputePrototypes:
         x = np.array([3.0, 4.0])
         protos = compute_prototypes(backbone, None, (x[None], np.array([1])))
         np.testing.assert_allclose(
-            protos.prototypes[1], embed(backbone, None, x), atol=0
+            protos.weight[protos.class_ids.index(1)], embed(backbone, None, x), atol=0
         )
 
     def test_degenerate_mean(self):
@@ -61,27 +60,23 @@ class TestComputePrototypes:
 
 class TestAclLoss:
     def test_single_prototype(self):
-        protos = PrototypeTable({0: np.array([1.0, 0.0])}, "t")
+        protos = Classifier([0], np.array([[1.0, 0.0]]))
         loss, grad = acl_loss(np.array([0.0, 1.0]), 0, protos, 0.1)
         assert loss == 0.0
 
     def test_aligned_embedding(self):
-        protos = PrototypeTable(
-            {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}, "t"
-        )
+        protos = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
         loss, _ = acl_loss(np.array([1.0, 0.0]), 0, protos, 0.1)
         assert loss == pytest.approx(math.log(1 + math.exp(-10)), rel=1e-12)
 
     def test_wrong_class_prototype(self):
-        protos = PrototypeTable(
-            {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}, "t"
-        )
+        protos = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
         loss, _ = acl_loss(np.array([0.0, 1.0]), 0, protos, 0.1)
         assert loss == pytest.approx(math.log(1 + math.exp(10)), rel=1e-12)
         assert loss >= LOG2
 
     def test_unknown_label(self):
-        protos = PrototypeTable({0: np.array([1.0, 0.0])}, "t")
+        protos = Classifier([0], np.array([[1.0, 0.0]]))
         with pytest.raises(UnknownLabel):
             acl_loss(np.array([1.0, 0.0]), 9, protos, 0.1)
         with pytest.raises(UnknownLabel):
@@ -89,8 +84,8 @@ class TestAclLoss:
 
     def test_batch_rows_match_single(self):
         rng = make_rng(33)
-        protos = PrototypeTable(
-            {c: l2_normalize(rng.standard_normal(5)) for c in (1, 4, 6, 8)}, "t"
+        protos = Classifier(
+            [1, 4, 6, 8], np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(4)])
         )
         es = np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(7)])
         labels = [4, 1, 8, 8, 6, 1, 4]
@@ -103,8 +98,8 @@ class TestAclLoss:
 
     def test_gradient_vs_finite_differences(self):
         rng = make_rng(31)
-        protos = PrototypeTable(
-            {c: l2_normalize(rng.standard_normal(5)) for c in range(4)}, "t"
+        protos = Classifier(
+            list(range(4)), np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(4)])
         )
         for _ in range(10):
             e = l2_normalize(rng.standard_normal(5))
@@ -246,6 +241,43 @@ class TestAdapt:
         )
         # provenance records the pre-adaptation model, not the adapted one
         assert report.prototype_provenance == pre_hash
+
+    def test_prototype_change_caught(self, toy_setup, monkeypatch):
+        # the prototypes are frozen for the phase: a loss that nudges one
+        # prototype entry by one ulp must fail the exit check
+        backbone, adapter, data, rng = toy_setup
+        real = adaptcl.adaptation.acl_loss
+
+        def nudging(e, y, table, tau):
+            table.weight[0, 0] = np.nextafter(table.weight[0, 0], 2.0)
+            return real(e, y, table, tau)
+
+        monkeypatch.setattr(adaptcl.adaptation, "acl_loss", nudging)
+        with pytest.raises(AssertionError, match="prototypes changed"):
+            adapt(backbone, adapter, data, AdaptConfig(epochs=1, lr=0.1), rng)
+
+    def test_loss_threshold_checked_per_batch(self, toy_setup, monkeypatch):
+        # the toy task has no misclassified samples; on two overlapping
+        # classes a loss halved below log 2 for a misclassified sample must
+        # fail the per-batch threshold check before the per-epoch ones run
+        backbone, adapter, _, _ = toy_setup
+        rng = make_rng(41)
+        centers = (np.array([0.3, 0.0]), np.array([-0.3, 0.0]))
+        x = np.stack([c + rng.standard_normal(2) for c in centers for _ in range(20)])
+        data = (x, np.repeat([0, 1], 20))
+        pred, _ = classify(compute_prototypes(backbone, adapter, data), embed(backbone, adapter, x))
+        assert np.any(pred != data[1])
+        cfg = AdaptConfig(epochs=1, lr=0.1)
+        adapt(backbone, adapter, data, cfg, make_rng(1))
+        real = adaptcl.adaptation.acl_loss
+
+        def halved(e, y, table, tau):
+            loss, d_e = real(e, y, table, tau)
+            return loss / 2, d_e
+
+        monkeypatch.setattr(adaptcl.adaptation, "acl_loss", halved)
+        with pytest.raises(BoundViolation, match=r"^misclassified sample with loss .* < log 2$"):
+            adapt(backbone, adapter, data, cfg, make_rng(1))
 
     def test_lightweight_only_freezes_backbone(self, toy_setup):
         backbone, adapter, data, rng = toy_setup

@@ -480,10 +480,14 @@ class TestFailures:
         assert failure["type"] == "NonFiniteLoss"
         assert failure["traceback"].startswith("Traceback (most recent call last):")
         assert "in pretrain_backbone" in failure["traceback"]
-        assert "\nadaptcl.errors.NonFiniteLoss: pretraining loss [nan" in failure["traceback"]
+        assert (
+            "\nadaptcl.errors.NonFiniteLoss: pretraining loss: nan in 32 of 32 rows\n"
+            in failure["traceback"]
+        )
+        assert "\n" not in manifest["status"]["seed=11,mode=acl"]
         assert (out / "metrics.csv").read_text() == "run_id,seed,mode,LA,AIA,forgetting,plasticity\n"
 
-    def test_bound_violation(self, tiny_config, tmp_path, monkeypatch):
+    def test_bound_violation(self, tiny_config, tmp_path, monkeypatch, capsys):
         real = adaptcl.adaptation.check_markov_bound
 
         def violated(*args, **kwargs):
@@ -506,6 +510,27 @@ class TestFailures:
         )
         rows = (out / "accuracy_matrix_11.csv").read_text().splitlines()
         assert rows == ["after_task,task_1,task_2,status"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error: seed=11,mode=acl: BoundViolation: markov bound violated in epoch 1: "
+        )
+
+    def test_failed_cells_named_on_stderr(self, tiny_config, tmp_path, capsys):
+        # pretraining diverges, so both cells of the seed fail before run_acl
+        cfg = tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        tiny_config.write_text(cfg + "pretrain.lr = 1e200\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        reason = "DegenerateVector: embedding norm nan: need a finite norm > 1e-08"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: seed=11,mode=acl: {reason}",
+            f"error: seed=11,mode=disabled: {reason}",
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"]["seed=11,mode=acl"] == "error: " + reason.split(": ", 1)[1]
 
     def test_no_failures_on_success(self, tiny_config, tmp_path):
         out = tmp_path / "o"

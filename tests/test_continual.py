@@ -57,28 +57,39 @@ def test_disjoint_class_sets_enforced():
 class TestCoreLearnNcm:
     def test_first_task_classes(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.cosine({}))
+        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream.tasks[0].train)
-        assert sorted(state.classifier.prototypes) == [0, 1]
+        assert state.classifier.class_ids == [0, 1]
 
     def test_append_only(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.cosine({}))
+        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream.tasks[0].train)
-        first = {c: p.copy() for c, p in state.classifier.prototypes.items()}
+        first = dict(zip(state.classifier.class_ids, state.classifier.weight.copy()))
         core_learn_ncm(state, stream.tasks[1].train)
-        assert sorted(state.classifier.prototypes) == [0, 1, 2, 3]
+        assert state.classifier.class_ids == [0, 1, 2, 3]
         for c, p in first.items():
-            np.testing.assert_array_equal(state.classifier.prototypes[c], p)
+            np.testing.assert_array_equal(
+                state.classifier.weight[state.classifier.class_ids.index(c)], p
+            )
+
+    def test_repeated_task_rejected(self, stream_and_model):
+        stream, backbone, adapter = stream_and_model
+        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        core_learn_ncm(state, stream.tasks[0].train)
+        with pytest.raises(ValueError, match="class 0 already in classifier"):
+            core_learn_ncm(state, stream.tasks[0].train)
 
     def test_prediction_brute_force(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.cosine({}))
+        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream.tasks[0].train)
         core_learn_ncm(state, stream.tasks[1].train)
         x = stream.tasks[0].test[0][0]
         e = embed(backbone, adapter, x)
-        sims = {c: float(e @ p) for c, p in state.classifier.prototypes.items()}
+        sims = {
+            c: float(e @ p) for c, p in zip(state.classifier.class_ids, state.classifier.weight)
+        }
         expected = min(c for c in sims if sims[c] == max(sims.values()))
         pred, _ = classify(state.classifier, e)
         assert pred == expected
@@ -124,8 +135,9 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter
     """Per-sample head SGD spelled out with ce_adapt_loss and sgd_step; a
     frozen adapter embeds the task once, as core_learn_linear does."""
     x, labels = task_data
-    state.classifier.add_classes(labels.tolist())
     head = state.classifier
+    new = sorted(set(labels.tolist()) - set(head.class_ids))
+    head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     head_state, adapter_state = OptimizerState(lr=lr), OptimizerState(lr=lr)
     frozen = embed(state.backbone, state.adapter, x)
     for _ in range(epochs):
@@ -280,13 +292,13 @@ class TestEvaluate:
         s = TaskStream([t])
         e0 = embed(backbone, adapter, task.test[0][0])
         state = ExperimentState(
-            backbone, adapter, Classifier.cosine({0: e0 / np.linalg.norm(e0)})
+            backbone, adapter, Classifier([0], (e0 / np.linalg.norm(e0))[None])
         )
         assert evaluate(state, s, 1) == [1.0]
 
     def test_brute_force_scoring(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.cosine({}))
+        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream.tasks[0].train)
         row = evaluate(state, stream, 1)
         hits = 0

@@ -120,7 +120,7 @@ class TestGenerate:
         backbone = pretrain_backbone(backbone, pre_train, 20, 0.05, make_rng(9))
 
         def ncm_accuracy(train, test):
-            state = ExperimentState(backbone, None, Classifier.cosine({}))
+            state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 8))))
             core_learn_ncm(state, train)
             hits = sum(
                 classify(state.classifier, embed(backbone, None, x))[0] == y
@@ -154,7 +154,7 @@ class TestPretrain:
         backbone, _ = init_model(cfg, make_rng(12))
         pre_train, pre_test, _ = generate_synthetic(SMALL)
         backbone = pretrain_backbone(backbone, pre_train, 20, 0.05, make_rng(13))
-        state = ExperimentState(backbone, None, Classifier.cosine({}))
+        state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 4))))
         core_learn_ncm(state, pre_train)
         hits = sum(
             classify(state.classifier, embed(backbone, None, x))[0] == y

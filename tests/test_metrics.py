@@ -118,7 +118,7 @@ class TestMarkovBound:
 class TestStabilityBound:
     def test_no_deviation(self):
         e = l2_normalize(np.ones(4))
-        r = check_stability_bound([e], [e], {0: e}, [0])
+        r = check_stability_bound([e], [e], [e])
         assert r.lhs == 0.0
         assert r.passed
 
@@ -126,7 +126,7 @@ class TestStabilityBound:
         rng = make_rng(4)
         p = l2_normalize(rng.standard_normal(4))
         old = l2_normalize(rng.standard_normal(4))
-        r = check_stability_bound([old], [p], {0: p}, [0])
+        r = check_stability_bound([old], [p], [p])
         assert r.passed
 
     @given(st.integers(0, 2**32 - 1))
@@ -136,7 +136,7 @@ class TestStabilityBound:
         old = l2_normalize(rng.standard_normal(8))
         new = l2_normalize(rng.standard_normal(8))
         p = l2_normalize(rng.standard_normal(8))
-        assert check_stability_bound([old], [new], {0: p}, [0]).passed
+        assert check_stability_bound([old], [new], [p]).passed
 
 
 class TestLemma1:

@@ -209,20 +209,20 @@ class TestBackprop:
 
 class TestClassify:
     def test_basic(self):
-        clf = Classifier.cosine({0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])})
+        clf = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
         pred, logits = classify(clf, np.array([1.0, 0.0]))
         assert pred == 0
         np.testing.assert_allclose(logits, [1.0, 0.0])
 
     def test_tie_breaks_low_id(self):
-        clf = Classifier.cosine({3: np.array([1.0, 0.0]), 7: np.array([1.0, 0.0])})
+        clf = Classifier([3, 7], np.array([[1.0, 0.0], [1.0, 0.0]]))
         pred, _ = classify(clf, np.array([1.0, 0.0]))
         assert pred == 3
 
     def test_brute_force_oracle(self):
         rng = make_rng(21)
         protos = {c: l2_normalize(rng.standard_normal(6)) for c in range(5)}
-        clf = Classifier.cosine(protos)
+        clf = Classifier(list(protos), np.stack(list(protos.values())))
         for _ in range(100):
             e = l2_normalize(rng.standard_normal(6))
             sims = {c: float(e @ p) for c, p in protos.items()}
@@ -234,7 +234,7 @@ class TestClassify:
     def test_batch_matches_single_rows(self, variant):
         rng = make_rng(23)
         if variant == "cosine":
-            clf = Classifier.cosine({c: l2_normalize(rng.standard_normal(4)) for c in (2, 5, 9)})
+            clf = Classifier([2, 5, 9], np.stack([l2_normalize(rng.standard_normal(4)) for _ in range(3)]))
         else:
             clf = Classifier.linear([2, 5, 9], 4)
             clf.weight = rng.standard_normal((3, 4))
@@ -250,11 +250,57 @@ class TestClassify:
     def test_positive_rescale_invariance(self):
         rng = make_rng(22)
         protos = {c: l2_normalize(rng.standard_normal(4)) for c in range(3)}
-        clf = Classifier.cosine(protos)
+        clf = Classifier(list(protos), np.stack(list(protos.values())))
         for _ in range(20):
             e = l2_normalize(rng.standard_normal(4))
             pred, logits = classify(clf, e)
             assert pred == clf.class_ids[int(np.argmax(5.0 * logits))]
+
+
+class TestAddClasses:
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_interleaved_ids_are_inserted(self, linear):
+        # a permuted stream brings ids that sort between and below the stored
+        # ones: each must land in its sorted place without moving old rows
+        rng = make_rng(24)
+        old_ids, new_ids = [2, 5, 9], [7, 0, 3]
+        units = np.stack([l2_normalize(rng.standard_normal(4)) for _ in range(6)])
+        if linear:
+            clf = Classifier.linear(old_ids, 4)
+            clf.weight = rng.standard_normal((3, 4))
+            clf.bias = rng.standard_normal(3)
+        else:
+            clf = Classifier(old_ids, units[:3])
+        rows = dict(zip(old_ids, clf.weight.copy()))
+        biases = dict(zip(old_ids, clf.bias.copy() if linear else np.zeros(3)))
+        clf.add_classes(new_ids, units[3:])
+        rows.update(zip(new_ids, units[3:]))
+        biases.update(dict.fromkeys(new_ids, 0.0))
+        assert clf.class_ids == [0, 2, 3, 5, 7, 9]
+        for c in old_ids:
+            i = clf.class_ids.index(c)
+            assert clf.weight[i].tobytes() == rows[c].tobytes()
+            if linear:
+                assert clf.bias[i].tobytes() == biases[c].tobytes()
+        for c in new_ids:
+            i = clf.class_ids.index(c)
+            np.testing.assert_array_equal(clf.weight[i], rows[c])
+            if linear:
+                assert clf.bias[i] == 0.0
+        es = np.stack([l2_normalize(rng.standard_normal(4)) for _ in range(50)])
+        preds, _ = classify(clf, es)
+        for e, pred in zip(es, preds):
+            scores = {c: float(e @ rows[c]) + biases[c] for c in rows}
+            assert pred == max(sorted(scores), key=scores.__getitem__)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_present_id_rejected(self, linear):
+        clf = Classifier.linear([1, 4], 2) if linear else Classifier([1, 4], np.eye(2))
+        before = clf.weight.copy()
+        with pytest.raises(ValueError, match="class 4 already in classifier"):
+            clf.add_classes([0, 4], np.ones((2, 2)))
+        assert clf.class_ids == [1, 4]
+        np.testing.assert_array_equal(clf.weight, before)
 
 
 def test_checkpoint_roundtrip(tmp_path, small_model):
