@@ -24,6 +24,7 @@ from .model import (
 )
 from .numerics import (
     OptimizerState,
+    diverged_as,
     l2_normalize,
     log_sum_exp,
     params_hash,
@@ -75,46 +76,39 @@ def compute_prototypes(backbone, adapter, data) -> Classifier:
     return Classifier(ids, np.stack(rows))
 
 
-def acl_loss(e_star: np.ndarray, label, table: Classifier, tau: float):
+def acl_loss(e_star: np.ndarray, labels: np.ndarray, table: Classifier, tau: float):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
     the embedding as a free vector, before the normalization Jacobian.
 
-    table: a cosine Classifier whose weight rows are the prototypes. One
-    embedding (d,) and label give a float and a (d,) gradient; a batch
-    (n, d) with n labels gives per-row losses (n,) and gradients (n, d)."""
-    e = np.atleast_2d(e_star)
-    y_idx = label_index(table.class_ids, np.atleast_1d(label), "prototype table")
+    table: a cosine Classifier whose weight rows are the prototypes. (n, d)
+    embeddings with (n,) labels give per-row losses (n,) and gradients (n, d)."""
+    y_idx = label_index(table.class_ids, labels, "prototype table")
     p = table.weight  # (C, d)
-    scores = (e @ p.T) / tau
+    scores = (e_star @ p.T) / tau
     lse = log_sum_exp(scores)
-    loss = lse - scores[np.arange(len(e)), y_idx]
+    loss = lse - scores[np.arange(len(e_star)), y_idx]
     soft = np.exp(scores - lse[:, None])
     grad = (soft @ p - p[y_idx]) / tau
-    if np.ndim(e_star) == 1:
-        return float(loss[0]), grad[0]
     return loss, grad
 
 
-def ce_adapt_loss(e_star: np.ndarray, label, head: Classifier):
+def ce_adapt_loss(e_star: np.ndarray, labels: np.ndarray, head: Classifier):
     """Softmax cross-entropy on linear-head logits.
 
-    Returns (loss, d_loss/d_e_star, d_loss/d_W, d_loss/d_b). For a batch
-    (n, d) with n labels, loss and d_e are per row and d_W, d_b are the
-    gradients of the summed loss."""
-    e = np.atleast_2d(e_star)
-    y_idx = label_index(head.class_ids, np.atleast_1d(label), "head")
-    rows = np.arange(len(e))
-    logits = e @ head.weight.T + head.bias
+    Returns (loss, d_loss/d_e_star, d_loss/d_W, d_loss/d_b) for (n, d)
+    embeddings with (n,) labels: loss (n,) and d_e (n, d) are per row, and
+    d_W, d_b are the gradients of the summed loss."""
+    y_idx = label_index(head.class_ids, labels, "head")
+    rows = np.arange(len(e_star))
+    logits = e_star @ head.weight.T + head.bias
     lse = log_sum_exp(logits)
     loss = lse - logits[rows, y_idx]
     delta = np.exp(logits - lse[:, None])
     delta[rows, y_idx] -= 1.0
     d_e = delta @ head.weight
-    d_w = delta.T @ e
+    d_w = delta.T @ e_star
     d_b = delta.sum(axis=0)
-    if np.ndim(e_star) == 1:
-        return float(loss[0]), d_e[0], d_w, d_b
     return loss, d_e, d_w, d_b
 
 
@@ -171,55 +165,56 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     head_state = OptimizerState(lr=config.lr, momentum=config.momentum)
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(labels))
-        for start in range(0, len(labels), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            y = labels[idx]
-            e_star, tape = embed_with_tape(backbone, adapter, x[idx])
-            if head is not None:
-                losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y, head)
-            else:
-                losses, d_e = acl_loss(e_star, y, table, config.temperature)
-            require_finite(losses, f"loss in epoch {epoch}")
-            if head is None:
-                # the threshold implies the batch's Markov bound, checked per epoch
-                pred, _ = classify(table, e_star)
-                low = loss_threshold_violations(losses, pred != y)
-                if low.size:
-                    raise BoundViolation(
-                        f"misclassified sample with loss {float(losses[low[0]])!r} < log 2"
+        with diverged_as(f"adaptation diverged in epoch {epoch}"):
+            order = rng.permutation(len(labels))
+            for start in range(0, len(labels), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                y = labels[idx]
+                e_star, tape = embed_with_tape(backbone, adapter, x[idx])
+                if head is not None:
+                    losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y, head)
+                else:
+                    losses, d_e = acl_loss(e_star, y, table, config.temperature)
+                require_finite(losses, f"loss in epoch {epoch}")
+                if head is None:
+                    # the threshold implies the batch's Markov bound, checked per epoch
+                    pred, _ = classify(table, e_star)
+                    low = loss_threshold_violations(losses, pred != y)
+                    if low.size:
+                        raise BoundViolation(
+                            f"misclassified sample with loss {float(losses[low[0]])!r} < log 2"
+                        )
+                sgd_step(params, backprop(tape, backbone, adapter, d_e / len(idx)), state)
+                if head is not None:
+                    sgd_step(
+                        {"W": head.weight, "b": head.bias},
+                        {"W": d_w / len(idx), "b": d_b / len(idx)},
+                        head_state,
                     )
-            sgd_step(params, backprop(tape, backbone, adapter, d_e / len(idx)), state)
-            if head is not None:
-                sgd_step(
-                    {"W": head.weight, "b": head.bias},
-                    {"W": d_w / len(idx), "b": d_b / len(idx)},
-                    head_state,
-                )
 
-        new_embeds = embed(backbone, adapter, x)
-        losses, _ = acl_loss(new_embeds, labels, table, config.temperature)
-        pred, _ = classify(table, new_embeds)
-        stability = check_stability_bound(
-            old_embeds, new_embeds, label_protos, context="stability"
-        )
-        markov = check_markov_bound(losses, pred == labels, context="markov")
-        for check in (stability, markov):
-            if not check.passed:
-                raise BoundViolation(
-                    f"{check.context} bound violated in epoch {epoch}: "
-                    f"{check.lhs} > {check.rhs}"
-                )
-        report.epochs.append(
-            {
-                "epoch": epoch,
-                "mean_loss": float(np.mean(losses)),
-                "bound_lhs": stability.lhs,
-                "bound_rhs": stability.rhs,
-                "markov_lhs": markov.lhs,
-                "markov_rhs": markov.rhs,
-                "checks": (stability, markov),
-            }
-        )
+            new_embeds = embed(backbone, adapter, x)
+            losses, _ = acl_loss(new_embeds, labels, table, config.temperature)
+            pred, _ = classify(table, new_embeds)
+            stability = check_stability_bound(
+                old_embeds, new_embeds, label_protos, context="stability"
+            )
+            markov = check_markov_bound(losses, pred == labels, context="markov")
+            for check in (stability, markov):
+                if not check.passed:
+                    raise BoundViolation(
+                        f"{check.context} bound violated in epoch {epoch}: "
+                        f"{check.lhs} > {check.rhs}"
+                    )
+            report.epochs.append(
+                {
+                    "epoch": epoch,
+                    "mean_loss": float(np.mean(losses)),
+                    "bound_lhs": stability.lhs,
+                    "bound_rhs": stability.rhs,
+                    "markov_lhs": markov.lhs,
+                    "markov_rhs": markov.rhs,
+                    "checks": (stability, markov),
+                }
+            )
     assert params_hash({"prototypes": table.weight}) == table_hash, "prototypes changed"
     return backbone, adapter, report

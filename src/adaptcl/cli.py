@@ -251,6 +251,7 @@ def cmd_run(config: RunConfig, data=None, pretrained=None, disabled=None) -> int
                 except AdaptclError as e:
                     manifest["status"][cell] = f"error: {e}"
                     manifest["failures"][cell] = _failure(cell, e)
+                    manifest["wall_clock"][cell] = round(time.perf_counter() - t0, 3)
                     exit_code = 1
                     continue
                 if mode == "disabled":

@@ -108,7 +108,7 @@ def core_learn_linear(
             if adapter_params is None:
                 e = frozen[i]
             else:
-                e, tape = embed_with_tape(state.backbone, state.adapter, x[i])
+                (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
             z = W @ e + b
             # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
             # linear epoch sweep (BENCH_3.json)
@@ -120,7 +120,7 @@ def core_learn_linear(
             delta = np.exp(z - lse)  # softmax, then minus the one-hot label
             delta[rows[i]] -= 1.0
             if adapter_params is not None:
-                grads = backprop(tape, state.backbone, state.adapter, delta @ W)
+                grads = backprop(tape, state.backbone, state.adapter, (delta @ W)[None])
                 sgd_step(adapter_params, grads, adapter_state)
             W -= lr * (delta[:, None] * e)  # outer(delta, e)
             b -= lr * delta

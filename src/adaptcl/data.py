@@ -14,7 +14,7 @@ from .continual import Task, TaskStream
 from .errors import InvalidSpec
 from .model import Classifier, backprop, embed_with_tape
 from .adaptation import ce_adapt_loss
-from .numerics import OptimizerState, make_rng, require_finite, sgd_step
+from .numerics import OptimizerState, diverged_as, make_rng, require_finite, sgd_step
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,19 @@ def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: i
     params = backbone.param_dict()
     state = OptimizerState(lr=lr, momentum=0.9)
     head_state = OptimizerState(lr=lr, momentum=0.9)
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(len(labels))
-        for start in range(0, len(labels), batch_size):
-            idx = order[start : start + batch_size]
-            e, tape = embed_with_tape(backbone, None, x[idx])
-            loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[idx], head)
-            require_finite(loss, "pretraining loss")
-            sgd_step(params, backprop(tape, backbone, None, d_e / len(idx)), state)
-            sgd_step(
-                {"W": head.weight, "b": head.bias},
-                {"W": d_w / len(idx), "b": d_b / len(idx)},
-                head_state,
-            )
+        with diverged_as(f"pretraining diverged in epoch {epoch}"):
+            for start in range(0, len(labels), batch_size):
+                idx = order[start : start + batch_size]
+                e, tape = embed_with_tape(backbone, None, x[idx])
+                loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[idx], head)
+                require_finite(loss, "pretraining loss")
+                sgd_step(params, backprop(tape, backbone, None, d_e / len(idx)), state)
+                sgd_step(
+                    {"W": head.weight, "b": head.bias},
+                    {"W": d_w / len(idx), "b": d_b / len(idx)},
+                    head_state,
+                )
     return backbone
 

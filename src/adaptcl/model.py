@@ -109,29 +109,24 @@ def init_model(config: ModelConfig, rng: np.random.Generator, adapter_rank: int 
 
 @dataclass
 class Tape:
-    """Intermediates of one forward pass over a batch; consumed exactly once
-    by backprop. unit, pre_norm and norm keep the caller's shape (a vector and
-    a float for one 1-D input, (n, d) and (n,) for a batch); the per-layer
-    intermediates are always (n, width) matrices."""
+    """Intermediates of one forward pass over an (n, D) batch; consumed
+    exactly once by backprop. unit is (n, d) and norm (n,)."""
 
     acts: list  # inputs to each layer: x, then each hidden layer's activation
     raw_embed: np.ndarray  # backbone output before adapter
-    adapter_act: "np.ndarray | None"  # act(e @ Down^T)
-    pre_norm: np.ndarray  # embedding before normalization
-    norm: "float | np.ndarray"
+    adapter_act: "np.ndarray | None"  # act(e @ Down^T); None without an adapter
+    norm: np.ndarray
     unit: np.ndarray
-    has_adapter: bool
     consumed: bool = False
 
 
-def _forward(backbone, adapter, x):
-    x = np.asarray(x, dtype=np.float64)
+def embed_with_tape(backbone: Backbone, adapter, x):
+    """Forward pass over (n, D) rows: the (n, d) unit embeddings and the Tape
+    that backprop consumes."""
+    a = np.asarray(x, dtype=np.float64)
     in_dim = backbone.weights[0].shape[1]
-    if x.ndim not in (1, 2) or x.shape[-1] != in_dim:
-        raise DimensionMismatch(
-            f"input shape {x.shape} vs expected ({in_dim},) or (n, {in_dim})"
-        )
-    a = x if x.ndim == 2 else x[None]
+    if a.ndim != 2 or a.shape[1] != in_dim:
+        raise DimensionMismatch(f"input shape {a.shape} vs expected (n, {in_dim})")
     acts = []
     for w, b in zip(backbone.weights[:-1], backbone.biases[:-1]):
         acts.append(a)
@@ -149,28 +144,14 @@ def _forward(backbone, adapter, x):
         raise DegenerateVector(
             f"embedding norm {norm[~ok][0]:g}: need a finite norm > {EPS_NORM:g}"
         )
-    pre_norm, unit = a, a / norm[:, None]
-    if x.ndim == 1:
-        pre_norm, norm, unit = pre_norm[0], norm[0], unit[0]
-    tape = Tape(
-        acts=acts,
-        raw_embed=raw,
-        adapter_act=adapter_act,
-        pre_norm=pre_norm,
-        norm=norm,
-        unit=unit,
-        has_adapter=adapter is not None,
-    )
+    unit = a / norm[:, None]
+    tape = Tape(acts=acts, raw_embed=raw, adapter_act=adapter_act, norm=norm, unit=unit)
     return unit, tape
 
 
 def embed(backbone: Backbone, adapter, x) -> np.ndarray:
-    """Forward pass to unit-norm embeddings: (D,) -> (d,), (n, D) -> (n, d)."""
-    return _forward(backbone, adapter, x)[0]
-
-
-def embed_with_tape(backbone: Backbone, adapter, x):
-    return _forward(backbone, adapter, x)
+    """Forward pass to unit-norm embeddings: (n, D) -> (n, d)."""
+    return embed_with_tape(backbone, adapter, x)[0]
 
 
 def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -> dict:
@@ -188,11 +169,10 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
         raise DimensionMismatch(f"{g.shape} vs {tape.unit.shape}")
 
     grads = {}
-    g = np.atleast_2d(g)
-    u = np.atleast_2d(tape.unit)
-    d_pre = (g - u * np.sum(u * g, axis=1, keepdims=True)) / np.reshape(tape.norm, (-1, 1))
+    u = tape.unit
+    d_pre = (g - u * np.sum(u * g, axis=1, keepdims=True)) / tape.norm[:, None]
 
-    if tape.has_adapter:
+    if tape.adapter_act is not None:
         h = tape.adapter_act
         d_h = _act_deriv(adapter.activation, h) * (d_pre @ adapter.up)
         grads["adapter.up"] = d_pre.T @ h
@@ -253,11 +233,11 @@ class Classifier:
             self.bias = np.concatenate([self.bias, np.zeros(len(rows))])[order]
 
     def logits(self, embedding: np.ndarray) -> np.ndarray:
-        """Logits per class id: (d,) -> (C,), (n, d) -> (n, C)."""
+        """Logits per class id: (n, d) -> (n, C)."""
         if not self.class_ids:
             raise EmptyClassifier("no classes registered")
         e = np.asarray(embedding, dtype=np.float64)
-        if e.shape[-1] != self.weight.shape[1]:
+        if e.ndim != 2 or e.shape[1] != self.weight.shape[1]:
             raise DimensionMismatch(f"{e.shape} vs weight {self.weight.shape}")
         if self.bias is None:
             return np.clip(e @ self.weight.T, -1.0, 1.0)
@@ -265,12 +245,10 @@ class Classifier:
 
 
 def classify(classifier: Classifier, embedding: np.ndarray):
-    """Predicted class ids and logits (ordered by ascending class id): an id
-    for one 1-D embedding, an (n,) id array for a batch."""
+    """Predicted class ids (n,) and logits (n, C), ordered by ascending class
+    id, for (n, d) embeddings."""
     logits = classifier.logits(embedding)
-    idx = np.argmax(logits, axis=-1)  # argmax returns the first max: lowest id wins
-    if logits.ndim == 1:
-        return classifier.class_ids[int(idx)], logits
+    idx = np.argmax(logits, axis=1)  # argmax returns the first max: lowest id wins
     return np.asarray(classifier.class_ids)[idx], logits
 
 

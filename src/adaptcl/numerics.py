@@ -5,6 +5,7 @@ All arithmetic is float64. The RNG is numpy's counter-based Philox generator,
 which produces identical streams for identical seeds on every platform.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +49,13 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def log_sum_exp(logits):
-    """Numerically stable log(sum(exp(s_i))) over the last axis: a float for
-    a vector, one value per row for a matrix."""
+    """Numerically stable log(sum(exp(s_i))) over the last axis: one value
+    per row of an (n, C) matrix."""
     s = np.asarray(logits, dtype=np.float64)
     if s.size == 0:
         raise EmptyInput("log_sum_exp of empty sequence")
     m = s.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(s - m).sum(axis=-1))
-    return float(lse) if lse.ndim == 0 else lse
+    return m[..., 0] + np.log(np.exp(s - m).sum(axis=-1))
 
 
 @dataclass
@@ -120,6 +120,20 @@ def require_finite(losses, what: str) -> None:
     bad = ~np.isfinite(losses)
     if bad.any():
         raise NonFiniteLoss(f"{what}: {losses[bad][0]} in {bad.sum()} of {bad.size} rows")
+
+
+@contextmanager
+def diverged_as(what: str):
+    """Run one epoch of a training loop with floating-point overflow and
+    invalid values raising. Either, or an embedding the loop can no longer
+    normalize, ends it as a one-line NonFiniteLoss "<what>: <reason>". A
+    silent inf weight could leave tanh embeddings finite and reach a
+    checkpoint that load_checkpoint rejects."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, DegenerateVector) as e:
+        raise NonFiniteLoss(f"{what}: {e}") from e
 
 
 def params_hash(params: dict) -> str:

@@ -187,7 +187,7 @@ def run_gradient_battery(
     """Backprop through embed -> normalize -> contrastive loss vs central
     finite differences, per parameter group.
 
-    Even probes are one 1-D input row. Odd probes stack the same draw with
+    Even probes are one (1, D) input row. Odd probes stack the same draw with
     two more rows from a separate stream and check the summed loss, so a
     gradient that drops or mixes rows of a batch fails too.
 
@@ -212,12 +212,12 @@ def run_gradient_battery(
             adapter = None
         table = _random_table(rng, cfg.embed_dim, 3)
         for probe in range(n_probes):
-            x = rng.standard_normal(cfg.input_dim)
-            y = int(rng.integers(3))
+            x = rng.standard_normal((1, cfg.input_dim))
+            y = rng.integers(3, size=1)
             tau = float(rng.uniform(0.05, 0.5))
             if probe % 2 == 1:
                 x = np.vstack([x, batch_rng.standard_normal((2, cfg.input_dim))])
-                y = np.concatenate([[y], batch_rng.integers(3, size=2)])
+                y = np.concatenate([y, batch_rng.integers(3, size=2)])
 
             def loss_fn(_params):
                 e = embed(backbone, adapter, x)
@@ -228,7 +228,7 @@ def run_gradient_battery(
             _, d_e = acl_loss(e, y, table, tau)
             analytic = model_mod.backprop(tape, backbone, adapter, d_e)
             numeric = finite_diff_grad(loss_fn, params, h)
-            rows = np.size(y)
+            rows = len(y)
             for name in params:
                 err = np.linalg.norm(analytic[name] - numeric[name])
                 floor = 8 * rows * EPS * np.sqrt(numeric[name].size) / (tau * h)

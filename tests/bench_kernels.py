@@ -5,9 +5,9 @@ Run with `python -m pytest tests/bench_kernels.py`. The name does not match
 `test_*.py`, so the test suite does not collect this file. The model has the
 default shape (32 -> 64, 64 -> 16, adapter rank 8). The prototype table (a
 cosine Classifier, which acl_loss and classify both read) and the linear
-head have 10 classes. n = 1 is a single 1-D row; n = 16 and 32 are (n, D)
-batches. The SGD step updates the backbone parameters of the
-default model with momentum 0.9, as each pretraining batch does.
+head have 10 classes. Every size is an (n, D) batch, n = 1 included. The
+SGD step updates the backbone parameters of the default model with
+momentum 0.9, as each pretraining batch does.
 """
 
 import numpy as np
@@ -47,8 +47,6 @@ def _batch(model, n):
     rng = make_rng(1, n)
     x = rng.standard_normal((n, cfg.input_dim))
     y = rng.integers(N_CLASSES, size=n)
-    if n == 1:
-        x, y = x[0], int(y[0])
     return x, y, embed(backbone, adapter, x)
 
 

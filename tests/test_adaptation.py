@@ -41,10 +41,10 @@ class TestComputePrototypes:
 
     def test_single_sample(self):
         backbone = _IdentityBackbone()
-        x = np.array([3.0, 4.0])
-        protos = compute_prototypes(backbone, None, (x[None], np.array([1])))
+        x = np.array([[3.0, 4.0]])
+        protos = compute_prototypes(backbone, None, (x, np.array([1])))
         np.testing.assert_allclose(
-            protos.weight[protos.class_ids.index(1)], embed(backbone, None, x), atol=0
+            protos.weight[protos.class_ids.index(1)], embed(backbone, None, x)[0], atol=0
         )
 
     def test_degenerate_mean(self):
@@ -61,26 +61,26 @@ class TestComputePrototypes:
 class TestAclLoss:
     def test_single_prototype(self):
         protos = Classifier([0], np.array([[1.0, 0.0]]))
-        loss, grad = acl_loss(np.array([0.0, 1.0]), 0, protos, 0.1)
-        assert loss == 0.0
+        loss, grad = acl_loss(np.array([[0.0, 1.0]]), np.array([0]), protos, 0.1)
+        assert loss.tolist() == [0.0]
 
     def test_aligned_embedding(self):
         protos = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss, _ = acl_loss(np.array([1.0, 0.0]), 0, protos, 0.1)
+        (loss,), _ = acl_loss(np.array([[1.0, 0.0]]), np.array([0]), protos, 0.1)
         assert loss == pytest.approx(math.log(1 + math.exp(-10)), rel=1e-12)
 
     def test_wrong_class_prototype(self):
         protos = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        loss, _ = acl_loss(np.array([0.0, 1.0]), 0, protos, 0.1)
+        (loss,), _ = acl_loss(np.array([[0.0, 1.0]]), np.array([0]), protos, 0.1)
         assert loss == pytest.approx(math.log(1 + math.exp(10)), rel=1e-12)
         assert loss >= LOG2
 
     def test_unknown_label(self):
         protos = Classifier([0], np.array([[1.0, 0.0]]))
         with pytest.raises(UnknownLabel):
-            acl_loss(np.array([1.0, 0.0]), 9, protos, 0.1)
+            acl_loss(np.array([[1.0, 0.0]]), np.array([9]), protos, 0.1)
         with pytest.raises(UnknownLabel):
-            acl_loss(np.eye(2), [0, 9], protos, 0.1)
+            acl_loss(np.eye(2), np.array([0, 9]), protos, 0.1)
 
     def test_batch_rows_match_single(self):
         rng = make_rng(33)
@@ -88,13 +88,14 @@ class TestAclLoss:
             [1, 4, 6, 8], np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(4)])
         )
         es = np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(7)])
-        labels = [4, 1, 8, 8, 6, 1, 4]
+        labels = np.array([4, 1, 8, 8, 6, 1, 4])
         losses, grads = acl_loss(es, labels, protos, 0.2)
         assert losses.shape == (7,) and grads.shape == (7, 5)
-        for e, y, loss, grad in zip(es, labels, losses, grads):
-            single_loss, single_grad = acl_loss(e, y, protos, 0.2)
-            assert loss == pytest.approx(single_loss, abs=1e-12)
-            np.testing.assert_allclose(grad, single_grad, rtol=0, atol=1e-12)
+        for i, (loss, grad) in enumerate(zip(losses, grads)):
+            single_loss, single_grad = acl_loss(es[i : i + 1], labels[i : i + 1], protos, 0.2)
+            assert single_loss.shape == (1,) and single_grad.shape == (1, 5)
+            assert loss == pytest.approx(single_loss[0], abs=1e-12)
+            np.testing.assert_allclose(grad, single_grad[0], rtol=0, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
         rng = make_rng(31)
@@ -102,11 +103,11 @@ class TestAclLoss:
             list(range(4)), np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(4)])
         )
         for _ in range(10):
-            e = l2_normalize(rng.standard_normal(5))
+            e = l2_normalize(rng.standard_normal(5))[None]
             tau = float(rng.uniform(0.05, 0.5))
-            _, grad = acl_loss(e, 2, protos, tau)
+            _, grad = acl_loss(e, np.array([2]), protos, tau)
             numeric = finite_diff_grad(
-                lambda p: acl_loss(p["e"], 2, protos, tau)[0],
+                lambda p: acl_loss(p["e"], np.array([2]), protos, tau)[0][0],
                 {"e": e.copy()},
                 1e-6,
             )["e"]
@@ -116,13 +117,13 @@ class TestAclLoss:
 class TestCeAdaptLoss:
     def test_uniform_logits(self):
         head = Classifier.linear([0, 1, 2, 3], 4)
-        loss, *_ = ce_adapt_loss(np.ones(4) / 2.0, 1, head)
+        (loss,), *_ = ce_adapt_loss(np.ones((1, 4)) / 2.0, np.array([1]), head)
         assert loss == pytest.approx(math.log(4), abs=1e-12)
 
     def test_large_margin_limit(self):
         head = Classifier.linear([0, 1], 2)
         head.weight = np.array([[50.0, 0.0], [-50.0, 0.0]])
-        loss, *_ = ce_adapt_loss(np.array([1.0, 0.0]), 0, head)
+        (loss,), *_ = ce_adapt_loss(np.array([[1.0, 0.0]]), np.array([0]), head)
         assert loss < 1e-12
 
     def test_gradient_vs_finite_differences(self):
@@ -130,16 +131,17 @@ class TestCeAdaptLoss:
         head = Classifier.linear([0, 1, 2], 4)
         head.weight = rng.standard_normal((3, 4))
         head.bias = rng.standard_normal(3)
-        e = l2_normalize(rng.standard_normal(4))
-        _, d_e, d_w, d_b = ce_adapt_loss(e, 1, head)
+        e = l2_normalize(rng.standard_normal(4))[None]
+        y = np.array([1])
+        _, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
         num_e = finite_diff_grad(
-            lambda p: ce_adapt_loss(p["e"], 1, head)[0], {"e": e.copy()}, 1e-6
+            lambda p: ce_adapt_loss(p["e"], y, head)[0][0], {"e": e.copy()}, 1e-6
         )["e"]
         np.testing.assert_allclose(d_e, num_e, atol=1e-6)
 
         def loss_of_head(p):
             head.weight, head.bias = p["W"], p["b"]
-            return ce_adapt_loss(e, 1, head)[0]
+            return ce_adapt_loss(e, y, head)[0][0]
 
         nums = finite_diff_grad(
             loss_of_head, {"W": head.weight.copy(), "b": head.bias.copy()}, 1e-6
@@ -154,11 +156,13 @@ class TestCeAdaptLoss:
         head.weight = rng.standard_normal((3, 4))
         head.bias = rng.standard_normal(3)
         es = np.stack([l2_normalize(rng.standard_normal(4)) for _ in range(5)])
-        labels = [2, 0, 1, 1, 2]
+        labels = np.array([2, 0, 1, 1, 2])
         losses, d_e, d_w, d_b = ce_adapt_loss(es, labels, head)
-        singles = [ce_adapt_loss(e, y, head) for e, y in zip(es, labels)]
-        np.testing.assert_allclose(losses, [s[0] for s in singles], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(d_e, np.stack([s[1] for s in singles]), rtol=0, atol=1e-12)
+        singles = [ce_adapt_loss(es[i : i + 1], labels[i : i + 1], head) for i in range(5)]
+        single_losses = np.concatenate([s[0] for s in singles])
+        np.testing.assert_allclose(losses, single_losses, rtol=0, atol=1e-12)
+        single_d_e = np.concatenate([s[1] for s in singles])
+        np.testing.assert_allclose(d_e, single_d_e, rtol=0, atol=1e-12)
         np.testing.assert_allclose(d_w, sum(s[2] for s in singles), rtol=0, atol=1e-12)
         np.testing.assert_allclose(d_b, sum(s[3] for s in singles), rtol=0, atol=1e-12)
 

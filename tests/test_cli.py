@@ -517,20 +517,35 @@ class TestFailures:
         )
 
     def test_failed_cells_named_on_stderr(self, tiny_config, tmp_path, capsys):
-        # pretraining diverges, so both cells of the seed fail before run_acl
         cfg = tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
-        tiny_config.write_text(cfg + "pretrain.lr = 1e200\n")
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
-        reason = "DegenerateVector: embedding norm nan: need a finite norm > 1e-08"
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: seed=11,mode=acl: {reason}",
-            f"error: seed=11,mode=disabled: {reason}",
-        ]
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"]["seed=11,mode=acl"] == "error: " + reason.split(": ", 1)[1]
+        pretrain = "pretraining diverged in epoch 1: overflow encountered in multiply"
+        adaptation = (
+            "adaptation diverged in epoch 1: embedding norm inf: need a finite norm > 1e-08"
+        )
+        cases = {
+            # pretraining diverges, so both cells of the seed fail before run_acl
+            "pretrain.lr = 1e200": {
+                "acl": ("error: ", pretrain),
+                "disabled": ("error: ", pretrain),
+            },
+            # adaptation diverges; the disabled cell does not adapt and passes
+            "adapt.lr = 1e200": {"acl": ("failed: NonFiniteLoss: ", adaptation)},
+        }
+        for i, (setting, cells) in enumerate(cases.items()):
+            tiny_config.write_text(cfg + setting + "\n")
+            out = tmp_path / f"o{i}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # divergence is reported, not warned about
+                assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: seed=11,mode={mode}: NonFiniteLoss: {reason}"
+                for mode, (_, reason) in cells.items()
+            ]
+            manifest = json.loads((out / "manifest.json").read_text())
+            for mode, (status, reason) in cells.items():
+                assert manifest["status"][f"seed=11,mode={mode}"] == status + reason
+            # every cell's time is recorded, a failed one's too
+            assert set(manifest["wall_clock"]) == {"seed=11,mode=acl", "seed=11,mode=disabled"}
 
     def test_no_failures_on_success(self, tiny_config, tmp_path):
         out = tmp_path / "o"

@@ -85,14 +85,14 @@ class TestCoreLearnNcm:
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream.tasks[0].train)
         core_learn_ncm(state, stream.tasks[1].train)
-        x = stream.tasks[0].test[0][0]
+        x = stream.tasks[0].test[0][:1]
         e = embed(backbone, adapter, x)
         sims = {
-            c: float(e @ p) for c, p in zip(state.classifier.class_ids, state.classifier.weight)
+            c: float(e[0] @ p) for c, p in zip(state.classifier.class_ids, state.classifier.weight)
         }
         expected = min(c for c in sims if sims[c] == max(sims.values()))
         pred, _ = classify(state.classifier, e)
-        assert pred == expected
+        assert pred.tolist() == [expected]
 
 
 class TestCoreLearnLinear:
@@ -117,11 +117,11 @@ class TestCoreLearnLinear:
 
         def acc(state):
             hits = 0
-            for x, y in zip(*data):
+            for x, y in zip(data[0][:, None], data[1]):
                 pred, _ = classify(
                     state.classifier, embed(state.backbone, state.adapter, x)
                 )
-                hits += pred == y
+                hits += pred[0] == y
             return hits / len(data[1])
 
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
@@ -143,10 +143,10 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter
     for _ in range(epochs):
         for i in rng.permutation(len(labels)):
             if tune_adapter:
-                e, tape = embed_with_tape(state.backbone, state.adapter, x[i])
+                e, tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
             else:
-                e = frozen[i]
-            _, d_e, d_w, d_b = ce_adapt_loss(e, labels[i], head)
+                e = frozen[i : i + 1]
+            _, d_e, d_w, d_b = ce_adapt_loss(e, labels[i : i + 1], head)
             sgd_step({"W": head.weight, "b": head.bias}, {"W": d_w, "b": d_b}, head_state)
             if tune_adapter:
                 grads = backprop(tape, state.backbone, state.adapter, d_e)
@@ -290,9 +290,9 @@ class TestEvaluate:
         all_zero = (task.test[0], np.zeros_like(task.test[1]))
         t = Task(class_ids=frozenset([0, 1]), train=task.train, test=all_zero)
         s = TaskStream([t])
-        e0 = embed(backbone, adapter, task.test[0][0])
+        e0 = embed(backbone, adapter, task.test[0][:1])
         state = ExperimentState(
-            backbone, adapter, Classifier([0], (e0 / np.linalg.norm(e0))[None])
+            backbone, adapter, Classifier([0], e0 / np.linalg.norm(e0))
         )
         assert evaluate(state, s, 1) == [1.0]
 
@@ -302,7 +302,7 @@ class TestEvaluate:
         core_learn_ncm(state, stream.tasks[0].train)
         row = evaluate(state, stream, 1)
         hits = 0
-        for x, y in zip(*stream.tasks[0].test):
+        for x, y in zip(stream.tasks[0].test[0][:, None], stream.tasks[0].test[1]):
             pred, _ = classify(state.classifier, embed(backbone, adapter, x))
-            hits += pred == y
+            hits += pred[0] == y
         assert row == [hits / len(stream.tasks[0].test[1])]

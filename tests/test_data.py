@@ -123,8 +123,8 @@ class TestGenerate:
             state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 8))))
             core_learn_ncm(state, train)
             hits = sum(
-                classify(state.classifier, embed(backbone, None, x))[0] == y
-                for x, y in zip(*test)
+                classify(state.classifier, embed(backbone, None, x))[0][0] == y
+                for x, y in zip(test[0][:, None], test[1])
             )
             return hits / len(test[1])
 
@@ -157,8 +157,8 @@ class TestPretrain:
         state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 4))))
         core_learn_ncm(state, pre_train)
         hits = sum(
-            classify(state.classifier, embed(backbone, None, x))[0] == y
-            for x, y in zip(*pre_test)
+            classify(state.classifier, embed(backbone, None, x))[0][0] == y
+            for x, y in zip(pre_test[0][:, None], pre_test[1])
         )
         chance = 1.0 / SMALL.n_pretrain_classes
         assert hits / len(pre_test[1]) > 3 * chance

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adaptcl.errors import DegenerateVector, TapeConsumed
+from adaptcl.errors import DegenerateVector, DimensionMismatch, TapeConsumed
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -36,7 +36,7 @@ class TestInit:
 
     def test_zero_init_adapter_is_identity(self, small_model):
         cfg, backbone, adapter = small_model
-        x = make_rng(1).standard_normal(2)
+        x = make_rng(1).standard_normal((1, 2))
         np.testing.assert_array_equal(
             embed(backbone, adapter, x), embed(backbone, None, x)
         )
@@ -56,12 +56,12 @@ class TestEmbed:
     def test_unit_norm(self, small_model):
         _, backbone, adapter = small_model
         for seed in range(5):
-            x = make_rng(seed).standard_normal(2)
-            assert abs(np.linalg.norm(embed(backbone, adapter, x)) - 1) <= 1e-9
+            x = make_rng(seed).standard_normal((1, 2))
+            assert abs(np.linalg.norm(embed(backbone, adapter, x)[0]) - 1) <= 1e-9
 
     def test_deterministic(self, small_model):
         _, backbone, adapter = small_model
-        x = make_rng(2).standard_normal(2)
+        x = make_rng(2).standard_normal((1, 2))
         np.testing.assert_array_equal(
             embed(backbone, adapter, x), embed(backbone, adapter, x)
         )
@@ -72,15 +72,23 @@ class TestEmbed:
         xs = make_rng(5).standard_normal((7, 2))
         batch = embed(backbone, adapter, xs)
         assert batch.shape == (7, 3)
-        singles = [embed(backbone, adapter, x) for x in xs]
-        assert all(e.shape == (3,) for e in singles)
-        np.testing.assert_allclose(batch, np.stack(singles), rtol=0, atol=1e-12)
+        singles = [embed(backbone, adapter, xs[i : i + 1]) for i in range(7)]
+        assert all(e.shape == (1, 3) for e in singles)
+        np.testing.assert_allclose(batch, np.concatenate(singles), rtol=0, atol=1e-12)
 
     def test_tape_matches_plain_embed(self, small_model):
         _, backbone, adapter = small_model
-        x = make_rng(3).standard_normal(2)
+        x = make_rng(3).standard_normal((1, 2))
         e, _tape = embed_with_tape(backbone, adapter, x)
         np.testing.assert_array_equal(e, embed(backbone, adapter, x))
+
+    @pytest.mark.parametrize("fn", [embed, embed_with_tape])
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2), (1, 3)], ids=["1-D", "3-D", "width"])
+    def test_input_not_rows_raises(self, small_model, fn, shape):
+        # every input is an (n, D) batch; a 1-D row is not the case n = 1
+        _, backbone, adapter = small_model
+        with pytest.raises(DimensionMismatch, match="input shape"):
+            fn(backbone, adapter, np.ones(shape))
 
     @pytest.mark.parametrize("value", [1e300, np.nan, 0.0], ids=["overflow", "nan", "zero"])
     def test_norm_outside_finite_range_raises(self, small_model, value):
@@ -128,17 +136,17 @@ def _batch_gradient_error(backprop_fn, seed, n_rows=5, activation="tanh"):
 class TestBackprop:
     def test_tape_single_use(self, small_model):
         _, backbone, adapter = small_model
-        x = make_rng(4).standard_normal(2)
+        x = make_rng(4).standard_normal((1, 2))
         _, tape = embed_with_tape(backbone, adapter, x)
-        backprop(tape, backbone, adapter, np.ones(3))
+        backprop(tape, backbone, adapter, np.ones((1, 3)))
         with pytest.raises(TapeConsumed):
-            backprop(tape, backbone, adapter, np.ones(3))
+            backprop(tape, backbone, adapter, np.ones((1, 3)))
 
     def test_zero_upstream(self, small_model):
         _, backbone, adapter = small_model
-        x = make_rng(4).standard_normal(2)
+        x = make_rng(4).standard_normal((1, 2))
         _, tape = embed_with_tape(backbone, adapter, x)
-        grads = backprop(tape, backbone, adapter, np.zeros(3))
+        grads = backprop(tape, backbone, adapter, np.zeros((1, 3)))
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -156,14 +164,14 @@ class TestBackprop:
             backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)  # see _batch_gradient_error
         direction = rng.standard_normal(3)
         for _ in range(10):
-            x = rng.standard_normal(2)
+            x = rng.standard_normal((1, 2))
 
             def loss_fn(_):
-                return float(embed(backbone, adapter, x) @ direction)
+                return float(embed(backbone, adapter, x)[0] @ direction)
 
             params = model_params(backbone, adapter)
             _, tape = embed_with_tape(backbone, adapter, x)
-            analytic = backprop(tape, backbone, adapter, direction)
+            analytic = backprop(tape, backbone, adapter, direction[None])
             numeric = finite_diff_grad(loss_fn, params, 1e-5)
             for name in params:
                 err = np.linalg.norm(analytic[name] - numeric[name])
@@ -184,10 +192,11 @@ class TestBackprop:
         # d<u,g>/d pre_norm must equal (I - uu^T) g / ||v||
         _, backbone, _ = small_model
         rng = make_rng(11)
-        x = rng.standard_normal(2)
+        x = rng.standard_normal((1, 2))
         g = rng.standard_normal(3)
         _, tape = embed_with_tape(backbone, None, x)
-        u, n = tape.unit, tape.norm
+        u, n = tape.unit[0], tape.norm[0]
+        v = (tape.unit * tape.norm[:, None])[0]  # the pre-norm embedding
         expected = (np.eye(3) - np.outer(u, u)) @ g / n
 
         def loss_fn(pre):
@@ -196,10 +205,7 @@ class TestBackprop:
         h = 1e-7
         numeric = np.array(
             [
-                (
-                    loss_fn(tape.pre_norm + h * np.eye(3)[i])
-                    - loss_fn(tape.pre_norm - h * np.eye(3)[i])
-                )
+                (loss_fn(v + h * np.eye(3)[i]) - loss_fn(v - h * np.eye(3)[i]))
                 / (2 * h)
                 for i in range(3)
             ]
@@ -210,14 +216,14 @@ class TestBackprop:
 class TestClassify:
     def test_basic(self):
         clf = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        pred, logits = classify(clf, np.array([1.0, 0.0]))
-        assert pred == 0
-        np.testing.assert_allclose(logits, [1.0, 0.0])
+        pred, logits = classify(clf, np.array([[1.0, 0.0]]))
+        assert pred.tolist() == [0]
+        np.testing.assert_allclose(logits, [[1.0, 0.0]])
 
     def test_tie_breaks_low_id(self):
         clf = Classifier([3, 7], np.array([[1.0, 0.0], [1.0, 0.0]]))
-        pred, _ = classify(clf, np.array([1.0, 0.0]))
-        assert pred == 3
+        pred, _ = classify(clf, np.array([[1.0, 0.0]]))
+        assert pred.tolist() == [3]
 
     def test_brute_force_oracle(self):
         rng = make_rng(21)
@@ -227,8 +233,8 @@ class TestClassify:
             e = l2_normalize(rng.standard_normal(6))
             sims = {c: float(e @ p) for c, p in protos.items()}
             expected = min(c for c in sims if sims[c] == max(sims.values()))
-            pred, _ = classify(clf, e)
-            assert pred == expected
+            pred, _ = classify(clf, e[None])
+            assert pred.tolist() == [expected]
 
     @pytest.mark.parametrize("variant", ["cosine", "linear"])
     def test_batch_matches_single_rows(self, variant):
@@ -243,9 +249,9 @@ class TestClassify:
         preds, logits = classify(clf, es)
         assert logits.shape == (6, 3)
         for e, pred, row in zip(es, preds, logits):
-            single_pred, single_logits = classify(clf, e)
-            assert pred == single_pred
-            np.testing.assert_allclose(row, single_logits, rtol=0, atol=1e-12)
+            single_pred, single_logits = classify(clf, e[None])
+            assert single_pred.tolist() == [pred]
+            np.testing.assert_allclose(row, single_logits[0], rtol=0, atol=1e-12)
 
     def test_positive_rescale_invariance(self):
         rng = make_rng(22)
@@ -253,8 +259,8 @@ class TestClassify:
         clf = Classifier(list(protos), np.stack(list(protos.values())))
         for _ in range(20):
             e = l2_normalize(rng.standard_normal(4))
-            pred, logits = classify(clf, e)
-            assert pred == clf.class_ids[int(np.argmax(5.0 * logits))]
+            pred, logits = classify(clf, e[None])
+            assert pred.tolist() == [clf.class_ids[int(np.argmax(5.0 * logits[0]))]]
 
 
 class TestAddClasses:
@@ -309,7 +315,7 @@ def test_checkpoint_roundtrip(tmp_path, small_model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, backbone, adapter)
     b2, a2 = load_checkpoint(path)
-    x = make_rng(30).standard_normal(2)
+    x = make_rng(30).standard_normal((1, 2))
     np.testing.assert_array_equal(embed(backbone, adapter, x), embed(b2, a2, x))
 
 
@@ -321,5 +327,5 @@ def test_checkpoint_roundtrip_rank_zero_adapter(tmp_path, small_model):
     save_checkpoint(path, backbone, adapter)
     b2, a2 = load_checkpoint(path)
     assert a2.down.shape == (0, 3) and a2.up.shape == (3, 0)
-    x = make_rng(30).standard_normal(2)
+    x = make_rng(30).standard_normal((1, 2))
     np.testing.assert_array_equal(embed(backbone, adapter, x), embed(b2, a2, x))
