@@ -7,12 +7,17 @@ frozen for the whole phase; the loop asserts the per-sample misclassification
 threshold per batch, and the feature-deviation and Markov bounds per epoch.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundViolation, DegenerateVector
-from .metrics import check_markov_bound, check_stability_bound, loss_threshold_violations
+from .metrics import (
+    BoundReport,
+    check_markov_bound,
+    check_stability_bound,
+    loss_threshold_violations,
+)
 from .model import (
     Classifier,
     backprop,
@@ -112,18 +117,15 @@ def ce_adapt_loss(e_star: np.ndarray, labels: np.ndarray, head: Classifier):
     return loss, d_e, d_w, d_b
 
 
-@dataclass
-class AdaptReport:
-    """Per-epoch loss and the live bound measurements (lhs/rhs pairs)."""
+@dataclass(frozen=True)
+class EpochRecord:
+    """One adaptation epoch: the mean contrastive loss over the task's
+    training data after the epoch, and the two live bound checks of it."""
 
-    mode: str
-    epochs: list = field(default_factory=list)  # dicts per epoch
-    prototype_provenance: str = ""
-
-    def rows(self):
-        """CSV rows: epoch, mean_loss, bound_lhs, bound_rhs, markov_lhs, markov_rhs."""
-        keys = ("epoch", "mean_loss", "bound_lhs", "bound_rhs", "markov_lhs", "markov_rhs")
-        return [tuple(e[k] for k in keys) for e in self.epochs]
+    epoch: int
+    mean_loss: float
+    stability: BoundReport
+    markov: BoundReport
 
 
 def _trainable_params(backbone, adapter, mode):
@@ -135,21 +137,20 @@ def _trainable_params(backbone, adapter, mode):
 def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     """One adaptation phase on a task's training data.
 
-    Returns (adapted backbone, adapted adapter, AdaptReport). The inputs are
-    never mutated; mode="disabled" or epochs=0 returns exact copies.
+    Returns (adapted backbone, adapted adapter, [EpochRecord per epoch]). The
+    inputs are never mutated; mode="disabled" or epochs=0 returns exact copies
+    and no records.
     """
     x, labels = data
     if not len(labels):
         raise ValueError("adaptation data is empty")
     backbone = backbone.copy()
     adapter = adapter.copy() if adapter is not None else None
-    report = AdaptReport(mode=config.mode)
     if config.mode == "disabled":
-        return backbone, adapter, report
+        return backbone, adapter, []
 
     table = compute_prototypes(backbone, adapter, data)
     table_hash = params_hash({"prototypes": table.weight})
-    report.prototype_provenance = params_hash(model_params(backbone, adapter))
     label_protos = table.weight[label_index(table.class_ids, labels, "prototype table")]
     old_embeds = embed(backbone, adapter, x)
 
@@ -157,12 +158,10 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     if config.mode == "ce_ablation":
         head = Classifier.linear(labels.tolist(), old_embeds.shape[1])
 
-    if config.epochs == 0:
-        return backbone, adapter, report
-
     params = _trainable_params(backbone, adapter, config.mode)
     state = OptimizerState(lr=config.lr, momentum=config.momentum)
     head_state = OptimizerState(lr=config.lr, momentum=config.momentum)
+    records = []
 
     for epoch in range(1, config.epochs + 1):
         with diverged_as(f"adaptation diverged in epoch {epoch}"):
@@ -205,16 +204,6 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
                         f"{check.context} bound violated in epoch {epoch}: "
                         f"{check.lhs} > {check.rhs}"
                     )
-            report.epochs.append(
-                {
-                    "epoch": epoch,
-                    "mean_loss": float(np.mean(losses)),
-                    "bound_lhs": stability.lhs,
-                    "bound_rhs": stability.rhs,
-                    "markov_lhs": markov.lhs,
-                    "markov_rhs": markov.rhs,
-                    "checks": (stability, markov),
-                }
-            )
+            records.append(EpochRecord(epoch, float(np.mean(losses)), stability, markov))
     assert params_hash({"prototypes": table.weight}) == table_hash, "prototypes changed"
-    return backbone, adapter, report
+    return backbone, adapter, records

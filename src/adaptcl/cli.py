@@ -14,13 +14,13 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin
 
 from . import __version__
 from .adaptation import ADAPT_MODES, AdaptConfig
-from .continual import CORE_STRATEGIES, run_acl
+from .continual import CORE_STRATEGIES, RunResult, run_acl
 from .data import SyntheticSpec, generate_synthetic, pretrain_backbone
 from .errors import AdaptclError, CheckpointError, ConfigError
 from .metrics import (
@@ -171,7 +171,8 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
         )
 
 
-def _write_matrix_csv(path, matrix, K, status):
+def _write_matrix_csv(path, matrix, status):
+    K = matrix.expected_tasks
     with open(path, "w", newline="\n") as f:
         f.write("after_task," + ",".join(f"task_{j + 1}" for j in range(K)) + ",status\n")
         for b, row in enumerate(matrix.rows, start=1):
@@ -179,21 +180,45 @@ def _write_matrix_csv(path, matrix, K, status):
             f.write(f"{b}," + ",".join(cells) + f",{status}\n")
 
 
-def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
-    """One (seed, mode) cell: pretrain, then the continual run. data is the
-    (pretrain_train, stream) pair from generate_synthetic(config.data).
-    Returns the run result plus the pretrained model for reuse across modes."""
-    pre_train, stream = data
-    stream = stream.permuted(make_rng(seed, 1))
-    if pretrained is None:
+@dataclass
+class Shared:
+    """generate_synthetic(config.data), and per seed the pretrained (backbone,
+    adapter) and the mode=disabled RunResult: what a run's cells share, and a
+    sweep's runs too, since none of it reads the adapt.* keys a sweep varies."""
+
+    data: tuple
+    pretrained: dict = field(default_factory=dict)
+    disabled: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (seed, mode) cell: its RunResult, or the AdaptclError that stopped
+    it before run_acl, and the seconds its pretraining and run took."""
+
+    seed: int
+    mode: str
+    outcome: "RunResult | AdaptclError"
+    seconds: float
+
+    @property
+    def ok(self) -> bool:
+        return isinstance(self.outcome, RunResult) and self.outcome.exception is None
+
+
+def run_single(config: RunConfig, seed: int, mode: str, shared: Shared) -> RunResult:
+    """One (seed, mode) cell: pretrain the seed's model unless shared holds
+    it, then the continual run on the seed's task order."""
+    pre_train, _, stream = shared.data
+    if seed not in shared.pretrained:
         backbone, adapter = init_model(config.model, make_rng(seed, 2), config.model_adapter_rank)
         backbone = pretrain_backbone(
             backbone, pre_train, config.pretrain_epochs, config.pretrain_lr, make_rng(seed, 3)
         )
-        pretrained = (backbone, adapter)
-    backbone, adapter = pretrained
-    result = run_acl(
-        stream,
+        shared.pretrained[seed] = (backbone, adapter)
+    backbone, adapter = shared.pretrained[seed]
+    return run_acl(
+        stream.permuted(make_rng(seed, 1)),
         backbone,
         adapter,
         replace(config.adapt, mode=mode),
@@ -203,7 +228,38 @@ def run_single(config: RunConfig, seed: int, mode: str, data, pretrained=None):
         core_lr=config.core_lr,
         tune_adapter=config.core_tune_adapter,
     )
-    return result, pretrained
+
+
+def run_cells(config: RunConfig, shared: Shared):
+    """Yield a Cell for every (seed, mode) of config, in order. Each seed is
+    pretrained, and its mode=disabled run made, once per Shared."""
+    for seed in config.run_seeds:
+        for mode in config.adapt_modes:
+            t0 = time.perf_counter()
+            try:
+                if mode == "disabled" and seed in shared.disabled:
+                    outcome = shared.disabled[seed]
+                else:
+                    outcome = run_single(config, seed, mode, shared)
+                    if mode == "disabled":
+                        shared.disabled[seed] = outcome
+            except AdaptclError as e:
+                outcome = e
+            yield Cell(seed, mode, outcome, time.perf_counter() - t0)
+
+
+def _metrics_row(config: RunConfig, cell: Cell) -> list:
+    """The metrics.csv fields of an ok cell."""
+    m = cell.outcome.matrix
+    return [
+        f"{cell.mode}_{cell.seed}",
+        str(cell.seed),
+        cell.mode,
+        _fmt(last_accuracy(m)),
+        _fmt(avg_incremental_accuracy(m)),
+        _fmt(forgetting(m)) if m.K >= 2 else "",
+        _fmt(plasticity(m, immediate=config.metrics_plasticity == "immediate")),
+    ]
 
 
 def _failure(cell: str, e: BaseException) -> dict:
@@ -213,14 +269,10 @@ def _failure(cell: str, e: BaseException) -> dict:
     return {"type": type(e).__name__, "traceback": "".join(traceback.format_exception(e))}
 
 
-def cmd_run(config: RunConfig, data=None, pretrained=None, disabled=None) -> int:
-    """Every (seed, mode) cell of one config. data is
-    generate_synthetic(config.data), pretrained maps a seed to its
-    pretrained (backbone, adapter), and disabled maps a seed to its
-    mode=disabled RunResult; a seed's modes share one pretrained entry, and
-    cmd_sweep passes the same data and dicts to all its cells."""
-    pretrained = {} if pretrained is None else pretrained
-    disabled = {} if disabled is None else disabled
+def write_artifacts(config: RunConfig, cells):
+    """Write each cell's files as the cell arrives, then metrics.csv and
+    bounds.csv; manifest.json is written last, also when a cell raises.
+    Returns the exit code and the cells."""
     out = config.run_out
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -231,108 +283,65 @@ def cmd_run(config: RunConfig, data=None, pretrained=None, disabled=None) -> int
         "files": [],
         "wall_clock": {},
     }
-    metrics_rows = []
-    bounds_rows = []
-    exit_code = 0
-    multi_mode = len(config.adapt_modes) > 1
+    done, bounds = [], []
     try:
-        pre_train, _, stream = data or generate_synthetic(config.data)
-        for seed in config.run_seeds:
-            for mode in config.adapt_modes:
-                t0 = time.perf_counter()
-                cell = f"seed={seed},mode={mode}"
-                try:
-                    if mode == "disabled" and seed in disabled:
-                        result = disabled[seed]
-                    else:
-                        result, pretrained[seed] = run_single(
-                            config, seed, mode, (pre_train, stream), pretrained.get(seed)
-                        )
-                except AdaptclError as e:
-                    manifest["status"][cell] = f"error: {e}"
-                    manifest["failures"][cell] = _failure(cell, e)
-                    manifest["wall_clock"][cell] = round(time.perf_counter() - t0, 3)
-                    exit_code = 1
-                    continue
-                if mode == "disabled":
-                    disabled[seed] = result
-                K = config.data.n_tasks
-                name = (
-                    f"accuracy_matrix_{mode}_{seed}.csv"
-                    if multi_mode
-                    else f"accuracy_matrix_{seed}.csv"
-                )
-                _write_matrix_csv(out / name, result.matrix, K, result.status)
-                manifest["files"].append(name)
-                manifest["status"][cell] = result.status
-                if result.status != "ok":
-                    manifest["status"][cell] = f"failed: {result.error}"
-                    manifest["failures"][cell] = _failure(cell, result.exception)
-                    exit_code = 1
-                else:
-                    m = result.matrix
-                    metrics_rows.append(
-                        (
-                            f"{mode}_{seed}",
-                            seed,
-                            mode,
-                            last_accuracy(m),
-                            avg_incremental_accuracy(m),
-                            forgetting(m) if m.K >= 2 else "",
-                            plasticity(
-                                m, immediate=config.metrics_plasticity == "immediate"
-                            ),
-                        )
-                    )
-                    ckpt = f"model_{mode}_{seed}.ckpt"
-                    save_checkpoint(out / ckpt, result.state.backbone, result.state.adapter)
-                    manifest["files"].append(ckpt)
-                if result.adapt_reports:
-                    report_name = f"adapt_report_{mode}_{seed}.csv"
-                    with open(out / report_name, "w", newline="\n") as f:
-                        f.write(
-                            "task,epoch,mean_loss,bound_lhs,bound_rhs,"
-                            "markov_lhs,markov_rhs\n"
-                        )
-                        for task_k, report in result.adapt_reports:
-                            for r in report.rows():
-                                f.write(
-                                    f"{task_k},{r[0]},"
-                                    + ",".join(_fmt(v) for v in r[1:])
-                                    + "\n"
-                                )
-                    manifest["files"].append(report_name)
-                for task_k, report in result.adapt_reports:
-                    for epoch in report.epochs:
-                        where = f"mode={mode}/seed={seed}/task={task_k}/epoch={epoch['epoch']}"
-                        for check in epoch["checks"]:
-                            bounds_rows.append((f"{check.context}/{where}", check))
-                manifest["wall_clock"][cell] = round(time.perf_counter() - t0, 3)
+        for cell in cells:
+            done.append(cell)
+            name = f"seed={cell.seed},mode={cell.mode}"
+            manifest["wall_clock"][name] = round(cell.seconds, 3)
+            result = cell.outcome
+            if isinstance(result, AdaptclError):
+                manifest["status"][name] = f"error: {result}"
+                manifest["failures"][name] = _failure(name, result)
+                continue
+            stem = f"{cell.mode}_{cell.seed}"
+            where = f"mode={cell.mode}/seed={cell.seed}"
+            files = [f"accuracy_matrix_{stem if len(config.adapt_modes) > 1 else cell.seed}.csv"]
+            _write_matrix_csv(out / files[0], result.matrix, result.status)
+            manifest["status"][name] = result.status if cell.ok else f"failed: {result.error}"
+            if cell.ok:
+                files.append(f"model_{stem}.ckpt")
+                save_checkpoint(out / files[-1], result.state.backbone, result.state.adapter)
+            else:
+                manifest["failures"][name] = _failure(name, result.exception)
+            if result.adapt_reports:
+                files.append(f"adapt_report_{stem}.csv")
+                with open(out / files[-1], "w", newline="\n") as f:
+                    f.write("task,epoch,mean_loss,bound_lhs,bound_rhs,markov_lhs,markov_rhs\n")
+                    for k, records in result.adapt_reports:
+                        for r in records:
+                            values = (r.mean_loss, r.stability.lhs, r.stability.rhs)
+                            values += (r.markov.lhs, r.markov.rhs)
+                            f.write(f"{k},{r.epoch}," + ",".join(map(_fmt, values)) + "\n")
+                            at = f"{where}/task={k}/epoch={r.epoch}"
+                            bounds += [(f"{c.context}/{at}", c) for c in (r.stability, r.markov)]
+            manifest["files"] += files
 
         with open(out / "metrics.csv", "w", newline="\n") as f:
             f.write("run_id,seed,mode,LA,AIA,forgetting,plasticity\n")
-            for run_id, seed, mode, la, aia, fg, pl in metrics_rows:
-                fg_s = _fmt(fg) if fg != "" else ""
-                f.write(
-                    f"{run_id},{seed},{mode},{_fmt(la)},{_fmt(aia)},{fg_s},{_fmt(pl)}\n"
-                )
+            f.writelines(",".join(_metrics_row(config, c)) + "\n" for c in done if c.ok)
         manifest["files"].append("metrics.csv")
 
         with open(out / "bounds.csv", "w", newline="\n") as f:
             f.write("context,lhs,rhs,slack,pass\n")
-            for context, check in bounds_rows:
+            for context, check in bounds:
                 f.write(
                     f"{context},{_fmt(check.lhs)},{_fmt(check.rhs)},"
                     f"{_fmt(check.slack)},{check.passed}\n"
                 )
-                if not check.passed:
-                    exit_code = 1
         manifest["files"].append("bounds.csv")
     finally:
         with open(out / "manifest.json", "w", newline="\n") as f:
             json.dump(manifest, f, indent=2)
             f.write("\n")
-    return exit_code
+    failed = manifest["failures"] or not all(check.passed for _, check in bounds)
+    return (1 if failed else 0), done
+
+
+def cmd_run(config: RunConfig) -> int:
+    """Every (seed, mode) cell of one config."""
+    shared = Shared(generate_synthetic(config.data))
+    return write_artifacts(config, run_cells(config, shared))[0]
 
 
 def cmd_sweep(config: RunConfig, axis: str, values) -> int:
@@ -344,33 +353,27 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     root = config.run_out
     root.mkdir(parents=True, exist_ok=True)
     overall = 0
-    agg = []
-    # sweep axes are adapt.* keys, which data generation, pretraining and a
-    # mode=disabled run never read
-    data = generate_synthetic(config.data)
-    pretrained, disabled = {}, {}
+    rows = []
+    shared = Shared(generate_synthetic(config.data))
     key = f"adapt.{axis}"
     for value in values:
-        cell_out = root / f"sweep_{axis}_{value}"
         try:
             with _config_errors():
                 adapt = replace(config.adapt, **{axis: _convert(key, value, CONFIG_KEYS[key][1])})
-            cell_config = replace(config, adapt=adapt, run_out=cell_out)
-            code = cmd_run(cell_config, data, pretrained, disabled)
+            cell_config = replace(config, adapt=adapt, run_out=root / f"sweep_{axis}_{value}")
+            code, cells = write_artifacts(cell_config, run_cells(cell_config, shared))
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
             overall = 1
             continue
         overall = max(overall, code)
-        metrics_path = cell_out / "metrics.csv"
-        if metrics_path.exists():
-            for line in metrics_path.read_text().splitlines()[1:]:
-                run_id, seed, mode, la, aia, *_ = line.split(",")
-                agg.append((axis, value, seed, mode, la, aia))
+        for cell in cells:
+            if cell.ok:
+                rows.append([axis, value, *_metrics_row(cell_config, cell)[1:5]])
     with open(root / "sweep.csv", "w", newline="\n") as f:
         f.write("axis,value,seed,mode,LA,AIA\n")
-        for row in agg:
-            f.write(",".join(str(c) for c in row) + "\n")
+        for row in rows:
+            f.write(",".join(row) + "\n")
     return overall
 
 

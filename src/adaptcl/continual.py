@@ -22,7 +22,7 @@ from .model import (
     embed_with_tape,
     label_index,
 )
-from .numerics import OptimizerState, params_hash, sgd_step
+from .numerics import OptimizerState, diverged_as, params_hash, sgd_step
 
 CORE_STRATEGIES = ("ncm", "linear")
 
@@ -103,27 +103,28 @@ def core_learn_linear(
     )
     if adapter_params is None:
         frozen = embed(state.backbone, state.adapter, x)
-    for _ in range(epochs):
-        for i in rng.permutation(len(labels)):
-            if adapter_params is None:
-                e = frozen[i]
-            else:
-                (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
-            z = W @ e + b
-            # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
-            # linear epoch sweep (BENCH_3.json)
-            m = z.max()
-            lse = m + np.log(np.exp(z - m).sum())
-            loss = lse - z[rows[i]]
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"core-learning loss {loss}")
-            delta = np.exp(z - lse)  # softmax, then minus the one-hot label
-            delta[rows[i]] -= 1.0
-            if adapter_params is not None:
-                grads = backprop(tape, state.backbone, state.adapter, (delta @ W)[None])
-                sgd_step(adapter_params, grads, adapter_state)
-            W -= lr * (delta[:, None] * e)  # outer(delta, e)
-            b -= lr * delta
+    for epoch in range(1, epochs + 1):
+        with diverged_as(f"core learning diverged in epoch {epoch}"):
+            for i in rng.permutation(len(labels)):
+                if adapter_params is None:
+                    e = frozen[i]
+                else:
+                    (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
+                z = W @ e + b
+                # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
+                # linear epoch sweep (BENCH_3.json)
+                m = z.max()
+                lse = m + np.log(np.exp(z - m).sum())
+                loss = lse - z[rows[i]]
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"core-learning loss {loss}")
+                delta = np.exp(z - lse)  # softmax, then minus the one-hot label
+                delta[rows[i]] -= 1.0
+                if adapter_params is not None:
+                    grads = backprop(tape, state.backbone, state.adapter, (delta @ W)[None])
+                    sgd_step(adapter_params, grads, adapter_state)
+                W -= lr * (delta[:, None] * e)  # outer(delta, e)
+                b -= lr * delta
     assert params_hash(state.backbone.param_dict()) == before
     return state
 
@@ -141,10 +142,13 @@ def evaluate(state: ExperimentState, stream: TaskStream, up_to_task: int):
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
-    adapt_reports: list
+    adapt_reports: list  # (task, [EpochRecord]) per adapted task
     state: ExperimentState
-    status: str = "ok"
     exception: "BaseException | None" = None  # why a failed run stopped
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.exception is None else "failed"
 
     @property
     def error(self) -> str:
@@ -179,10 +183,10 @@ def run_acl(
                 adapt_cfg.first_task_only and k > 1
             )
             if do_adapt:
-                state.backbone, state.adapter, report = adapt(
+                state.backbone, state.adapter, records = adapt(
                     state.backbone, state.adapter, task.train, adapt_cfg, rng
                 )
-                reports.append((k, report))
+                reports.append((k, records))
             if core == "ncm":
                 core_learn_ncm(state, task.train)
             else:
@@ -192,11 +196,5 @@ def run_acl(
                 )
             rows.append(evaluate(state, stream, k))
     except (AdaptclError, BoundViolation) as e:  # the partial matrix must survive
-        return RunResult(
-            AccuracyMatrix(rows, expected_tasks=len(stream)),
-            reports,
-            state,
-            status="failed",
-            exception=e,
-        )
+        return RunResult(AccuracyMatrix(rows, expected_tasks=len(stream)), reports, state, e)
     return RunResult(AccuracyMatrix(rows, expected_tasks=len(stream)), reports, state)

@@ -137,7 +137,7 @@ def diverged_as(what: str):
 
 
 def params_hash(params: dict) -> str:
-    """Stable digest of a parameter dict, for freeze/provenance assertions."""
+    """Stable digest of a parameter dict, for freeze assertions."""
     import hashlib
 
     h = hashlib.sha256()

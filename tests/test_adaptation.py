@@ -185,11 +185,11 @@ class TestAdapt:
     def test_zero_epochs_identity(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         before = params_hash(model_params(backbone, adapter))
-        b2, a2, report = adapt(
+        b2, a2, records = adapt(
             backbone, adapter, data, AdaptConfig(epochs=0), rng
         )
         assert params_hash(model_params(b2, a2)) == before
-        assert report.epochs == []
+        assert records == []
 
     def test_disabled_mode(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
@@ -202,26 +202,26 @@ class TestAdapt:
     def test_zero_lr_report_emitted(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         before = params_hash(model_params(backbone, adapter))
-        b2, a2, report = adapt(
+        b2, a2, records = adapt(
             backbone, adapter, data, AdaptConfig(lr=0.0, epochs=1), rng
         )
         assert params_hash(model_params(b2, a2)) == before
-        assert len(report.epochs) == 1
+        assert len(records) == 1
 
     def test_loss_decreases_on_separable_data(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         cfg = AdaptConfig(epochs=3, lr=0.1, batch_size=16)
-        _, _, report = adapt(backbone, adapter, data, cfg, rng)
-        losses = [e["mean_loss"] for e in report.epochs]
+        _, _, records = adapt(backbone, adapter, data, cfg, rng)
+        losses = [r.mean_loss for r in records]
         assert losses[-1] < losses[0]
 
     def test_bounds_recorded_and_hold(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         cfg = AdaptConfig(epochs=2, lr=0.1, batch_size=16)
-        _, _, report = adapt(backbone, adapter, data, cfg, rng)
-        for row in report.epochs:
-            assert row["bound_lhs"] <= row["bound_rhs"] + 1e-9
-            assert row["markov_lhs"] <= row["markov_rhs"] + 1e-12
+        _, _, records = adapt(backbone, adapter, data, cfg, rng)
+        for r in records:
+            assert r.stability.lhs <= r.stability.rhs + 1e-9
+            assert r.markov.lhs <= r.markov.rhs + 1e-12
 
     @pytest.mark.parametrize("check", ["check_stability_bound", "check_markov_bound"])
     def test_failed_bound_report_raises(self, toy_setup, monkeypatch, check):
@@ -237,14 +237,23 @@ class TestAdapt:
         with pytest.raises(BoundViolation):
             adapt(backbone, adapter, data, AdaptConfig(epochs=1, lr=0.1), rng)
 
-    def test_prototypes_frozen(self, toy_setup):
+    def test_prototypes_frozen(self, toy_setup, monkeypatch):
+        # every acl_loss call of a 2-epoch phase, per batch and per epoch,
+        # scores against the prototypes of the input model, bit for bit
         backbone, adapter, data, rng = toy_setup
-        pre_hash = params_hash(model_params(backbone, adapter))
-        _, _, report = adapt(
-            backbone, adapter, data, AdaptConfig(epochs=1, lr=0.1), rng
-        )
-        # provenance records the pre-adaptation model, not the adapted one
-        assert report.prototype_provenance == pre_hash
+        expected = compute_prototypes(backbone, adapter, data)
+        real = adaptcl.adaptation.acl_loss
+        tables = []
+
+        def recording(e, y, table, tau):
+            tables.append((tuple(table.class_ids), table.weight.tobytes()))
+            return real(e, y, table, tau)
+
+        monkeypatch.setattr(adaptcl.adaptation, "acl_loss", recording)
+        adapt(backbone, adapter, data, AdaptConfig(epochs=2, lr=0.1, batch_size=16), rng)
+        # 60 samples: 4 batches and one whole-task call per epoch
+        want = (tuple(expected.class_ids), expected.weight.tobytes())
+        assert tables == [want] * 2 * (4 + 1)
 
     def test_prototype_change_caught(self, toy_setup, monkeypatch):
         # the prototypes are frozen for the phase: a loss that nudges one
@@ -298,7 +307,7 @@ class TestAdapt:
 
     def test_ce_ablation_runs(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
-        b2, a2, report = adapt(
+        b2, a2, records = adapt(
             backbone,
             adapter,
             data,
@@ -306,4 +315,4 @@ class TestAdapt:
             rng,
         )
         assert params_hash(b2.param_dict()) != params_hash(backbone.param_dict())
-        assert len(report.epochs) == 1
+        assert len(records) == 1

@@ -329,6 +329,20 @@ class TestSweep:
         assert len(agg) == 3
         assert (out / "sweep_temperature_0.1" / "metrics.csv").exists()
 
+    def test_sweep_csv_rows_are_cell_metrics(self, tiny_config, tmp_path):
+        # the rejected -1 cell has no rows; every other row is axis,value and
+        # the seed,mode,LA,AIA fields of the cell's metrics.csv, in cell order
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(tiny_config), "--axis", "temperature"]
+        assert main(argv + ["--values", "0.1,-1,0.5", "--seeds", "5,6", "--out", str(out)]) == 1
+        expected = ["axis,value,seed,mode,LA,AIA"]
+        for value in ("0.1", "0.5"):
+            metrics = (out / f"sweep_temperature_{value}" / "metrics.csv").read_text()
+            for row in metrics.splitlines()[1:]:
+                expected.append(f"temperature,{value}," + ",".join(row.split(",")[1:5]))
+        assert len(expected) == 1 + 2 * 2
+        assert (out / "sweep.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_single_value_equals_run(self, tiny_config, tmp_path):
         out = tmp_path / "sweep1"
         assert (
@@ -522,6 +536,7 @@ class TestFailures:
         adaptation = (
             "adaptation diverged in epoch 1: embedding norm inf: need a finite norm > 1e-08"
         )
+        core = "core learning diverged in epoch 1: overflow encountered in multiply"
         cases = {
             # pretraining diverges, so both cells of the seed fail before run_acl
             "pretrain.lr = 1e200": {
@@ -530,6 +545,11 @@ class TestFailures:
             },
             # adaptation diverges; the disabled cell does not adapt and passes
             "adapt.lr = 1e200": {"acl": ("failed: NonFiniteLoss: ", adaptation)},
+            # the adapter's core-learning step overflows in both cells
+            "core.strategy = linear\ncore.tune_adapter = true\ncore.lr = 1e200": {
+                "acl": ("failed: NonFiniteLoss: ", core),
+                "disabled": ("failed: NonFiniteLoss: ", core),
+            },
         }
         for i, (setting, cells) in enumerate(cases.items()):
             tiny_config.write_text(cfg + setting + "\n")
@@ -546,6 +566,38 @@ class TestFailures:
                 assert manifest["status"][f"seed=11,mode={mode}"] == status + reason
             # every cell's time is recorded, a failed one's too
             assert set(manifest["wall_clock"]) == {"seed=11,mode=acl", "seed=11,mode=disabled"}
+
+    def test_huge_core_lr_head_only_passes(self, tiny_config, tmp_path, capsys):
+        # a head-only linear core stays finite at this step size: the
+        # per-epoch divergence guard must not fail it
+        text = "core.strategy = linear\ncore.tune_adapter = false\ncore.lr = 1e200\n"
+        tiny_config.write_text(tiny_config.read_text() + text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_manifest_written_on_uncaught_exception(self, tiny_config, tmp_path, monkeypatch):
+        real = adaptcl.cli.run_acl
+        calls = []
+
+        def raises_second(*args, **kwargs):
+            calls.append(args[3].mode)
+            if len(calls) == 2:
+                raise TypeError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptcl.cli, "run_acl", raises_second)
+        tiny_config.write_text(
+            tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        )
+        out = tmp_path / "o"
+        with pytest.raises(TypeError, match="planted"):
+            adaptcl.cli.cmd_run(load_config(tiny_config, out_override=out))
+        assert calls == ["acl", "disabled"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == {"seed=11,mode=acl": "ok"}
+        assert list(manifest["wall_clock"]) == ["seed=11,mode=acl"]
 
     def test_no_failures_on_success(self, tiny_config, tmp_path):
         out = tmp_path / "o"

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every dataclass field of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,46 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(sources: dict) -> list:
+    """Annotated fields of @dataclass classes whose name no module reads.
+
+    The check is by name only: an attribute load `x.name` or a string
+    constant "name" anywhere in the sources counts as a read of every field
+    called name. It finds a field that is set and never read back, but not
+    an unread field whose name is read elsewhere, such as a `mode` field
+    beside the many `.mode` reads of other objects."""
+    declared, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+            elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        declared.append((module, node.name, stmt.target.id))
+    return [f"{m}: {cls}.{name}" for m, cls, name in declared if name not in read]
+
+
+def test_detects_an_unread_dataclass_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n    x: int\n    y: int = 0\n    z: str = ''\n"
+        "class B:\n    w: int\n"
+        "a = A(1)\na.y = 2\nprint(a.x, 'z')\n"
+    )
+    assert unread_fields({"m.py": source}) == ["m.py: A.y"]
+
+
+def test_no_unread_dataclass_fields():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(sources) == []
