@@ -25,7 +25,6 @@ from .model import (
     embed,
     embed_with_tape,
     label_index,
-    model_params,
 )
 from .numerics import (
     OptimizerState,
@@ -81,14 +80,14 @@ def compute_prototypes(backbone, adapter, data) -> Classifier:
     return Classifier(ids, np.stack(rows))
 
 
-def acl_loss(e_star: np.ndarray, labels: np.ndarray, table: Classifier, tau: float):
+def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau: float):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
     the embedding as a free vector, before the normalization Jacobian.
 
     table: a cosine Classifier whose weight rows are the prototypes. (n, d)
-    embeddings with (n,) labels give per-row losses (n,) and gradients (n, d)."""
-    y_idx = label_index(table.class_ids, labels, "prototype table")
+    embeddings with (n,) true-class rows of the table (label_index) give
+    per-row losses (n,) and gradients (n, d)."""
     p = table.weight  # (C, d)
     scores = (e_star @ p.T) / tau
     lse = log_sum_exp(scores)
@@ -98,13 +97,13 @@ def acl_loss(e_star: np.ndarray, labels: np.ndarray, table: Classifier, tau: flo
     return loss, grad
 
 
-def ce_adapt_loss(e_star: np.ndarray, labels: np.ndarray, head: Classifier):
+def ce_adapt_loss(e_star: np.ndarray, y_idx: np.ndarray, head: Classifier):
     """Softmax cross-entropy on linear-head logits.
 
     Returns (loss, d_loss/d_e_star, d_loss/d_W, d_loss/d_b) for (n, d)
-    embeddings with (n,) labels: loss (n,) and d_e (n, d) are per row, and
-    d_W, d_b are the gradients of the summed loss."""
-    y_idx = label_index(head.class_ids, labels, "head")
+    embeddings with (n,) true-class rows of the head (label_index): loss (n,)
+    and d_e (n, d) are per row, and d_W, d_b are the gradients of the summed
+    loss."""
     rows = np.arange(len(e_star))
     logits = e_star @ head.weight.T + head.bias
     lse = log_sum_exp(logits)
@@ -128,12 +127,6 @@ class EpochRecord:
     markov: BoundReport
 
 
-def _trainable_params(backbone, adapter, mode):
-    if mode == "lightweight_only":
-        return adapter.param_dict()
-    return model_params(backbone, adapter)
-
-
 def adapt(backbone, adapter, data, config: AdaptConfig, rng):
     """One adaptation phase on a task's training data.
 
@@ -151,48 +144,50 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
 
     table = compute_prototypes(backbone, adapter, data)
     table_hash = params_hash({"prototypes": table.weight})
-    label_protos = table.weight[label_index(table.class_ids, labels, "prototype table")]
+    y_idx = label_index(table.class_ids, labels, "prototype table")
+    label_protos = table.weight[y_idx]
     old_embeds = embed(backbone, adapter, x)
 
+    # the CE head has the table's class ids, so y_idx indexes its rows too
     head = None
     if config.mode == "ce_ablation":
-        head = Classifier.linear(labels.tolist(), old_embeds.shape[1])
+        head = Classifier.linear(table.class_ids, old_embeds.shape[1])
 
-    params = _trainable_params(backbone, adapter, config.mode)
+    # which of (backbone, adapter), and so of backprop's gradient pair, train
+    trains = (config.mode != "lightweight_only", adapter is not None)
+    params = [m.flat for m, t in zip((backbone, adapter), trains) if t]
+    if head is not None:
+        params += [head.weight, head.bias]
     state = OptimizerState(lr=config.lr, momentum=config.momentum)
-    head_state = OptimizerState(lr=config.lr, momentum=config.momentum)
-    records = []
+    grads, records = None, []
 
     for epoch in range(1, config.epochs + 1):
         with diverged_as(f"adaptation diverged in epoch {epoch}"):
             order = rng.permutation(len(labels))
             for start in range(0, len(labels), config.batch_size):
                 idx = order[start : start + config.batch_size]
-                y = labels[idx]
                 e_star, tape = embed_with_tape(backbone, adapter, x[idx])
                 if head is not None:
-                    losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y, head)
+                    losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y_idx[idx], head)
                 else:
-                    losses, d_e = acl_loss(e_star, y, table, config.temperature)
+                    losses, d_e = acl_loss(e_star, y_idx[idx], table, config.temperature)
                 require_finite(losses, f"loss in epoch {epoch}")
                 if head is None:
                     # the threshold implies the batch's Markov bound, checked per epoch
                     pred, _ = classify(table, e_star)
-                    low = loss_threshold_violations(losses, pred != y)
+                    low = loss_threshold_violations(losses, pred != labels[idx])
                     if low.size:
                         raise BoundViolation(
                             f"misclassified sample with loss {float(losses[low[0]])!r} < log 2"
                         )
-                sgd_step(params, backprop(tape, backbone, adapter, d_e / len(idx)), state)
+                grads = backprop(tape, backbone, adapter, d_e / len(idx), grads)
+                flat_grads = [g.flat for g, t in zip(grads, trains) if t]
                 if head is not None:
-                    sgd_step(
-                        {"W": head.weight, "b": head.bias},
-                        {"W": d_w / len(idx), "b": d_b / len(idx)},
-                        head_state,
-                    )
+                    flat_grads += [d_w / len(idx), d_b / len(idx)]
+                sgd_step(params, flat_grads, state)
 
             new_embeds = embed(backbone, adapter, x)
-            losses, _ = acl_loss(new_embeds, labels, table, config.temperature)
+            losses, _ = acl_loss(new_embeds, y_idx, table, config.temperature)
             pred, _ = classify(table, new_embeds)
             stability = check_stability_bound(
                 old_embeds, new_embeds, label_protos, context="stability"

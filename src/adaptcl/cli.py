@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint
 from .numerics import make_rng
-from .verify import VerifySizes, run_all
 
 
 def _fmt(x) -> str:
@@ -43,7 +42,7 @@ class RunConfig:
     """The config schema. Key `section.key` is field `key` of data, model or
     adapt, or field `section_key` below; a field's default is the key's
     default, and a field without one is a required key. model.input_dim is
-    data.input_dim, and adapt.mode is the first of adapt_modes."""
+    data.input_dim."""
 
     data: SyntheticSpec
     model: ModelConfig
@@ -81,7 +80,6 @@ class RunConfig:
         for name in ("model_adapter_rank", "pretrain_epochs", "core_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name.replace('_', '.', 1)} must be >= 0")
-        object.__setattr__(self, "adapt", replace(self.adapt, mode=self.adapt_modes[0]))
 
 
 def _reject_repeats(what: str, items) -> None:
@@ -377,7 +375,11 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     return overall
 
 
-def cmd_verify(seed: int, sizes: VerifySizes) -> int:
+def cmd_verify(seed: int, sizes) -> int:
+    """Run the campaigns at the given verify.VerifySizes and print one line
+    per campaign."""
+    from .verify import run_all
+
     results = run_all(seed, sizes)
     width = max(len(r.name) for r in results)
     failed = False
@@ -444,6 +446,8 @@ def main(argv=None) -> int:
             values = [v for v in args.values.split(",") if v]
             return cmd_sweep(config, args.axis, values)
         if args.command == "verify":
+            from .verify import VerifySizes  # here, so other commands skip loading it
+
             sizes = VerifySizes()
             if args.sizes:
                 for item in args.sizes.split(","):

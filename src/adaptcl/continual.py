@@ -97,16 +97,14 @@ def core_learn_linear(
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
     W, b = head.weight, head.bias
-    adapter_state = OptimizerState(lr=lr)
-    adapter_params = (
-        state.adapter.param_dict() if (tune_adapter and state.adapter) else None
-    )
-    if adapter_params is None:
+    adapter_state, grads = OptimizerState(lr=lr), None
+    tuned = tune_adapter and state.adapter is not None
+    if not tuned:
         frozen = embed(state.backbone, state.adapter, x)
     for epoch in range(1, epochs + 1):
         with diverged_as(f"core learning diverged in epoch {epoch}"):
             for i in rng.permutation(len(labels)):
-                if adapter_params is None:
+                if not tuned:
                     e = frozen[i]
                 else:
                     (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
@@ -120,9 +118,11 @@ def core_learn_linear(
                     raise NonFiniteLoss(f"core-learning loss {loss}")
                 delta = np.exp(z - lse)  # softmax, then minus the one-hot label
                 delta[rows[i]] -= 1.0
-                if adapter_params is not None:
-                    grads = backprop(tape, state.backbone, state.adapter, (delta @ W)[None])
-                    sgd_step(adapter_params, grads, adapter_state)
+                if tuned:
+                    grads = backprop(
+                        tape, state.backbone, state.adapter, (delta @ W)[None], grads
+                    )
+                    sgd_step([state.adapter.flat], [grads[1].flat], adapter_state)
                 W -= lr * (delta[:, None] * e)  # outer(delta, e)
                 b -= lr * delta
     assert params_hash(state.backbone.param_dict()) == before

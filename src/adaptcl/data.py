@@ -12,7 +12,7 @@ import numpy as np
 
 from .continual import Task, TaskStream
 from .errors import InvalidSpec
-from .model import Classifier, backprop, embed_with_tape
+from .model import Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
 from .numerics import OptimizerState, diverged_as, make_rng, require_finite, sgd_step
 
@@ -122,22 +122,20 @@ def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: i
     if epochs == 0:
         return backbone
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
-    params = backbone.param_dict()
+    rows = label_index(head.class_ids, labels, "head")
+    params = [backbone.flat, head.weight, head.bias]
     state = OptimizerState(lr=lr, momentum=0.9)
-    head_state = OptimizerState(lr=lr, momentum=0.9)
+    grads = None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(labels))
+        x_epoch, rows_epoch = x[order], rows[order]  # each batch is then a slice
         with diverged_as(f"pretraining diverged in epoch {epoch}"):
             for start in range(0, len(labels), batch_size):
-                idx = order[start : start + batch_size]
-                e, tape = embed_with_tape(backbone, None, x[idx])
-                loss, d_e, d_w, d_b = ce_adapt_loss(e, labels[idx], head)
+                batch = slice(start, start + batch_size)
+                e, tape = embed_with_tape(backbone, None, x_epoch[batch])
+                loss, d_e, d_w, d_b = ce_adapt_loss(e, rows_epoch[batch], head)
                 require_finite(loss, "pretraining loss")
-                sgd_step(params, backprop(tape, backbone, None, d_e / len(idx)), state)
-                sgd_step(
-                    {"W": head.weight, "b": head.bias},
-                    {"W": d_w / len(idx), "b": d_b / len(idx)},
-                    head_state,
-                )
+                n = len(e)
+                grads = backprop(tape, backbone, None, d_e / n, grads)
+                sgd_step(params, [grads[0].flat, d_w / n, d_b / n], state)
     return backbone
-

@@ -7,7 +7,6 @@ bottleneck residual applied before normalization, with its up-projection
 zero-initialized so a fresh adapter is an exact identity.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +53,22 @@ def _act_deriv(name, a):
 
 @dataclass
 class Backbone:
-    weights: list  # weights[l]: (out, in)
-    biases: list  # biases[l]: (out,)
+    """The layers' parameters as one float64 vector, flat = W0, b0, W1, b1,
+    ...; weights[l] (out, in) and biases[l] (out,) are views into it. widths
+    are the layer widths: input, hidden..., embedding."""
+
+    flat: np.ndarray
+    widths: tuple
     activation: str
+
+    def __post_init__(self):
+        self.weights, self.biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
+            mid = start + fan_out * fan_in
+            self.weights.append(self.flat[start:mid].reshape(fan_out, fan_in))
+            self.biases.append(self.flat[mid : mid + fan_out])
+            start = mid + fan_out
 
     def param_dict(self) -> dict:
         d = {}
@@ -66,20 +78,28 @@ class Backbone:
         return d
 
     def copy(self) -> "Backbone":
-        return copy.deepcopy(self)
+        return Backbone(self.flat.copy(), self.widths, self.activation)
 
 
 @dataclass
 class AdapterModule:
-    down: np.ndarray  # (r, d)
-    up: np.ndarray  # (d, r)
+    """down (r, d) and up (d, r) as views into one float64 vector, flat =
+    down, up; dim is the embedding width d."""
+
+    flat: np.ndarray
+    dim: int
     activation: str
+
+    def __post_init__(self):
+        rank = self.flat.size // (2 * self.dim)
+        self.down = self.flat[: rank * self.dim].reshape(rank, self.dim)
+        self.up = self.flat[rank * self.dim :].reshape(self.dim, rank)
 
     def param_dict(self) -> dict:
         return {"adapter.down": self.down, "adapter.up": self.up}
 
     def copy(self) -> "AdapterModule":
-        return copy.deepcopy(self)
+        return AdapterModule(self.flat.copy(), self.dim, self.activation)
 
 
 def model_params(backbone: Backbone, adapter: "AdapterModule | None") -> dict:
@@ -90,20 +110,18 @@ def model_params(backbone: Backbone, adapter: "AdapterModule | None") -> dict:
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator, adapter_rank: int = 8):
-    """Scaled-uniform init U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero up-projection."""
-    dims = [config.input_dim, *config.hidden, config.embed_dim]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        s = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    backbone = Backbone(weights, biases, config.activation)
-    s = 1.0 / np.sqrt(config.embed_dim)
-    adapter = AdapterModule(
-        down=rng.uniform(-s, s, size=(adapter_rank, config.embed_dim)),
-        up=np.zeros((config.embed_dim, adapter_rank)),
-        activation=config.activation,
-    )
+    """Scaled-uniform init U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero biases and
+    up-projection."""
+    widths = (config.input_dim, *config.hidden, config.embed_dim)
+    size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
+    backbone = Backbone(np.zeros(size), widths, config.activation)
+    for w in backbone.weights:
+        s = 1.0 / np.sqrt(w.shape[1])
+        w[:] = rng.uniform(-s, s, size=w.shape)
+    d = config.embed_dim
+    adapter = AdapterModule(np.zeros(2 * adapter_rank * d), d, config.activation)
+    s = 1.0 / np.sqrt(d)
+    adapter.down[:] = rng.uniform(-s, s, size=adapter.down.shape)
     return backbone, adapter
 
 
@@ -154,8 +172,13 @@ def embed(backbone: Backbone, adapter, x) -> np.ndarray:
     return embed_with_tape(backbone, adapter, x)[0]
 
 
-def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -> dict:
-    """Gradients of sum_i <unit_i, d_embedding_i> w.r.t. all parameters.
+def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray, out=None):
+    """Gradients of sum_i <unit_i, d_embedding_i> w.r.t. all parameters, as a
+    (Backbone, AdapterModule or None) pair laid out like the model: its flat
+    vectors are the gradients of the model's flat vectors, and
+    model_params(*grads) names them. out, a pair an earlier call returned for
+    the same model, is overwritten and returned instead of a new pair, so a
+    training loop allocates one pair for all of its steps.
 
     Applies the normalization Jacobian (I - uu^T)/||v|| per row, then the
     adapter residual, then the backbone layers in reverse. Weight gradients
@@ -168,26 +191,28 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray) -
     if g.shape != tape.unit.shape:
         raise DimensionMismatch(f"{g.shape} vs {tape.unit.shape}")
 
-    grads = {}
     u = tape.unit
     d_pre = (g - u * np.sum(u * g, axis=1, keepdims=True)) / tape.norm[:, None]
 
+    if out is None:
+        out = backbone.copy(), adapter.copy() if adapter is not None else None
+    d_backbone, d_adapter = out
     if tape.adapter_act is not None:
         h = tape.adapter_act
         d_h = _act_deriv(adapter.activation, h) * (d_pre @ adapter.up)
-        grads["adapter.up"] = d_pre.T @ h
-        grads["adapter.down"] = d_h.T @ tape.raw_embed
+        np.matmul(d_pre.T, h, out=d_adapter.up)
+        np.matmul(d_h.T, tape.raw_embed, out=d_adapter.down)
         delta = d_pre + d_h @ adapter.down
     else:
         delta = d_pre
 
     for i in range(len(backbone.weights) - 1, -1, -1):
-        grads[f"layer{i}.W"] = delta.T @ tape.acts[i]
-        grads[f"layer{i}.b"] = delta.sum(axis=0)
+        np.matmul(delta.T, tape.acts[i], out=d_backbone.weights[i])
+        delta.sum(axis=0, out=d_backbone.biases[i])
         if i > 0:
             delta = delta @ backbone.weights[i]
             delta = delta * _act_deriv(backbone.activation, tape.acts[i])
-    return grads
+    return out
 
 
 def label_index(class_ids, labels, owner):
@@ -263,7 +288,7 @@ def save_checkpoint(path, backbone: Backbone, adapter) -> None:
             arr = params[name]
             dims = "x".join(str(s) for s in arr.shape)
             f.write(f"{name};{dims}\n")
-            f.write(",".join(repr(float(v)) for v in arr.reshape(-1)) + "\n")
+            f.write(",".join(map(repr, arr.reshape(-1).tolist())) + "\n")
 
 
 def load_checkpoint(path):
@@ -296,19 +321,22 @@ def load_checkpoint(path):
             i += 2
         weights = [arrays[f"layer{i}.W"] for i in range(n_layers)]
         biases = [arrays[f"layer{i}.b"] for i in range(n_layers)]
-        width = weights[0].shape[-1]
+        widths = [weights[0].shape[-1]]
         for i, (w, b) in enumerate(zip(weights, biases)):
-            if b.ndim != 1 or w.shape != (len(b), width):
+            if b.ndim != 1 or w.shape != (len(b), widths[-1]):
                 raise ValueError(f"layer{i} shapes {w.shape} and {b.shape} do not chain")
-            width = len(b)
+            widths.append(len(b))
+        layers = [a for pair in zip(weights, biases) for a in pair]
+        backbone = Backbone(np.concatenate(layers, axis=None), tuple(widths), activation)
         adapter = None
         if "adapter.down" in arrays:
-            adapter = AdapterModule(arrays["adapter.down"], arrays["adapter.up"], activation)
-            rank = len(adapter.down)
-            if adapter.down.shape != (rank, width) or adapter.up.shape != (width, rank):
+            down, up = arrays["adapter.down"], arrays["adapter.up"]
+            rank, width = len(down), widths[-1]
+            if not width or down.shape != (rank, width) or up.shape != (width, rank):
                 raise ValueError(f"adapter shapes do not fit embedding width {width}")
+            adapter = AdapterModule(np.concatenate([down, up], axis=None), width, activation)
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing array {e}") from e
     except (IndexError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
-    return Backbone(weights, biases, activation), adapter
+    return backbone, adapter

@@ -60,31 +60,28 @@ def log_sum_exp(logits):
 
 @dataclass
 class OptimizerState:
-    """Momentum SGD state; velocity buffers are created lazily per parameter
-    and then updated in place."""
+    """Momentum SGD state: one velocity buffer per parameter array, created
+    at the first step and then updated in place."""
 
     lr: float
     momentum: float = 0.0
-    velocities: dict = field(default_factory=dict)
+    velocities: list = field(default_factory=list)
 
 
-def sgd_step(params: dict, grads: dict, state: OptimizerState) -> dict:
-    """In-place update p <- p - lr * v with v <- momentum * v + g.
-
-    params and grads are dicts name -> float64 array with matching shapes.
-    Returns params for convenience.
-    """
-    for name, p in params.items():
-        g = grads[name]
+def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
+    """In-place update p <- p - lr * v with v <- momentum * v + g, for each
+    float64 array p of params and its gradient g, the same position of grads.
+    A state steps the same list of parameters at every call."""
+    if len(params) != len(grads):
+        raise ShapeMismatch(f"{len(params)} parameter arrays vs {len(grads)} gradients")
+    if not state.velocities:
+        state.velocities = [np.zeros_like(p) for p in params]
+    for p, g, v in zip(params, grads, state.velocities):
         if p.shape != g.shape:
-            raise ShapeMismatch(f"{name}: {p.shape} vs {g.shape}")
-        v = state.velocities.get(name)
-        if v is None:
-            v = state.velocities[name] = np.zeros_like(p)
+            raise ShapeMismatch(f"{p.shape} vs {g.shape}")
         v *= state.momentum
         v += g
         p -= state.lr * v
-    return params
 
 
 def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:

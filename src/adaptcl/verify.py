@@ -66,7 +66,9 @@ def _random_unit(rng, dim):
 
 
 def _random_table(rng, dim, n_classes):
-    """A cosine Classifier: ids 0..n_classes-1, random unit prototypes."""
+    """A cosine Classifier: ids 0..n_classes-1, random unit prototypes. A
+    label is its own row of the table, so acl_loss takes the labels as they
+    are."""
     return Classifier(list(range(n_classes)), _random_units(rng, n_classes, dim))
 
 
@@ -226,7 +228,7 @@ def run_gradient_battery(
             params = model_params(backbone, adapter)
             e, tape = model_mod.embed_with_tape(backbone, adapter, x)
             _, d_e = acl_loss(e, y, table, tau)
-            analytic = model_mod.backprop(tape, backbone, adapter, d_e)
+            analytic = model_params(*model_mod.backprop(tape, backbone, adapter, d_e))
             numeric = finite_diff_grad(loss_fn, params, h)
             rows = len(y)
             for name in params:

@@ -1,13 +1,15 @@
-"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32, and
-of one momentum SGD step.
+"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32, of
+one momentum SGD step, and of one whole 32-row pretraining step.
 
 Run with `python -m pytest tests/bench_kernels.py`. The name does not match
 `test_*.py`, so the test suite does not collect this file. The model has the
 default shape (32 -> 64, 64 -> 16, adapter rank 8). The prototype table (a
 cosine Classifier, which acl_loss and classify both read) and the linear
-head have 10 classes. Every size is an (n, D) batch, n = 1 included. The
-SGD step updates the backbone parameters of the default model with
-momentum 0.9, as each pretraining batch does.
+head have 10 classes, with ids 0-9, so a batch's labels are also its rows
+of both. Every size is an (n, D) batch, n = 1 included. The SGD step
+updates the backbone's flat vector and the head with momentum 0.9, as each
+pretraining batch does; the pretraining step adds the forward pass,
+ce_adapt_loss and backprop before it, as pretrain_backbone's loop does.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from adaptcl.model import (
     embed_with_tape,
     init_model,
 )
-from adaptcl.numerics import OptimizerState, l2_normalize, make_rng, sgd_step
+from adaptcl.numerics import OptimizerState, l2_normalize, make_rng, require_finite, sgd_step
 
 N_CLASSES = 10
 SIZES = (1, 16, 32)
@@ -92,6 +94,25 @@ def test_classify(benchmark, model, n):
 
 def test_sgd_step(benchmark, model):
     rng = make_rng(2)
-    params = {k: v.copy() for k, v in model[1].param_dict().items()}
-    grads = {k: 1e-3 * rng.standard_normal(v.shape) for k, v in params.items()}
+    head = model[4]
+    params = [model[1].flat.copy(), head.weight.copy(), head.bias.copy()]
+    grads = [1e-3 * rng.standard_normal(p.shape) for p in params]
     benchmark(sgd_step, params, grads, OptimizerState(lr=0.05, momentum=0.9))
+
+
+def test_pretrain_step(benchmark, model):
+    backbone, head = model[1].copy(), Classifier.linear(range(N_CLASSES), model[0].embed_dim)
+    x, y, _ = _batch(model, 32)
+    params = [backbone.flat, head.weight, head.bias]
+    state = OptimizerState(lr=0.05, momentum=0.9)
+    grads = None
+
+    def step():
+        nonlocal grads
+        e, tape = embed_with_tape(backbone, None, x)
+        loss, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
+        require_finite(loss, "pretraining loss")
+        grads = backprop(tape, backbone, None, d_e / len(y), grads)
+        sgd_step(params, [grads[0].flat, d_w / len(y), d_b / len(y)], state)
+
+    benchmark(step)

@@ -12,7 +12,15 @@ from adaptcl.adaptation import (
     compute_prototypes,
 )
 from adaptcl.errors import BoundViolation, DegenerateVector, UnknownLabel
-from adaptcl.model import Classifier, ModelConfig, classify, embed, init_model, model_params
+from adaptcl.model import (
+    Classifier,
+    ModelConfig,
+    classify,
+    embed,
+    init_model,
+    label_index,
+    model_params,
+)
 from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng, params_hash
 
 LOG2 = math.log(2.0)
@@ -76,11 +84,12 @@ class TestAclLoss:
         assert loss >= LOG2
 
     def test_unknown_label(self):
+        # acl_loss takes table rows; mapping a label not in the table raises
         protos = Classifier([0], np.array([[1.0, 0.0]]))
         with pytest.raises(UnknownLabel):
-            acl_loss(np.array([[1.0, 0.0]]), np.array([9]), protos, 0.1)
+            label_index(protos.class_ids, np.array([9]), "prototype table")
         with pytest.raises(UnknownLabel):
-            acl_loss(np.eye(2), np.array([0, 9]), protos, 0.1)
+            label_index(protos.class_ids, np.array([0, 9]), "prototype table")
 
     def test_batch_rows_match_single(self):
         rng = make_rng(33)
@@ -88,11 +97,11 @@ class TestAclLoss:
             [1, 4, 6, 8], np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(4)])
         )
         es = np.stack([l2_normalize(rng.standard_normal(5)) for _ in range(7)])
-        labels = np.array([4, 1, 8, 8, 6, 1, 4])
-        losses, grads = acl_loss(es, labels, protos, 0.2)
+        rows = label_index(protos.class_ids, np.array([4, 1, 8, 8, 6, 1, 4]), "prototype table")
+        losses, grads = acl_loss(es, rows, protos, 0.2)
         assert losses.shape == (7,) and grads.shape == (7, 5)
         for i, (loss, grad) in enumerate(zip(losses, grads)):
-            single_loss, single_grad = acl_loss(es[i : i + 1], labels[i : i + 1], protos, 0.2)
+            single_loss, single_grad = acl_loss(es[i : i + 1], rows[i : i + 1], protos, 0.2)
             assert single_loss.shape == (1,) and single_grad.shape == (1, 5)
             assert loss == pytest.approx(single_loss[0], abs=1e-12)
             np.testing.assert_allclose(grad, single_grad[0], rtol=0, atol=1e-12)

@@ -831,7 +831,7 @@ def test_fuzz_checkpoint(tiny_config, fresh_checkpoint, tmp_path, edits):
     assert np.isfinite([float(v) for row in rows for v in row.split(",")[3:]]).all()
 
 
-_size_names = [f.name for f in fields(adaptcl.cli.VerifySizes)]
+_size_names = [f.name for f in fields(adaptcl.verify.VerifySizes)]
 _size_item = st.tuples(
     st.sampled_from([*_size_names, "__class__", "__init__", ""]) | _text,
     st.sampled_from(["=", "", "=="]),

@@ -21,6 +21,7 @@ from adaptcl.model import (
     embed,
     embed_with_tape,
     init_model,
+    label_index,
 )
 from adaptcl.numerics import OptimizerState, make_rng, params_hash, sgd_step
 
@@ -138,6 +139,7 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
+    rows = label_index(head.class_ids, labels, "head")
     head_state, adapter_state = OptimizerState(lr=lr), OptimizerState(lr=lr)
     frozen = embed(state.backbone, state.adapter, x)
     for _ in range(epochs):
@@ -146,11 +148,11 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter
                 e, tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
             else:
                 e = frozen[i : i + 1]
-            _, d_e, d_w, d_b = ce_adapt_loss(e, labels[i : i + 1], head)
-            sgd_step({"W": head.weight, "b": head.bias}, {"W": d_w, "b": d_b}, head_state)
+            _, d_e, d_w, d_b = ce_adapt_loss(e, rows[i : i + 1], head)
+            sgd_step([head.weight, head.bias], [d_w, d_b], head_state)
             if tune_adapter:
-                grads = backprop(tape, state.backbone, state.adapter, d_e)
-                sgd_step(state.adapter.param_dict(), grads, adapter_state)
+                _, grads = backprop(tape, state.backbone, state.adapter, d_e)
+                sgd_step([state.adapter.flat], [grads.flat], adapter_state)
     return state
 
 

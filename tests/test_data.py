@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adaptcl.adaptation import ce_adapt_loss
 from adaptcl.continual import ExperimentState, core_learn_ncm, evaluate
 from adaptcl.data import (
     SyntheticSpec,
@@ -9,7 +10,16 @@ from adaptcl.data import (
     pretrain_backbone,
 )
 from adaptcl.errors import InvalidSpec
-from adaptcl.model import Classifier, ModelConfig, classify, embed, init_model
+from adaptcl.model import (
+    Classifier,
+    ModelConfig,
+    backprop,
+    classify,
+    embed,
+    embed_with_tape,
+    init_model,
+    label_index,
+)
 from adaptcl.numerics import make_rng, params_hash
 
 SMALL = SyntheticSpec(
@@ -133,7 +143,42 @@ class TestGenerate:
         assert acc_incremental < acc_pretrain
 
 
+def _reference_pretrain(backbone, data, epochs, lr, rng, batch_size=32):
+    """pretrain_backbone as a loop over named arrays: the labels mapped to
+    head rows per batch, and one momentum update per parameter array of the
+    backbone and of the head."""
+    x, labels = data
+    backbone = backbone.copy()
+    head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
+    params = {**backbone.param_dict(), "head.W": head.weight, "head.b": head.bias}
+    velocities = {name: np.zeros_like(p) for name, p in params.items()}
+    for _ in range(epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), batch_size):
+            idx = order[start : start + batch_size]
+            e, tape = embed_with_tape(backbone, None, x[idx])
+            rows = label_index(head.class_ids, labels[idx], "head")
+            _, d_e, d_w, d_b = ce_adapt_loss(e, rows, head)
+            grads = backprop(tape, backbone, None, d_e / len(idx))[0].param_dict()
+            grads.update({"head.W": d_w / len(idx), "head.b": d_b / len(idx)})
+            for name, p in params.items():
+                velocities[name] *= 0.9
+                velocities[name] += grads[name]
+                p -= lr * velocities[name]
+    return backbone
+
+
 class TestPretrain:
+    def test_matches_named_array_reference(self):
+        # 80 rows: two full batches and a short one per epoch
+        cfg = ModelConfig(input_dim=8, embed_dim=4, hidden=(8, 6))
+        backbone, _ = init_model(cfg, make_rng(10))
+        pre_train, _, _ = generate_synthetic(SMALL)
+        trained = pretrain_backbone(backbone, pre_train, 3, 0.05, make_rng(11))
+        reference = _reference_pretrain(backbone, pre_train, 3, 0.05, make_rng(11))
+        assert trained.flat.tobytes() == reference.flat.tobytes()
+        assert trained.flat.tobytes() != backbone.flat.tobytes()
+
     def test_zero_epochs_identity(self):
         cfg = ModelConfig(input_dim=8, embed_dim=4, hidden=(8,))
         backbone, _ = init_model(cfg, make_rng(10))

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-every dataclass field of the package is read somewhere in it."""
+"""Every name a module of the package imports is used in that module,
+every dataclass field of the package is read somewhere in it, and the cli
+loads no module that its commands do not all need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,14 @@ def test_detects_an_unread_dataclass_field():
 def test_no_unread_dataclass_fields():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_fields(sources) == []
+
+
+def test_cli_import_skips_verify():
+    # every adaptcl process imports the cli, and only `adaptcl verify` runs
+    # the campaigns; the others would load and compile the module for nothing
+    code = "import sys, adaptcl.cli; print('adaptcl.verify' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

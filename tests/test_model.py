@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adaptcl.errors import DegenerateVector, DimensionMismatch, TapeConsumed
+from adaptcl.errors import CheckpointError, DegenerateVector, DimensionMismatch, TapeConsumed
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -124,7 +124,7 @@ def _batch_gradient_error(backprop_fn, seed, n_rows=5, activation="tanh"):
 
     params = model_params(backbone, adapter)
     _, tape = embed_with_tape(backbone, adapter, xs)
-    analytic = backprop_fn(tape, backbone, adapter, directions)
+    analytic = model_params(*backprop_fn(tape, backbone, adapter, directions))
     numeric = finite_diff_grad(loss_fn, params, 1e-5)
     return max(
         np.linalg.norm(analytic[name] - numeric[name])
@@ -147,8 +147,21 @@ class TestBackprop:
         x = make_rng(4).standard_normal((1, 2))
         _, tape = embed_with_tape(backbone, adapter, x)
         grads = backprop(tape, backbone, adapter, np.zeros((1, 3)))
-        for g in grads.values():
+        for g in model_params(*grads).values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
+
+    def test_out_pair_is_overwritten(self, small_model):
+        # a training loop passes its last gradient pair back in; the result
+        # must not depend on what that pair held
+        _, backbone, adapter = small_model
+        rng = make_rng(5)
+        x, g = rng.standard_normal((4, 2)), rng.standard_normal((4, 3))
+        fresh = backprop(embed_with_tape(backbone, adapter, x)[1], backbone, adapter, g)
+        stale = backprop(embed_with_tape(backbone, adapter, x[:1])[1], backbone, adapter, g[:1])
+        reused = backprop(embed_with_tape(backbone, adapter, x)[1], backbone, adapter, g, stale)
+        assert reused is stale
+        for want, got in zip(fresh, reused):
+            assert got.flat.tobytes() == want.flat.tobytes()
 
     @pytest.mark.parametrize(
         "seed, activation",
@@ -171,7 +184,7 @@ class TestBackprop:
 
             params = model_params(backbone, adapter)
             _, tape = embed_with_tape(backbone, adapter, x)
-            analytic = backprop(tape, backbone, adapter, direction[None])
+            analytic = model_params(*backprop(tape, backbone, adapter, direction[None]))
             numeric = finite_diff_grad(loss_fn, params, 1e-5)
             for name in params:
                 err = np.linalg.norm(analytic[name] - numeric[name])
@@ -309,6 +322,29 @@ class TestAddClasses:
         np.testing.assert_array_equal(clf.weight, before)
 
 
+class TestFlatLayout:
+    def test_copy_shares_no_memory(self, small_model):
+        _, backbone, adapter = small_model
+        for module in (backbone, adapter):
+            twin = module.copy()
+            assert twin.flat.tobytes() == module.flat.tobytes()
+            assert not np.shares_memory(twin.flat, module.flat)
+            for view in twin.param_dict().values():
+                assert not np.shares_memory(view, module.flat)
+
+    def test_views_cover_their_flat_in_order(self, tmp_path, small_model):
+        # W0, b0, W1, b1, ..., then down, up: each view aliases its own
+        # module's flat, before and after a checkpoint round trip
+        _, backbone, adapter = small_model
+        save_checkpoint(tmp_path / "model.ckpt", backbone, adapter)
+        for model in [(backbone, adapter), load_checkpoint(tmp_path / "model.ckpt")]:
+            for module in model:
+                views = list(module.param_dict().values())
+                assert all(np.shares_memory(v, module.flat) for v in views)
+                assert np.concatenate(views, axis=None).tobytes() == module.flat.tobytes()
+            assert not np.shares_memory(model[0].flat, model[1].flat)
+
+
 def test_checkpoint_roundtrip(tmp_path, small_model):
     _, backbone, adapter = small_model
     adapter.up[:] = 0.25
@@ -329,3 +365,14 @@ def test_checkpoint_roundtrip_rank_zero_adapter(tmp_path, small_model):
     assert a2.down.shape == (0, 3) and a2.up.shape == (3, 0)
     x = make_rng(30).standard_normal((1, 2))
     np.testing.assert_array_equal(embed(backbone, adapter, x), embed(b2, a2, x))
+
+
+def test_checkpoint_adapter_on_zero_width_rejected(tmp_path):
+    # an adapter on an embedding of width 0 has no layout to load into
+    path = tmp_path / "zero.ckpt"
+    path.write_text(
+        "activation;tanh\nn_layers;1\nadapter.down;2x0\n\nadapter.up;0x2\n\n"
+        "layer0.W;0x3\n\nlayer0.b;0\n\n"
+    )
+    with pytest.raises(CheckpointError, match="embedding width 0"):
+        load_checkpoint(path)

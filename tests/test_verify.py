@@ -56,11 +56,30 @@ def test_sign_flip_mutation_caught(monkeypatch):
     real_backprop = adaptcl.model.backprop
 
     def flipped(tape, backbone, adapter, d_embedding):
-        return {k: -v for k, v in real_backprop(tape, backbone, adapter, d_embedding).items()}
+        grads = real_backprop(tape, backbone, adapter, d_embedding)
+        for g in grads:
+            g.flat *= -1.0
+        return grads
 
     monkeypatch.setattr(adaptcl.model, "backprop", flipped)
     result = run_gradient_battery(0, 1, 3)
     assert not result.passed
+
+
+def test_dropped_group_mutation_caught(monkeypatch):
+    # a backprop that leaves out the gradient of one parameter array must fail
+    # the battery and name that array
+    real_backprop = adaptcl.model.backprop
+
+    def without_down(tape, backbone, adapter, d_embedding):
+        grads = real_backprop(tape, backbone, adapter, d_embedding)
+        grads[1].down[:] = 0.0
+        return grads
+
+    monkeypatch.setattr(adaptcl.model, "backprop", without_down)
+    result = run_gradient_battery(0, 1, 3)
+    assert not result.passed
+    assert "group adapter.down" in result.detail
 
 
 def test_row_zero_only_mutation_caught(monkeypatch):
