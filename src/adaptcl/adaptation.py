@@ -46,7 +46,6 @@ class AdaptConfig:
     lr: float = 0.05
     batch_size: int = 32
     momentum: float = 0.0
-    mode: str = "acl"
     first_task_only: bool = False
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class AdaptConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.mode not in ADAPT_MODES:
-            raise ValueError(f"unknown adaptation mode {self.mode!r}")
 
 
 def compute_prototypes(backbone, adapter, data) -> Classifier:
@@ -127,19 +124,21 @@ class EpochRecord:
     markov: BoundReport
 
 
-def adapt(backbone, adapter, data, config: AdaptConfig, rng):
-    """One adaptation phase on a task's training data.
+def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
+    """One adaptation phase on a task's training data, in one of ADAPT_MODES.
 
     Returns (adapted backbone, adapted adapter, [EpochRecord per epoch]). The
     inputs are never mutated; mode="disabled" or epochs=0 returns exact copies
     and no records.
     """
+    if mode not in ADAPT_MODES:
+        raise ValueError(f"unknown adaptation mode {mode!r}")
     x, labels = data
     if not len(labels):
         raise ValueError("adaptation data is empty")
     backbone = backbone.copy()
     adapter = adapter.copy() if adapter is not None else None
-    if config.mode == "disabled":
+    if mode == "disabled":
         return backbone, adapter, []
 
     table = compute_prototypes(backbone, adapter, data)
@@ -150,11 +149,11 @@ def adapt(backbone, adapter, data, config: AdaptConfig, rng):
 
     # the CE head has the table's class ids, so y_idx indexes its rows too
     head = None
-    if config.mode == "ce_ablation":
+    if mode == "ce_ablation":
         head = Classifier.linear(table.class_ids, old_embeds.shape[1])
 
     # which of (backbone, adapter), and so of backprop's gradient pair, train
-    trains = (config.mode != "lightweight_only", adapter is not None)
+    trains = (mode != "lightweight_only", adapter is not None)
     params = [m.flat for m, t in zip((backbone, adapter), trains) if t]
     if head is not None:
         params += [head.weight, head.bias]

@@ -20,8 +20,8 @@ from typing import get_args, get_origin
 
 from . import __version__
 from .adaptation import ADAPT_MODES, AdaptConfig
-from .continual import CORE_STRATEGIES, RunResult, run_acl
-from .data import SyntheticSpec, generate_synthetic, pretrain_backbone
+from .continual import CoreConfig, RunResult, run_acl
+from .data import PretrainConfig, SyntheticSpec, generate_synthetic, pretrain_backbone
 from .errors import AdaptclError, CheckpointError, ConfigError
 from .metrics import (
     avg_incremental_accuracy,
@@ -39,51 +39,38 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """The config schema. Key `section.key` is field `key` of data, model or
-    adapt, or field `section_key` below; a field's default is the key's
-    default, and a field without one is a required key. model.input_dim is
-    data.input_dim."""
+    """The config schema. Key `section.key` is field `key` of section field
+    `section`, or else field `section_key`; a field's default is the key's
+    default, and a field without one is a required key."""
 
     data: SyntheticSpec
     model: ModelConfig
+    pretrain: PretrainConfig
     adapt: AdaptConfig
-    model_adapter_rank: int = 8
-    pretrain_epochs: int = 30
-    pretrain_lr: float = 0.05
     adapt_modes: tuple[str, ...] = ("acl",)
-    core_strategy: str = "ncm"
-    core_epochs: int = 10
-    core_lr: float = 0.1
-    core_tune_adapter: bool = False
+    core: CoreConfig
     metrics_plasticity: str = "best_ever"
     run_seeds: tuple[int, ...]
     run_out: Path = Path("out")
-    raw_text: str = ""
 
     def __post_init__(self):
         for m in self.adapt_modes:
             if m not in ADAPT_MODES:
                 raise ConfigError(f"unknown adaptation mode {m!r}")
-        if not self.adapt_modes:
-            raise ConfigError("adapt.modes is empty")
-        if self.core_strategy not in CORE_STRATEGIES:
-            raise ConfigError(f"unknown core strategy {self.core_strategy!r}")
-        if not self.run_seeds:
-            raise ConfigError("run.seeds is empty")
-        _reject_repeats("adapt.modes", self.adapt_modes)
-        _reject_repeats("run.seeds", self.run_seeds)
+        _require_distinct("adapt.modes", self.adapt_modes)
+        _require_distinct("run.seeds", self.run_seeds)
         if self.metrics_plasticity not in ("best_ever", "immediate"):
             raise ConfigError(
                 f"metrics.plasticity must be best_ever or immediate, "
                 f"got {self.metrics_plasticity!r}"
             )
-        for name in ("model_adapter_rank", "pretrain_epochs", "core_epochs"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name.replace('_', '.', 1)} must be >= 0")
 
 
-def _reject_repeats(what: str, items) -> None:
-    """A repeated mode, seed or sweep value would run one cell twice."""
+def _require_distinct(what: str, items) -> None:
+    """A repeated mode, seed or sweep value would run one cell twice, and an
+    empty list would run none."""
+    if not items:
+        raise ConfigError(f"{what} is empty")
     repeated = [v for i, v in enumerate(items) if v in items[:i]]
     if repeated:
         raise ConfigError(f"{what} repeats {repeated[0]!r}")
@@ -94,10 +81,9 @@ def _config_keys() -> dict:
     keys = {}
     for f in fields(RunConfig):
         if is_dataclass(f.type):
-            keys.update({f"{f.name}.{g.name}": (f.name, g) for g in fields(f.type)})
-        elif f.name != "raw_text":
+            keys.update({f"{f.name}.{g.name}": (f, g) for g in fields(f.type)})
+        else:
             keys[f.name.replace("_", ".", 1)] = (None, f)
-    del keys["model.input_dim"], keys["adapt.mode"]
     return keys
 
 
@@ -106,8 +92,8 @@ CONFIG_KEYS = _config_keys()
 
 def _convert(key: str, text: str, f):
     """A config value by its field's type; a tuple is a comma list, a float
-    must be finite and a path must not hold a NUL byte. Config files and
-    sweep values both come here."""
+    must be finite and a path must be one config line's value, without a NUL
+    byte. Config files, overrides and sweep values all come here."""
     if f.type is bool:
         if text.lower() not in ("true", "false"):
             raise ConfigError(f"{key} must be true or false")
@@ -118,18 +104,19 @@ def _convert(key: str, text: str, f):
     value = f.type(text)
     if f.type is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text!r}")
-    if f.type is Path and "\0" in text:
-        raise ConfigError(f"{key} must not contain a NUL byte, got {text!r}")
+    if f.type is Path:  # the manifest writes it back as a config line
+        if "\0" in text or "#" in text or text.splitlines() not in ([], [text.strip()]):
+            raise ConfigError(f"{key} must be one line without NUL, '#' or outer spaces: {text!r}")
     return value
 
 
 @contextmanager
-def _config_errors():
+def _config_errors(prefix=""):
     """Report an invalid value or combination as a ConfigError."""
     try:
         yield
     except (ValueError, AdaptclError) as e:
-        raise ConfigError(str(e)) from e
+        raise ConfigError(prefix + str(e)) from e
 
 
 def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
@@ -147,6 +134,8 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         values[key] = value
     if seeds_override:
         values["run.seeds"] = seeds_override
@@ -155,18 +144,27 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
     for key, (_, f) in CONFIG_KEYS.items():
         if f.default is MISSING and key not in values:
             raise ConfigError(f"missing required key {key!r}")
-    kwargs = {None: {"raw_text": text}, "data": {}, "model": {}, "adapt": {}}
+    kwargs = {section: {} for section, _ in CONFIG_KEYS.values()}
     with _config_errors():
         for key, value in values.items():
             section, f = CONFIG_KEYS[key]
             kwargs[section][f.name] = _convert(key, value, f)
-        data = SyntheticSpec(**kwargs["data"])
-        return RunConfig(
-            data=data,
-            model=ModelConfig(input_dim=data.input_dim, **kwargs["model"]),
-            adapt=AdaptConfig(**kwargs["adapt"]),
-            **kwargs[None],
-        )
+        own = kwargs.pop(None)
+        for section, section_kwargs in kwargs.items():
+            with _config_errors(f"{section.name}: "):
+                own[section.name] = section.type(**section_kwargs)
+        return RunConfig(**own)
+
+
+def config_text(config: RunConfig) -> str:
+    """The config as one `key = value` line per key, in CONFIG_KEYS order;
+    load_config reads it back to an equal RunConfig."""
+    lines = []
+    for key, (section, f) in CONFIG_KEYS.items():
+        value = getattr(getattr(config, section.name) if section else config, f.name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text.lower() if f.type is bool else text}\n")
+    return "".join(lines)
 
 
 def _write_matrix_csv(path, matrix, status):
@@ -209,23 +207,12 @@ def run_single(config: RunConfig, seed: int, mode: str, shared: Shared) -> RunRe
     it, then the continual run on the seed's task order."""
     pre_train, _, stream = shared.data
     if seed not in shared.pretrained:
-        backbone, adapter = init_model(config.model, make_rng(seed, 2), config.model_adapter_rank)
-        backbone = pretrain_backbone(
-            backbone, pre_train, config.pretrain_epochs, config.pretrain_lr, make_rng(seed, 3)
-        )
+        backbone, adapter = init_model(config.model, config.data.input_dim, make_rng(seed, 2))
+        backbone = pretrain_backbone(backbone, pre_train, config.pretrain, make_rng(seed, 3))
         shared.pretrained[seed] = (backbone, adapter)
     backbone, adapter = shared.pretrained[seed]
-    return run_acl(
-        stream.permuted(make_rng(seed, 1)),
-        backbone,
-        adapter,
-        replace(config.adapt, mode=mode),
-        config.core_strategy,
-        make_rng(seed, 4),
-        core_epochs=config.core_epochs,
-        core_lr=config.core_lr,
-        tune_adapter=config.core_tune_adapter,
-    )
+    stream = stream.permuted(make_rng(seed, 1))
+    return run_acl(stream, backbone, adapter, mode, config.adapt, config.core, make_rng(seed, 4))
 
 
 def run_cells(config: RunConfig, shared: Shared):
@@ -275,7 +262,7 @@ def write_artifacts(config: RunConfig, cells):
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool_version": __version__,
-        "config": config.raw_text,
+        "config": config_text(config),
         "status": {},
         "failures": {},
         "files": [],
@@ -345,9 +332,7 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     if axis not in ("temperature", "epochs"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if not values:
-        raise ConfigError("sweep needs a non-empty value list")
-    _reject_repeats("--values", values)
+    _require_distinct("--values", values)
     root = config.run_out
     root.mkdir(parents=True, exist_ok=True)
     overall = 0
@@ -393,7 +378,7 @@ def cmd_verify(seed: int, sizes) -> int:
     return 1 if failed else 0
 
 
-def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits=("train", "test")) -> int:
+def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits) -> int:
     backbone, adapter = load_checkpoint(checkpoint)
     _, _, stream = generate_synthetic(config.data)
     d = backbone.weights[-1].shape[0]

@@ -27,6 +27,20 @@ from .numerics import OptimizerState, diverged_as, params_hash, sgd_step
 CORE_STRATEGIES = ("ncm", "linear")
 
 
+@dataclass(frozen=True)
+class CoreConfig:
+    strategy: str = "ncm"
+    epochs: int = 10
+    lr: float = 0.1
+    tune_adapter: bool = False
+
+    def __post_init__(self):
+        if self.strategy not in CORE_STRATEGIES:
+            raise ValueError(f"unknown core strategy {self.strategy!r}")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+
+
 @dataclass
 class Task:
     class_ids: frozenset
@@ -78,10 +92,7 @@ def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
     return state
 
 
-def core_learn_linear(
-    state: ExperimentState, task_data, epochs: int, lr: float, rng,
-    tune_adapter: bool = False,
-) -> ExperimentState:
+def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng):
     """Cross-entropy fine-tuning of the linear head (optionally the adapter)
     on current-task data; the backbone stays bit-identical.
 
@@ -97,11 +108,11 @@ def core_learn_linear(
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
     W, b = head.weight, head.bias
-    adapter_state, grads = OptimizerState(lr=lr), None
-    tuned = tune_adapter and state.adapter is not None
+    adapter_state, grads = OptimizerState(lr=config.lr), None
+    tuned = config.tune_adapter and state.adapter is not None
     if not tuned:
         frozen = embed(state.backbone, state.adapter, x)
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         with diverged_as(f"core learning diverged in epoch {epoch}"):
             for i in rng.permutation(len(labels)):
                 if not tuned:
@@ -123,8 +134,8 @@ def core_learn_linear(
                         tape, state.backbone, state.adapter, (delta @ W)[None], grads
                     )
                     sgd_step([state.adapter.flat], [grads[1].flat], adapter_state)
-                W -= lr * (delta[:, None] * e)  # outer(delta, e)
-                b -= lr * delta
+                W -= config.lr * (delta[:, None] * e)  # outer(delta, e)
+                b -= config.lr * delta
     assert params_hash(state.backbone.param_dict()) == before
     return state
 
@@ -160,40 +171,31 @@ def run_acl(
     stream: TaskStream,
     backbone,
     adapter,
+    mode: str,
     adapt_cfg: AdaptConfig,
-    core: str,
+    core_cfg: CoreConfig,
     rng,
-    core_epochs: int = 10,
-    core_lr: float = 0.1,
-    tune_adapter: bool = False,
 ) -> RunResult:
     """Adapt -> freeze -> core-learn -> evaluate, for each task in order.
 
     On failure mid-stream the partial accuracy matrix is returned with
     status "failed"."""
-    if core not in CORE_STRATEGIES:
-        raise ValueError(f"unknown core strategy {core!r}")
+    ncm = core_cfg.strategy == "ncm"
     d = backbone.weights[-1].shape[0]
-    classifier = Classifier([], np.zeros((0, d))) if core == "ncm" else Classifier.linear([], d)
+    classifier = Classifier([], np.zeros((0, d))) if ncm else Classifier.linear([], d)
     state = ExperimentState(backbone.copy(), adapter.copy(), classifier)
     rows, reports = [], []
     try:
         for k, task in enumerate(stream.tasks, start=1):
-            do_adapt = adapt_cfg.mode != "disabled" and not (
-                adapt_cfg.first_task_only and k > 1
-            )
-            if do_adapt:
+            if mode != "disabled" and not (adapt_cfg.first_task_only and k > 1):
                 state.backbone, state.adapter, records = adapt(
-                    state.backbone, state.adapter, task.train, adapt_cfg, rng
+                    state.backbone, state.adapter, task.train, mode, adapt_cfg, rng
                 )
                 reports.append((k, records))
-            if core == "ncm":
+            if ncm:
                 core_learn_ncm(state, task.train)
             else:
-                core_learn_linear(
-                    state, task.train, core_epochs, core_lr, rng,
-                    tune_adapter=tune_adapter,
-                )
+                core_learn_linear(state, task.train, core_cfg, rng)
             rows.append(evaluate(state, stream, k))
     except (AdaptclError, BoundViolation) as e:  # the partial matrix must survive
         return RunResult(AccuracyMatrix(rows, expected_tasks=len(stream)), reports, state, e)

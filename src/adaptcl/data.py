@@ -16,6 +16,8 @@ from .model import Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
 from .numerics import OptimizerState, diverged_as, make_rng, require_finite, sgd_step
 
+BATCH_SIZE = 32  # of pretraining; no config key sets it
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -30,6 +32,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.input_dim < 1:
+            raise InvalidSpec("input_dim must be >= 1")
         if self.n_pretrain_classes < 2 or self.n_incremental_classes < 2:
             raise InvalidSpec("need at least 2 classes per phase")
         if self.sigma <= 0:
@@ -112,26 +116,34 @@ def generate_synthetic(spec: SyntheticSpec):
     return pretrain_train, pretrain_test, TaskStream(tasks)
 
 
-def pretrain_backbone(backbone, data, epochs: int, lr: float, rng, batch_size: int = 32):
+@dataclass(frozen=True)
+class PretrainConfig:
+    epochs: int = 30
+    lr: float = 0.05
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+
+
+def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
     """Supervised warm-up with a throwaway linear head; returns the trained
     backbone (the head is discarded, the input backbone is untouched)."""
     x, labels = data
     if not len(labels):
         raise ValueError("pretraining data is empty")
     backbone = backbone.copy()
-    if epochs == 0:
-        return backbone
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     rows = label_index(head.class_ids, labels, "head")
     params = [backbone.flat, head.weight, head.bias]
-    state = OptimizerState(lr=lr, momentum=0.9)
+    state = OptimizerState(lr=config.lr, momentum=0.9)
     grads = None
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(labels))
         x_epoch, rows_epoch = x[order], rows[order]  # each batch is then a slice
         with diverged_as(f"pretraining diverged in epoch {epoch}"):
-            for start in range(0, len(labels), batch_size):
-                batch = slice(start, start + batch_size)
+            for start in range(0, len(labels), BATCH_SIZE):
+                batch = slice(start, start + BATCH_SIZE)
                 e, tape = embed_with_tape(backbone, None, x_epoch[batch])
                 loss, d_e, d_w, d_b = ce_adapt_loss(e, rows_epoch[batch], head)
                 require_finite(loss, "pretraining loss")

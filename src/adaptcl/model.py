@@ -25,18 +25,20 @@ ACTIVATIONS = ("tanh", "relu")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_dim: int = 32
     embed_dim: int = 16
     hidden: tuple[int, ...] = (64, 64)
     activation: str = "tanh"
+    adapter_rank: int = 8
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.embed_dim < 2:
-            raise ValueError("need input_dim >= 1 and embed_dim >= 2")
+        if self.embed_dim < 2:
+            raise ValueError("need embed_dim >= 2")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("need at least one positive hidden width")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.adapter_rank < 0:
+            raise ValueError("adapter_rank must be >= 0")
 
 
 def _act(name, z):
@@ -109,17 +111,17 @@ def model_params(backbone: Backbone, adapter: "AdapterModule | None") -> dict:
     return params
 
 
-def init_model(config: ModelConfig, rng: np.random.Generator, adapter_rank: int = 8):
+def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator):
     """Scaled-uniform init U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero biases and
     up-projection."""
-    widths = (config.input_dim, *config.hidden, config.embed_dim)
+    widths = (input_dim, *config.hidden, config.embed_dim)
     size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
     backbone = Backbone(np.zeros(size), widths, config.activation)
     for w in backbone.weights:
         s = 1.0 / np.sqrt(w.shape[1])
         w[:] = rng.uniform(-s, s, size=w.shape)
     d = config.embed_dim
-    adapter = AdapterModule(np.zeros(2 * adapter_rank * d), d, config.activation)
+    adapter = AdapterModule(np.zeros(2 * config.adapter_rank * d), d, config.activation)
     s = 1.0 / np.sqrt(d)
     adapter.down[:] = rng.uniform(-s, s, size=adapter.down.shape)
     return backbone, adapter
@@ -293,7 +295,8 @@ def save_checkpoint(path, backbone: Backbone, adapter) -> None:
 
 def load_checkpoint(path):
     """The model save_checkpoint wrote. Raises CheckpointError unless the file
-    holds a known activation, finite values and layer shapes that chain."""
+    holds a known activation, finite values, each layer array once, both
+    adapter arrays or neither, no other array, and layer shapes that chain."""
     from .errors import CheckpointError
 
     try:
@@ -310,8 +313,10 @@ def load_checkpoint(path):
             raise ValueError("no layers")
         arrays = {}
         i = 2
-        while i < len(lines) and lines[i]:
+        while i < len(lines):
             name, dims = lines[i].split(";")
+            if name in arrays:
+                raise ValueError(f"repeated array {name}")
             shape = tuple(int(s) for s in dims.split("x"))
             row = lines[i + 1]  # empty for an array of size 0
             values = np.array([float(v) for v in row.split(",")] if row else [])
@@ -319,6 +324,9 @@ def load_checkpoint(path):
                 raise ValueError(f"non-finite value in {name}")
             arrays[name] = values.reshape(shape)
             i += 2
+        extra = set(arrays) - {f"layer{k}.{p}" for k in range(n_layers) for p in "Wb"}
+        if extra not in (set(), {"adapter.down", "adapter.up"}):
+            raise ValueError(f"arrays {sorted(extra)}: want both adapter arrays or neither")
         weights = [arrays[f"layer{i}.W"] for i in range(n_layers)]
         biases = [arrays[f"layer{i}.b"] for i in range(n_layers)]
         widths = [weights[0].shape[-1]]
@@ -329,7 +337,7 @@ def load_checkpoint(path):
         layers = [a for pair in zip(weights, biases) for a in pair]
         backbone = Backbone(np.concatenate(layers, axis=None), tuple(widths), activation)
         adapter = None
-        if "adapter.down" in arrays:
+        if extra:
             down, up = arrays["adapter.down"], arrays["adapter.up"]
             rank, width = len(down), widths[-1]
             if not width or down.shape != (rank, width) or up.shape != (width, rank):

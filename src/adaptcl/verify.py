@@ -203,22 +203,22 @@ def run_gradient_battery(
     the rounding error."""
     if n_seeds == 0 or n_probes == 0:
         return CheckResult("gradients", True, "no probes requested", vacuous=True)
-    cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,))
+    cfg, input_dim = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2), 2
     for s in range(n_seeds):
         rng = make_rng(seed, 16, s)
         batch_rng = make_rng(seed, 17, s)
-        backbone, adapter = init_model(cfg, rng, adapter_rank=2)
+        backbone, adapter = init_model(cfg, input_dim, rng)
         if with_adapter:
             adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
         else:
             adapter = None
         table = _random_table(rng, cfg.embed_dim, 3)
         for probe in range(n_probes):
-            x = rng.standard_normal((1, cfg.input_dim))
+            x = rng.standard_normal((1, input_dim))
             y = rng.integers(3, size=1)
             tau = float(rng.uniform(0.05, 0.5))
             if probe % 2 == 1:
-                x = np.vstack([x, batch_rng.standard_normal((2, cfg.input_dim))])
+                x = np.vstack([x, batch_rng.standard_normal((2, input_dim))])
                 y = np.concatenate([y, batch_rng.integers(3, size=2)])
 
             def loss_fn(_params):

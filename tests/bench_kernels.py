@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from adaptcl.adaptation import acl_loss, ce_adapt_loss
+from adaptcl.data import SyntheticSpec
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -28,6 +29,7 @@ from adaptcl.model import (
 from adaptcl.numerics import OptimizerState, l2_normalize, make_rng, require_finite, sgd_step
 
 N_CLASSES = 10
+INPUT_DIM = SyntheticSpec().input_dim
 SIZES = (1, 16, 32)
 
 
@@ -35,7 +37,7 @@ SIZES = (1, 16, 32)
 def model():
     cfg = ModelConfig()
     rng = make_rng(0)
-    backbone, adapter = init_model(cfg, rng, adapter_rank=8)
+    backbone, adapter = init_model(cfg, INPUT_DIM, rng)
     adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
     units = [l2_normalize(rng.standard_normal(cfg.embed_dim)) for _ in range(N_CLASSES)]
     table = Classifier(list(range(N_CLASSES)), np.stack(units))
@@ -45,9 +47,9 @@ def model():
 
 
 def _batch(model, n):
-    cfg, backbone, adapter, _, _ = model
+    _, backbone, adapter, _, _ = model
     rng = make_rng(1, n)
-    x = rng.standard_normal((n, cfg.input_dim))
+    x = rng.standard_normal((n, INPUT_DIM))
     y = rng.integers(N_CLASSES, size=n)
     return x, y, embed(backbone, adapter, x)
 

@@ -30,8 +30,8 @@ class _IdentityBackbone:
     """Passes 2-d inputs straight through (weights = I); for prototype tests."""
 
     def __new__(cls):
-        cfg = ModelConfig(input_dim=2, embed_dim=2, hidden=(2,))
-        backbone, _ = init_model(cfg, make_rng(0))
+        cfg = ModelConfig(embed_dim=2, hidden=(2,))
+        backbone, _ = init_model(cfg, 2, make_rng(0))
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
         backbone.activation = "relu"
@@ -56,8 +56,8 @@ class TestComputePrototypes:
         )
 
     def test_degenerate_mean(self):
-        cfg = ModelConfig(input_dim=2, embed_dim=2, hidden=(2,))
-        backbone, _ = init_model(cfg, make_rng(0))
+        cfg = ModelConfig(embed_dim=2, hidden=(2,))
+        backbone, _ = init_model(cfg, 2, make_rng(0))
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
         backbone.activation = "tanh"
@@ -185,8 +185,8 @@ def _toy_task(rng, n_per_class=20):
 @pytest.fixture
 def toy_setup():
     rng = make_rng(40)
-    cfg = ModelConfig(input_dim=2, embed_dim=4, hidden=(8,))
-    backbone, adapter = init_model(cfg, rng, adapter_rank=2)
+    cfg = ModelConfig(embed_dim=4, hidden=(8,), adapter_rank=2)
+    backbone, adapter = init_model(cfg, 2, rng)
     return backbone, adapter, _toy_task(rng), rng
 
 
@@ -195,7 +195,7 @@ class TestAdapt:
         backbone, adapter, data, rng = toy_setup
         before = params_hash(model_params(backbone, adapter))
         b2, a2, records = adapt(
-            backbone, adapter, data, AdaptConfig(epochs=0), rng
+            backbone, adapter, data, "acl", AdaptConfig(epochs=0), rng
         )
         assert params_hash(model_params(b2, a2)) == before
         assert records == []
@@ -204,15 +204,20 @@ class TestAdapt:
         backbone, adapter, data, rng = toy_setup
         before = params_hash(model_params(backbone, adapter))
         b2, a2, report = adapt(
-            backbone, adapter, data, AdaptConfig(mode="disabled"), rng
+            backbone, adapter, data, "disabled", AdaptConfig(), rng
         )
         assert params_hash(model_params(b2, a2)) == before
+
+    def test_unknown_mode_rejected(self, toy_setup):
+        backbone, adapter, data, rng = toy_setup
+        with pytest.raises(ValueError, match="unknown adaptation mode 'acl2'"):
+            adapt(backbone, adapter, data, "acl2", AdaptConfig(), rng)
 
     def test_zero_lr_report_emitted(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         before = params_hash(model_params(backbone, adapter))
         b2, a2, records = adapt(
-            backbone, adapter, data, AdaptConfig(lr=0.0, epochs=1), rng
+            backbone, adapter, data, "acl", AdaptConfig(lr=0.0, epochs=1), rng
         )
         assert params_hash(model_params(b2, a2)) == before
         assert len(records) == 1
@@ -220,14 +225,14 @@ class TestAdapt:
     def test_loss_decreases_on_separable_data(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         cfg = AdaptConfig(epochs=3, lr=0.1, batch_size=16)
-        _, _, records = adapt(backbone, adapter, data, cfg, rng)
+        _, _, records = adapt(backbone, adapter, data, "acl", cfg, rng)
         losses = [r.mean_loss for r in records]
         assert losses[-1] < losses[0]
 
     def test_bounds_recorded_and_hold(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
         cfg = AdaptConfig(epochs=2, lr=0.1, batch_size=16)
-        _, _, records = adapt(backbone, adapter, data, cfg, rng)
+        _, _, records = adapt(backbone, adapter, data, "acl", cfg, rng)
         for r in records:
             assert r.stability.lhs <= r.stability.rhs + 1e-9
             assert r.markov.lhs <= r.markov.rhs + 1e-12
@@ -244,7 +249,7 @@ class TestAdapt:
 
         monkeypatch.setattr(adaptcl.adaptation, check, failing)
         with pytest.raises(BoundViolation):
-            adapt(backbone, adapter, data, AdaptConfig(epochs=1, lr=0.1), rng)
+            adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
 
     def test_prototypes_frozen(self, toy_setup, monkeypatch):
         # every acl_loss call of a 2-epoch phase, per batch and per epoch,
@@ -259,7 +264,7 @@ class TestAdapt:
             return real(e, y, table, tau)
 
         monkeypatch.setattr(adaptcl.adaptation, "acl_loss", recording)
-        adapt(backbone, adapter, data, AdaptConfig(epochs=2, lr=0.1, batch_size=16), rng)
+        adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=2, lr=0.1, batch_size=16), rng)
         # 60 samples: 4 batches and one whole-task call per epoch
         want = (tuple(expected.class_ids), expected.weight.tobytes())
         assert tables == [want] * 2 * (4 + 1)
@@ -276,7 +281,7 @@ class TestAdapt:
 
         monkeypatch.setattr(adaptcl.adaptation, "acl_loss", nudging)
         with pytest.raises(AssertionError, match="prototypes changed"):
-            adapt(backbone, adapter, data, AdaptConfig(epochs=1, lr=0.1), rng)
+            adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
 
     def test_loss_threshold_checked_per_batch(self, toy_setup, monkeypatch):
         # the toy task has no misclassified samples; on two overlapping
@@ -290,7 +295,7 @@ class TestAdapt:
         pred, _ = classify(compute_prototypes(backbone, adapter, data), embed(backbone, adapter, x))
         assert np.any(pred != data[1])
         cfg = AdaptConfig(epochs=1, lr=0.1)
-        adapt(backbone, adapter, data, cfg, make_rng(1))
+        adapt(backbone, adapter, data, "acl", cfg, make_rng(1))
         real = adaptcl.adaptation.acl_loss
 
         def halved(e, y, table, tau):
@@ -299,7 +304,7 @@ class TestAdapt:
 
         monkeypatch.setattr(adaptcl.adaptation, "acl_loss", halved)
         with pytest.raises(BoundViolation, match=r"^misclassified sample with loss .* < log 2$"):
-            adapt(backbone, adapter, data, cfg, make_rng(1))
+            adapt(backbone, adapter, data, "acl", cfg, make_rng(1))
 
     def test_lightweight_only_freezes_backbone(self, toy_setup):
         backbone, adapter, data, rng = toy_setup
@@ -308,7 +313,8 @@ class TestAdapt:
             backbone,
             adapter,
             data,
-            AdaptConfig(mode="lightweight_only", epochs=1, lr=0.1),
+            "lightweight_only",
+            AdaptConfig(epochs=1, lr=0.1),
             rng,
         )
         assert params_hash(b2.param_dict()) == before
@@ -320,7 +326,8 @@ class TestAdapt:
             backbone,
             adapter,
             data,
-            AdaptConfig(mode="ce_ablation", epochs=1, lr=0.1),
+            "ce_ablation",
+            AdaptConfig(epochs=1, lr=0.1),
             rng,
         )
         assert params_hash(b2.param_dict()) != params_hash(backbone.param_dict())

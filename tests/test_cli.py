@@ -5,20 +5,20 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import adaptcl.adaptation
 import adaptcl.cli
 import adaptcl.continual
 import adaptcl.data
-from adaptcl.cli import CONFIG_KEYS, load_config, main
-from adaptcl.errors import NonFiniteLoss
+from adaptcl.cli import CONFIG_KEYS, config_text, load_config, main
+from adaptcl.errors import ConfigError, NonFiniteLoss
 from adaptcl.model import ACTIVATIONS, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from adaptcl.numerics import make_rng
 
@@ -86,6 +86,8 @@ class TestConfigErrors:
             "core.lr = -inf",
             "adapt.modes = disabled,acl,disabled",
             "run.seeds = 5,5",
+            "run.seeds = 2",
+            "data.input_dim = 0",
         ],
         ids=[
             "sigma-negative",
@@ -100,6 +102,8 @@ class TestConfigErrors:
             "core-lr-minus-inf",
             "mode-repeated",
             "seed-repeated",
+            "key-repeated",
+            "input-dim-zero",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line):
@@ -137,6 +141,13 @@ class TestConfigErrors:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: run.out") and err.count("\n") == 1
+
+    def test_out_override_a_config_line_cannot_hold(self, tiny_config, tmp_path, capsys):
+        # the manifest records run.out as a config line, where '#' starts a comment
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "a#b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.out") and err.count("\n") == 1
+        assert not (tmp_path / "a#b").exists()
 
     def test_out_path_is_a_file(self, tiny_config, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -369,9 +380,9 @@ class TestSweep:
         calls = []
         real = adaptcl.cli.pretrain_backbone
 
-        def counted(backbone, data, epochs, lr, rng):
-            calls.append(epochs)
-            return real(backbone, data, epochs, lr, rng)
+        def counted(backbone, data, config, rng):
+            calls.append(config.epochs)
+            return real(backbone, data, config, rng)
 
         monkeypatch.setattr(adaptcl.cli, "pretrain_backbone", counted)
         argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs"]
@@ -389,7 +400,7 @@ class TestSweep:
         assert main(argv + ["--seeds", "5,6", "--out", str(sweep)]) == 0
         for value in ("1", "2"):
             cell_cfg = tmp_path / f"cell_{value}.cfg"
-            cell_cfg.write_text(text + f"adapt.epochs = {value}\n")
+            cell_cfg.write_text(text.replace("adapt.epochs = 1", f"adapt.epochs = {value}"))
             alone = tmp_path / f"run_{value}"
             argv = ["run", "--config", str(cell_cfg), "--seeds", "5,6", "--out", str(alone)]
             assert main(argv) == 0
@@ -414,7 +425,7 @@ class TestSweep:
         assert main(argv + ["--seeds", "5,6", "--out", str(sweep)]) == 0
         for value in ("1", "2"):
             cell_cfg = tmp_path / f"cell_{value}.cfg"
-            cell_cfg.write_text(text + f"adapt.epochs = {value}\n")
+            cell_cfg.write_text(text.replace("adapt.epochs = 1", f"adapt.epochs = {value}"))
             alone = tmp_path / f"run_{value}"
             argv = ["run", "--config", str(cell_cfg), "--seeds", "5,6", "--out", str(alone)]
             assert main(argv) == 0
@@ -427,13 +438,29 @@ class TestSweep:
             for name in names:
                 assert (cell / name).read_bytes() == (alone / name).read_bytes(), name
 
+    def test_cell_manifest_config_reads_back(self, tiny_config, tmp_path):
+        # each cell's manifest holds the config the cell ran: the axis value,
+        # the --seeds override and the cell's own run.out
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs", "--values", "2,3"]
+        assert main(argv + ["--seeds", "5,6", "--out", str(out)]) == 0
+        base = load_config(tiny_config, seeds_override="5,6")
+        for value in (2, 3):
+            cell = out / f"sweep_epochs_{value}"
+            path = tmp_path / f"cell_{value}.cfg"
+            path.write_text(json.loads((cell / "manifest.json").read_text())["config"])
+            config = load_config(path)
+            assert config.adapt.epochs == value and config.run_seeds == (5, 6)
+            assert config.run_out == cell
+            assert config == replace(base, adapt=replace(base.adapt, epochs=value), run_out=cell)
+
     def test_disabled_runs_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
         modes = []
         real = adaptcl.cli.run_acl
 
-        def counted(stream, backbone, adapter, adapt_cfg, *args, **kwargs):
-            modes.append(adapt_cfg.mode)
-            return real(stream, backbone, adapter, adapt_cfg, *args, **kwargs)
+        def counted(stream, backbone, adapter, mode, *args, **kwargs):
+            modes.append(mode)
+            return real(stream, backbone, adapter, mode, *args, **kwargs)
 
         monkeypatch.setattr(adaptcl.cli, "run_acl", counted)
         path = tmp_path / "two_modes.cfg"
@@ -582,7 +609,7 @@ class TestFailures:
         calls = []
 
         def raises_second(*args, **kwargs):
-            calls.append(args[3].mode)
+            calls.append(args[3])
             if len(calls) == 2:
                 raise TypeError("planted")
             return real(*args, **kwargs)
@@ -636,8 +663,8 @@ class TestVerify:
 def fresh_checkpoint(tmp_path):
     """An untrained checkpoint matching TINY_CFG's model shape."""
     path = tmp_path / "fresh.ckpt"
-    cfg = ModelConfig(input_dim=8, embed_dim=6, hidden=(12,))
-    save_checkpoint(path, *init_model(cfg, make_rng(0), adapter_rank=3))
+    cfg = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
+    save_checkpoint(path, *init_model(cfg, 8, make_rng(0)))
     return path
 
 
@@ -676,8 +703,8 @@ class TestDumpEmbeddings:
 
     @pytest.mark.parametrize(
         "drop",
-        [None, "layer1.W", "layer0.b", "adapter.up"],
-        ids=["garbage", "no-layer1.W", "no-layer0.b", "down-without-up"],
+        [None, "layer1.W", "layer0.b", "adapter.up", "adapter.down"],
+        ids=["garbage", "no-layer1.W", "no-layer0.b", "down-without-up", "up-without-down"],
     )
     def test_bad_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, drop):
         bad = tmp_path / "bad.ckpt"
@@ -708,8 +735,16 @@ class TestDumpEmbeddings:
             ("activation;tanh", "activation;sigmoid"),
             ("layer1.W;6x12", "layer1.W;12x6"),
             ("layer0.b;12\n0.0,", "layer0.b;12\nnan,"),
+            ("n_layers;2\n", "n_layers;2\nlayer2.b;1\n0.0\n"),
+            ("n_layers;2\n", "n_layers;2\nlayer0.b;12\n" + ",".join(["0.0"] * 12) + "\n"),
         ],
-        ids=["unknown-activation", "shapes-do-not-chain", "nan-value"],
+        ids=[
+            "unknown-activation",
+            "shapes-do-not-chain",
+            "nan-value",
+            "unknown-array",
+            "repeated-array",
+        ],
     )
     def test_invalid_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, old, new):
         text = fresh_checkpoint.read_text()
@@ -785,9 +820,24 @@ def test_fuzz_config(tiny_config, tmp_path, lines):
         return
     assert code == 1 and _one_line(err, "checkpoint error:"), err
     config = load_config(path)
-    sections = (config, config.data, config.model, config.adapt)
+    sections = (config, config.data, config.model, config.pretrain, config.adapt, config.core)
     values = [getattr(obj, f.name) for obj in sections for f in fields(obj)]
     assert all(np.isfinite(v) for v in values if isinstance(v, float))
+
+
+@FUZZ
+@given(lines=st.lists(_config_line | _text, max_size=6))
+@example(lines=["run.out = a b/c", "core.tune_adapter = TRUE", "pretrain.lr = 1e-3"])
+def test_fuzz_config_text_round_trip(tmp_path, lines):
+    # every config that loads is written as a text that loads back to it
+    path = tmp_path / "fuzz.cfg"
+    _write(path, TINY_CFG + "\n".join(lines))
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    path.write_text(config_text(config))
+    assert load_config(path) == config
 
 
 _token = st.sampled_from(

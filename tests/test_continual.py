@@ -4,6 +4,7 @@ import pytest
 import adaptcl.continual
 from adaptcl.adaptation import AdaptConfig, ce_adapt_loss
 from adaptcl.continual import (
+    CoreConfig,
     ExperimentState,
     Task,
     TaskStream,
@@ -44,8 +45,8 @@ def stream_and_model():
     stream = TaskStream(
         [_cluster_task(rng, [0, 1]), _cluster_task(rng, [2, 3])]
     )
-    cfg = ModelConfig(input_dim=4, embed_dim=6, hidden=(8,))
-    backbone, adapter = init_model(cfg, make_rng(51), adapter_rank=2)
+    cfg = ModelConfig(embed_dim=6, hidden=(8,), adapter_rank=2)
+    backbone, adapter = init_model(cfg, 4, make_rng(51))
     return stream, backbone, adapter
 
 
@@ -100,7 +101,7 @@ class TestCoreLearnLinear:
     def test_zero_epochs_adds_rows_only(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
-        core_learn_linear(state, stream.tasks[0].train, 0, 0.1, make_rng(1))
+        core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=0, lr=0.1), make_rng(1))
         assert state.classifier.class_ids == [0, 1]
         np.testing.assert_array_equal(state.classifier.weight, np.zeros((2, 6)))
 
@@ -108,7 +109,7 @@ class TestCoreLearnLinear:
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
         before = params_hash(backbone.param_dict())
-        core_learn_linear(state, stream.tasks[0].train, 5, 0.1, make_rng(1))
+        core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=5, lr=0.1), make_rng(1))
         assert params_hash(state.backbone.param_dict()) == before
 
     def test_training_improves_train_accuracy(self, stream_and_model):
@@ -126,9 +127,9 @@ class TestCoreLearnLinear:
             return hits / len(data[1])
 
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
-        core_learn_linear(state, data, 0, 0.1, make_rng(1))
+        core_learn_linear(state, data, CoreConfig(epochs=0, lr=0.1), make_rng(1))
         before = acc(state)
-        core_learn_linear(state, data, 10, 0.1, make_rng(1))
+        core_learn_linear(state, data, CoreConfig(epochs=10, lr=0.1), make_rng(1))
         assert acc(state) >= before
 
 
@@ -166,9 +167,8 @@ class TestCoreLearnLinearReference:
             for _ in range(2)
         ]
         for task in stream.tasks:  # the second task grows a trained head
-            core_learn_linear(
-                states[0], task.train, 3, 0.1, make_rng(54), tune_adapter=tune_adapter
-            )
+            core = CoreConfig(epochs=3, lr=0.1, tune_adapter=tune_adapter)
+            core_learn_linear(states[0], task.train, core, make_rng(54))
             _reference_core_learn_linear(
                 states[1], task.train, 3, 0.1, make_rng(54), tune_adapter
             )
@@ -191,7 +191,8 @@ class TestCoreLearnLinearReference:
         state = ExperimentState(backbone, adapter, Classifier.linear([0], 6))
         state.classifier.bias[0] = np.inf
         with pytest.raises(NonFiniteLoss), np.errstate(invalid="ignore"):
-            core_learn_linear(state, stream.tasks[0].train, 1, 0.1, make_rng(1))
+            core = CoreConfig(epochs=1, lr=0.1)
+            core_learn_linear(state, stream.tasks[0].train, core, make_rng(1))
 
 
 class TestRunAcl:
@@ -199,7 +200,8 @@ class TestRunAcl:
         stream, backbone, adapter = stream_and_model
         single = TaskStream(stream.tasks[:1])
         result = run_acl(
-            single, backbone, adapter, AdaptConfig(epochs=1, lr=0.05), "ncm", make_rng(2)
+            single, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
+            make_rng(2),
         )
         assert result.status == "ok"
         assert result.matrix.K == 1
@@ -208,7 +210,7 @@ class TestRunAcl:
     def test_disabled_runs_no_adaptation(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         result = run_acl(
-            stream, backbone, adapter, AdaptConfig(mode="disabled"), "ncm", make_rng(2)
+            stream, backbone, adapter, "disabled", AdaptConfig(), CoreConfig(), make_rng(2)
         )
         assert result.adapt_reports == []
         assert result.status == "ok"
@@ -223,8 +225,9 @@ class TestRunAcl:
             stream,
             backbone,
             adapter,
+            "acl",
             AdaptConfig(epochs=1, lr=0.05, first_task_only=True),
-            "ncm",
+            CoreConfig(),
             make_rng(2),
         )
         assert [k for k, _ in result.adapt_reports] == [1]
@@ -232,10 +235,12 @@ class TestRunAcl:
     def test_deterministic(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         r1 = run_acl(
-            stream, backbone, adapter, AdaptConfig(epochs=1, lr=0.05), "ncm", make_rng(3)
+            stream, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
+            make_rng(3),
         )
         r2 = run_acl(
-            stream, backbone, adapter, AdaptConfig(epochs=1, lr=0.05), "ncm", make_rng(3)
+            stream, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
+            make_rng(3),
         )
         assert r1.matrix.rows == r2.matrix.rows
 
@@ -245,11 +250,10 @@ class TestRunAcl:
             stream,
             backbone,
             adapter,
+            "acl",
             AdaptConfig(epochs=1, lr=0.05),
-            "linear",
+            CoreConfig(strategy="linear", epochs=5, lr=0.1),
             make_rng(4),
-            core_epochs=5,
-            core_lr=0.1,
         )
         assert result.status == "ok"
         assert result.state.classifier.class_ids == [0, 1, 2, 3]
@@ -263,7 +267,9 @@ class TestRunAcl:
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", broken)
         with pytest.raises(TypeError, match="planted"):
-            run_acl(stream, backbone, adapter, AdaptConfig(epochs=1), "ncm", make_rng(5))
+            run_acl(
+                stream, backbone, adapter, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
+            )
 
     def test_bound_violation_returns_partial_matrix(self, stream_and_model, monkeypatch):
         stream, backbone, adapter = stream_and_model
@@ -278,7 +284,7 @@ class TestRunAcl:
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", violates_on_second_task)
         result = run_acl(
-            stream, backbone, adapter, AdaptConfig(epochs=1), "ncm", make_rng(5)
+            stream, backbone, adapter, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
         )
         assert result.status == "failed"
         assert result.error == "BoundViolation: planted"

@@ -4,6 +4,7 @@ import pytest
 from adaptcl.adaptation import ce_adapt_loss
 from adaptcl.continual import ExperimentState, core_learn_ncm, evaluate
 from adaptcl.data import (
+    PretrainConfig,
     SyntheticSpec,
     _domain_transform,
     generate_synthetic,
@@ -125,9 +126,9 @@ class TestGenerate:
             seed=7,
         )
         pre_train, pre_test, stream = generate_synthetic(spec)
-        cfg = ModelConfig(input_dim=16, embed_dim=8, hidden=(32,))
-        backbone, adapter = init_model(cfg, make_rng(8))
-        backbone = pretrain_backbone(backbone, pre_train, 20, 0.05, make_rng(9))
+        cfg = ModelConfig(embed_dim=8, hidden=(32,))
+        backbone, adapter = init_model(cfg, 16, make_rng(8))
+        backbone = pretrain_backbone(backbone, pre_train, PretrainConfig(20, 0.05), make_rng(9))
 
         def ncm_accuracy(train, test):
             state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 8))))
@@ -171,34 +172,34 @@ def _reference_pretrain(backbone, data, epochs, lr, rng, batch_size=32):
 class TestPretrain:
     def test_matches_named_array_reference(self):
         # 80 rows: two full batches and a short one per epoch
-        cfg = ModelConfig(input_dim=8, embed_dim=4, hidden=(8, 6))
-        backbone, _ = init_model(cfg, make_rng(10))
+        cfg = ModelConfig(embed_dim=4, hidden=(8, 6))
+        backbone, _ = init_model(cfg, 8, make_rng(10))
         pre_train, _, _ = generate_synthetic(SMALL)
-        trained = pretrain_backbone(backbone, pre_train, 3, 0.05, make_rng(11))
+        trained = pretrain_backbone(backbone, pre_train, PretrainConfig(3, 0.05), make_rng(11))
         reference = _reference_pretrain(backbone, pre_train, 3, 0.05, make_rng(11))
         assert trained.flat.tobytes() == reference.flat.tobytes()
         assert trained.flat.tobytes() != backbone.flat.tobytes()
 
     def test_zero_epochs_identity(self):
-        cfg = ModelConfig(input_dim=8, embed_dim=4, hidden=(8,))
-        backbone, _ = init_model(cfg, make_rng(10))
+        cfg = ModelConfig(embed_dim=4, hidden=(8,))
+        backbone, _ = init_model(cfg, 8, make_rng(10))
         pre_train, _, _ = generate_synthetic(SMALL)
-        trained = pretrain_backbone(backbone, pre_train, 0, 0.05, make_rng(11))
+        trained = pretrain_backbone(backbone, pre_train, PretrainConfig(0, 0.05), make_rng(11))
         assert params_hash(trained.param_dict()) == params_hash(backbone.param_dict())
 
     def test_deterministic(self):
-        cfg = ModelConfig(input_dim=8, embed_dim=4, hidden=(8,))
-        backbone, _ = init_model(cfg, make_rng(10))
+        cfg = ModelConfig(embed_dim=4, hidden=(8,))
+        backbone, _ = init_model(cfg, 8, make_rng(10))
         pre_train, _, _ = generate_synthetic(SMALL)
-        t1 = pretrain_backbone(backbone, pre_train, 3, 0.05, make_rng(11))
-        t2 = pretrain_backbone(backbone, pre_train, 3, 0.05, make_rng(11))
+        t1 = pretrain_backbone(backbone, pre_train, PretrainConfig(3, 0.05), make_rng(11))
+        t2 = pretrain_backbone(backbone, pre_train, PretrainConfig(3, 0.05), make_rng(11))
         assert params_hash(t1.param_dict()) == params_hash(t2.param_dict())
 
     def test_beats_chance_on_heldout(self):
-        cfg = ModelConfig(input_dim=8, embed_dim=4, hidden=(16,))
-        backbone, _ = init_model(cfg, make_rng(12))
+        cfg = ModelConfig(embed_dim=4, hidden=(16,))
+        backbone, _ = init_model(cfg, 8, make_rng(12))
         pre_train, pre_test, _ = generate_synthetic(SMALL)
-        backbone = pretrain_backbone(backbone, pre_train, 20, 0.05, make_rng(13))
+        backbone = pretrain_backbone(backbone, pre_train, PretrainConfig(20, 0.05), make_rng(13))
         state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 4))))
         core_learn_ncm(state, pre_train)
         hits = sum(

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,15 +22,15 @@ from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
 
 @pytest.fixture
 def small_model():
-    cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,))
-    return cfg, *init_model(cfg, make_rng(0), adapter_rank=2)
+    cfg = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2)
+    return cfg, *init_model(cfg, 2, make_rng(0))
 
 
 class TestInit:
     def test_deterministic(self):
-        cfg = ModelConfig(input_dim=4, embed_dim=3, hidden=(5,))
-        b1, a1 = init_model(cfg, make_rng(9))
-        b2, a2 = init_model(cfg, make_rng(9))
+        cfg = ModelConfig(embed_dim=3, hidden=(5,))
+        b1, a1 = init_model(cfg, 4, make_rng(9))
+        b2, a2 = init_model(cfg, 4, make_rng(9))
         for p, q in zip(b1.weights, b2.weights):
             np.testing.assert_array_equal(p, q)
         np.testing.assert_array_equal(a1.down, a2.down)
@@ -44,10 +45,10 @@ class TestInit:
     def test_fan_in_scaling(self):
         # doubling fan_in halves the init variance
         rng = make_rng(5)
-        cfg_narrow = ModelConfig(input_dim=50, embed_dim=3, hidden=(200,))
-        cfg_wide = ModelConfig(input_dim=100, embed_dim=3, hidden=(100,))
-        w_narrow = init_model(cfg_narrow, rng)[0].weights[0]
-        w_wide = init_model(cfg_wide, rng)[0].weights[0]
+        cfg_narrow = ModelConfig(embed_dim=3, hidden=(200,))
+        cfg_wide = ModelConfig(embed_dim=3, hidden=(100,))
+        w_narrow = init_model(cfg_narrow, 50, rng)[0].weights[0]
+        w_wide = init_model(cfg_wide, 100, rng)[0].weights[0]
         ratio = np.var(w_wide) / np.var(w_narrow)
         assert ratio == pytest.approx(0.5, rel=0.1)
 
@@ -106,9 +107,9 @@ class TestEmbed:
 def _batch_gradient_error(backprop_fn, seed, n_rows=5, activation="tanh"):
     """Worst relative error of backprop_fn against central differences of
     sum_i <u_i, g_i> over a batch of n_rows inputs."""
-    cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,), activation=activation)
+    cfg = ModelConfig(embed_dim=3, hidden=(4,), activation=activation, adapter_rank=2)
     rng = make_rng(seed, 78)
-    backbone, adapter = init_model(cfg, rng, adapter_rank=2)
+    backbone, adapter = init_model(cfg, 2, rng)
     adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
     if activation == "relu":
         # with zero biases, a relu model whose hidden units are all dead embeds
@@ -169,9 +170,9 @@ class TestBackprop:
         ids=["0", "1", "2", "relu-0", "relu-1", "relu-2"],
     )
     def test_matches_finite_differences(self, seed, activation):
-        cfg = ModelConfig(input_dim=2, embed_dim=3, hidden=(4,), activation=activation)
+        cfg = ModelConfig(embed_dim=3, hidden=(4,), activation=activation, adapter_rank=2)
         rng = make_rng(seed, 77)
-        backbone, adapter = init_model(cfg, rng, adapter_rank=2)
+        backbone, adapter = init_model(cfg, 2, rng)
         adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
         if activation == "relu":
             backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)  # see _batch_gradient_error
@@ -358,7 +359,7 @@ def test_checkpoint_roundtrip(tmp_path, small_model):
 def test_checkpoint_roundtrip_rank_zero_adapter(tmp_path, small_model):
     # a rank-0 adapter writes empty value rows, which must load back
     cfg = small_model[0]
-    backbone, adapter = init_model(cfg, make_rng(0), adapter_rank=0)
+    backbone, adapter = init_model(replace(cfg, adapter_rank=0), 2, make_rng(0))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, backbone, adapter)
     b2, a2 = load_checkpoint(path)
