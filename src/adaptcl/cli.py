@@ -105,7 +105,7 @@ def _convert(key: str, text: str, f):
     if f.type is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text!r}")
     if f.type is Path:  # the manifest writes it back as a config line
-        if "\0" in text or "#" in text or text.splitlines() not in ([], [text.strip()]):
+        if "\0" in text or "#" in text or text != text.strip() or len(text.splitlines()) > 1:
             raise ConfigError(f"{key} must be one line without NUL, '#' or outer spaces: {text!r}")
     return value
 
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
             return cmd_run(config)
         if args.command == "sweep":
             config = load_config(args.config, args.seeds, args.out)
-            values = [v for v in args.values.split(",") if v]
+            values = [v.strip() for v in args.values.split(",") if v.strip()]
             return cmd_sweep(config, args.axis, values)
         if args.command == "verify":
             from .verify import VerifySizes  # here, so other commands skip loading it

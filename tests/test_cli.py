@@ -86,7 +86,7 @@ class TestConfigErrors:
             "core.lr = -inf",
             "adapt.modes = disabled,acl,disabled",
             "run.seeds = 5,5",
-            "run.seeds = 2",
+            "run.seeds = 1\nrun.seeds = 2",
             "data.input_dim = 0",
         ],
         ids=[
@@ -107,8 +107,10 @@ class TestConfigErrors:
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line):
+        # a case that sets run.seeds stands alone: a second line would repeat the key
         path = tmp_path / "bad.cfg"
-        path.write_text(f"run.seeds = 1\n{line}\n")
+        seeds = "" if line.startswith("run.seeds") else "run.seeds = 1\n"
+        path.write_text(f"{seeds}{line}\n")
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -142,12 +144,14 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: run.out") and err.count("\n") == 1
 
-    def test_out_override_a_config_line_cannot_hold(self, tiny_config, tmp_path, capsys):
-        # the manifest records run.out as a config line, where '#' starts a comment
-        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "a#b")]) == 2
+    @pytest.mark.parametrize("name", ["a#b", "out\n", "out ", "a\rb"])
+    def test_out_override_a_config_line_cannot_hold(self, tiny_config, tmp_path, capsys, name):
+        # the manifest records run.out as a config line, where '#' starts a
+        # comment, a line break ends the line and outer spaces are stripped
+        assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: run.out") and err.count("\n") == 1
-        assert not (tmp_path / "a#b").exists()
+        assert not (tmp_path / name).exists()
 
     def test_out_path_is_a_file(self, tiny_config, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -440,9 +444,10 @@ class TestSweep:
 
     def test_cell_manifest_config_reads_back(self, tiny_config, tmp_path):
         # each cell's manifest holds the config the cell ran: the axis value,
-        # the --seeds override and the cell's own run.out
+        # the --seeds override and the cell's own run.out, also for a value
+        # given with spaces around it
         out = tmp_path / "s"
-        argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs", "--values", "2,3"]
+        argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs", "--values", "2, 3 "]
         assert main(argv + ["--seeds", "5,6", "--out", str(out)]) == 0
         base = load_config(tiny_config, seeds_override="5,6")
         for value in (2, 3):
@@ -806,15 +811,26 @@ _config_line = st.tuples(
 ).map("".join)
 
 
+def _fuzz_text(lines):
+    """TINY_CFG without the lines whose keys the fuzzed lines set, then the
+    fuzzed lines, so that each fuzzed value is read rather than repeating a key."""
+    fuzzed = "\n".join(lines).splitlines()
+    keys = {raw.split("#", 1)[0].partition("=")[0].strip() for raw in fuzzed}
+    base = [raw for raw in TINY_CFG.splitlines() if raw.partition("=")[0].strip() not in keys]
+    return "\n".join(base + lines)
+
+
 @FUZZ
-@given(lines=st.lists(_config_line | _text, max_size=6))
-def test_fuzz_config(tiny_config, tmp_path, lines):
+@given(lines=st.lists(_config_line | _text, max_size=6), repeat=st.booleans())
+def test_fuzz_config(tiny_config, tmp_path, lines, repeat):
     # each config goes through load_config; an accepted one then fails on the
-    # missing checkpoint, so nothing trains
+    # missing checkpoint, so nothing trains. With repeat, a last line sets
+    # run.seeds a second time, which exits 2.
     path = tmp_path / "fuzz.cfg"
-    _write(path, TINY_CFG + "\n".join(lines))
+    _write(path, _fuzz_text(lines) + ("\nrun.seeds = 11" if repeat else ""))
     argv = ["dump-embeddings", "--config", str(path), "--checkpoint", str(tmp_path / "none")]
     code, err = _exit_and_stderr(argv + ["--out", str(tmp_path / "e.csv")])
+    assert code == 2 or not repeat, err
     if code == 2:
         assert _one_line(err, "config error:"), err
         return
@@ -828,10 +844,11 @@ def test_fuzz_config(tiny_config, tmp_path, lines):
 @FUZZ
 @given(lines=st.lists(_config_line | _text, max_size=6))
 @example(lines=["run.out = a b/c", "core.tune_adapter = TRUE", "pretrain.lr = 1e-3"])
+@example(lines=["run.seeds = 3, 1", "adapt.modes = disabled,acl", "data.sigma = 0.25"])
 def test_fuzz_config_text_round_trip(tmp_path, lines):
     # every config that loads is written as a text that loads back to it
     path = tmp_path / "fuzz.cfg"
-    _write(path, TINY_CFG + "\n".join(lines))
+    _write(path, _fuzz_text(lines))
     try:
         config = load_config(path)
     except ConfigError:
