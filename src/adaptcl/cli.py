@@ -299,7 +299,8 @@ def write_artifacts(config: RunConfig, cells):
                             values += (r.markov.lhs, r.markov.rhs)
                             f.write(f"{k},{r.epoch}," + ",".join(map(_fmt, values)) + "\n")
                             at = f"{where}/task={k}/epoch={r.epoch}"
-                            bounds += [(f"{c.context}/{at}", c) for c in (r.stability, r.markov)]
+                            checks = filter(None, (r.stability, r.markov, r.threshold))
+                            bounds += [(f"{c.context}/{at}", c) for c in checks]
             manifest["files"] += files
 
         with open(out / "metrics.csv", "w", newline="\n") as f:

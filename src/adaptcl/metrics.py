@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompleteMatrix, LengthMismatch, SingleTask, TooFewSamples
+from .errors import BoundViolation, IncompleteMatrix, LengthMismatch, SingleTask, TooFewSamples
 from .numerics import finite_diff_grad
 
 LOG2 = math.log(2.0)
@@ -102,11 +102,19 @@ class BoundReport:
     def passed(self):
         return self.slack >= -self.tolerance
 
+    def require(self, where: str):
+        """Raise BoundViolation unless the report passed; where names the
+        place of the check, e.g. "epoch 3"."""
+        if not self.passed:
+            raise BoundViolation(
+                f"{self.context} bound violated in {where}: {self.lhs} > {self.rhs}"
+            )
+
 
 def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     """Misclassification rate vs mean(loss)/log 2.
 
-    The per-sample loss threshold (see loss_threshold_violations) implies
+    The per-sample loss threshold (see check_loss_threshold) implies
     this bound: each misclassified sample adds at least log 2 / n to the mean
     loss. It is kept for its aggregate figures, which adapt() reports per
     epoch in the markov columns of the adapt report."""
@@ -121,10 +129,13 @@ def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     return BoundReport(context, lhs, rhs, tolerance=1e-12)
 
 
-def loss_threshold_violations(losses, wrong) -> np.ndarray:
-    """Positions of the misclassified samples whose loss is below log 2;
-    the per-sample loss threshold says there are none."""
-    return np.flatnonzero(wrong & (losses < LOG2 - 1e-12))
+def check_loss_threshold(losses, wrong, context="threshold") -> BoundReport:
+    """Every misclassified sample has loss >= log 2: lhs log 2, rhs the
+    smallest loss of a sample flagged wrong, or inf when none is."""
+    losses = np.asarray(losses, dtype=np.float64)
+    wrong = np.asarray(wrong, dtype=bool)
+    rhs = float(losses[wrong].min()) if wrong.any() else math.inf
+    return BoundReport(context, LOG2, rhs, tolerance=1e-12)
 
 
 def check_stability_bound(
@@ -169,9 +180,7 @@ def verify_lemma2(class_embeddings, rng, n_probes: int = 100) -> BoundReport:
 
     lhs: mean squared distance to the mean; rhs: best mean squared distance
     over random perturbed probe points. Also checks that a central finite
-    difference of f(z) = mean_k ||e_k - z||^2 vanishes at z = mean, and logs
-    how far the renormalized prototype sits from the mean (reported, not
-    asserted).
+    difference of f(z) = mean_k ||e_k - z||^2 vanishes at z = mean.
 
     f is quadratic in z, so a central difference has no truncation error at
     any step h: away from the mean it reads the gradient 2(z - mean), and at
@@ -203,10 +212,6 @@ def verify_lemma2(class_embeddings, rng, n_probes: int = 100) -> BoundReport:
     u = np.finfo(np.float64).eps / 2
     e_max = float(np.abs(e).max())
     per_coord = (n + d + 2) * u * (lhs + h * h) / h + 2 * n * u * e_max + 2 * u * (e_max + h)
-    norm_mean = np.linalg.norm(mean)
-    renorm_gap = (
-        float(np.linalg.norm(mean / norm_mean - mean)) if norm_mean > 0 else np.nan
-    )
     return BoundReport(
         "mean-minimizer",
         lhs,
@@ -214,7 +219,6 @@ def verify_lemma2(class_embeddings, rng, n_probes: int = 100) -> BoundReport:
         tolerance=1e-12,
         extra={
             "grad_norm_at_mean": float(np.linalg.norm(grad)),
-            "grad_tolerance": 2.0 * np.sqrt(d) * per_coord,
-            "renormalization_gap": renorm_gap,
+            "grad_tolerance": float(2.0 * np.sqrt(d) * per_coord),
         },
     )

@@ -11,9 +11,10 @@ from . import model as model_mod
 from .adaptation import acl_loss
 from .errors import DegenerateVector
 from .metrics import (
+    BoundReport,
+    check_loss_threshold,
     check_markov_bound,
     check_stability_bound,
-    loss_threshold_violations,
     verify_lemma1,
     verify_lemma2,
 )
@@ -84,39 +85,53 @@ def _random_batches(rng, dim):
         yield table, tau, _random_units(rng, n, dim), rng.integers(n_classes, size=n)
 
 
+def _campaign(name, reports, cases) -> CheckResult:
+    """One campaign's verdict from its BoundReports: the first failing
+    report, named by its context; else a pass naming the tightest slack, or
+    a vacuous pass when there were no reports. cases says what the campaign
+    ran. reports is read lazily, so none after a failure is made."""
+    tightest = None
+    for r in reports:
+        if not r.passed:
+            return CheckResult(name, False, f"{r.context}: lhs={r.lhs!r} rhs={r.rhs!r}")
+        if tightest is None or r.slack < tightest.slack:
+            tightest = r
+    if tightest is None:
+        return CheckResult(name, True, f"{cases}, nothing checked", vacuous=True)
+    slack = f"{tightest.slack:.2e} ({tightest.context})"
+    return CheckResult(name, True, f"{cases}, tightest slack {slack}")
+
+
 def run_lemma1(seed, n_pairs, dims=(2, 16, 64)) -> CheckResult:
-    if n_pairs == 0:
-        return CheckResult("lemma1", True, "no pairs requested", vacuous=True)
-    worst = 0.0
-    for dim in dims:
-        rng = make_rng(seed, 11, dim)
-        worst = max(worst, verify_lemma1(n_pairs, dim, rng))
-    return CheckResult(
-        "lemma1", worst <= 1e-12, f"max residual {worst:.3e} (limit 1e-12)"
+    """Per dimension, the largest residual of the identity against 1e-12;
+    no reports when n_pairs is 0."""
+    reports = (
+        BoundReport(f"dim {dim}", verify_lemma1(n_pairs, dim, make_rng(seed, 11, dim)), 1e-12, 0.0)
+        for dim in dims
+        if n_pairs
     )
+    return _campaign("lemma1", reports, f"{n_pairs} pairs per dim, residual <= 1e-12")
 
 
 def run_lemma2(seed, n_sets, n_probes, dim=16) -> CheckResult:
-    if n_sets == 0:
-        return CheckResult("lemma2", True, "no sets requested", vacuous=True)
-    rng = make_rng(seed, 12)
-    for i in range(n_sets):
-        n = int(rng.integers(2, 51))
-        embeds = _random_units(rng, n, dim)
-        report = verify_lemma2(embeds, rng, n_probes)
-        grad = report.extra["grad_norm_at_mean"]
-        if not report.passed or grad > report.extra["grad_tolerance"]:
-            return CheckResult(
-                "lemma2",
-                False,
-                f"set {i}: lhs={report.lhs!r} rhs={report.rhs!r} grad={grad!r} "
-                f"(tol {report.extra['grad_tolerance']:.3e})",
-            )
-    return CheckResult("lemma2", True, f"{n_sets} sets x {n_probes} probes")
+    """Per set, the minimizer report and the gradient at the mean."""
+
+    def reports():
+        rng = make_rng(seed, 12)
+        for i in range(n_sets):
+            n = int(rng.integers(2, 51))
+            report = verify_lemma2(_random_units(rng, n, dim), rng, n_probes)
+            report.context = f"set {i}"
+            yield report
+            grad, tol = report.extra["grad_norm_at_mean"], report.extra["grad_tolerance"]
+            yield BoundReport(f"set {i} gradient at mean", grad, tol, 0.0)
+
+    return _campaign("lemma2", reports(), f"{n_sets} sets x {n_probes} probes")
 
 
 def run_threshold(seed, n_draws, dim=16) -> CheckResult:
-    """Cosine-misclassified draws must incur loss >= log 2.
+    """Cosine-misclassified draws must incur loss >= log 2, one report per
+    batch, named by its draws.
 
     This per-sample threshold implies the Markov bound that run_markov
     checks: with losses >= 0 and every misclassified sample at loss >= log 2,
@@ -124,62 +139,48 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
 
     The draws are the rows of random batches, the last one cut to n_draws,
     so the first k draws are the same for every n_draws >= k."""
-    if n_draws == 0:
-        return CheckResult("loss-threshold", True, "no draws requested", vacuous=True)
-    violations, first, done = 0, None, 0
-    for table, tau, e, y in _random_batches(make_rng(seed, 13), dim):
-        e, y = e[: n_draws - done], y[: n_draws - done]
-        pred, _ = classify(table, e)
-        loss, _ = acl_loss(e, y, table, tau)
-        bad = loss_threshold_violations(loss, pred != y)
-        if bad.size and first is None:
-            first = (done + int(bad[0]), float(loss[bad[0]]))
-        violations += bad.size
-        done += len(y)
-        if done == n_draws:
-            break
-    if violations:
-        return CheckResult(
-            "loss-threshold", False, f"{violations} violations, first {first}"
-        )
-    return CheckResult("loss-threshold", True, f"{n_draws} draws, zero violations")
+
+    def reports():
+        batches, done = _random_batches(make_rng(seed, 13), dim), 0
+        while done < n_draws:
+            table, tau, e, y = next(batches)
+            e, y = e[: n_draws - done], y[: n_draws - done]
+            pred, _ = classify(table, e)
+            loss, _ = acl_loss(e, y, table, tau)
+            yield check_loss_threshold(loss, pred != y, f"draws {done}-{done + len(y) - 1}")
+            done += len(y)
+
+    return _campaign("loss-threshold", reports(), f"{n_draws} draws")
 
 
 def run_markov(seed, n_batches, dim=16) -> CheckResult:
     """Random batches: error rate <= mean loss / log 2. Each batch is one
     classify and one acl_loss call on its stacked rows."""
-    if n_batches == 0:
-        return CheckResult("markov", True, "no batches requested", vacuous=True)
-    batches = _random_batches(make_rng(seed, 14), dim)
-    for i, (table, tau, e, y) in zip(range(n_batches), batches):
-        pred, _ = classify(table, e)
-        losses, _ = acl_loss(e, y, table, tau)
-        report = check_markov_bound(losses, pred == y, context=f"batch {i}")
-        if not report.passed:
-            return CheckResult(
-                "markov", False, f"batch {i}: lhs={report.lhs!r} rhs={report.rhs!r}"
-            )
-    return CheckResult("markov", True, f"{n_batches} random batches")
+
+    def reports():
+        batches = _random_batches(make_rng(seed, 14), dim)
+        for i, (table, tau, e, y) in zip(range(n_batches), batches):
+            pred, _ = classify(table, e)
+            losses, _ = acl_loss(e, y, table, tau)
+            yield check_markov_bound(losses, pred == y, context=f"batch {i}")
+
+    return _campaign("markov", reports(), f"{n_batches} random batches")
 
 
 def run_stability(seed, n_draws, dim=16) -> CheckResult:
-    if n_draws == 0:
-        return CheckResult("stability", True, "no draws requested", vacuous=True)
-    rng = make_rng(seed, 15)
-    for i in range(n_draws):
-        old = _random_unit(rng, dim)
-        new = _random_unit(rng, dim)
-        # an odd draw's prototype is the normalized midpoint, where the bound
-        # is tightest: the slack is 16 sin^4(theta / 4) at angle theta between
-        # old and new, and the bound without its factor 2 fails every such draw
-        p = l2_normalize(old + new) if i % 2 else _random_unit(rng, dim)
-        report = check_stability_bound([old], [new], [p], context=f"draw {i}")
-        if not report.passed:
-            return CheckResult(
-                "stability", False, f"draw {i}: lhs={report.lhs!r} rhs={report.rhs!r}"
-            )
-    return CheckResult(
-        "stability", True, f"{n_draws} unit triples, the odd ones at the midpoint"
+    def reports():
+        rng = make_rng(seed, 15)
+        for i in range(n_draws):
+            old = _random_unit(rng, dim)
+            new = _random_unit(rng, dim)
+            # an odd draw's prototype is the normalized midpoint, where the bound
+            # is tightest: the slack is 16 sin^4(theta / 4) at angle theta between
+            # old and new, and the bound without its factor 2 fails every such draw
+            p = l2_normalize(old + new) if i % 2 else _random_unit(rng, dim)
+            yield check_stability_bound([old], [new], [p], context=f"draw {i}")
+
+    return _campaign(
+        "stability", reports(), f"{n_draws} unit triples, the odd ones at the midpoint"
     )
 
 
@@ -201,53 +202,44 @@ def run_gradient_battery(
     coordinates by sqrt(m) times that. With c = 8 the floor is 6e-10 to 4e-8
     here: it only decides on saturated probes, whose true gradient is below
     the rounding error."""
-    if n_seeds == 0 or n_probes == 0:
-        return CheckResult("gradients", True, "no probes requested", vacuous=True)
     cfg, input_dim = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2), 2
-    for s in range(n_seeds):
-        rng = make_rng(seed, 16, s)
-        batch_rng = make_rng(seed, 17, s)
-        backbone, adapter = init_model(cfg, input_dim, rng)
-        if with_adapter:
-            adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-        else:
-            adapter = None
-        table = _random_table(rng, cfg.embed_dim, 3)
-        for probe in range(n_probes):
-            x = rng.standard_normal((1, input_dim))
-            y = rng.integers(3, size=1)
-            tau = float(rng.uniform(0.05, 0.5))
-            if probe % 2 == 1:
-                x = np.vstack([x, batch_rng.standard_normal((2, input_dim))])
-                y = np.concatenate([y, batch_rng.integers(3, size=2)])
 
-            def loss_fn(_params):
-                e = embed(backbone, adapter, x)
-                return float(np.sum(acl_loss(e, y, table, tau)[0]))
+    def reports():
+        for s in range(n_seeds):
+            rng = make_rng(seed, 16, s)
+            batch_rng = make_rng(seed, 17, s)
+            backbone, adapter = init_model(cfg, input_dim, rng)
+            if with_adapter:
+                adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+            else:
+                adapter = None
+            table = _random_table(rng, cfg.embed_dim, 3)
+            for probe in range(n_probes):
+                x = rng.standard_normal((1, input_dim))
+                y = rng.integers(3, size=1)
+                tau = float(rng.uniform(0.05, 0.5))
+                if probe % 2 == 1:
+                    x = np.vstack([x, batch_rng.standard_normal((2, input_dim))])
+                    y = np.concatenate([y, batch_rng.integers(3, size=2)])
 
-            params = model_params(backbone, adapter)
-            e, tape = model_mod.embed_with_tape(backbone, adapter, x)
-            _, d_e = acl_loss(e, y, table, tau)
-            analytic = model_params(*model_mod.backprop(tape, backbone, adapter, d_e))
-            numeric = finite_diff_grad(loss_fn, params, h)
-            rows = len(y)
-            for name in params:
-                err = np.linalg.norm(analytic[name] - numeric[name])
-                floor = 8 * rows * EPS * np.sqrt(numeric[name].size) / (tau * h)
-                limit = rel_tol * np.linalg.norm(numeric[name]) + floor
-                if err > limit:
-                    return CheckResult(
-                        "gradients",
-                        False,
-                        f"seed {s} probe {probe} group {name}: "
-                        f"err {err:.3e} > limit {limit:.3e}",
-                    )
-    return CheckResult(
-        "gradients",
-        True,
-        f"{n_seeds} seeds x {n_probes} probes of 1 or 3 rows, "
-        f"rel tol {rel_tol:g} plus rounding floor",
-    )
+                def loss_fn(_params):
+                    e = embed(backbone, adapter, x)
+                    return float(np.sum(acl_loss(e, y, table, tau)[0]))
+
+                params = model_params(backbone, adapter)
+                e, tape = model_mod.embed_with_tape(backbone, adapter, x)
+                _, d_e = acl_loss(e, y, table, tau)
+                analytic = model_params(*model_mod.backprop(tape, backbone, adapter, d_e))
+                numeric = finite_diff_grad(loss_fn, params, h)
+                for name in params:
+                    err = np.linalg.norm(analytic[name] - numeric[name])
+                    floor = 8 * len(y) * EPS * np.sqrt(numeric[name].size) / (tau * h)
+                    limit = rel_tol * np.linalg.norm(numeric[name]) + floor
+                    at = f"seed {s} probe {probe} group {name}"
+                    yield BoundReport(at, float(err), float(limit), 0.0)
+
+    cases = f"{n_seeds} seeds x {n_probes} probes of 1 or 3 rows, rel tol {rel_tol:g} plus floor"
+    return _campaign("gradients", reports(), cases)
 
 
 def run_all(seed: int = 0, sizes: "VerifySizes | None" = None):

@@ -303,7 +303,7 @@ class TestAdapt:
             return loss / 2, d_e
 
         monkeypatch.setattr(adaptcl.adaptation, "acl_loss", halved)
-        with pytest.raises(BoundViolation, match=r"^misclassified sample with loss .* < log 2$"):
+        with pytest.raises(BoundViolation, match=r"^threshold bound violated"):
             adapt(backbone, adapter, data, "acl", cfg, make_rng(1))
 
     def test_lightweight_only_freezes_backbone(self, toy_setup):

@@ -17,6 +17,7 @@ import adaptcl.adaptation
 import adaptcl.cli
 import adaptcl.continual
 import adaptcl.data
+import adaptcl.verify
 from adaptcl.cli import CONFIG_KEYS, config_text, load_config, main
 from adaptcl.errors import ConfigError, NonFiniteLoss
 from adaptcl.model import ACTIVATIONS, ModelConfig, init_model, load_checkpoint, save_checkpoint
@@ -239,6 +240,51 @@ class TestRun:
         assert rows
         for row in rows:
             assert row.endswith(",True")
+
+    def test_threshold_row_per_adapted_epoch(self, tiny_config, tmp_path):
+        # ce_ablation does not score against the prototypes: no threshold check
+        modes = ("acl", "lightweight_only", "ce_ablation")
+        cfg = tiny_config.read_text().replace("adapt.epochs = 1", "adapt.epochs = 2")
+        path = tiny_config.parent / "modes.cfg"
+        path.write_text(cfg.replace("adapt.modes = acl", "adapt.modes = " + ",".join(modes)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "bounds.csv").read_text().splitlines()[1:]
+        contexts = [row.split(",")[0].split("/", 1) for row in rows]
+
+        def epochs(kind, mode):
+            return [c for k, c in contexts if k == kind and c.startswith(f"mode={mode}/")]
+
+        for mode in modes:
+            assert len(epochs("markov", mode)) == 4  # 2 tasks x 2 epochs
+            want = [] if mode == "ce_ablation" else epochs("markov", mode)
+            assert epochs("threshold", mode) == want
+
+    def test_threshold_row_is_tightest_batch(self, tiny_config, tmp_path, monkeypatch):
+        # each epoch's batch reports come before its one stability check
+        epochs = [[]]
+        real_threshold = adaptcl.adaptation.check_loss_threshold
+        real_stability = adaptcl.adaptation.check_stability_bound
+
+        def threshold(*args, **kwargs):
+            epochs[-1].append(real_threshold(*args, **kwargs))
+            return epochs[-1][-1]
+
+        def stability(*args, **kwargs):
+            epochs.append([])
+            return real_stability(*args, **kwargs)
+
+        monkeypatch.setattr(adaptcl.adaptation, "check_loss_threshold", threshold)
+        monkeypatch.setattr(adaptcl.adaptation, "check_stability_bound", stability)
+        # at 2 epochs the tightest batches are the 4th, any (all inf), 2nd and 2nd
+        path = tiny_config.parent / "two_epochs.cfg"
+        path.write_text(tiny_config.read_text().replace("adapt.epochs = 1", "adapt.epochs = 2"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "bounds.csv").read_text().splitlines()[1:]]
+        rhs = [float(r[2]) for r in rows if r[0].startswith("threshold/")]
+        assert len(rhs) == len(epochs) - 1 == 4
+        assert rhs == [min(r.rhs for r in batches) for batches in epochs[:-1]]
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptcl.errors import IncompleteMatrix, LengthMismatch, SingleTask, TooFewSamples
+from adaptcl.errors import (
+    BoundViolation,
+    IncompleteMatrix,
+    LengthMismatch,
+    SingleTask,
+    TooFewSamples,
+)
 from adaptcl.metrics import (
     AccuracyMatrix,
+    BoundReport,
     avg_incremental_accuracy,
+    check_loss_threshold,
     check_markov_bound,
     check_stability_bound,
     forgetting,
@@ -115,6 +123,37 @@ class TestMarkovBound:
             check_markov_bound([0.1], [True, False])
 
 
+class TestLossThreshold:
+    def test_nothing_misclassified(self):
+        r = check_loss_threshold([0.01, 0.0], [False, False])
+        assert (r.lhs, r.rhs) == (LOG2, math.inf)
+        assert r.passed
+
+    def test_rhs_is_smallest_misclassified_loss(self):
+        r = check_loss_threshold([0.01, 2.0, 0.9], [False, True, True])
+        assert r.rhs == 0.9
+        assert r.slack == pytest.approx(0.9 - LOG2)
+
+    def test_verdict_at_the_tolerance(self):
+        # the verdict of the mask test losses < log 2 - 1e-12
+        at = LOG2 - 1e-12
+        assert check_loss_threshold([at], [True]).passed
+        below = check_loss_threshold([np.nextafter(at, 0.0)], [True])
+        assert not below.passed
+        assert type(below.rhs) is float
+
+
+class TestRequire:
+    def test_passing_report_returns(self):
+        BoundReport("markov", 0.5, 0.5, tolerance=0.0).require("epoch 1")
+
+    def test_failing_report_raises_with_context_and_place(self):
+        r = BoundReport("threshold", LOG2, 0.25, tolerance=1e-12)
+        with pytest.raises(BoundViolation) as info:
+            r.require("epoch 3")
+        assert str(info.value) == f"threshold bound violated in epoch 3: {LOG2} > 0.25"
+
+
 class TestStabilityBound:
     def test_no_deviation(self):
         e = l2_normalize(np.ones(4))
@@ -170,7 +209,6 @@ class TestLemma2:
         e = np.stack([l2_normalize(rng.standard_normal(6)) for _ in range(50)])
         r = verify_lemma2(e, rng, n_probes=100)
         assert r.passed
-        assert np.isfinite(r.extra["renormalization_gap"])
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):

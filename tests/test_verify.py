@@ -1,4 +1,4 @@
-import ast
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +7,11 @@ import adaptcl.metrics
 import adaptcl.model
 import adaptcl.verify
 from adaptcl.errors import DegenerateVector
+from adaptcl.metrics import BoundReport
 from adaptcl.numerics import l2_normalize, make_rng
 from adaptcl.verify import (
     VerifySizes,
+    _campaign,
     _random_units,
     run_all,
     run_gradient_battery,
@@ -49,6 +51,46 @@ def test_zero_sizes_vacuous():
     results = run_all(seed=0, sizes=sizes)
     assert all(r.passed for r in results)
     assert all(r.vacuous for r in results)
+
+
+def test_campaign_without_reports_is_vacuous():
+    result = _campaign("c", iter(()), "0 draws")
+    assert result.passed and result.vacuous
+    assert result.detail == "0 draws, nothing checked"
+
+
+def test_campaign_names_first_failing_report():
+    # the reports after the first failure are never made
+    made = []
+
+    def reports():
+        for i, rhs in enumerate([2.0, 0.5, 0.25, 3.0]):
+            made.append(i)
+            yield BoundReport(f"case {i}", 1.0, rhs, tolerance=0.0)
+
+    result = _campaign("c", reports(), "4 cases")
+    assert not result.passed and not result.vacuous
+    assert result.detail == "case 1: lhs=1.0 rhs=0.5"
+    assert made == [0, 1]
+
+
+def test_campaign_pass_names_tightest_slack():
+    reports = [BoundReport(f"case {i}", 1.0, rhs, 0.0) for i, rhs in enumerate([3.0, 1.5, 2.0])]
+    result = _campaign("c", reports, "3 cases")
+    assert result.passed and not result.vacuous
+    assert result.detail == "3 cases, tightest slack 5.00e-01 (case 1)"
+
+
+def test_failure_details_print_plain_floats(monkeypatch):
+    # a NumPy 2 scalar field would print as np.float64(...): every campaign
+    # fails at its first report, then lemma2 alone at its first gradient report
+    for failing, n_failed in (("", 6), ("gradient at mean", 1)):
+        monkeypatch.setattr(BoundReport, "passed", property(lambda r: failing not in r.context))
+        failed = [r for r in run_all(seed=0, sizes=SMALL) if not r.passed]
+        assert len(failed) == n_failed
+        for r in failed:
+            assert "np.float64(" not in r.detail, r.detail
+            assert "lhs=" in r.detail and "rhs=" in r.detail
 
 
 def test_sign_flip_mutation_caught(monkeypatch):
@@ -111,7 +153,7 @@ def test_lemma2_shifted_point_mutation_caught(monkeypatch):
     monkeypatch.setattr(adaptcl.metrics, "finite_diff_grad", at_prototype)
     result = run_lemma2(0, 5, 20)
     assert not result.passed
-    assert "grad=" in result.detail
+    assert "lhs=" in result.detail
 
 
 def test_lemma1_mutation_caught(monkeypatch):
@@ -123,7 +165,7 @@ def test_lemma1_mutation_caught(monkeypatch):
     )
     result = run_lemma1(0, SMALL.lemma1_pairs)
     assert not result.passed
-    assert "residual" in result.detail
+    assert "lhs=" in result.detail
 
 
 def _drop_target_from_denominator(monkeypatch):
@@ -143,20 +185,21 @@ def test_threshold_mutation_caught(monkeypatch):
     _drop_target_from_denominator(monkeypatch)
     result = run_threshold(0, SMALL.threshold_draws)
     assert not result.passed
-    assert "violations" in result.detail
+    assert "lhs=" in result.detail
 
 
 def test_threshold_reports_first_violation(monkeypatch):
-    # the reported draw is the earliest violation: the draws up to it pass
-    # and one more fails, since the first k draws are the same for every size
+    # the named batch is the earliest failing one: the draws before it pass
+    # and the draws through it fail, since the first k draws are the same for
+    # every size (seed 7 first fails in a later batch, at draws 132-152)
     _drop_target_from_denominator(monkeypatch)
-    detail = run_threshold(0, VerifySizes().threshold_draws).detail
-    k, loss = ast.literal_eval(detail.split("first ", 1)[1])
-    assert type(k) is int and type(loss) is float
-    assert run_threshold(0, k).passed
-    shorter = run_threshold(0, k + 1)
-    assert not shorter.passed
-    assert shorter.detail == f"1 violations, first {(k, loss)}"
+    for seed in (0, 7):
+        detail = run_threshold(seed, VerifySizes().threshold_draws).detail
+        first, last = map(int, re.match(r"draws (\d+)-(\d+): lhs=", detail).groups())
+        assert run_threshold(seed, first).passed
+        shorter = run_threshold(seed, last + 1)
+        assert not shorter.passed
+        assert shorter.detail == detail
 
 
 def test_threshold_checks_batches(monkeypatch):
