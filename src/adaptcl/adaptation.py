@@ -77,14 +77,15 @@ def compute_prototypes(backbone, adapter, data) -> Classifier:
     return Classifier(ids, np.stack(rows))
 
 
-def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau: float):
+def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
     the embedding as a free vector, before the normalization Jacobian.
 
     table: a cosine Classifier whose weight rows are the prototypes. (n, d)
     embeddings with (n,) true-class rows of the table (label_index) give
-    per-row losses (n,) and gradients (n, d)."""
+    per-row losses (n,) and gradients (n, d). tau is one float for every
+    row, or an (n, 1) column with one temperature per row."""
     p = table.weight  # (C, d)
     scores = (e_star @ p.T) / tau
     lse = log_sum_exp(scores)

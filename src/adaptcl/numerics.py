@@ -87,27 +87,31 @@ def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
 def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
     """Central-difference gradient of loss_fn(params) per coordinate.
 
-    loss_fn must be a pure scalar function of the parameter dict; params are
-    perturbed in place and restored, so aliased views are safe.
+    loss_fn must be a pure function of the parameter dict; params are
+    perturbed in place and restored, so aliased views are safe. A scalar
+    loss gives each parameter's gradient in its own shape. A loss that
+    returns an (m,) vector of m losses gives p.shape + (m,) per parameter p:
+    entry [..., k] is the gradient of loss k, the same floats as a scalar
+    call on loss k alone, at two evaluations of loss_fn per coordinate.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     grads = {}
     for name, p in params.items():
-        g = np.zeros_like(p)
         flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
+        diffs = []
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            f_plus = loss_fn(params)
+            f_plus = np.asarray(loss_fn(params), dtype=np.float64)
             flat_p[i] = orig - h
-            f_minus = loss_fn(params)
+            f_minus = np.asarray(loss_fn(params), dtype=np.float64)
             flat_p[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
                 raise NonFiniteLoss(f"non-finite loss probing {name}[{i}]")
-            flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-        grads[name] = g
+            diffs.append((f_plus - f_minus) / (2.0 * h))
+        g = np.array(diffs, dtype=np.float64)
+        grads[name] = g.reshape(p.shape + g.shape[1:])
     return grads
 
 

@@ -184,6 +184,54 @@ def run_stability(seed, n_draws, dim=16) -> CheckResult:
     )
 
 
+def _gradient_probes(seed, s, n_probes, with_adapter):
+    """Seed s of the gradient battery: (backbone, adapter, table, probes),
+    each probe an (x, y, tau) batch of 1 or 3 rows, drawn in the battery's
+    order."""
+    cfg, input_dim = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2), 2
+    rng = make_rng(seed, 16, s)
+    batch_rng = make_rng(seed, 17, s)
+    backbone, adapter = init_model(cfg, input_dim, rng)
+    if with_adapter:
+        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+    else:
+        adapter = None
+    table = _random_table(rng, cfg.embed_dim, 3)
+    probes = []
+    for probe in range(n_probes):
+        x = rng.standard_normal((1, input_dim))
+        y = rng.integers(3, size=1)
+        tau = float(rng.uniform(0.05, 0.5))
+        if probe % 2 == 1:
+            x = np.vstack([x, batch_rng.standard_normal((2, input_dim))])
+            y = np.concatenate([y, batch_rng.integers(3, size=2)])
+        probes.append((x, y, tau))
+    return backbone, adapter, table, probes
+
+
+def _numeric_gradients(backbone, adapter, table, probes, h):
+    """Central differences of every probe's summed loss at once: each
+    evaluation is one embed and one acl_loss call on the stacked rows of all
+    probes, with a per-row tau column, summed per probe. Entry [..., k] of a
+    group is probe k's gradient."""
+    xs, ys, taus = zip(*probes)
+    rows = [len(y) for y in ys]
+    x, y = np.vstack(xs), np.concatenate(ys)
+    tau = np.repeat(taus, rows)[:, None]
+    starts = np.cumsum(rows) - rows
+
+    def summed_losses(_params):
+        return np.add.reduceat(acl_loss(embed(backbone, adapter, x), y, table, tau)[0], starts)
+
+    return finite_diff_grad(summed_losses, model_params(backbone, adapter), h)
+
+
+def _rounding_floor(rows, size, tau, h):
+    """The rounding error of a central difference over a group of size
+    coordinates of a loss summed over rows; see run_gradient_battery."""
+    return 8 * rows * EPS * np.sqrt(size) / (tau * h)
+
+
 def run_gradient_battery(
     seed, n_seeds, n_probes, rel_tol=1e-4, h=1e-5, with_adapter=True
 ) -> CheckResult:
@@ -192,7 +240,9 @@ def run_gradient_battery(
 
     Even probes are one (1, D) input row. Odd probes stack the same draw with
     two more rows from a separate stream and check the summed loss, so a
-    gradient that drops or mixes rows of a batch fails too.
+    gradient that drops or mixes rows of a batch fails too. The analytic
+    side is one embed_with_tape and one backprop per probe; the numeric side
+    differences all of a seed's probes in one pass (_numeric_gradients).
 
     A group passes when ||analytic - numeric|| <= rel_tol ||numeric|| + floor,
     the rounding error of the difference. The summed loss has one term per
@@ -202,39 +252,22 @@ def run_gradient_battery(
     coordinates by sqrt(m) times that. With c = 8 the floor is 6e-10 to 4e-8
     here: it only decides on saturated probes, whose true gradient is below
     the rounding error."""
-    cfg, input_dim = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2), 2
 
     def reports():
+        if not n_probes:
+            return
         for s in range(n_seeds):
-            rng = make_rng(seed, 16, s)
-            batch_rng = make_rng(seed, 17, s)
-            backbone, adapter = init_model(cfg, input_dim, rng)
-            if with_adapter:
-                adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-            else:
-                adapter = None
-            table = _random_table(rng, cfg.embed_dim, 3)
-            for probe in range(n_probes):
-                x = rng.standard_normal((1, input_dim))
-                y = rng.integers(3, size=1)
-                tau = float(rng.uniform(0.05, 0.5))
-                if probe % 2 == 1:
-                    x = np.vstack([x, batch_rng.standard_normal((2, input_dim))])
-                    y = np.concatenate([y, batch_rng.integers(3, size=2)])
-
-                def loss_fn(_params):
-                    e = embed(backbone, adapter, x)
-                    return float(np.sum(acl_loss(e, y, table, tau)[0]))
-
-                params = model_params(backbone, adapter)
+            backbone, adapter, table, probes = _gradient_probes(seed, s, n_probes, with_adapter)
+            numeric = _numeric_gradients(backbone, adapter, table, probes, h)
+            for probe, (x, y, tau) in enumerate(probes):
                 e, tape = model_mod.embed_with_tape(backbone, adapter, x)
                 _, d_e = acl_loss(e, y, table, tau)
                 analytic = model_params(*model_mod.backprop(tape, backbone, adapter, d_e))
-                numeric = finite_diff_grad(loss_fn, params, h)
-                for name in params:
-                    err = np.linalg.norm(analytic[name] - numeric[name])
-                    floor = 8 * len(y) * EPS * np.sqrt(numeric[name].size) / (tau * h)
-                    limit = rel_tol * np.linalg.norm(numeric[name]) + floor
+                for name, g in numeric.items():
+                    g = g[..., probe]
+                    err = np.linalg.norm(analytic[name] - g)
+                    floor = _rounding_floor(len(y), g.size, tau, h)
+                    limit = rel_tol * np.linalg.norm(g) + floor
                     at = f"seed {s} probe {probe} group {name}"
                     yield BoundReport(at, float(err), float(limit), 0.0)
 

@@ -10,6 +10,8 @@ of both. Every size is an (n, D) batch, n = 1 included. The SGD step
 updates the backbone's flat vector and the head with momentum 0.9, as each
 pretraining batch does; the pretraining step adds the forward pass,
 ce_adapt_loss and backprop before it, as pretrain_backbone's loop does.
+The last cases time each `adaptcl verify` campaign at its default size
+with seed 0, one campaign per case.
 """
 
 import numpy as np
@@ -27,10 +29,28 @@ from adaptcl.model import (
     init_model,
 )
 from adaptcl.numerics import OptimizerState, l2_normalize, make_rng, require_finite, sgd_step
+from adaptcl.verify import (
+    VerifySizes,
+    run_gradient_battery,
+    run_lemma1,
+    run_lemma2,
+    run_markov,
+    run_stability,
+    run_threshold,
+)
 
 N_CLASSES = 10
 INPUT_DIM = SyntheticSpec().input_dim
 SIZES = (1, 16, 32)
+VERIFY = VerifySizes()
+CAMPAIGNS = {
+    "lemma1": (run_lemma1, VERIFY.lemma1_pairs),
+    "lemma2": (run_lemma2, VERIFY.lemma2_sets, VERIFY.lemma2_probes),
+    "threshold": (run_threshold, VERIFY.threshold_draws),
+    "markov": (run_markov, VERIFY.markov_batches),
+    "stability": (run_stability, VERIFY.stability_draws),
+    "gradients": (run_gradient_battery, VERIFY.grad_seeds, VERIFY.grad_probes),
+}
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +138,9 @@ def test_pretrain_step(benchmark, model):
         sgd_step(params, [grads[0].flat, d_w / len(y), d_b / len(y)], state)
 
     benchmark(step)
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS)
+def test_verify_campaign(benchmark, campaign):
+    run, *sizes = CAMPAIGNS[campaign]
+    assert benchmark(run, 0, *sizes).passed

@@ -13,6 +13,7 @@ from adaptcl.errors import (
     TooFewSamples,
 )
 from adaptcl.metrics import (
+    BLOCK_FLOATS,
     AccuracyMatrix,
     BoundReport,
     avg_incremental_accuracy,
@@ -190,6 +191,31 @@ class TestLemma1:
     def test_thousand_pairs_d16(self):
         assert verify_lemma1(1000, 16, make_rng(6)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_same_draws_as_per_pair_loop(self, dim):
+        # one whole block of pairs and part of a second
+        n_pairs = BLOCK_FLOATS // (2 * dim) + 44
+        rng, worst = make_rng(11, dim), 0.0
+        for _ in range(n_pairs):
+            a = l2_normalize(rng.standard_normal(dim))
+            b = l2_normalize(rng.standard_normal(dim))
+            worst = max(worst, abs(float(np.sum((a - b) ** 2)) - 2.0 * (1.0 - float(a @ b))))
+        assert abs(verify_lemma1(n_pairs, dim, make_rng(11, dim)) - worst) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    def test_same_pairs_as_per_pair_loop(self, dim, monkeypatch):
+        # every unit residual is rounding, so the pin above cannot tell which
+        # normals form a pair; without normalization a pair's residual is
+        # | ||a||^2 + ||b||^2 - 2 |, of order one, and its largest value reads
+        # the pairs
+        n_pairs, rng, worst = BLOCK_FLOATS // (2 * dim) + 44, make_rng(11, dim), 0.0
+        for _ in range(n_pairs):
+            a, b = rng.standard_normal(dim), rng.standard_normal(dim)
+            worst = max(worst, abs(float(np.sum((a - b) ** 2)) - 2.0 * (1.0 - float(a @ b))))
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: 1.0)
+        got = verify_lemma1(n_pairs, dim, make_rng(11, dim))
+        assert got == pytest.approx(worst, rel=1e-12)
+
 
 class TestLemma2:
     def test_two_points_midpoint(self):
@@ -213,3 +239,17 @@ class TestLemma2:
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
             verify_lemma2(np.ones((1, 3)), make_rng(10))
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (50, 16)])
+    def test_same_probes_as_per_probe_loop(self, n, d):
+        # one whole block of probes and part of a second
+        n_probes = BLOCK_FLOATS // (n * d) + 3
+        rng = make_rng(12, n)
+        e = rng.standard_normal((n, d))
+        mean = e.mean(axis=0)
+        reference = min(
+            float(np.mean(np.sum((e - (mean + 0.1 * rng.standard_normal(d))) ** 2, axis=1)))
+            for _ in range(n_probes)
+        )
+        rng = make_rng(12, n)
+        assert verify_lemma2(rng.standard_normal((n, d)), rng, n_probes).rhs == reference

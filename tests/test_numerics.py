@@ -154,6 +154,40 @@ class TestFiniteDiff:
                 lambda p: float("nan"), {"x": np.array([1.0])}, 1e-5
             )
 
+    @staticmethod
+    def _vector_loss(p):
+        # three losses of a (2, 3) matrix and a (4,) vector, each nonlinear
+        w, v = p["w"], p["v"]
+        return np.array([np.sum(np.sin(w)) * v[0], np.sum(w**2) + v @ v, np.exp(w[1, 2]) - v[3]])
+
+    def _vector_params(self):
+        rng = make_rng(3)
+        return {"w": rng.standard_normal((2, 3)), "v": rng.standard_normal(4)}
+
+    def test_vector_loss_shape(self):
+        g = finite_diff_grad(self._vector_loss, self._vector_params(), 1e-5)
+        assert g["w"].shape == (2, 3, 3)
+        assert g["v"].shape == (4, 3)
+
+    def test_vector_loss_matches_scalar_calls_bit_for_bit(self):
+        params = self._vector_params()
+        g = finite_diff_grad(self._vector_loss, params, 1e-5)
+        for k in range(3):
+            own = finite_diff_grad(lambda p: float(self._vector_loss(p)[k]), params, 1e-5)
+            for name in params:
+                np.testing.assert_array_equal(g[name][..., k], own[name])
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vector_loss_non_finite_component(self, k, bad):
+        def loss(p):
+            f = self._vector_loss(p)
+            f[k] = bad
+            return f
+
+        with pytest.raises(NonFiniteLoss):
+            finite_diff_grad(loss, self._vector_params(), 1e-5)
+
 
 class TestRng:
     def test_equal_seeds_bit_identical(self):

@@ -6,13 +6,18 @@ import pytest
 import adaptcl.metrics
 import adaptcl.model
 import adaptcl.verify
+from adaptcl.adaptation import acl_loss
 from adaptcl.errors import DegenerateVector
 from adaptcl.metrics import BoundReport
-from adaptcl.numerics import l2_normalize, make_rng
+from adaptcl.model import embed, model_params
+from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
 from adaptcl.verify import (
     VerifySizes,
     _campaign,
+    _gradient_probes,
+    _numeric_gradients,
     _random_units,
+    _rounding_floor,
     run_all,
     run_gradient_battery,
     run_lemma1,
@@ -267,6 +272,40 @@ def test_saturated_gradient_probe_passes():
     # a purely relative test failed it
     sizes = VerifySizes()
     assert run_gradient_battery(20, sizes.grad_seeds, sizes.grad_probes).passed
+
+
+def test_stacked_numeric_gradient_is_per_probe():
+    # each probe's slice of the one-pass oracle is the central difference of
+    # that probe's own summed loss, within the battery's rounding floor
+    h = 1e-5
+    backbone, adapter, table, probes = _gradient_probes(0, 0, VerifySizes().grad_probes, True)
+    stacked = _numeric_gradients(backbone, adapter, table, probes, h)
+    params = model_params(backbone, adapter)
+    for k, (x, y, tau) in enumerate(probes):
+
+        def own_loss(_params, x=x, y=y, tau=tau):
+            return float(np.sum(acl_loss(embed(backbone, adapter, x), y, table, tau)[0]))
+
+        own = finite_diff_grad(own_loss, params, h)
+        for name, g in own.items():
+            assert stacked[name].shape == g.shape + (len(probes),)
+            err = np.linalg.norm(stacked[name][..., k] - g)
+            assert err <= _rounding_floor(len(y), g.size, tau, h), (k, name, err)
+
+
+def test_gradient_oracle_batches_probes(monkeypatch):
+    # one embed call per side of each of the 39 coordinates, not one per
+    # probe and side
+    real_embed = adaptcl.verify.embed
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real_embed(*args)
+
+    monkeypatch.setattr(adaptcl.verify, "embed", counted)
+    assert run_gradient_battery(0, 1, 10).passed
+    assert 0 < len(calls) <= 2 * 39
 
 
 def test_individual_campaigns_report_detail():
