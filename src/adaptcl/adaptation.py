@@ -3,8 +3,10 @@ prototype-anchored contrastive loss with its analytic gradient, a
 cross-entropy ablation loss, and the mini-batch adaptation loop.
 
 Prototypes are computed once from the model state at phase entry and stay
-frozen for the whole phase; the loop asserts the per-sample misclassification
-threshold per batch, and the feature-deviation and Markov bounds per epoch.
+frozen for the whole phase, as does the backbone under lightweight_only; the
+loop checks the per-sample misclassification threshold per batch, the
+feature-deviation and Markov bounds per epoch, and each freeze at the end of
+the phase.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from .metrics import (
     check_loss_threshold,
     check_markov_bound,
     check_stability_bound,
+    check_unchanged,
 )
 from .model import (
     Classifier,
@@ -31,7 +34,6 @@ from .numerics import (
     diverged_as,
     l2_normalize,
     log_sum_exp,
-    params_hash,
     require_finite,
     sgd_step,
 )
@@ -133,20 +135,22 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
 
     Returns (adapted backbone, adapted adapter, [EpochRecord per epoch]). The
     inputs are never mutated; mode="disabled" or epochs=0 returns exact copies
-    and no records.
+    and no records. A prototype table, or under lightweight_only a backbone,
+    that changed in any bit over the phase raises BoundViolation.
     """
     if mode not in ADAPT_MODES:
         raise ValueError(f"unknown adaptation mode {mode!r}")
     x, labels = data
     if not len(labels):
         raise ValueError("adaptation data is empty")
+    frozen_backbone = backbone.flat  # of the input, which is never mutated
     backbone = backbone.copy()
     adapter = adapter.copy() if adapter is not None else None
     if mode == "disabled":
         return backbone, adapter, []
 
     table = compute_prototypes(backbone, adapter, data)
-    table_hash = params_hash({"prototypes": table.weight})
+    frozen_table = table.weight.copy()
     y_idx = label_index(table.class_ids, labels, "prototype table")
     label_protos = table.weight[y_idx]
     old_embeds = embed(backbone, adapter, x)
@@ -201,5 +205,8 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
             records.append(
                 EpochRecord(epoch, float(np.mean(losses)), stability, markov, threshold)
             )
-    assert params_hash({"prototypes": table.weight}) == table_hash, "prototypes changed"
+    check_unchanged(frozen_table, table.weight, "frozen prototypes").require("adaptation")
+    if mode == "lightweight_only":
+        frozen = check_unchanged(frozen_backbone, backbone.flat, "frozen backbone")
+        frozen.require("lightweight_only adaptation")
     return backbone, adapter, records

@@ -13,7 +13,7 @@ import numpy as np
 
 from .adaptation import AdaptConfig, adapt, compute_prototypes
 from .errors import AdaptclError, BoundViolation, NonFiniteLoss
-from .metrics import AccuracyMatrix
+from .metrics import AccuracyMatrix, check_unchanged
 from .model import (
     Classifier,
     backprop,
@@ -22,7 +22,7 @@ from .model import (
     embed_with_tape,
     label_index,
 )
-from .numerics import OptimizerState, diverged_as, params_hash, sgd_step
+from .numerics import OptimizerState, diverged_as, sgd_step
 
 CORE_STRATEGIES = ("ncm", "linear")
 
@@ -84,24 +84,26 @@ def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
     """Insert current-task prototypes computed with the frozen adapted model.
 
     No parameter updates; previously stored prototypes are never touched. A
-    class already in the classifier raises ValueError."""
-    before = params_hash(state.backbone.param_dict())
+    class already in the classifier raises ValueError, and a backbone that
+    changed in any bit raises BoundViolation (the frozen-backbone check)."""
+    before = state.backbone.flat.copy()
     table = compute_prototypes(state.backbone, state.adapter, task_data)
     state.classifier.add_classes(table.class_ids, table.weight)
-    assert params_hash(state.backbone.param_dict()) == before
+    check_unchanged(before, state.backbone.flat, "frozen backbone").require("ncm core learning")
     return state
 
 
 def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng):
     """Cross-entropy fine-tuning of the linear head (optionally the adapter)
-    on current-task data; the backbone stays bit-identical.
+    on current-task data; the backbone stays bit-identical, or the
+    frozen-backbone check raises BoundViolation.
 
     The head takes plain SGD steps of batch size 1 with no momentum: for each
     sample (e, y), p = softmax(W e + b), W -= lr * outer(p - onehot(y), e) and
     b -= lr * (p - onehot(y)), in place. With tune_adapter the embedding
     gradient (p - onehot(y)) @ W, taken before the head update, is
     backpropagated into the adapter, which takes the same kind of step."""
-    before = params_hash(state.backbone.param_dict())
+    before = state.backbone.flat.copy()
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
@@ -136,7 +138,7 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
                     sgd_step([state.adapter.flat], [grads[1].flat], adapter_state)
                 W -= config.lr * (delta[:, None] * e)  # outer(delta, e)
                 b -= config.lr * delta
-    assert params_hash(state.backbone.param_dict()) == before
+    check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
     return state
 
 

@@ -1,11 +1,12 @@
 """Continual-learning metrics over the lower-triangular accuracy matrix, and
 standalone verifiers for the toolkit's theoretical guarantees: the
 loss-threshold/Markov misclassification bound, the feature-deviation bound,
-the sphere distance-cosine identity, and the mean-as-minimizer property.
+the freezes, the sphere distance-cosine identity, and the
+mean-as-minimizer property.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +97,6 @@ class BoundReport:
     lhs: float
     rhs: float
     tolerance: float
-    extra: dict = field(default_factory=dict)
 
     @property
     def slack(self):
@@ -160,6 +160,15 @@ def check_stability_bound(
     return BoundReport(context, lhs, rhs, tolerance=1e-9)
 
 
+def check_unchanged(before, after, context) -> BoundReport:
+    """A freeze: lhs the number of entries whose float64 bits differ between
+    before and after, so a flipped zero sign or a NaN counts as a change as
+    much as any other; rhs 0, tolerance 0."""
+    before = np.asarray(before, dtype=np.float64).view(np.uint64)
+    after = np.asarray(after, dtype=np.float64).view(np.uint64)
+    return BoundReport(context, int(np.count_nonzero(before != after)), 0, tolerance=0)
+
+
 def _blocks(n: int, row_size: int):
     """Row counts of blocks that cover n rows of row_size floats each, at
     most BLOCK_FLOATS floats to a block but at least one row."""
@@ -190,12 +199,14 @@ def _mean_sq_distance(e, z):
     return np.mean(np.sum((e - z) ** 2, axis=-1), axis=-1)
 
 
-def verify_lemma2(class_embeddings, rng, n_probes: int = 100) -> BoundReport:
+def verify_lemma2(class_embeddings, rng, n_probes: int = 100, context="mean-minimizer"):
     """The unnormalized mean minimizes mean squared distance.
 
-    lhs: mean squared distance to the mean; rhs: best mean squared distance
-    over random perturbed probe points. Also checks that a central finite
-    difference of f(z) = mean_k ||e_k - z||^2 vanishes at z = mean.
+    Returns two reports. The minimizer: lhs the mean squared distance to the
+    mean, rhs the best mean squared distance over random perturbed probe
+    points. The gradient at the mean, named context + " gradient at mean":
+    lhs the norm of a central finite difference of f(z) = mean_k ||e_k - z||^2
+    at z = mean, rhs its rounding tolerance.
 
     f is quadratic in z, so a central difference has no truncation error at
     any step h: away from the mean it reads the gradient 2(z - mean), and at
@@ -225,13 +236,8 @@ def verify_lemma2(class_embeddings, rng, n_probes: int = 100) -> BoundReport:
     u = np.finfo(np.float64).eps / 2
     e_max = float(np.abs(e).max())
     per_coord = (n + d + 2) * u * (lhs + h * h) / h + 2 * n * u * e_max + 2 * u * (e_max + h)
-    return BoundReport(
-        "mean-minimizer",
-        lhs,
-        rhs,
-        tolerance=1e-12,
-        extra={
-            "grad_norm_at_mean": float(np.linalg.norm(grad)),
-            "grad_tolerance": float(2.0 * np.sqrt(d) * per_coord),
-        },
+    grad_tol = float(2.0 * np.sqrt(d) * per_coord)
+    return (
+        BoundReport(context, lhs, rhs, tolerance=1e-12),
+        BoundReport(f"{context} gradient at mean", float(np.linalg.norm(grad)), grad_tol, 0.0),
     )

@@ -136,13 +136,3 @@ def diverged_as(what: str):
     except (FloatingPointError, DegenerateVector) as e:
         raise NonFiniteLoss(f"{what}: {e}") from e
 
-
-def params_hash(params: dict) -> str:
-    """Stable digest of a parameter dict, for freeze assertions."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for name in sorted(params):
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(params[name], dtype=np.float64).tobytes())
-    return h.hexdigest()

@@ -91,8 +91,8 @@ def test_criterion_2_mean_minimizer():
         n = int(rng.integers(2, 60))
         dim = int(rng.integers(2, 32))
         embeds = np.stack([l2_normalize(rng.standard_normal(dim)) for _ in range(n)])
-        r = verify_lemma2(embeds, rng, n_probes=100)
-        ok &= r.passed and r.extra["grad_norm_at_mean"] <= 1e-12
+        r, gradient = verify_lemma2(embeds, rng, n_probes=100)
+        ok &= r.passed and gradient.lhs <= 1e-12
     elapsed = time.perf_counter() - t0
     _report(2, ok and elapsed < 5.0, f"20 sets x 100 probes, {elapsed:.2f}s")
 

@@ -553,6 +553,20 @@ class TestSweep:
             assert (cell / "accuracy_matrix_11.csv").read_text().splitlines()[1:] == []
 
 
+def _nudge_backbone_at_task(task):
+    """A compute_prototypes for NCM core learning that moves one backbone
+    entry by one ulp at its call for the given task."""
+    real, calls = adaptcl.continual.compute_prototypes, []
+
+    def nudging(backbone, adapter, data):
+        calls.append(1)
+        if len(calls) == task:
+            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
+        return real(backbone, adapter, data)
+
+    return nudging
+
+
 class TestFailures:
     """A failed cell leaves its exception type and traceback in the manifest."""
 
@@ -607,6 +621,37 @@ class TestFailures:
         assert err[0].startswith(
             "error: seed=11,mode=acl: BoundViolation: markov bound violated in epoch 1: "
         )
+
+    def test_freeze_violation(self, tiny_config, tmp_path, monkeypatch, capsys):
+        # the frozen backbone moves in core learning of task 2: the cell
+        # fails on one stderr line and keeps task 1's row
+        monkeypatch.setattr(adaptcl.continual, "compute_prototypes", _nudge_backbone_at_task(2))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: seed=11,mode=acl: BoundViolation: "
+            "frozen backbone bound violated in ncm core learning: 1 > 0"
+        ]
+        rows = (out / "accuracy_matrix_11.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("1,") and rows[1].endswith(",failed")
+
+    def test_freeze_violation_survives_optimize_flag(self, tiny_config, tmp_path):
+        # python -O strips assert statements; the freeze checks must still fail the run
+        code = (
+            "import sys, adaptcl.continual, test_cli\n"
+            "adaptcl.continual.compute_prototypes = test_cli._nudge_backbone_at_task(2)\n"
+            "sys.exit(test_cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]
+        path = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 1, done.stderr
+        assert "BoundViolation: frozen backbone bound violated" in done.stderr
 
     def test_failed_cells_named_on_stderr(self, tiny_config, tmp_path, capsys):
         cfg = tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")

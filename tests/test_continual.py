@@ -24,7 +24,7 @@ from adaptcl.model import (
     init_model,
     label_index,
 )
-from adaptcl.numerics import OptimizerState, make_rng, params_hash, sgd_step
+from adaptcl.numerics import OptimizerState, make_rng, sgd_step
 
 
 def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
@@ -75,6 +75,23 @@ class TestCoreLearnNcm:
                 state.classifier.weight[state.classifier.class_ids.index(c)], p
             )
 
+    def test_backbone_change_caught(self, stream_and_model, monkeypatch):
+        # prototypes computed through a backbone nudged by one ulp must fail
+        # the frozen-backbone check
+        stream, backbone, adapter = stream_and_model
+        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        real = adaptcl.continual.compute_prototypes
+
+        def nudging(backbone, adapter, data):
+            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
+            return real(backbone, adapter, data)
+
+        monkeypatch.setattr(adaptcl.continual, "compute_prototypes", nudging)
+        with pytest.raises(
+            BoundViolation, match=r"^frozen backbone bound violated in ncm core learning: 1 > 0$"
+        ):
+            core_learn_ncm(state, stream.tasks[0].train)
+
     def test_repeated_task_rejected(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
@@ -108,9 +125,26 @@ class TestCoreLearnLinear:
     def test_backbone_frozen(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
-        before = params_hash(backbone.param_dict())
+        before = backbone.flat.tobytes()
         core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=5, lr=0.1), make_rng(1))
-        assert params_hash(state.backbone.param_dict()) == before
+        assert state.backbone.flat.tobytes() == before
+
+    def test_backbone_change_caught(self, stream_and_model, monkeypatch):
+        # an epoch that nudges one backbone entry by one ulp must fail the
+        # frozen-backbone check
+        stream, backbone, adapter = stream_and_model
+        state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
+        real = adaptcl.continual.diverged_as
+
+        def nudging(what):
+            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
+            return real(what)
+
+        monkeypatch.setattr(adaptcl.continual, "diverged_as", nudging)
+        with pytest.raises(
+            BoundViolation, match=r"^frozen backbone bound violated in linear core learning: 1 > 0$"
+        ):
+            core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=2), make_rng(1))
 
     def test_training_improves_train_accuracy(self, stream_and_model):
         # smoke check, not a guarantee
@@ -215,9 +249,7 @@ class TestRunAcl:
         assert result.adapt_reports == []
         assert result.status == "ok"
         # frozen-backbone run leaves the model untouched
-        assert params_hash(result.state.backbone.param_dict()) == params_hash(
-            backbone.param_dict()
-        )
+        assert result.state.backbone.flat.tobytes() == backbone.flat.tobytes()
 
     def test_first_task_only(self, stream_and_model):
         stream, backbone, adapter = stream_and_model

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every dataclass field of the package is read somewhere in it, and the cli
-loads no module that its commands do not all need."""
+every dataclass field of the package is read somewhere in it, no check of
+the package is an assert statement, and the cli loads no module that its
+commands do not all need."""
 
 import ast
 import os
@@ -75,6 +76,21 @@ def test_detects_an_unread_dataclass_field():
 def test_no_unread_dataclass_fields():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_fields(sources) == []
+
+
+def assert_statements(source: str) -> list:
+    return [f"line {n.lineno}" for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_detects_an_assert_statement():
+    source = "x = 1\nassert x, 'msg'\nif x:\n    assert x == 1\ny = 'assert x'\n"
+    assert assert_statements(source) == ["line 2", "line 4"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_assert_statements(module):
+    # python -O strips assert statements, and a check must not vanish with them
+    assert assert_statements((PACKAGE / module).read_text()) == []
 
 
 def test_cli_import_skips_verify():

@@ -20,6 +20,7 @@ from adaptcl.metrics import (
     check_loss_threshold,
     check_markov_bound,
     check_stability_bound,
+    check_unchanged,
     forgetting,
     last_accuracy,
     plasticity,
@@ -155,6 +156,27 @@ class TestRequire:
         assert str(info.value) == f"threshold bound violated in epoch 3: {LOG2} > 0.25"
 
 
+class TestCheckUnchanged:
+    def test_equal_bits_pass(self):
+        before = np.array([[0.0, -0.0], [np.nan, np.inf]])
+        r = check_unchanged(before, before.copy(), "frozen x")
+        assert (r.context, r.lhs, r.rhs, r.tolerance, r.passed) == ("frozen x", 0, 0, 0, True)
+
+    def test_counts_entries_whose_bits_changed(self):
+        # a flipped zero sign, a NaN and a one-ulp step each count once
+        before = np.array([0.0, 1.0, 2.0, 3.0])
+        after = np.array([-0.0, np.nan, np.nextafter(2.0, 3.0), 3.0])
+        r = check_unchanged(before, after, "frozen x")
+        assert (r.lhs, r.passed) == (3, False)
+        with pytest.raises(BoundViolation, match=r"^frozen x bound violated in core: 3 > 0$"):
+            r.require("core")
+
+    def test_size_zero(self):
+        # the flat vector of an adapter of rank 0
+        r = check_unchanged(np.zeros(0), np.zeros(0), "frozen adapter")
+        assert (r.lhs, r.passed) == (0, True)
+
+
 class TestStabilityBound:
     def test_no_deviation(self):
         e = l2_normalize(np.ones(4))
@@ -220,20 +242,20 @@ class TestLemma1:
 class TestLemma2:
     def test_two_points_midpoint(self):
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        r = verify_lemma2(e, make_rng(7), n_probes=100)
+        r, gradient = verify_lemma2(e, make_rng(7), n_probes=100)
         assert r.passed
-        assert r.extra["grad_norm_at_mean"] <= 1e-12
+        assert gradient.lhs <= 1e-12
 
     def test_identical_points(self):
         e = np.tile(l2_normalize(np.ones(3)), (5, 1))
-        r = verify_lemma2(e, make_rng(8), n_probes=50)
+        r, _ = verify_lemma2(e, make_rng(8), n_probes=50)
         assert r.lhs == 0.0
         assert r.passed
 
     def test_random_embeddings(self):
         rng = make_rng(9)
         e = np.stack([l2_normalize(rng.standard_normal(6)) for _ in range(50)])
-        r = verify_lemma2(e, rng, n_probes=100)
+        r, _ = verify_lemma2(e, rng, n_probes=100)
         assert r.passed
 
     def test_too_few(self):
@@ -252,4 +274,5 @@ class TestLemma2:
             for _ in range(n_probes)
         )
         rng = make_rng(12, n)
-        assert verify_lemma2(rng.standard_normal((n, d)), rng, n_probes).rhs == reference
+        r, _ = verify_lemma2(rng.standard_normal((n, d)), rng, n_probes)
+        assert r.rhs == reference
