@@ -1,6 +1,6 @@
-"""Command-line entry point: benchmark runs, sweeps over temperature or
-adaptation epochs, the standalone verification suite, and raw embedding
-dumps for external plotting.
+"""Command-line entry point: benchmark runs, sweeps over one config key, the
+standalone verification suite, and raw embedding dumps for external
+plotting.
 
 Config files are flat `section.key = value` text; every run directory gets a
 manifest (written even on failure) plus deterministic CSV artifacts.
@@ -14,7 +14,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -119,11 +119,19 @@ def _config_errors(prefix=""):
         raise ConfigError(prefix + str(e)) from e
 
 
-def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
+def load_config(path, overrides=None) -> RunConfig:
+    """parse_config of the file's text."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(str(e)) from e
+    return parse_config(text, overrides)
+
+
+def parse_config(text: str, overrides=None) -> RunConfig:
+    """The config of `key = value` lines, each item of the key -> value
+    mapping overrides replacing its key's line. Config files, --seeds,
+    --out and sweep cells all come here."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,10 +145,7 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
         values[key] = value
-    if seeds_override:
-        values["run.seeds"] = seeds_override
-    if out_override:
-        values["run.out"] = str(out_override)
+    values.update((key, str(value)) for key, value in (overrides or {}).items())
     for key, (_, f) in CONFIG_KEYS.items():
         if f.default is MISSING and key not in values:
             raise ConfigError(f"missing required key {key!r}")
@@ -156,15 +161,18 @@ def load_config(path, seeds_override=None, out_override=None) -> RunConfig:
         return RunConfig(**own)
 
 
+def _value_text(config: RunConfig, key: str) -> str:
+    """The value of key in config, as a config line writes it."""
+    section, f = CONFIG_KEYS[key]
+    value = getattr(getattr(config, section.name) if section else config, f.name)
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return text.lower() if f.type is bool else text
+
+
 def config_text(config: RunConfig) -> str:
     """The config as one `key = value` line per key, in CONFIG_KEYS order;
-    load_config reads it back to an equal RunConfig."""
-    lines = []
-    for key, (section, f) in CONFIG_KEYS.items():
-        value = getattr(getattr(config, section.name) if section else config, f.name)
-        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-        lines.append(f"{key} = {text.lower() if f.type is bool else text}\n")
-    return "".join(lines)
+    parse_config reads it back to an equal RunConfig."""
+    return "".join(f"{key} = {_value_text(config, key)}\n" for key in CONFIG_KEYS)
 
 
 def _write_matrix_csv(path, matrix, status):
@@ -179,8 +187,8 @@ def _write_matrix_csv(path, matrix, status):
 @dataclass
 class Shared:
     """generate_synthetic(config.data), and per seed the pretrained (backbone,
-    adapter) and the mode=disabled RunResult: what a run's cells share, and a
-    sweep's runs too, since none of it reads the adapt.* keys a sweep varies."""
+    adapter) and the mode=disabled RunResult: what a run's cells share, and
+    the runs of a sweep over an adapt.* key too, since none of it reads one."""
 
     data: tuple
     pretrained: dict = field(default_factory=dict)
@@ -331,20 +339,32 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, axis: str, values) -> int:
-    if axis not in ("temperature", "epochs"):
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    _require_distinct("--values", values)
-    root = config.run_out
+    """One run per value, of config with key axis (a bare name is an adapt.*
+    key) set to the value and run.out set to the value's own directory."""
+    key = axis if "." in axis else f"adapt.{axis}"
+    if key not in CONFIG_KEYS or key.startswith("run."):
+        raise ConfigError(f"sweep axis must be a config key outside run.*, got {axis!r}")
+    root, text = config.run_out, config_text(config)
+    configs, texts = [], []
+    for value in values:
+        overrides = {key: value, "run.out": root / f"sweep_{axis}_{value}"}
+        try:  # a value that does not convert fails only its own cell
+            configs.append(parse_config(text, overrides))
+            texts.append(_value_text(configs[-1], key))
+        except ConfigError as e:
+            configs.append(e)
+            texts.append(value)
+    _require_distinct("--values", texts)  # before any cell runs
     root.mkdir(parents=True, exist_ok=True)
     overall = 0
     rows = []
-    shared = Shared(generate_synthetic(config.data))
-    key = f"adapt.{axis}"
-    for value in values:
+    shared = None
+    for value, cell_config in zip(values, configs):
         try:
-            with _config_errors():
-                adapt = replace(config.adapt, **{axis: _convert(key, value, CONFIG_KEYS[key][1])})
-            cell_config = replace(config, adapt=adapt, run_out=root / f"sweep_{axis}_{value}")
+            if isinstance(cell_config, ConfigError):
+                raise cell_config
+            if shared is None or not key.startswith("adapt."):
+                shared = Shared(generate_synthetic(cell_config.data))
             code, cells = write_artifacts(cell_config, run_cells(cell_config, shared))
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
@@ -380,16 +400,21 @@ def cmd_verify(seed: int, sizes) -> int:
 
 
 def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits) -> int:
+    """Every task's embeddings are computed before out_path is opened, so a
+    model that fails on the data leaves an earlier file as it was."""
     backbone, adapter = load_checkpoint(checkpoint)
     _, _, stream = generate_synthetic(config.data)
     d = backbone.weights[-1].shape[0]
+    blocks = []
+    for k, task in enumerate(stream.tasks, start=1):
+        for split in splits:
+            x, labels = getattr(task, split)
+            blocks.append((k, split, labels, embed(backbone, adapter, x)))
     with open(out_path, "w", newline="\n") as f:
         f.write("task_id,class_id,split," + ",".join(f"e_{i + 1}" for i in range(d)) + "\n")
-        for k, task in enumerate(stream.tasks, start=1):
-            for split in splits:
-                x, labels = getattr(task, split)
-                for y, e in zip(labels, embed(backbone, adapter, x)):
-                    f.write(f"{k},{y},{split}," + ",".join(_fmt(v) for v in e) + "\n")
+        for k, split, labels, embeddings in blocks:
+            for y, e in zip(labels, embeddings):
+                f.write(f"{k},{y},{split}," + ",".join(_fmt(v) for v in e) + "\n")
     return 0
 
 
@@ -405,9 +430,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--seeds", help="comma-separated seed list override")
     p_run.add_argument("--out", help="output directory override")
 
-    p_sweep = sub.add_parser("sweep", help="sweep temperature or adaptation epochs")
+    p_sweep = sub.add_parser("sweep", help="one run per value of one config key")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True, choices=("temperature", "epochs"))
+    p_sweep.add_argument("--axis", required=True, help="a config key; a bare name is adapt.<name>")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--seeds")
     p_sweep.add_argument("--out")
@@ -424,11 +449,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command in ("run", "sweep"):
+            overrides = {"run.seeds": args.seeds, "run.out": args.out}
+            config = load_config(args.config, {k: v for k, v in overrides.items() if v})
         if args.command == "run":
-            config = load_config(args.config, args.seeds, args.out)
             return cmd_run(config)
         if args.command == "sweep":
-            config = load_config(args.config, args.seeds, args.out)
             values = [v.strip() for v in args.values.split(",") if v.strip()]
             return cmd_sweep(config, args.axis, values)
         if args.command == "verify":

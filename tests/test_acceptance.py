@@ -49,7 +49,7 @@ def _read_metrics(out):
 @pytest.fixture(scope="module")
 def default_runs(tmp_path_factory):
     out = tmp_path_factory.mktemp("default_bench")
-    config = load_config(DEFAULT_CFG, out_override=out / "main")
+    config = load_config(DEFAULT_CFG, {"run.out": out / "main"})
     t0 = time.perf_counter()
     code = cmd_run(config)
     assert code == 0, "default benchmark run failed"
@@ -59,7 +59,7 @@ def default_runs(tmp_path_factory):
     ).replace("adapt.modes = acl,disabled", "adapt.modes = acl")
     fto_path = out / "fto.cfg"
     fto_path.write_text(fto_text)
-    fto_config = load_config(fto_path, out_override=out / "fto")
+    fto_config = load_config(fto_path, {"run.out": out / "fto"})
     assert cmd_run(fto_config) == 0, "first-task-only run failed"
     elapsed = time.perf_counter() - t0
     return {
@@ -209,8 +209,8 @@ def test_criterion_9_metric_hand_matrices():
 
 
 def test_criterion_10_determinism(tmp_path):
-    config1 = load_config(DEFAULT_CFG, seeds_override="1993", out_override=tmp_path / "a")
-    config2 = load_config(DEFAULT_CFG, seeds_override="1993", out_override=tmp_path / "b")
+    config1 = load_config(DEFAULT_CFG, {"run.seeds": "1993", "run.out": tmp_path / "a"})
+    config2 = load_config(DEFAULT_CFG, {"run.seeds": "1993", "run.out": tmp_path / "b"})
     assert cmd_run(config1) == 0
     assert cmd_run(config2) == 0
     names = ("accuracy_matrix_acl_1993.csv", "metrics.csv", "bounds.csv")

@@ -137,6 +137,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == "config error: --values repeats '1'\n"
         assert not (tmp_path / "o").exists()
+        # two texts of one value repeat it too
+        for axis, values, value in [("epochs", "1,01", "1"), ("temperature", "0.1,0.10", "0.1")]:
+            argv = ["sweep", "--config", str(tiny_config), "--axis", axis, "--values", values]
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"config error: --values repeats '{value}'\n"
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("axis", ["run.seeds", "run.out", "nope", "adapt.nope"])
+    def test_bad_sweep_axis(self, tiny_config, tmp_path, capsys, axis):
+        argv = ["sweep", "--config", str(tiny_config), "--axis", axis, "--values", "1"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_nul_byte_in_out(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -343,11 +357,16 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
-        "command",
-        [["run"], ["sweep", "--axis", "epochs", "--values", "1,2,3"]],
-        ids=["run", "sweep"],
+        "command, n_calls",
+        [
+            (["run"], 1),
+            (["sweep", "--axis", "epochs", "--values", "1,2,3"], 1),
+            # a data.* key changes the data: once per cell
+            (["sweep", "--axis", "data.domain_shift", "--values", "1,2,3"], 3),
+        ],
+        ids=["run", "sweep", "sweep-domain-shift"],
     )
-    def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch, command):
+    def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch, command, n_calls):
         import adaptcl.cli
 
         calls = []
@@ -363,7 +382,7 @@ class TestRun:
         path.write_text(cfg)
         argv = [*command, "--config", str(path), "--seeds", "5,6", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert len(calls) == n_calls
 
 
 class TestSweep:
@@ -424,7 +443,13 @@ class TestSweep:
         )
         assert (out / "sweep.csv").exists()
 
-    def test_pretrains_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "axis, n_calls",
+        # a data.* key changes the pretraining data: once per seed and cell
+        [("epochs", 2), ("data.domain_shift", 6)],
+        ids=["epochs", "domain-shift"],
+    )
+    def test_pretrains_once_per_seed(self, tiny_config, tmp_path, monkeypatch, axis, n_calls):
         import adaptcl.cli
 
         calls = []
@@ -435,26 +460,36 @@ class TestSweep:
             return real(backbone, data, config, rng)
 
         monkeypatch.setattr(adaptcl.cli, "pretrain_backbone", counted)
-        argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs"]
+        argv = ["sweep", "--config", str(tiny_config), "--axis", axis]
         argv += ["--values", "1,2,3", "--seeds", "5,6", "--out", str(tmp_path / "s")]
         assert main(argv) == 0
-        assert len(calls) == 2
+        assert len(calls) == n_calls
 
-    def test_cells_match_standalone_runs(self, tiny_config, tmp_path):
+    @pytest.mark.parametrize(
+        "axis, line, values",
+        [
+            ("epochs", "adapt.epochs = 1", ("1", "2")),
+            # a sweep that reused the first cell's data or models fails this
+            ("data.domain_shift", "data.domain_shift = 2.0", ("0.5", "4")),
+        ],
+        ids=["epochs", "domain-shift"],
+    )
+    def test_cells_match_standalone_runs(self, tiny_config, tmp_path, axis, line, values):
         text = tiny_config.read_text() + "core.strategy = linear\ncore.epochs = 2\n"
         text = text.replace("adapt.modes = acl", "adapt.modes = acl,disabled")
         path = tmp_path / "linear.cfg"
         path.write_text(text)
         sweep = tmp_path / "sweep"
-        argv = ["sweep", "--config", str(path), "--axis", "epochs", "--values", "1,2"]
+        argv = ["sweep", "--config", str(path), "--axis", axis, "--values", ",".join(values)]
         assert main(argv + ["--seeds", "5,6", "--out", str(sweep)]) == 0
-        for value in ("1", "2"):
+        key = line.partition(" =")[0]
+        for value in values:
             cell_cfg = tmp_path / f"cell_{value}.cfg"
-            cell_cfg.write_text(text.replace("adapt.epochs = 1", f"adapt.epochs = {value}"))
+            cell_cfg.write_text(text.replace(line, f"{key} = {value}"))
             alone = tmp_path / f"run_{value}"
             argv = ["run", "--config", str(cell_cfg), "--seeds", "5,6", "--out", str(alone)]
             assert main(argv) == 0
-            cell = sweep / f"sweep_epochs_{value}"
+            cell = sweep / f"sweep_{axis}_{value}"
             names = sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
             assert names == sorted(
                 p.name for p in cell.iterdir() if p.name != "manifest.json"
@@ -495,7 +530,7 @@ class TestSweep:
         out = tmp_path / "s"
         argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs", "--values", "2, 3 "]
         assert main(argv + ["--seeds", "5,6", "--out", str(out)]) == 0
-        base = load_config(tiny_config, seeds_override="5,6")
+        base = load_config(tiny_config, {"run.seeds": "5,6"})
         for value in (2, 3):
             cell = out / f"sweep_epochs_{value}"
             path = tmp_path / f"cell_{value}.cfg"
@@ -716,7 +751,7 @@ class TestFailures:
         )
         out = tmp_path / "o"
         with pytest.raises(TypeError, match="planted"):
-            adaptcl.cli.cmd_run(load_config(tiny_config, out_override=out))
+            adaptcl.cli.cmd_run(load_config(tiny_config, {"run.out": out}))
         assert calls == ["acl", "disabled"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == {"seed=11,mode=acl": "ok"}
@@ -865,6 +900,8 @@ class TestDumpEmbeddings:
             warnings.simplefilter("error")
             code, err = _exit_and_stderr(argv + ["--out", str(tmp_path / "e.csv")])
         assert code == 1 and _one_line(err, "error: embedding norm inf"), err
+        # the failure comes before --out is opened
+        assert not (tmp_path / "e.csv").exists()
 
 
 FUZZ = settings(

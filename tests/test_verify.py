@@ -148,17 +148,30 @@ def test_row_zero_only_mutation_caught(monkeypatch):
 def test_lemma2_shifted_point_mutation_caught(monkeypatch):
     # the gradient check must fail when it probes the renormalized prototype
     # instead of the mean
-    real_fd = adaptcl.metrics.finite_diff_grad
+    real_grad = adaptcl.metrics._mean_sq_distance_grad
 
-    def at_prototype(loss_fn, params, h):
-        z = params["z"]
-        return real_fd(loss_fn, {"z": z / np.linalg.norm(z)}, h)
+    def at_prototype(e, z, h):
+        return real_grad(e, z / np.linalg.norm(z), h)
 
     assert run_lemma2(0, 5, 20).passed
-    monkeypatch.setattr(adaptcl.metrics, "finite_diff_grad", at_prototype)
+    monkeypatch.setattr(adaptcl.metrics, "_mean_sq_distance_grad", at_prototype)
     result = run_lemma2(0, 5, 20)
     assert not result.passed
     assert "lhs=" in result.detail
+
+
+@pytest.mark.parametrize("seed", [0, 1, 59])
+def test_lemma2_gradient_bits_equal_finite_diff_grad(seed):
+    # the one-pass central difference at the mean is finite_diff_grad's, bit
+    # for bit, on sets drawn as run_lemma2 draws them
+    rng = make_rng(seed, 12)
+    for _ in range(20):
+        e = _random_units(rng, int(rng.integers(2, 51)), 16)
+        mean = e.mean(axis=0)
+        one_pass = adaptcl.metrics._mean_sq_distance_grad(e, mean, 0.5)
+        loss = lambda p: adaptcl.metrics._mean_sq_distance(e, p["z"])  # noqa: E731
+        per_coordinate = finite_diff_grad(loss, {"z": mean.copy()}, 0.5)["z"]
+        assert one_pass.tobytes() == per_coordinate.tobytes()
 
 
 def test_lemma1_mutation_caught(monkeypatch):
