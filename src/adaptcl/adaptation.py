@@ -59,16 +59,12 @@ class AdaptConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def compute_prototypes(backbone, adapter, data) -> Classifier:
-    """Renormalized per-class mean of unit embeddings, as a cosine
-    Classifier with one row per class of the data.
-
-    data: an (x, y) pair of (n, D) inputs and (n,) labels. A class whose
-    embedding mean is (numerically) zero raises DegenerateVector rather than
-    being patched.
+def compute_prototypes(embeddings, labels) -> Classifier:
+    """Renormalized per-class mean of (n, d) unit embeddings with (n,)
+    labels, as a cosine Classifier with one row per class of the labels. A
+    class whose embedding mean is (numerically) zero raises DegenerateVector
+    rather than being patched.
     """
-    x, labels = data
-    embeddings = embed(backbone, adapter, x)
     ids = sorted(set(labels.tolist()))
     rows = []
     for y in ids:
@@ -87,13 +83,21 @@ def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     table: a cosine Classifier whose weight rows are the prototypes. (n, d)
     embeddings with (n,) true-class rows of the table (label_index) give
     per-row losses (n,) and gradients (n, d). tau is one float for every
-    row, or an (n, 1) column with one temperature per row."""
-    p = table.weight  # (C, d)
-    scores = (e_star @ p.T) / tau
+    row, or an (n, 1) column with one temperature per row.
+
+    A stack of K row sets, (K, n, d) embeddings with (K, n) rows, against a
+    stack of K tables, weight (K, C, d), gives (K, n) losses and (K, n, d)
+    gradients, each set scored by its own table; tau is then a float or a
+    (K, 1, 1) or (K, n, 1) array."""
+    p = table.weight  # (..., C, d)
+    scores = (e_star @ p.swapaxes(-1, -2)) / tau
     lse = log_sum_exp(scores)
-    loss = lse - scores[np.arange(len(e_star)), y_idx]
-    soft = np.exp(scores - lse[:, None])
-    grad = (soft @ p - p[y_idx]) / tau
+    # the label gathers, an index tuple rather than take_along_axis, which
+    # costs about 8 us more per two-dimensional call
+    rows = np.indices(y_idx.shape, sparse=True)
+    loss = lse - scores[(*rows, y_idx)]
+    soft = np.exp(scores - lse[..., None])
+    grad = (soft @ p - p[(*rows[:-1], y_idx)]) / tau
     return loss, grad
 
 
@@ -149,11 +153,11 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
     if mode == "disabled":
         return backbone, adapter, []
 
-    table = compute_prototypes(backbone, adapter, data)
+    old_embeds = embed(backbone, adapter, x)
+    table = compute_prototypes(old_embeds, labels)
     frozen_table = table.weight.copy()
     y_idx = label_index(table.class_ids, labels, "prototype table")
     label_protos = table.weight[y_idx]
-    old_embeds = embed(backbone, adapter, x)
 
     # the CE head has the table's class ids, so y_idx indexes its rows too
     head = None

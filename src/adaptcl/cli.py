@@ -187,8 +187,11 @@ def _write_matrix_csv(path, matrix, status):
 @dataclass
 class Shared:
     """generate_synthetic(config.data), and per seed the pretrained (backbone,
-    adapter) and the mode=disabled RunResult: what a run's cells share, and
-    the runs of a sweep over an adapt.* key too, since none of it reads one."""
+    adapter) and the mode=disabled RunResult: what a run's cells share. The
+    runs of a sweep share all of it over an adapt.* key, and the data and
+    the pretrained models over a core.* or metrics.* key: none of it reads
+    an adapt.* key, and the data and the models read only data.*, model.*
+    and pretrain.* keys."""
 
     data: tuple
     pretrained: dict = field(default_factory=dict)
@@ -363,8 +366,10 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
         try:
             if isinstance(cell_config, ConfigError):
                 raise cell_config
-            if shared is None or not key.startswith("adapt."):
+            if shared is None or key.split(".")[0] in ("data", "model", "pretrain"):
                 shared = Shared(generate_synthetic(cell_config.data))
+            elif not key.startswith("adapt."):  # core.* keys change the disabled runs
+                shared = Shared(shared.data, shared.pretrained)
             code, cells = write_artifacts(cell_config, run_cells(cell_config, shared))
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)

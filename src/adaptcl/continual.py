@@ -87,7 +87,8 @@ def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
     class already in the classifier raises ValueError, and a backbone that
     changed in any bit raises BoundViolation (the frozen-backbone check)."""
     before = state.backbone.flat.copy()
-    table = compute_prototypes(state.backbone, state.adapter, task_data)
+    x, labels = task_data
+    table = compute_prototypes(embed(state.backbone, state.adapter, x), labels)
     state.classifier.add_classes(table.class_ids, table.weight)
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("ncm core learning")
     return state

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BoundViolation, IncompleteMatrix, LengthMismatch, SingleTask, TooFewSamples
 
 LOG2 = math.log(2.0)
-# the most floats one array pass of verify_lemma1 or verify_lemma2 draws:
+# the most floats one array pass of a verify campaign draws:
 # whole campaigns at once raised the peak memory of `adaptcl verify` by about
 # a megabyte, 16384 floats still by 0.3 MB, 8192 by none that showed
 BLOCK_FLOATS = 8192
@@ -141,22 +141,30 @@ def check_loss_threshold(losses, wrong, context="threshold") -> BoundReport:
     return BoundReport(context, LOG2, rhs, tolerance=1e-12)
 
 
-def check_stability_bound(
-    old_embeddings, new_embeddings, label_prototypes, context="stability"
-) -> BoundReport:
-    """mean||e_new - e_old||^2 vs 2(mean||e_new - p_y||^2 + mean||e_old - p_y||^2),
-    with row i of label_prototypes the prototype p_y of sample i's class."""
+def check_stability_bounds(old_embeddings, new_embeddings, label_prototypes, contexts) -> list:
+    """One report per set of a (K, n, d) stack, named contexts[k]:
+    mean||e_new - e_old||^2 vs 2(mean||e_new - p_y||^2 + mean||e_old - p_y||^2)
+    over the set's n rows, with row i of label_prototypes[k] the prototype
+    p_y of sample i's class."""
     old = np.asarray(old_embeddings, dtype=np.float64)
     new = np.asarray(new_embeddings, dtype=np.float64)
     p = np.asarray(label_prototypes, dtype=np.float64)
-    if not (len(old) == len(new) == len(p)) or len(old) == 0:
+    if not (old.shape[:-1] == new.shape[:-1] == p.shape[:-1]) or old.shape[-2] == 0:
         raise LengthMismatch("aligned non-empty sequences required")
-    lhs = float(np.mean(np.sum((new - old) ** 2, axis=1)))
-    rhs = 2.0 * (
-        float(np.mean(np.sum((new - p) ** 2, axis=1)))
-        + float(np.mean(np.sum((old - p) ** 2, axis=1)))
-    )
-    return BoundReport(context, lhs, rhs, tolerance=1e-9)
+    lhs = _mean_sq_distance(new, old)
+    rhs = 2.0 * (_mean_sq_distance(new, p) + _mean_sq_distance(old, p))
+    return [
+        BoundReport(context, l, r, tolerance=1e-9)
+        for context, l, r in zip(contexts, lhs.tolist(), rhs.tolist())
+    ]
+
+
+def check_stability_bound(
+    old_embeddings, new_embeddings, label_prototypes, context="stability"
+) -> BoundReport:
+    """check_stability_bounds of one set of (n, d) rows."""
+    sets = [old_embeddings], [new_embeddings], [label_prototypes]
+    return check_stability_bounds(*sets, [context])[0]
 
 
 def check_unchanged(before, after, context) -> BoundReport:
@@ -168,7 +176,7 @@ def check_unchanged(before, after, context) -> BoundReport:
     return BoundReport(context, int(np.count_nonzero(before != after)), 0, tolerance=0)
 
 
-def _blocks(n: int, row_size: int):
+def blocks(n: int, row_size: int):
     """Row counts of blocks that cover n rows of row_size floats each, at
     most BLOCK_FLOATS floats to a block but at least one row."""
     rows = max(1, BLOCK_FLOATS // row_size)
@@ -182,7 +190,7 @@ def verify_lemma1(n_pairs: int, dim: int, rng) -> float:
     Each block of pairs is one (k, 2, dim) draw: a then b for every pair in
     turn, the same normals as one (dim,) draw per vector."""
     worst = 0.0
-    for k in _blocks(n_pairs, 2 * dim):
+    for k in blocks(n_pairs, 2 * dim):
         v = rng.standard_normal((k, 2, dim))
         v /= np.linalg.norm(v, axis=2, keepdims=True)
         a, b = v[:, 0], v[:, 1]
@@ -193,8 +201,9 @@ def verify_lemma1(n_pairs: int, dim: int, rng) -> float:
 
 
 def _mean_sq_distance(e, z):
-    """mean_k ||e_k - z||^2 over the rows of e: a 0-d array for one (d,)
-    point z, one value per point for (m, 1, d) points."""
+    """mean_k ||e_k - z_k||^2 over the rows of e, with z broadcast against
+    them: a 0-d array for one (d,) point z, one value per point for (m, 1, d)
+    points, and one per set for (K, n, d) stacks of e and z."""
     return np.mean(np.sum((e - z) ** 2, axis=-1), axis=-1)
 
 
@@ -235,7 +244,7 @@ def verify_lemma2(class_embeddings, rng, n_probes: int = 100, context="mean-mini
     mean = e.mean(axis=0)
     lhs = float(_mean_sq_distance(e, mean))
     rhs = lhs if n_probes == 0 else np.inf
-    for k in _blocks(n_probes, e.size):
+    for k in blocks(n_probes, e.size):
         z = mean + 0.1 * rng.standard_normal((k, len(mean)))
         rhs = min(rhs, float(_mean_sq_distance(e, z[:, None]).min()))
     h = 0.5

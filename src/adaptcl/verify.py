@@ -11,10 +11,12 @@ from . import model as model_mod
 from .adaptation import acl_loss
 from .errors import DegenerateVector
 from .metrics import (
+    BLOCK_FLOATS,
     BoundReport,
+    blocks,
     check_loss_threshold,
     check_markov_bound,
-    check_stability_bound,
+    check_stability_bounds,
     verify_lemma1,
     verify_lemma2,
 )
@@ -51,19 +53,20 @@ class VerifySizes:
     grad_probes: int = 10
 
 
-def _random_units(rng, n, dim):
-    """n unit rows from one (n, dim) normal draw, the same normals as n
-    (dim,) draws. Raises DegenerateVector for a row below EPS_NORM, as
-    l2_normalize does."""
-    v = rng.standard_normal((n, dim))
+def _unit_rows(v):
+    """v with its rows scaled to unit norm, in place. Raises DegenerateVector
+    for a row below EPS_NORM, as l2_normalize does."""
     norm = np.linalg.norm(v, axis=1)
     if not (norm > EPS_NORM).all():
         raise DegenerateVector(f"norm {norm.min():g} <= {EPS_NORM:g}")
-    return v / norm[:, None]
+    v /= norm[:, None]
+    return v
 
 
-def _random_unit(rng, dim):
-    return _random_units(rng, 1, dim)[0]
+def _random_units(rng, n, dim):
+    """n unit rows from one (n, dim) normal draw, the same normals as n
+    (dim,) draws."""
+    return _unit_rows(rng.standard_normal((n, dim)))
 
 
 def _random_table(rng, dim, n_classes):
@@ -73,23 +76,75 @@ def _random_table(rng, dim, n_classes):
     return Classifier(list(range(n_classes)), _random_units(rng, n_classes, dim))
 
 
-def _random_batches(rng, dim):
-    """Endless (table, tau, e, y) batches: a table of 2-8 random unit
-    prototypes, tau ~ U(0.02, 0.5), and 5-39 unit rows e with uniform labels
-    y. The rows of a batch share its table and tau."""
-    while True:
-        n_classes = int(rng.integers(2, 9))
-        tau = float(rng.uniform(0.02, 0.5))
-        table = _random_table(rng, dim, n_classes)
-        n = int(rng.integers(5, 40))
-        yield table, tau, _random_units(rng, n, dim), rng.integers(n_classes, size=n)
+MAX_CLASSES, MAX_ROWS = 8, 39
+
+
+def _padded(arrays):
+    """A stack of arrays, each padded with zero rows to the longest."""
+    out = np.zeros((len(arrays), max(map(len, arrays)), *arrays[0].shape[1:]), arrays[0].dtype)
+    for k, a in enumerate(arrays):
+        out[k, : len(a)] = a
+    return out
+
+
+def _scored(batches, dim):
+    """(y, pred, loss) of each (prototypes, tau, e, y) batch, in order. The
+    batches with the same class count are padded to the longest of them and
+    scored as one stack, by one classify and one acl_loss call; a stack
+    takes at most BLOCK_FLOATS floats of padded rows (13 batches for dim 16)
+    and the rest of the batches go to the next."""
+    scored, per_stack = [None] * len(batches), max(1, BLOCK_FLOATS // (MAX_ROWS * dim))
+    # matmul takes another BLAS path for a single row, with other floats, so
+    # a batch cut to one row is scored on its own
+    keys = [(len(p), len(y) > 1) for p, _, _, y in batches]
+    for key in set(keys):
+        group = [i for i, k in enumerate(keys) if k == key]
+        for stack in (group[j : j + per_stack] for j in range(0, len(group), per_stack)):
+            prototypes, taus, es, ys = zip(*(batches[i] for i in stack))
+            table = Classifier(list(range(key[0])), np.stack(prototypes))
+            e, y = _padded(es), _padded(ys)
+            pred, _ = classify(table, e)
+            loss, _ = acl_loss(e, y, table, np.array(taus)[:, None, None])
+            for k, i in enumerate(stack):
+                scored[i] = ys[k], pred[k, : len(ys[k])], loss[k, : len(ys[k])]
+    return scored
+
+
+def _scored_batches(rng, dim, n_rows=np.inf):
+    """Random batches as (y, pred, loss), until they have n_rows rows, the
+    last one cut. A batch has a table of 2-8 random unit prototypes, tau ~
+    U(0.02, 0.5), and 5-39 unit rows e with uniform labels y; pred and loss
+    are classify's and acl_loss's on e against the table, with tau.
+
+    Each batch draws n_classes, tau, the table's normals, n, the rows'
+    normals and the labels, in that order. The batches come in blocks: a
+    block takes batches while a largest one still fits in BLOCK_FLOATS
+    floats of normals (about 18 for dim 16), whose rows are normalized in
+    one pass, and its batches are scored at once (_scored)."""
+    batch_rows = MAX_CLASSES + MAX_ROWS
+    block_rows = max(batch_rows, BLOCK_FLOATS // dim)
+    while n_rows > 0:
+        v, end, batches = np.empty((block_rows, dim)), 0, []
+        while n_rows > 0 and end + batch_rows <= block_rows:
+            n_classes = int(rng.integers(2, MAX_CLASSES + 1))
+            tau = float(rng.uniform(0.02, 0.5))
+            prototypes = rng.standard_normal(out=v[end : end + n_classes])
+            n = int(rng.integers(5, MAX_ROWS + 1))
+            e = rng.standard_normal(out=v[end + n_classes : end + n_classes + n])
+            cut = min(n, n_rows)
+            batches.append((prototypes, tau, e[:cut], rng.integers(n_classes, size=n)[:cut]))
+            end, n_rows = end + n_classes + n, n_rows - n
+        _unit_rows(v[:end])
+        yield from _scored(batches, dim)
 
 
 def _campaign(name, reports, cases) -> CheckResult:
     """One campaign's verdict from its BoundReports: the first failing
     report, named by its context; else a pass naming the tightest slack, or
     a vacuous pass when there were no reports. cases says what the campaign
-    ran. reports is read lazily, so none after a failure is made."""
+    ran. reports is read lazily, and the campaigns make theirs a block at a
+    time, so at most the rest of one block's reports is made after a
+    failure."""
     tightest = None
     for r in reports:
         if not r.passed:
@@ -137,12 +192,8 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
     so the first k draws are the same for every n_draws >= k."""
 
     def reports():
-        batches, done = _random_batches(make_rng(seed, 13), dim), 0
-        while done < n_draws:
-            table, tau, e, y = next(batches)
-            e, y = e[: n_draws - done], y[: n_draws - done]
-            pred, _ = classify(table, e)
-            loss, _ = acl_loss(e, y, table, tau)
+        done = 0
+        for y, pred, loss in _scored_batches(make_rng(seed, 13), dim, n_draws):
             yield check_loss_threshold(loss, pred != y, f"draws {done}-{done + len(y) - 1}")
             done += len(y)
 
@@ -150,30 +201,39 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
 
 
 def run_markov(seed, n_batches, dim=16) -> CheckResult:
-    """Random batches: error rate <= mean loss / log 2. Each batch is one
-    classify and one acl_loss call on its stacked rows."""
+    """Random batches: error rate <= mean loss / log 2."""
 
     def reports():
-        batches = _random_batches(make_rng(seed, 14), dim)
-        for i, (table, tau, e, y) in zip(range(n_batches), batches):
-            pred, _ = classify(table, e)
-            losses, _ = acl_loss(e, y, table, tau)
+        batches = _scored_batches(make_rng(seed, 14), dim)
+        for i, (y, pred, losses) in zip(range(n_batches), batches):
             yield check_markov_bound(losses, pred == y, context=f"batch {i}")
 
     return _campaign("markov", reports(), f"{n_batches} random batches")
 
 
 def run_stability(seed, n_draws, dim=16) -> CheckResult:
+    """Random unit triples (old, new, p), one stability report each. Draw i
+    takes the next unit rows of one stream: old, new, then p for an even i.
+    An odd draw's prototype is the normalized midpoint of old and new, where
+    the bound is tightest: the slack is 16 sin^4(theta / 4) at angle theta
+    between old and new, and the bound without its factor 2 fails every
+    such draw. Each block of draws is one check_stability_bounds call."""
+
     def reports():
-        rng = make_rng(seed, 15)
-        for i in range(n_draws):
-            old = _random_unit(rng, dim)
-            new = _random_unit(rng, dim)
-            # an odd draw's prototype is the normalized midpoint, where the bound
-            # is tightest: the slack is 16 sin^4(theta / 4) at angle theta between
-            # old and new, and the bound without its factor 2 fails every such draw
-            p = l2_normalize(old + new) if i % 2 else _random_unit(rng, dim)
-            yield check_stability_bound([old], [new], [p], context=f"draw {i}")
+        rng, first = make_rng(seed, 15), 0
+        for k in blocks(n_draws, 6 * dim):  # a draw's 2-3 drawn rows and its old, new, p
+            draws = np.arange(first, first + k)
+            even = draws % 2 == 0
+            rows = 2 + even
+            starts = np.cumsum(rows) - rows
+            v = _random_units(rng, int(rows.sum()), dim)
+            old, new, p = v[starts], v[starts + 1], np.empty((k, dim))
+            p[even] = v[starts[even] + 2]
+            for i in np.flatnonzero(~even):
+                p[i] = l2_normalize(old[i] + new[i])
+            contexts = [f"draw {i}" for i in draws.tolist()]
+            yield from check_stability_bounds(old[:, None], new[:, None], p[:, None], contexts)
+            first += k
 
     return _campaign(
         "stability", reports(), f"{n_draws} unit triples, the odd ones at the midpoint"

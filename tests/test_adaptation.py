@@ -40,8 +40,8 @@ class _IdentityBackbone:
 class TestComputePrototypes:
     def test_symmetric_mean(self):
         backbone = _IdentityBackbone()
-        data = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
-        protos = compute_prototypes(backbone, None, data)
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        protos = compute_prototypes(embed(backbone, None, x), np.array([0, 0]))
         np.testing.assert_allclose(
             protos.weight[protos.class_ids.index(0)], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12
         )
@@ -49,7 +49,7 @@ class TestComputePrototypes:
     def test_single_sample(self):
         backbone = _IdentityBackbone()
         x = np.array([[3.0, 4.0]])
-        protos = compute_prototypes(backbone, None, (x, np.array([1])))
+        protos = compute_prototypes(embed(backbone, None, x), np.array([1]))
         np.testing.assert_allclose(
             protos.weight[protos.class_ids.index(1)], embed(backbone, None, x)[0], atol=0
         )
@@ -60,9 +60,9 @@ class TestComputePrototypes:
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
         backbone.activation = "tanh"
-        data = (np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 0]))
+        x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateVector):
-            compute_prototypes(backbone, None, data)
+            compute_prototypes(embed(backbone, None, x), np.array([0, 0]))
 
 
 class TestAclLoss:
@@ -104,6 +104,22 @@ class TestAclLoss:
             assert single_loss.shape == (1,) and single_grad.shape == (1, 5)
             assert loss == pytest.approx(single_loss[0], abs=1e-12)
             np.testing.assert_allclose(grad, single_grad[0], rtol=0, atol=1e-12)
+
+    def test_stack_matches_2d_calls(self):
+        # K row sets scored against K tables at once, with a (K, 1, 1) tau,
+        # give the floats of K 2-D calls
+        rng = make_rng(34)
+        e = rng.standard_normal((8, 22, 5))
+        rows = rng.integers(5, size=(8, 22))
+        weight = rng.standard_normal((8, 5, 5))
+        tau = rng.uniform(0.02, 0.5, size=(8, 1, 1))
+        losses, grads = acl_loss(e, rows, Classifier(list(range(5)), weight), tau)
+        assert losses.shape == (8, 22) and grads.shape == (8, 22, 5)
+        for k in range(8):
+            loss, grad = acl_loss(e[k], rows[k], Classifier(list(range(5)), weight[k]), tau[k, 0, 0])
+            assert np.array_equal(losses[k], loss) and np.array_equal(grads[k], grad)
+        with pytest.raises(IndexError):  # one embedding is a (1, d) row, not a (d,) vector
+            acl_loss(e[0, 0], rows[0, :1], Classifier(list(range(5)), weight[0]), 0.1)
 
     def test_gradient_vs_finite_differences(self):
         rng = make_rng(31)
@@ -259,7 +275,7 @@ class TestAdapt:
         # every acl_loss call of a 2-epoch phase, per batch and per epoch,
         # scores against the prototypes of the input model, bit for bit
         backbone, adapter, data, rng = toy_setup
-        expected = compute_prototypes(backbone, adapter, data)
+        expected = compute_prototypes(embed(backbone, adapter, data[0]), data[1])
         real = adaptcl.adaptation.acl_loss
         tables = []
 
@@ -318,7 +334,8 @@ class TestAdapt:
         centers = (np.array([0.3, 0.0]), np.array([-0.3, 0.0]))
         x = np.stack([c + rng.standard_normal(2) for c in centers for _ in range(20)])
         data = (x, np.repeat([0, 1], 20))
-        pred, _ = classify(compute_prototypes(backbone, adapter, data), embed(backbone, adapter, x))
+        e = embed(backbone, adapter, x)
+        pred, _ = classify(compute_prototypes(e, data[1]), e)
         assert np.any(pred != data[1])
         cfg = AdaptConfig(epochs=1, lr=0.1)
         adapt(backbone, adapter, data, "acl", cfg, make_rng(1))

@@ -363,8 +363,9 @@ class TestRun:
             (["sweep", "--axis", "epochs", "--values", "1,2,3"], 1),
             # a data.* key changes the data: once per cell
             (["sweep", "--axis", "data.domain_shift", "--values", "1,2,3"], 3),
+            (["sweep", "--axis", "core.epochs", "--values", "1,2,3"], 1),
         ],
-        ids=["run", "sweep", "sweep-domain-shift"],
+        ids=["run", "sweep", "sweep-domain-shift", "sweep-core-epochs"],
     )
     def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch, command, n_calls):
         import adaptcl.cli
@@ -445,9 +446,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "axis, n_calls",
-        # a data.* key changes the pretraining data: once per seed and cell
-        [("epochs", 2), ("data.domain_shift", 6)],
-        ids=["epochs", "domain-shift"],
+        # a data.* key changes the pretraining data: once per seed and cell;
+        # a core.* key changes only the disabled runs
+        [("epochs", 2), ("data.domain_shift", 6), ("core.epochs", 2)],
+        ids=["epochs", "domain-shift", "core-epochs"],
     )
     def test_pretrains_once_per_seed(self, tiny_config, tmp_path, monkeypatch, axis, n_calls):
         import adaptcl.cli
@@ -471,8 +473,10 @@ class TestSweep:
             ("epochs", "adapt.epochs = 1", ("1", "2")),
             # a sweep that reused the first cell's data or models fails this
             ("data.domain_shift", "data.domain_shift = 2.0", ("0.5", "4")),
+            # and one that reused the first cell's disabled runs fails this
+            ("core.epochs", "core.epochs = 2", ("1", "3")),
         ],
-        ids=["epochs", "domain-shift"],
+        ids=["epochs", "domain-shift", "core-epochs"],
     )
     def test_cells_match_standalone_runs(self, tiny_config, tmp_path, axis, line, values):
         text = tiny_config.read_text() + "core.strategy = linear\ncore.epochs = 2\n"
@@ -590,14 +594,16 @@ class TestSweep:
 
 def _nudge_backbone_at_task(task):
     """A compute_prototypes for NCM core learning that moves one backbone
-    entry by one ulp at its call for the given task."""
+    entry by one ulp at its call for the given task: an entry of the
+    backbone of its caller's state."""
     real, calls = adaptcl.continual.compute_prototypes, []
 
-    def nudging(backbone, adapter, data):
+    def nudging(embeddings, labels):
         calls.append(1)
         if len(calls) == task:
+            backbone = sys._getframe(1).f_locals["state"].backbone
             backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
-        return real(backbone, adapter, data)
+        return real(embeddings, labels)
 
     return nudging
 

@@ -82,9 +82,9 @@ class TestCoreLearnNcm:
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
         real = adaptcl.continual.compute_prototypes
 
-        def nudging(backbone, adapter, data):
-            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
-            return real(backbone, adapter, data)
+        def nudging(embeddings, labels):
+            state.backbone.flat[0] = np.nextafter(state.backbone.flat[0], np.inf)
+            return real(embeddings, labels)
 
         monkeypatch.setattr(adaptcl.continual, "compute_prototypes", nudging)
         with pytest.raises(

@@ -8,10 +8,11 @@ import adaptcl.model
 import adaptcl.verify
 from adaptcl.adaptation import acl_loss
 from adaptcl.errors import DegenerateVector
-from adaptcl.metrics import BoundReport
-from adaptcl.model import embed, model_params
+from adaptcl.metrics import BoundReport, check_loss_threshold, check_markov_bound
+from adaptcl.model import Classifier, classify, embed, model_params
 from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
 from adaptcl.verify import (
+    MAX_CLASSES,
     VerifySizes,
     _campaign,
     _gradient_probes,
@@ -220,19 +221,37 @@ def test_threshold_reports_first_violation(monkeypatch):
         assert shorter.detail == detail
 
 
-def test_threshold_checks_batches(monkeypatch):
-    # one acl_loss call per batch of at least 5 draws, not one per draw
-    real_acl_loss = adaptcl.verify.acl_loss
-    calls = []
+def _counted(monkeypatch, name):
+    """Calls of adaptcl.verify.<name>, counted from now on."""
+    real, calls = getattr(adaptcl.verify, name), []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real_acl_loss(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(adaptcl.verify, "acl_loss", counted)
-    draws = VerifySizes().threshold_draws
-    assert run_threshold(0, draws).passed
-    assert 0 < len(calls) <= draws // 5
+    monkeypatch.setattr(adaptcl.verify, name, counted)
+    return calls
+
+
+def test_threshold_checks_batches(monkeypatch):
+    # one classify and one acl_loss call per class count (2-8) in each block
+    # of about 18 batches, not one per batch, and one more for a last batch
+    # cut to one row: 170 calls for seed 0's 465 batches in 26 blocks
+    scored = [_counted(monkeypatch, name) for name in ("classify", "acl_loss")]
+    batches = _counted(monkeypatch, "check_loss_threshold")
+    blocks = _counted(monkeypatch, "_unit_rows")
+    assert run_threshold(0, VerifySizes().threshold_draws).passed
+    assert 0 < len(blocks) <= len(batches) / 15
+    for calls in scored:
+        assert 0 < len(calls) <= (MAX_CLASSES - 1) * len(blocks) + 1
+
+
+def test_stability_checks_blocks(monkeypatch):
+    # one stacked check per block of draws, not one per draw
+    calls = _counted(monkeypatch, "check_stability_bounds")
+    draws = VerifySizes().stability_draws
+    assert run_stability(0, draws).passed
+    assert 0 < len(calls) <= -(-draws // (adaptcl.metrics.BLOCK_FLOATS // (6 * 16)))
 
 
 def test_random_units():
@@ -263,20 +282,102 @@ def test_stability_mutation_caught(monkeypatch):
     # the bound without its factor 2, at the campaign's default size and at
     # 100 draws, which its midpoint prototypes make fail
     sizes = (VerifySizes().stability_draws, 100)
-    real_check = adaptcl.verify.check_stability_bound
+    real_check = adaptcl.verify.check_stability_bounds
 
     def without_factor_two(*args, **kwargs):
-        report = real_check(*args, **kwargs)
-        report.rhs /= 2
-        return report
+        reports = real_check(*args, **kwargs)
+        for report in reports:
+            report.rhs /= 2
+        return reports
 
     for draws in sizes:
         assert run_stability(0, draws).passed
-    monkeypatch.setattr(adaptcl.verify, "check_stability_bound", without_factor_two)
+    monkeypatch.setattr(adaptcl.verify, "check_stability_bounds", without_factor_two)
     for draws in sizes:
         result = run_stability(0, draws)
         assert not result.passed
         assert "lhs=" in result.detail
+
+
+def _reference_batches(rng, dim):
+    # the per-batch draws the block passes must reproduce
+    while True:
+        n_classes = int(rng.integers(2, 9))
+        tau = float(rng.uniform(0.02, 0.5))
+        table = Classifier(list(range(n_classes)), _random_units(rng, n_classes, dim))
+        n = int(rng.integers(5, 40))
+        yield table, tau, _random_units(rng, n, dim), rng.integers(n_classes, size=n)
+
+
+def _reference_threshold(seed, n_draws, dim=16):
+    # one classify and one acl_loss call per batch, the last batch cut to n_draws
+    batches, done = _reference_batches(make_rng(seed, 13), dim), 0
+    while done < n_draws:
+        table, tau, e, y = next(batches)
+        e, y = e[: n_draws - done], y[: n_draws - done]
+        pred, _ = classify(table, e)
+        loss, _ = acl_loss(e, y, table, tau)
+        yield check_loss_threshold(loss, pred != y, f"draws {done}-{done + len(y) - 1}")
+        done += len(y)
+
+
+def _reference_markov(seed, n_batches, dim=16):
+    batches = _reference_batches(make_rng(seed, 14), dim)
+    for i, (table, tau, e, y) in zip(range(n_batches), batches):
+        pred, _ = classify(table, e)
+        losses, _ = acl_loss(e, y, table, tau)
+        yield check_markov_bound(losses, pred == y, context=f"batch {i}")
+
+
+def _reference_stability(seed, n_draws, dim=16):
+    # one unit triple per draw, and the bound's formula on its (1, dim) rows
+    rng = make_rng(seed, 15)
+    for i in range(n_draws):
+        old = _random_units(rng, 1, dim)
+        new = _random_units(rng, 1, dim)
+        p = l2_normalize(old[0] + new[0])[None] if i % 2 else _random_units(rng, 1, dim)
+        lhs = float(np.mean(np.sum((new - old) ** 2, axis=1)))
+        rhs = 2.0 * (
+            float(np.mean(np.sum((new - p) ** 2, axis=1)))
+            + float(np.mean(np.sum((old - p) ** 2, axis=1)))
+        )
+        yield BoundReport(f"draw {i}", lhs, rhs, 1e-9)
+
+
+def _campaign_reports(monkeypatch, run, *args):
+    """(context, lhs, rhs) of every report of run(*args), in order."""
+    real, seen = adaptcl.verify._campaign, []
+
+    def capturing(name, reports, cases):
+        reports = list(reports)
+        seen.extend((r.context, r.lhs, r.rhs) for r in reports)
+        return real(name, reports, cases)
+
+    monkeypatch.setattr(adaptcl.verify, "_campaign", capturing)
+    run(*args)
+    monkeypatch.setattr(adaptcl.verify, "_campaign", real)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "seed, threshold_draws",
+    # at 88 and 139 draws of seed 0 the last batch is cut to one row in a
+    # block with another batch of its class count
+    [(0, None), (7, None), (59, None), (0, 88), (0, 139)],
+)
+def test_block_campaigns_equal_per_draw_reference(monkeypatch, seed, threshold_draws):
+    # the block passes report the floats of one kernel call per batch or draw
+    sizes = VerifySizes()
+    cases = [
+        (run_threshold, _reference_threshold, threshold_draws or sizes.threshold_draws),
+        (run_markov, _reference_markov, sizes.markov_batches),
+        (run_stability, _reference_stability, sizes.stability_draws),
+    ]
+    if threshold_draws:
+        cases = cases[:1]
+    for run, reference, size in cases:
+        expected = [(r.context, r.lhs, r.rhs) for r in reference(seed, size)]
+        assert _campaign_reports(monkeypatch, run, seed, size) == expected
 
 
 def test_saturated_gradient_probe_passes():
