@@ -14,7 +14,8 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -67,8 +68,9 @@ class RunConfig:
 
 
 def _require_distinct(what: str, items) -> None:
-    """A repeated mode, seed or sweep value would run one cell twice, and an
-    empty list would run none."""
+    """A repeated mode, seed or sweep value would run one cell twice, a
+    repeated split would write its rows twice, a repeated size would drop
+    the first count, and an empty list would run none."""
     if not items:
         raise ConfigError(f"{what} is empty")
     repeated = [v for i, v in enumerate(items) if v in items[:i]]
@@ -184,18 +186,12 @@ def _write_matrix_csv(path, matrix, status):
             f.write(f"{b}," + ",".join(cells) + f",{status}\n")
 
 
-@dataclass
-class Shared:
-    """generate_synthetic(config.data), and per seed the pretrained (backbone,
-    adapter) and the mode=disabled RunResult: what a run's cells share. The
-    runs of a sweep share all of it over an adapt.* key, and the data and
-    the pretrained models over a core.* or metrics.* key: none of it reads
-    an adapt.* key, and the data and the models read only data.*, model.*
-    and pretrain.* keys."""
-
-    data: tuple
-    pretrained: dict = field(default_factory=dict)
-    disabled: dict = field(default_factory=dict)
+def _cached(cache: dict, stage, key, make):
+    """make()'s result, kept as cache[stage] while key stays the same: a call
+    with another key makes it again and replaces it."""
+    if stage not in cache or cache[stage][0] != key:
+        cache[stage] = key, make()
+    return cache[stage][1]
 
 
 @dataclass(frozen=True)
@@ -213,32 +209,38 @@ class Cell:
         return isinstance(self.outcome, RunResult) and self.outcome.exception is None
 
 
-def run_single(config: RunConfig, seed: int, mode: str, shared: Shared) -> RunResult:
-    """One (seed, mode) cell: pretrain the seed's model unless shared holds
-    it, then the continual run on the seed's task order."""
-    pre_train, _, stream = shared.data
-    if seed not in shared.pretrained:
+def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> RunResult:
+    """One (seed, mode) cell on generate_synthetic's data: the seed's
+    pretrained model, kept in cache while the data, model and pretrain
+    sections stay, then the continual run on the seed's task order."""
+    pre_train, _, stream = data
+
+    def pretrained():
         backbone, adapter = init_model(config.model, config.data.input_dim, make_rng(seed, 2))
-        backbone = pretrain_backbone(backbone, pre_train, config.pretrain, make_rng(seed, 3))
-        shared.pretrained[seed] = (backbone, adapter)
-    backbone, adapter = shared.pretrained[seed]
+        return pretrain_backbone(backbone, pre_train, config.pretrain, make_rng(seed, 3)), adapter
+
+    sections = config.data, config.model, config.pretrain
+    backbone, adapter = _cached(cache, ("pretrained", seed), sections, pretrained)
     stream = stream.permuted(make_rng(seed, 1))
     return run_acl(stream, backbone, adapter, mode, config.adapt, config.core, make_rng(seed, 4))
 
 
-def run_cells(config: RunConfig, shared: Shared):
-    """Yield a Cell for every (seed, mode) of config, in order. Each seed is
-    pretrained, and its mode=disabled run made, once per Shared."""
+def run_cells(config: RunConfig, cache: dict):
+    """Yield a Cell for every (seed, mode) of config, in order. cache keeps
+    each stage's result while the config sections it reads stay: the data
+    (data), each seed's pretrained model (data, model, pretrain) and its
+    mode=disabled run (those and core)."""
+    data = _cached(cache, "data", config.data, lambda: generate_synthetic(config.data))
     for seed in config.run_seeds:
         for mode in config.adapt_modes:
             t0 = time.perf_counter()
+            run = partial(run_single, config, seed, mode, data, cache)
             try:
-                if mode == "disabled" and seed in shared.disabled:
-                    outcome = shared.disabled[seed]
+                if mode == "disabled":
+                    sections = config.data, config.model, config.pretrain, config.core
+                    outcome = _cached(cache, ("disabled", seed), sections, run)
                 else:
-                    outcome = run_single(config, seed, mode, shared)
-                    if mode == "disabled":
-                        shared.disabled[seed] = outcome
+                    outcome = run()
             except AdaptclError as e:
                 outcome = e
             yield Cell(seed, mode, outcome, time.perf_counter() - t0)
@@ -337,8 +339,7 @@ def write_artifacts(config: RunConfig, cells):
 
 def cmd_run(config: RunConfig) -> int:
     """Every (seed, mode) cell of one config."""
-    shared = Shared(generate_synthetic(config.data))
-    return write_artifacts(config, run_cells(config, shared))[0]
+    return write_artifacts(config, run_cells(config, {}))[0]
 
 
 def cmd_sweep(config: RunConfig, axis: str, values) -> int:
@@ -359,18 +360,12 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
             texts.append(value)
     _require_distinct("--values", texts)  # before any cell runs
     root.mkdir(parents=True, exist_ok=True)
-    overall = 0
-    rows = []
-    shared = None
+    overall, rows, cache = 0, [], {}
     for value, cell_config in zip(values, configs):
         try:
             if isinstance(cell_config, ConfigError):
                 raise cell_config
-            if shared is None or key.split(".")[0] in ("data", "model", "pretrain"):
-                shared = Shared(generate_synthetic(cell_config.data))
-            elif not key.startswith("adapt."):  # core.* keys change the disabled runs
-                shared = Shared(shared.data, shared.pretrained)
-            code, cells = write_artifacts(cell_config, run_cells(cell_config, shared))
+            code, cells = write_artifacts(cell_config, run_cells(cell_config, cache))
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
             overall = 1
@@ -438,7 +433,9 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="one run per value of one config key")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True, help="a config key; a bare name is adapt.<name>")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument(
+        "--values", required=True, help="comma-separated; a list-valued key takes one-item lists"
+    )
     p_sweep.add_argument("--seeds")
     p_sweep.add_argument("--out")
 
@@ -467,7 +464,8 @@ def main(argv=None) -> int:
 
             sizes = VerifySizes()
             if args.sizes:
-                for item in args.sizes.split(","):
+                items = args.sizes.split(",")
+                for item in items:
                     name, sep, count = item.partition("=")
                     if not sep:
                         raise ConfigError(f"--sizes item {item!r} is not name=count")
@@ -476,12 +474,14 @@ def main(argv=None) -> int:
                     if not count.strip().isdecimal():
                         raise ConfigError(f"size {name} must be a count >= 0, got {count!r}")
                     setattr(sizes, name, int(count))
+                _require_distinct("--sizes", [item.partition("=")[0] for item in items])
             return cmd_verify(args.seed, sizes)
         if args.command == "dump-embeddings":
             config = load_config(args.config)
             splits = tuple(s for s in args.splits.split(",") if s)
             if not splits or not set(splits) <= {"train", "test"}:
                 raise ConfigError(f"--splits must name train and/or test, got {args.splits!r}")
+            _require_distinct("--splits", splits)
             return cmd_dump_embeddings(config, args.checkpoint, args.out, splits)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

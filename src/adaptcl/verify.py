@@ -79,37 +79,6 @@ def _random_table(rng, dim, n_classes):
 MAX_CLASSES, MAX_ROWS = 8, 39
 
 
-def _padded(arrays):
-    """A stack of arrays, each padded with zero rows to the longest."""
-    out = np.zeros((len(arrays), max(map(len, arrays)), *arrays[0].shape[1:]), arrays[0].dtype)
-    for k, a in enumerate(arrays):
-        out[k, : len(a)] = a
-    return out
-
-
-def _scored(batches, dim):
-    """(y, pred, loss) of each (prototypes, tau, e, y) batch, in order. The
-    batches with the same class count are padded to the longest of them and
-    scored as one stack, by one classify and one acl_loss call; a stack
-    takes at most BLOCK_FLOATS floats of padded rows (13 batches for dim 16)
-    and the rest of the batches go to the next."""
-    scored, per_stack = [None] * len(batches), max(1, BLOCK_FLOATS // (MAX_ROWS * dim))
-    # matmul takes another BLAS path for a single row, with other floats, so
-    # a batch cut to one row is scored on its own
-    keys = [(len(p), len(y) > 1) for p, _, _, y in batches]
-    for key in set(keys):
-        group = [i for i, k in enumerate(keys) if k == key]
-        for stack in (group[j : j + per_stack] for j in range(0, len(group), per_stack)):
-            prototypes, taus, es, ys = zip(*(batches[i] for i in stack))
-            table = Classifier(list(range(key[0])), np.stack(prototypes))
-            e, y = _padded(es), _padded(ys)
-            pred, _ = classify(table, e)
-            loss, _ = acl_loss(e, y, table, np.array(taus)[:, None, None])
-            for k, i in enumerate(stack):
-                scored[i] = ys[k], pred[k, : len(ys[k])], loss[k, : len(ys[k])]
-    return scored
-
-
 def _scored_batches(rng, dim, n_rows=np.inf):
     """Random batches as (y, pred, loss), until they have n_rows rows, the
     last one cut. A batch has a table of 2-8 random unit prototypes, tau ~
@@ -120,7 +89,7 @@ def _scored_batches(rng, dim, n_rows=np.inf):
     normals and the labels, in that order. The batches come in blocks: a
     block takes batches while a largest one still fits in BLOCK_FLOATS
     floats of normals (about 18 for dim 16), whose rows are normalized in
-    one pass, and its batches are scored at once (_scored)."""
+    one pass."""
     batch_rows = MAX_CLASSES + MAX_ROWS
     block_rows = max(batch_rows, BLOCK_FLOATS // dim)
     while n_rows > 0:
@@ -135,7 +104,9 @@ def _scored_batches(rng, dim, n_rows=np.inf):
             batches.append((prototypes, tau, e[:cut], rng.integers(n_classes, size=n)[:cut]))
             end, n_rows = end + n_classes + n, n_rows - n
         _unit_rows(v[:end])
-        yield from _scored(batches, dim)
+        for prototypes, tau, e, y in batches:
+            table = Classifier(list(range(len(prototypes))), prototypes)
+            yield y, classify(table, e)[0], acl_loss(e, y, table, tau)[0]
 
 
 def _campaign(name, reports, cases) -> CheckResult:
@@ -240,7 +211,7 @@ def run_stability(seed, n_draws, dim=16) -> CheckResult:
     )
 
 
-def _gradient_probes(seed, s, n_probes, with_adapter):
+def _gradient_probes(seed, s, n_probes):
     """Seed s of the gradient battery: (backbone, adapter, table, probes),
     each probe an (x, y, tau) batch of 1 or 3 rows, drawn in the battery's
     order."""
@@ -248,10 +219,7 @@ def _gradient_probes(seed, s, n_probes, with_adapter):
     rng = make_rng(seed, 16, s)
     batch_rng = make_rng(seed, 17, s)
     backbone, adapter = init_model(cfg, input_dim, rng)
-    if with_adapter:
-        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-    else:
-        adapter = None
+    adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
     table = _random_table(rng, cfg.embed_dim, 3)
     probes = []
     for probe in range(n_probes):
@@ -288,9 +256,7 @@ def _rounding_floor(rows, size, tau, h):
     return 8 * rows * EPS * np.sqrt(size) / (tau * h)
 
 
-def run_gradient_battery(
-    seed, n_seeds, n_probes, rel_tol=1e-4, h=1e-5, with_adapter=True
-) -> CheckResult:
+def run_gradient_battery(seed, n_seeds, n_probes, rel_tol=1e-4, h=1e-5) -> CheckResult:
     """Backprop through embed -> normalize -> contrastive loss vs central
     finite differences, per parameter group.
 
@@ -313,7 +279,7 @@ def run_gradient_battery(
         if not n_probes:
             return
         for s in range(n_seeds):
-            backbone, adapter, table, probes = _gradient_probes(seed, s, n_probes, with_adapter)
+            backbone, adapter, table, probes = _gradient_probes(seed, s, n_probes)
             numeric = _numeric_gradients(backbone, adapter, table, probes, h)
             for probe, (x, y, tau) in enumerate(probes):
                 e, tape = model_mod.embed_with_tape(backbone, adapter, x)

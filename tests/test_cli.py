@@ -364,8 +364,10 @@ class TestRun:
             # a data.* key changes the data: once per cell
             (["sweep", "--axis", "data.domain_shift", "--values", "1,2,3"], 3),
             (["sweep", "--axis", "core.epochs", "--values", "1,2,3"], 1),
+            # the data reads no pretrain.* key
+            (["sweep", "--axis", "pretrain.epochs", "--values", "1,2,3"], 1),
         ],
-        ids=["run", "sweep", "sweep-domain-shift", "sweep-core-epochs"],
+        ids=["run", "sweep", "sweep-domain-shift", "sweep-core-epochs", "sweep-pretrain-epochs"],
     )
     def test_data_generated_once(self, tiny_config, tmp_path, monkeypatch, command, n_calls):
         import adaptcl.cli
@@ -544,7 +546,9 @@ class TestSweep:
             assert config.run_out == cell
             assert config == replace(base, adapt=replace(base.adapt, epochs=value), run_out=cell)
 
-    def test_disabled_runs_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+    def _sweep_modes(self, tiny_config, tmp_path, monkeypatch, axis, values):
+        """The mode of every run_acl call of a two-mode sweep over seeds 5
+        and 6, and the sweep's output directory."""
         modes = []
         real = adaptcl.cli.run_acl
 
@@ -558,8 +562,13 @@ class TestSweep:
             tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
         )
         out = tmp_path / "s"
-        argv = ["sweep", "--config", str(path), "--axis", "temperature"]
-        assert main(argv + ["--values", "0.1,0.2,0.5", "--seeds", "5,6", "--out", str(out)]) == 0
+        argv = ["sweep", "--config", str(path), "--axis", axis]
+        assert main(argv + ["--values", values, "--seeds", "5,6", "--out", str(out)]) == 0
+        return modes, out
+
+    def test_disabled_runs_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+        args = tiny_config, tmp_path, monkeypatch, "temperature", "0.1,0.2,0.5"
+        modes, out = self._sweep_modes(*args)
         assert modes.count("disabled") == 2 and modes.count("acl") == 6
         for value in ("0.1", "0.2", "0.5"):
             cell = out / f"sweep_temperature_{value}"
@@ -570,6 +579,12 @@ class TestSweep:
             assert sorted(row.split(",")[0] for row in metrics) == [
                 "acl_5", "acl_6", "disabled_5", "disabled_6"
             ]
+
+    def test_metrics_sweep_runs_disabled_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
+        # no run reads a metrics.* key, so the disabled runs are shared too
+        args = tiny_config, tmp_path, monkeypatch, "metrics.plasticity", "best_ever,immediate"
+        modes, _ = self._sweep_modes(*args)
+        assert modes.count("disabled") == 2 and modes.count("acl") == 4
 
     def test_failed_disabled_run_shared(self, tiny_config, tmp_path, monkeypatch):
         # a failed disabled result is recorded by every cell, like a standalone run
@@ -788,7 +803,15 @@ class TestVerify:
         assert "warning" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sizes", ["foo", "lemma1_pairs=x", "not_a_size=3", "lemma1_pairs=-5", "__class__=3"]
+        "sizes",
+        [
+            "foo",
+            "lemma1_pairs=x",
+            "not_a_size=3",
+            "lemma1_pairs=-5",
+            "__class__=3",
+            "lemma1_pairs=0,lemma1_pairs=5",
+        ],
     )
     def test_verify_malformed_sizes(self, sizes, capsys):
         assert main(["verify", "--sizes", sizes]) == 2
@@ -837,6 +860,15 @@ class TestDumpEmbeddings:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_repeated_split(self, tiny_config, fresh_checkpoint, tmp_path, capsys):
+        # a repeated split would write its rows twice
+        out = tmp_path / "e.csv"
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--splits", "test,test"]
+        assert main(argv + ["--checkpoint", str(fresh_checkpoint), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --splits repeats 'test'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "drop",

@@ -12,7 +12,6 @@ from adaptcl.metrics import BoundReport, check_loss_threshold, check_markov_boun
 from adaptcl.model import Classifier, classify, embed, model_params
 from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
 from adaptcl.verify import (
-    MAX_CLASSES,
     VerifySizes,
     _campaign,
     _gradient_probes,
@@ -234,16 +233,15 @@ def _counted(monkeypatch, name):
 
 
 def test_threshold_checks_batches(monkeypatch):
-    # one classify and one acl_loss call per class count (2-8) in each block
-    # of about 18 batches, not one per batch, and one more for a last batch
-    # cut to one row: 170 calls for seed 0's 465 batches in 26 blocks
+    # one classify and one acl_loss call per batch, and one normalization
+    # pass per block of about 18 batches, not one per batch
     scored = [_counted(monkeypatch, name) for name in ("classify", "acl_loss")]
     batches = _counted(monkeypatch, "check_loss_threshold")
     blocks = _counted(monkeypatch, "_unit_rows")
     assert run_threshold(0, VerifySizes().threshold_draws).passed
     assert 0 < len(blocks) <= len(batches) / 15
     for calls in scored:
-        assert 0 < len(calls) <= (MAX_CLASSES - 1) * len(blocks) + 1
+        assert len(calls) == len(batches)
 
 
 def test_stability_checks_blocks(monkeypatch):
@@ -392,7 +390,7 @@ def test_stacked_numeric_gradient_is_per_probe():
     # each probe's slice of the one-pass oracle is the central difference of
     # that probe's own summed loss, within the battery's rounding floor
     h = 1e-5
-    backbone, adapter, table, probes = _gradient_probes(0, 0, VerifySizes().grad_probes, True)
+    backbone, adapter, table, probes = _gradient_probes(0, 0, VerifySizes().grad_probes)
     stacked = _numeric_gradients(backbone, adapter, table, probes, h)
     params = model_params(backbone, adapter)
     for k, (x, y, tau) in enumerate(probes):
