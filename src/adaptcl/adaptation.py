@@ -83,21 +83,13 @@ def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     table: a cosine Classifier whose weight rows are the prototypes. (n, d)
     embeddings with (n,) true-class rows of the table (label_index) give
     per-row losses (n,) and gradients (n, d). tau is one float for every
-    row, or an (n, 1) column with one temperature per row.
-
-    A stack of K row sets, (K, n, d) embeddings with (K, n) rows, against a
-    stack of K tables, weight (K, C, d), gives (K, n) losses and (K, n, d)
-    gradients, each set scored by its own table; tau is then a float or a
-    (K, 1, 1) or (K, n, 1) array."""
-    p = table.weight  # (..., C, d)
-    scores = (e_star @ p.swapaxes(-1, -2)) / tau
+    row, or an (n, 1) column with one temperature per row."""
+    p = table.weight  # (C, d)
+    scores = (e_star @ p.T) / tau
     lse = log_sum_exp(scores)
-    # the label gathers, an index tuple rather than take_along_axis, which
-    # costs about 8 us more per two-dimensional call
-    rows = np.indices(y_idx.shape, sparse=True)
-    loss = lse - scores[(*rows, y_idx)]
-    soft = np.exp(scores - lse[..., None])
-    grad = (soft @ p - p[(*rows[:-1], y_idx)]) / tau
+    loss = lse - scores[np.arange(len(y_idx)), y_idx]
+    soft = np.exp(scores - lse[:, None])
+    grad = (soft @ p - p[y_idx]) / tau
     return loss, grad
 
 
@@ -122,13 +114,13 @@ def ce_adapt_loss(e_star: np.ndarray, y_idx: np.ndarray, head: Classifier):
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One adaptation epoch: the mean contrastive loss over the task's
-    training data after the epoch, the two live bound checks of it, and the
-    epoch's tightest per-batch loss threshold (None under ce_ablation, which
-    does not score against the prototypes)."""
+    """One adaptation epoch: the two live bound checks of the model after
+    the epoch, on the task's training data (the Markov rhs is the mean
+    contrastive loss / log 2), and the epoch's tightest per-batch loss
+    threshold (None under ce_ablation, which does not score against the
+    prototypes)."""
 
     epoch: int
-    mean_loss: float
     stability: BoundReport
     markov: BoundReport
     threshold: "BoundReport | None"
@@ -206,9 +198,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
             markov = check_markov_bound(losses, pred == labels, context="markov")
             stability.require(f"epoch {epoch}")
             markov.require(f"epoch {epoch}")
-            records.append(
-                EpochRecord(epoch, float(np.mean(losses)), stability, markov, threshold)
-            )
+            records.append(EpochRecord(epoch, stability, markov, threshold))
     check_unchanged(frozen_table, table.weight, "frozen prototypes").require("adaptation")
     if mode == "lightweight_only":
         frozen = check_unchanged(frozen_backbone, backbone.flat, "frozen backbone")

@@ -25,6 +25,7 @@ from .continual import CoreConfig, RunResult, run_acl
 from .data import PretrainConfig, SyntheticSpec, generate_synthetic, pretrain_backbone
 from .errors import AdaptclError, CheckpointError, ConfigError
 from .metrics import (
+    AccuracyMatrix,
     avg_incremental_accuracy,
     forgetting,
     last_accuracy,
@@ -196,23 +197,24 @@ def _cached(cache: dict, stage, key, make):
 
 @dataclass(frozen=True)
 class Cell:
-    """One (seed, mode) cell: its RunResult, or the AdaptclError that stopped
-    it before run_acl, and the seconds its pretraining and run took."""
+    """One (seed, mode) cell: its RunResult and the seconds its pretraining
+    and run took."""
 
     seed: int
     mode: str
-    outcome: "RunResult | AdaptclError"
+    result: RunResult
     seconds: float
 
     @property
     def ok(self) -> bool:
-        return isinstance(self.outcome, RunResult) and self.outcome.exception is None
+        return self.result.exception is None
 
 
 def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> RunResult:
     """One (seed, mode) cell on generate_synthetic's data: the seed's
     pretrained model, kept in cache while the data, model and pretrain
-    sections stay, then the continual run on the seed's task order."""
+    sections stay, then the continual run on the seed's task order. A
+    pretraining that raises fails the cell with no accuracy row."""
     pre_train, _, stream = data
 
     def pretrained():
@@ -220,7 +222,10 @@ def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> Ru
         return pretrain_backbone(backbone, pre_train, config.pretrain, make_rng(seed, 3)), adapter
 
     sections = config.data, config.model, config.pretrain
-    backbone, adapter = _cached(cache, ("pretrained", seed), sections, pretrained)
+    try:
+        backbone, adapter = _cached(cache, ("pretrained", seed), sections, pretrained)
+    except AdaptclError as e:
+        return RunResult(AccuracyMatrix([], expected_tasks=len(stream)), [], None, e)
     stream = stream.permuted(make_rng(seed, 1))
     return run_acl(stream, backbone, adapter, mode, config.adapt, config.core, make_rng(seed, 4))
 
@@ -235,20 +240,17 @@ def run_cells(config: RunConfig, cache: dict):
         for mode in config.adapt_modes:
             t0 = time.perf_counter()
             run = partial(run_single, config, seed, mode, data, cache)
-            try:
-                if mode == "disabled":
-                    sections = config.data, config.model, config.pretrain, config.core
-                    outcome = _cached(cache, ("disabled", seed), sections, run)
-                else:
-                    outcome = run()
-            except AdaptclError as e:
-                outcome = e
-            yield Cell(seed, mode, outcome, time.perf_counter() - t0)
+            if mode == "disabled":
+                sections = config.data, config.model, config.pretrain, config.core
+                result = _cached(cache, ("disabled", seed), sections, run)
+            else:
+                result = run()
+            yield Cell(seed, mode, result, time.perf_counter() - t0)
 
 
 def _metrics_row(config: RunConfig, cell: Cell) -> list:
     """The metrics.csv fields of an ok cell."""
-    m = cell.outcome.matrix
+    m = cell.result.matrix
     return [
         f"{cell.mode}_{cell.seed}",
         str(cell.seed),
@@ -287,13 +289,7 @@ def write_artifacts(config: RunConfig, cells):
             done.append(cell)
             name = f"seed={cell.seed},mode={cell.mode}"
             manifest["wall_clock"][name] = round(cell.seconds, 3)
-            result = cell.outcome
-            if isinstance(result, AdaptclError):
-                manifest["status"][name] = f"error: {result}"
-                manifest["failures"][name] = _failure(name, result)
-                continue
-            stem = f"{cell.mode}_{cell.seed}"
-            where = f"mode={cell.mode}/seed={cell.seed}"
+            result, stem = cell.result, f"{cell.mode}_{cell.seed}"
             files = [f"accuracy_matrix_{stem if len(config.adapt_modes) > 1 else cell.seed}.csv"]
             _write_matrix_csv(out / files[0], result.matrix, result.status)
             manifest["status"][name] = result.status if cell.ok else f"failed: {result.error}"
@@ -302,19 +298,12 @@ def write_artifacts(config: RunConfig, cells):
                 save_checkpoint(out / files[-1], result.state.backbone, result.state.adapter)
             else:
                 manifest["failures"][name] = _failure(name, result.exception)
-            if result.adapt_reports:
-                files.append(f"adapt_report_{stem}.csv")
-                with open(out / files[-1], "w", newline="\n") as f:
-                    f.write("task,epoch,mean_loss,bound_lhs,bound_rhs,markov_lhs,markov_rhs\n")
-                    for k, records in result.adapt_reports:
-                        for r in records:
-                            values = (r.mean_loss, r.stability.lhs, r.stability.rhs)
-                            values += (r.markov.lhs, r.markov.rhs)
-                            f.write(f"{k},{r.epoch}," + ",".join(map(_fmt, values)) + "\n")
-                            at = f"{where}/task={k}/epoch={r.epoch}"
-                            checks = filter(None, (r.stability, r.markov, r.threshold))
-                            bounds += [(f"{c.context}/{at}", c) for c in checks]
             manifest["files"] += files
+            for k, records in result.epoch_records:
+                for r in records:
+                    at = f"mode={cell.mode}/seed={cell.seed}/task={k}/epoch={r.epoch}"
+                    checks = filter(None, (r.stability, r.markov, r.threshold))
+                    bounds += [(f"{c.context}/{at}", c) for c in checks]
 
         with open(out / "metrics.csv", "w", newline="\n") as f:
             f.write("run_id,seed,mode,LA,AIA,forgetting,plasticity\n")
@@ -348,23 +337,16 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     key = axis if "." in axis else f"adapt.{axis}"
     if key not in CONFIG_KEYS or key.startswith("run."):
         raise ConfigError(f"sweep axis must be a config key outside run.*, got {axis!r}")
-    root, text = config.run_out, config_text(config)
-    configs, texts = [], []
-    for value in values:
+    root, text, configs = config.run_out, config_text(config), []
+    for value in values:  # every value is checked before any cell runs
         overrides = {key: value, "run.out": root / f"sweep_{axis}_{value}"}
-        try:  # a value that does not convert fails only its own cell
+        with _config_errors(f"sweep value {value!r}: "):
             configs.append(parse_config(text, overrides))
-            texts.append(_value_text(configs[-1], key))
-        except ConfigError as e:
-            configs.append(e)
-            texts.append(value)
-    _require_distinct("--values", texts)  # before any cell runs
+    _require_distinct("--values", [_value_text(c, key) for c in configs])
     root.mkdir(parents=True, exist_ok=True)
     overall, rows, cache = 0, [], {}
     for value, cell_config in zip(values, configs):
         try:
-            if isinstance(cell_config, ConfigError):
-                raise cell_config
             code, cells = write_artifacts(cell_config, run_cells(cell_config, cache))
         except AdaptclError as e:
             print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)

@@ -156,8 +156,8 @@ def evaluate(state: ExperimentState, stream: TaskStream, up_to_task: int):
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
-    adapt_reports: list  # (task, [EpochRecord]) per adapted task
-    state: ExperimentState
+    epoch_records: list  # (task, [EpochRecord]) per adapted task
+    state: "ExperimentState | None"  # None for a run that failed before run_acl
     exception: "BaseException | None" = None  # why a failed run stopped
 
     @property

@@ -120,7 +120,7 @@ def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     The per-sample loss threshold (see check_loss_threshold) implies
     this bound: each misclassified sample adds at least log 2 / n to the mean
     loss. It is kept for its aggregate figures, which adapt() reports per
-    epoch in the markov columns of the adapt report."""
+    epoch as the markov rows of bounds.csv."""
     losses = np.asarray(losses, dtype=np.float64)
     correct = np.asarray(correct_flags, dtype=bool)
     if losses.shape != correct.shape:

@@ -237,8 +237,8 @@ class Classifier:
     """
 
     class_ids: list  # ascending
-    weight: np.ndarray  # (..., C, d), row i belongs to class_ids[i]
-    bias: "np.ndarray | None" = None  # (..., C) for a linear head
+    weight: np.ndarray  # (C, d), row i belongs to class_ids[i]
+    bias: "np.ndarray | None" = None  # (C,) for a linear head
 
     @classmethod
     def linear(cls, class_ids, embed_dim: int) -> "Classifier":
@@ -260,25 +260,23 @@ class Classifier:
             self.bias = np.concatenate([self.bias, np.zeros(len(rows))])[order]
 
     def logits(self, embedding: np.ndarray) -> np.ndarray:
-        """Logits per class id: (..., n, d) -> (..., n, C). A stack of tables,
-        weight (..., C, d) and bias (..., C), scores the same stack of row
-        sets, one table each."""
+        """Logits per class id: (n, d) -> (n, C)."""
         if not self.class_ids:
             raise EmptyClassifier("no classes registered")
         e = np.asarray(embedding, dtype=np.float64)
-        if e.ndim < 2 or e.shape[-1] != self.weight.shape[-1]:
+        if e.ndim != 2 or e.shape[1] != self.weight.shape[1]:
             raise DimensionMismatch(f"{e.shape} vs weight {self.weight.shape}")
-        scores = e @ self.weight.swapaxes(-1, -2)
+        scores = e @ self.weight.T
         if self.bias is None:
             return np.clip(scores, -1.0, 1.0)
-        return scores + self.bias[..., None, :]
+        return scores + self.bias
 
 
 def classify(classifier: Classifier, embedding: np.ndarray):
-    """Predicted class ids (..., n) and logits (..., n, C), ordered by
-    ascending class id, for (..., n, d) embeddings."""
+    """Predicted class ids (n,) and logits (n, C), ordered by ascending
+    class id, for (n, d) embeddings."""
     logits = classifier.logits(embedding)
-    idx = np.argmax(logits, axis=-1)  # argmax returns the first max: lowest id wins
+    idx = np.argmax(logits, axis=1)  # argmax returns the first max: lowest id wins
     return np.asarray(classifier.class_ids)[idx], logits
 
 

@@ -10,10 +10,8 @@ of both. Every size is an (n, D) batch, n = 1 included. The SGD step
 updates the backbone's flat vector and the head with momentum 0.9, as each
 pretraining batch does; the pretraining step adds the forward pass,
 ce_adapt_loss and backprop before it, as pretrain_backbone's loop does.
-The stacked cases score 8 batches of 22 rows against 8 tables of 5 classes
-in one call, with one temperature per batch, as the loss-threshold and
-Markov campaigns of `adaptcl verify` do. The last cases time each
-campaign at its default size with seed 0, one campaign per case.
+The last cases time each campaign of `adaptcl verify` at its default size
+with seed 0, one campaign per case.
 """
 
 import numpy as np
@@ -114,26 +112,6 @@ def test_ce_adapt_loss(benchmark, model, n):
 def test_classify(benchmark, model, n):
     _, _, e = _batch(model, n)
     benchmark(classify, model[3], e)
-
-
-@pytest.fixture(scope="module")
-def stack():
-    rng = make_rng(3)
-    e = rng.standard_normal((8, 22, ModelConfig().embed_dim))
-    e /= np.linalg.norm(e, axis=-1, keepdims=True)
-    weight = rng.standard_normal((8, 5, e.shape[-1]))
-    weight /= np.linalg.norm(weight, axis=-1, keepdims=True)
-    tau = rng.uniform(0.02, 0.5, size=(8, 1, 1))
-    return e, rng.integers(5, size=(8, 22)), Classifier(list(range(5)), weight), tau
-
-
-def test_acl_loss_stacked(benchmark, stack):
-    benchmark(acl_loss, *stack)
-
-
-def test_classify_stacked(benchmark, stack):
-    e, _, table, _ = stack
-    benchmark(classify, table, e)
 
 
 def test_sgd_step(benchmark, model):

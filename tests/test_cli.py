@@ -127,9 +127,16 @@ class TestConfigErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_non_finite_sweep_value(self, tiny_config, tmp_path, capsys):
+        # a bad value exits 2 before any cell runs, the good one before it included
         argv = ["sweep", "--config", str(tiny_config), "--axis", "temperature"]
-        assert main(argv + ["--values", "nan", "--out", str(tmp_path / "o")]) == 1
-        assert "adapt.temperature must be finite" in capsys.readouterr().err
+        for values, reason in [
+            ("0.1,nan", "sweep value 'nan': adapt.temperature must be finite"),
+            ("0.1,-1", "sweep value '-1': adapt: temperature must be positive"),
+        ]:
+            assert main(argv + ["--values", values, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {reason}") and err.count("\n") == 1
+            assert not (tmp_path / "o").exists()
 
     def test_repeated_sweep_value(self, tiny_config, tmp_path, capsys):
         argv = ["sweep", "--config", str(tiny_config), "--axis", "epochs", "--values", "1,2,1"]
@@ -307,17 +314,6 @@ class TestRun:
         for name in ("accuracy_matrix_11.csv", "metrics.csv", "bounds.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_adapt_report_csv(self, tiny_config, tmp_path):
-        out = tmp_path / "out"
-        main(["run", "--config", str(tiny_config), "--out", str(out)])
-        lines = (out / "adapt_report_acl_11.csv").read_text().splitlines()
-        assert lines[0] == "task,epoch,mean_loss,bound_lhs,bound_rhs,markov_lhs,markov_rhs"
-        assert len(lines) > 1
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert len(fields) == 7
-            assert all(np.isfinite(float(v)) for v in fields[2:])
-
     def test_plasticity_variant_immediate(self, tiny_config, tmp_path):
         cfg = tiny_config.read_text() + "metrics.plasticity = immediate\n"
         path = tiny_config.parent / "imm.cfg"
@@ -413,11 +409,11 @@ class TestSweep:
         assert (out / "sweep_temperature_0.1" / "metrics.csv").exists()
 
     def test_sweep_csv_rows_are_cell_metrics(self, tiny_config, tmp_path):
-        # the rejected -1 cell has no rows; every other row is axis,value and
-        # the seed,mode,LA,AIA fields of the cell's metrics.csv, in cell order
+        # every row is axis,value and the seed,mode,LA,AIA fields of the
+        # cell's metrics.csv, in cell order
         out = tmp_path / "sweep"
         argv = ["sweep", "--config", str(tiny_config), "--axis", "temperature"]
-        assert main(argv + ["--values", "0.1,-1,0.5", "--seeds", "5,6", "--out", str(out)]) == 1
+        assert main(argv + ["--values", "0.1,0.5", "--seeds", "5,6", "--out", str(out)]) == 0
         expected = ["axis,value,seed,mode,LA,AIA"]
         for value in ("0.1", "0.5"):
             metrics = (out / f"sweep_temperature_{value}" / "metrics.csv").read_text()
@@ -637,7 +633,9 @@ class TestFailures:
         out = tmp_path / "o"
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"]["seed=11,mode=acl"].startswith("error: pretraining loss")
+        assert manifest["status"]["seed=11,mode=acl"].startswith(
+            "failed: NonFiniteLoss: pretraining loss"
+        )
         failure = manifest["failures"]["seed=11,mode=acl"]
         assert failure["type"] == "NonFiniteLoss"
         assert failure["traceback"].startswith("Traceback (most recent call last):")
@@ -719,8 +717,8 @@ class TestFailures:
         cases = {
             # pretraining diverges, so both cells of the seed fail before run_acl
             "pretrain.lr = 1e200": {
-                "acl": ("error: ", pretrain),
-                "disabled": ("error: ", pretrain),
+                "acl": ("failed: NonFiniteLoss: ", pretrain),
+                "disabled": ("failed: NonFiniteLoss: ", pretrain),
             },
             # adaptation diverges; the disabled cell does not adapt and passes
             "adapt.lr = 1e200": {"acl": ("failed: NonFiniteLoss: ", adaptation)},
@@ -745,6 +743,24 @@ class TestFailures:
                 assert manifest["status"][f"seed=11,mode={mode}"] == status + reason
             # every cell's time is recorded, a failed one's too
             assert set(manifest["wall_clock"]) == {"seed=11,mode=acl", "seed=11,mode=disabled"}
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["", "adapt.lr = 1e200", "pretrain.lr = 1e200"],
+        ids=["ok", "adaptation-fails", "pretraining-fails"],
+    )
+    def test_directory_matches_manifest(self, tiny_config, tmp_path, setting):
+        # an ok run, an adaptation failure and a pretraining failure: the
+        # directory holds the manifest's files, with every cell's matrix
+        cfg = tiny_config.read_text().replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        tiny_config.write_text(cfg + setting + "\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(tiny_config), "--out", str(out)])
+        assert code == (1 if setting else 0)
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+        assert len(set(files)) == len(files)
+        assert {"accuracy_matrix_acl_11.csv", "accuracy_matrix_disabled_11.csv"} <= set(files)
 
     def test_huge_core_lr_head_only_passes(self, tiny_config, tmp_path, capsys):
         # a head-only linear core stays finite at this step size: the

@@ -239,14 +239,14 @@ class TestRunAcl:
         )
         assert result.status == "ok"
         assert result.matrix.K == 1
-        assert len(result.adapt_reports) == 1
+        assert len(result.epoch_records) == 1
 
     def test_disabled_runs_no_adaptation(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         result = run_acl(
             stream, backbone, adapter, "disabled", AdaptConfig(), CoreConfig(), make_rng(2)
         )
-        assert result.adapt_reports == []
+        assert result.epoch_records == []
         assert result.status == "ok"
         # frozen-backbone run leaves the model untouched
         assert result.state.backbone.flat.tobytes() == backbone.flat.tobytes()
@@ -262,7 +262,7 @@ class TestRunAcl:
             CoreConfig(),
             make_rng(2),
         )
-        assert [k for k, _ in result.adapt_reports] == [1]
+        assert [k for k, _ in result.epoch_records] == [1]
 
     def test_deterministic(self, stream_and_model):
         stream, backbone, adapter = stream_and_model

@@ -267,24 +267,12 @@ class TestClassify:
             assert single_pred.tolist() == [pred]
             np.testing.assert_allclose(row, single_logits[0], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["cosine", "linear"])
-    def test_stack_matches_2d_calls(self, variant):
-        # K tables scoring K row sets at once give the floats of K 2-D calls
-        rng = make_rng(24)
-        e = rng.standard_normal((8, 22, 4))
-        weight = rng.standard_normal((8, 5, 4))
-        bias = rng.standard_normal((8, 5)) if variant == "linear" else None
-        preds, logits = classify(Classifier([1, 2, 4, 7, 9], weight, bias), e)
-        assert preds.shape == (8, 22) and logits.shape == (8, 22, 5)
-        for k in range(8):
-            table = Classifier([1, 2, 4, 7, 9], weight[k], None if bias is None else bias[k])
-            pred, row_logits = classify(table, e[k])
-            assert np.array_equal(preds[k], pred) and np.array_equal(logits[k], row_logits)
-
     def test_one_dimensional_input_raises(self):
         clf = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DimensionMismatch):
             classify(clf, np.array([1.0, 0.0]))
+        with pytest.raises(DimensionMismatch):  # nor is a stack of row sets taken
+            classify(clf, np.ones((3, 4, 2)))
 
     def test_positive_rescale_invariance(self):
         rng = make_rng(22)
