@@ -158,6 +158,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
 
     # which of (backbone, adapter), and so of backprop's gradient pair, train
     trains = (mode != "lightweight_only", adapter is not None)
+    trained_backbone = backbone if trains[0] else None  # backprop stops before a frozen one
     params = [m.flat for m, t in zip((backbone, adapter), trains) if t]
     if head is not None:
         params += [head.weight, head.bias]
@@ -183,7 +184,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
                     report.require(f"epoch {epoch}")
                     if threshold is None or report.slack < threshold.slack:
                         threshold = report
-                grads = backprop(tape, backbone, adapter, d_e / len(idx), grads)
+                grads = backprop(tape, trained_backbone, adapter, d_e / len(idx), grads)
                 flat_grads = [g.flat for g, t in zip(grads, trains) if t]
                 if head is not None:
                     flat_grads += [d_w / len(idx), d_b / len(idx)]

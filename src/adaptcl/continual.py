@@ -7,6 +7,7 @@ prototypes with no training, "linear" fine-tunes a growing linear head on the
 frozen adapted backbone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,12 @@ from .errors import AdaptclError, BoundViolation, NonFiniteLoss
 from .metrics import AccuracyMatrix, check_unchanged
 from .model import (
     Classifier,
+    adapter_with_tape,
     backprop,
     classify,
     embed,
-    embed_with_tape,
     label_index,
+    raw_embed,
 )
 from .numerics import OptimizerState, diverged_as, sgd_step
 
@@ -103,42 +105,48 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     sample (e, y), p = softmax(W e + b), W -= lr * outer(p - onehot(y), e) and
     b -= lr * (p - onehot(y)), in place. With tune_adapter the embedding
     gradient (p - onehot(y)) @ W, taken before the head update, is
-    backpropagated into the adapter, which takes the same kind of step."""
+    backpropagated into the adapter, which takes the same kind of step; the
+    backbone's raw embeddings are computed once, and backprop stops there."""
     before = state.backbone.flat.copy()
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    W, b = head.weight, head.bias
-    adapter_state, grads = OptimizerState(lr=config.lr), None
-    tuned = config.tune_adapter and state.adapter is not None
-    if not tuned:
-        frozen = embed(state.backbone, state.adapter, x)
+    W, b, lr, adapter = head.weight, head.bias, config.lr, state.adapter
+    adapter_state, grads = OptimizerState(lr=lr), None
+    tuned = config.tune_adapter and adapter is not None
+    if tuned:
+        # one row at a time, as a per-sample forward pass computes them: a
+        # batched forward differs in the last bits
+        inputs = np.concatenate([raw_embed(state.backbone, x[i : i + 1]) for i in range(len(x))])
+    else:
+        inputs = embed(state.backbone, adapter, x)
+    # the head step's buffers: logits, scratch, p - onehot(y) and its outer product with e
+    z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(W.shape)
+    column = delta[:, None]
     for epoch in range(1, config.epochs + 1):
         with diverged_as(f"core learning diverged in epoch {epoch}"):
-            for i in rng.permutation(len(labels)):
-                if not tuned:
-                    e = frozen[i]
-                else:
-                    (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
-                z = W @ e + b
+            order = rng.permutation(len(labels))
+            for e, r in zip(inputs[order], rows[order].tolist()):
+                if tuned:
+                    (e,), tape = adapter_with_tape(adapter, e[None])
+                np.dot(W, e, out=z)
+                z += b
                 # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
                 # linear epoch sweep (BENCH_3.json)
-                m = z.max()
-                lse = m + np.log(np.exp(z - m).sum())
-                loss = lse - z[rows[i]]
-                if not np.isfinite(loss):
+                m = max(z.tolist())  # exact, and cheaper than z.max() for a few classes
+                lse = m + np.log(np.exp(np.subtract(z, m, out=t), out=t).sum())
+                loss = lse - z[r]
+                if not math.isfinite(loss):
                     raise NonFiniteLoss(f"core-learning loss {loss}")
-                delta = np.exp(z - lse)  # softmax, then minus the one-hot label
-                delta[rows[i]] -= 1.0
+                np.exp(np.subtract(z, lse, out=delta), out=delta)  # softmax, then minus onehot(y)
+                delta[r] -= 1.0
                 if tuned:
-                    grads = backprop(
-                        tape, state.backbone, state.adapter, (delta @ W)[None], grads
-                    )
-                    sgd_step([state.adapter.flat], [grads[1].flat], adapter_state)
-                W -= config.lr * (delta[:, None] * e)  # outer(delta, e)
-                b -= config.lr * delta
+                    grads = backprop(tape, None, adapter, (delta @ W)[None], grads)
+                    sgd_step([adapter.flat], [grads[1].flat], adapter_state)
+                W -= np.multiply(np.multiply(column, e, out=outer), lr, out=outer)
+                b -= np.multiply(delta, lr, out=t)
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
     return state
 

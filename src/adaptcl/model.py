@@ -129,10 +129,11 @@ def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator):
 
 @dataclass
 class Tape:
-    """Intermediates of one forward pass over an (n, D) batch; consumed
-    exactly once by backprop. unit is (n, d) and norm (n,)."""
+    """Intermediates of one forward pass over an (n, D) batch, or of its
+    adapter part over (n, d) raw embeddings; consumed exactly once by
+    backprop. unit is (n, d) and norm (n,)."""
 
-    acts: list  # inputs to each layer: x, then each hidden layer's activation
+    acts: "list | None"  # each backbone layer's input; None for a tape that starts at raw
     raw_embed: np.ndarray  # backbone output before adapter
     adapter_act: "np.ndarray | None"  # act(e @ Down^T); None without an adapter
     norm: np.ndarray
@@ -140,19 +141,26 @@ class Tape:
     consumed: bool = False
 
 
-def embed_with_tape(backbone: Backbone, adapter, x):
-    """Forward pass over (n, D) rows: the (n, d) unit embeddings and the Tape
-    that backprop consumes."""
+def raw_embed(backbone: Backbone, x, acts=None) -> np.ndarray:
+    """The backbone part of the forward pass: (n, D) rows to the (n, d) raw
+    embeddings, before the adapter. acts, a list, receives each layer's
+    input, which backprop needs to continue into the backbone."""
     a = np.asarray(x, dtype=np.float64)
     in_dim = backbone.weights[0].shape[1]
     if a.ndim != 2 or a.shape[1] != in_dim:
         raise DimensionMismatch(f"input shape {a.shape} vs expected (n, {in_dim})")
-    acts = []
+    acts = [] if acts is None else acts
     for w, b in zip(backbone.weights[:-1], backbone.biases[:-1]):
         acts.append(a)
         a = _act(backbone.activation, a @ w.T + b)
     acts.append(a)
-    raw = a @ backbone.weights[-1].T + backbone.biases[-1]
+    return a @ backbone.weights[-1].T + backbone.biases[-1]
+
+
+def adapter_with_tape(adapter, raw, acts=None):
+    """The adapter part of the forward pass: (n, d) raw embeddings to the
+    (n, d) unit embeddings and their Tape. Without the backbone's acts, the
+    tape's backprop stops at the raw embedding."""
     a, adapter_act = raw, None
     if adapter is not None:
         adapter_act = _act(adapter.activation, raw @ adapter.down.T)
@@ -169,12 +177,20 @@ def embed_with_tape(backbone: Backbone, adapter, x):
     return unit, tape
 
 
+def embed_with_tape(backbone: Backbone, adapter, x):
+    """Forward pass over (n, D) rows: the backbone part, then the adapter
+    part. Returns the (n, d) unit embeddings and the Tape that backprop
+    consumes."""
+    acts = []
+    return adapter_with_tape(adapter, raw_embed(backbone, x, acts), acts)
+
+
 def embed(backbone: Backbone, adapter, x) -> np.ndarray:
     """Forward pass to unit-norm embeddings: (n, D) -> (n, d)."""
     return embed_with_tape(backbone, adapter, x)[0]
 
 
-def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray, out=None):
+def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.ndarray, out=None):
     """Gradients of sum_i <unit_i, d_embedding_i> w.r.t. all parameters, as a
     (Backbone, AdapterModule or None) pair laid out like the model: its flat
     vectors are the gradients of the model's flat vectors, and
@@ -182,31 +198,40 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray, o
     the same model, is overwritten and returned instead of a new pair, so a
     training loop allocates one pair for all of its steps.
 
+    A caller that trains no backbone passes backbone=None: the pass then
+    stops at the raw embedding and the pair's backbone part is None.
+
     Applies the normalization Jacobian (I - uu^T)/||v|| per row, then the
     adapter residual, then the backbone layers in reverse. Weight gradients
     are delta^T @ acts, summed over the rows of the batch.
     """
     if tape.consumed:
         raise TapeConsumed("tape already used")
+    if backbone is not None and tape.acts is None:
+        raise ValueError("tape has no backbone activations: it starts at the raw embedding")
     tape.consumed = True
     g = np.asarray(d_embedding, dtype=np.float64)
     if g.shape != tape.unit.shape:
         raise DimensionMismatch(f"{g.shape} vs {tape.unit.shape}")
 
     u = tape.unit
-    d_pre = (g - u * np.sum(u * g, axis=1, keepdims=True)) / tape.norm[:, None]
+    delta = (g - u * np.sum(u * g, axis=1, keepdims=True)) / tape.norm[:, None]
 
     if out is None:
-        out = backbone.copy(), adapter.copy() if adapter is not None else None
+        out = (
+            backbone.copy() if backbone is not None else None,
+            adapter.copy() if adapter is not None else None,
+        )
     d_backbone, d_adapter = out
     if tape.adapter_act is not None:
         h = tape.adapter_act
-        d_h = _act_deriv(adapter.activation, h) * (d_pre @ adapter.up)
-        np.matmul(d_pre.T, h, out=d_adapter.up)
+        d_h = _act_deriv(adapter.activation, h) * (delta @ adapter.up)
+        np.matmul(delta.T, h, out=d_adapter.up)
         np.matmul(d_h.T, tape.raw_embed, out=d_adapter.down)
-        delta = d_pre + d_h @ adapter.down
-    else:
-        delta = d_pre
+        if backbone is not None:
+            delta = delta + d_h @ adapter.down
+    if backbone is None:
+        return out
 
     for i in range(len(backbone.weights) - 1, -1, -1):
         np.matmul(delta.T, tape.acts[i], out=d_backbone.weights[i])

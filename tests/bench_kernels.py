@@ -10,14 +10,18 @@ of both. Every size is an (n, D) batch, n = 1 included. The SGD step
 updates the backbone's flat vector and the head with momentum 0.9, as each
 pretraining batch does; the pretraining step adds the forward pass,
 ce_adapt_loss and backprop before it, as pretrain_backbone's loop does.
-The last cases time each campaign of `adaptcl verify` at its default size
-with seed 0, one campaign per case.
+The core-learning cases time one call of the linear core on a 200-row task
+with a copy of the 10-class head and the default 10 epochs, on the frozen
+adapted model (frozen) and with core.tune_adapter (tuned). The last cases
+time each campaign of `adaptcl verify` at its default size with seed 0, one
+campaign per case.
 """
 
 import numpy as np
 import pytest
 
 from adaptcl.adaptation import acl_loss, ce_adapt_loss
+from adaptcl.continual import CoreConfig, ExperimentState, core_learn_linear
 from adaptcl.data import SyntheticSpec
 from adaptcl.model import (
     Classifier,
@@ -138,6 +142,22 @@ def test_pretrain_step(benchmark, model):
         sgd_step(params, [grads[0].flat, d_w / len(y), d_b / len(y)], state)
 
     benchmark(step)
+
+
+@pytest.mark.parametrize("tuned", [False, True], ids=["frozen", "tuned"])
+def test_core_learn_linear(benchmark, model, tuned):
+    # the call trains the head, and a tuned one the adapter: each round gets
+    # fresh copies outside the timing
+    _, backbone, adapter, _, head = model
+    x, y, _ = _batch(model, 200)
+    core = CoreConfig(strategy="linear", tune_adapter=tuned)
+
+    def fresh_state():
+        copy = Classifier(head.class_ids, head.weight.copy(), head.bias.copy())
+        state = ExperimentState(backbone, adapter.copy(), copy)
+        return (state, (x, y), core, make_rng(2)), {}
+
+    benchmark.pedantic(core_learn_linear, setup=fresh_state, rounds=20, warmup_rounds=1)
 
 
 @pytest.mark.parametrize("campaign", CAMPAIGNS)

@@ -347,6 +347,21 @@ class TestAdapt:
         assert _bits(b2) == before
         assert _bits(a2) != _bits(adapter)
 
+    @pytest.mark.parametrize("mode", ["acl", "ce_ablation", "lightweight_only"])
+    def test_backprop_reaches_the_backbone_only_when_it_trains(self, toy_setup, monkeypatch, mode):
+        backbone, adapter, data, rng = toy_setup
+        real = adaptcl.adaptation.backprop
+        reached = []
+
+        def recording(tape, backbone, adapter, d_embedding, out=None):
+            grads = real(tape, backbone, adapter, d_embedding, out)
+            reached.append(grads[0] is not None)
+            return grads
+
+        monkeypatch.setattr(adaptcl.adaptation, "backprop", recording)
+        adapt(backbone, adapter, data, mode, AdaptConfig(epochs=1, lr=0.1, batch_size=16), rng)
+        assert reached == [mode != "lightweight_only"] * 4  # 60 samples: 4 batches
+
     def test_lightweight_only_rank_zero_adapter(self, toy_setup):
         # a size-0 adapter trains nothing: the freezes hold on an unchanged model
         _, _, data, rng = toy_setup

@@ -352,6 +352,27 @@ class TestRun:
         path.write_text(tiny_config.read_text().replace("adapter_rank = 3", "adapter_rank = 0"))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("strategy", ["ncm", "linear"])
+    def test_one_class_per_task_acl_is_disabled(self, tiny_config, tmp_path, strategy):
+        # ACL's softmax spans the current task's prototypes only: with one
+        # class per task, its loss and gradient are exactly 0, so the adapted
+        # model and every accuracy equal the frozen backbone's to the byte
+        cfg = (
+            tiny_config.read_text()
+            .replace("n_incremental_classes = 4", "n_incremental_classes = 3")
+            .replace("n_tasks = 2", "n_tasks = 3")
+            .replace("adapt.modes = acl", "adapt.modes = acl,disabled")
+        )
+        path = tiny_config.parent / "one_class.cfg"
+        path.write_text(cfg + f"core.strategy = {strategy}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--seeds", "1,2", "--out", str(out)]) == 0
+        assert "stability/mode=acl/seed=2/task=3/epoch=1," in (out / "bounds.csv").read_text()
+        for seed in (1, 2):
+            for stem, ext in (("accuracy_matrix", "csv"), ("model", "ckpt")):
+                acl = (out / f"{stem}_acl_{seed}.{ext}").read_bytes()
+                assert acl == (out / f"{stem}_disabled_{seed}.{ext}").read_bytes()
+
     @pytest.mark.parametrize(
         "command, n_calls",
         [

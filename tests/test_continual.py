@@ -191,6 +191,39 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter
     return state
 
 
+def _allocating_core_learn_linear(state, task_data, config, rng):
+    """core_learn_linear's loop spelled out with allocating array
+    expressions: each head step makes new arrays, and a tuned adapter runs
+    the whole model forward and backward for each sample."""
+    x, labels = task_data
+    head = state.classifier
+    new = sorted(set(labels.tolist()) - set(head.class_ids))
+    head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
+    rows = label_index(head.class_ids, labels, "head")
+    W, b = head.weight, head.bias
+    adapter_state, grads = OptimizerState(lr=config.lr), None
+    tuned = config.tune_adapter and state.adapter is not None
+    if not tuned:
+        frozen = embed(state.backbone, state.adapter, x)
+    for _ in range(config.epochs):
+        for i in rng.permutation(len(labels)):
+            if not tuned:
+                e = frozen[i]
+            else:
+                (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
+            z = W @ e + b
+            m = z.max()
+            lse = m + np.log(np.exp(z - m).sum())
+            delta = np.exp(z - lse)
+            delta[rows[i]] -= 1.0
+            if tuned:
+                grads = backprop(tape, state.backbone, state.adapter, (delta @ W)[None], grads)
+                sgd_step([state.adapter.flat], [grads[1].flat], adapter_state)
+            W -= config.lr * (delta[:, None] * e)
+            b -= config.lr * delta
+    return state
+
+
 class TestCoreLearnLinearReference:
     @pytest.mark.parametrize("tune_adapter", [False, True])
     def test_matches_reference_loop(self, stream_and_model, tune_adapter):
@@ -219,6 +252,35 @@ class TestCoreLearnLinearReference:
             assert not np.array_equal(lean.adapter.up, adapter.up)
         else:
             np.testing.assert_array_equal(lean.adapter.up, adapter.up)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("tune_adapter", [False, True])
+    def test_bit_identical_to_allocating_loop(self, activation, tune_adapter):
+        # the head step on preallocated buffers, and the tuned step through
+        # raw embeddings computed once, keep every float of the loop that
+        # allocated its arrays and ran the whole model per sample
+        rng = make_rng(55)
+        stream = TaskStream([_cluster_task(rng, [0, 1, 2]), _cluster_task(rng, [3, 4])])
+        cfg = ModelConfig(embed_dim=6, hidden=(8, 8), activation=activation, adapter_rank=2)
+        backbone, adapter = init_model(cfg, 4, make_rng(56))
+        for bias in backbone.biases:  # positive, so no relu embedding is all zero
+            bias[:] = rng.uniform(0.1, 0.5, bias.shape)
+        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+        states = [
+            ExperimentState(backbone.copy(), adapter.copy(), Classifier.linear([], 6))
+            for _ in range(2)
+        ]
+        core = CoreConfig(epochs=3, lr=0.1, tune_adapter=tune_adapter)
+        for k, task in enumerate(stream.tasks):
+            core_learn_linear(states[0], task.train, core, make_rng(58, k))
+            _allocating_core_learn_linear(states[1], task.train, core, make_rng(58, k))
+        lean, ref = states
+        assert lean.classifier.class_ids == ref.classifier.class_ids == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(lean.classifier.weight, ref.classifier.weight)
+        np.testing.assert_array_equal(lean.classifier.bias, ref.classifier.bias)
+        np.testing.assert_array_equal(lean.adapter.flat, ref.adapter.flat)
+        assert lean.backbone.flat.tobytes() == backbone.flat.tobytes()
+        assert np.array_equal(lean.adapter.flat, adapter.flat) == (not tune_adapter)
 
     def test_non_finite_logit_raises(self, stream_and_model):
         stream, backbone, adapter = stream_and_model

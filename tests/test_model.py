@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import adaptcl.model
 from adaptcl.errors import CheckpointError, DegenerateVector, DimensionMismatch, TapeConsumed
 from adaptcl.model import (
+    ACTIVATIONS,
     Classifier,
     ModelConfig,
+    adapter_with_tape,
     backprop,
     classify,
     embed,
@@ -15,6 +18,7 @@ from adaptcl.model import (
     init_model,
     load_checkpoint,
     model_params,
+    raw_embed,
     save_checkpoint,
 )
 from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
@@ -163,6 +167,45 @@ class TestBackprop:
         assert reused is stale
         for want, got in zip(fresh, reused):
             assert got.flat.tobytes() == want.flat.tobytes()
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_adapter_only_pass(self, activation, monkeypatch):
+        # backbone=None stops the pass at the raw embedding: the adapter's
+        # gradient is the full pass's to the bit, and no backbone layer's
+        # gradient is computed (the activation derivative runs for the
+        # adapter alone)
+        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), activation=activation, adapter_rank=2)
+        rng = make_rng(12)
+        backbone, adapter = init_model(cfg, 2, rng)
+        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+        backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)  # see _batch_gradient_error
+        x, g = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
+        full = backprop(embed_with_tape(backbone, adapter, x)[1], backbone, adapter, g)
+        derivs = []
+        real = adaptcl.model._act_deriv
+
+        def counted(name, a):
+            derivs.append(a.shape)
+            return real(name, a)
+
+        monkeypatch.setattr(adaptcl.model, "_act_deriv", counted)
+        frozen = backprop(embed_with_tape(backbone, adapter, x)[1], None, adapter, g)
+        assert frozen[0] is None
+        assert frozen[1].flat.tobytes() == full[1].flat.tobytes()
+        assert np.abs(frozen[1].flat).max() > 0
+        assert derivs == [(5, 2)]  # the adapter's hidden layer, of rank 2
+        # a tape that starts at the raw embedding backprops the same way
+        raw_tape = adapter_with_tape(adapter, raw_embed(backbone, x))[1]
+        assert raw_tape.acts is None
+        again = backprop(raw_tape, None, adapter, g, frozen)
+        assert again is frozen and again[1].flat.tobytes() == full[1].flat.tobytes()
+
+    def test_raw_tape_cannot_reach_the_backbone(self, small_model):
+        _, backbone, adapter = small_model
+        x = make_rng(13).standard_normal((2, 2))
+        tape = adapter_with_tape(adapter, raw_embed(backbone, x))[1]
+        with pytest.raises(ValueError, match="no backbone activations"):
+            backprop(tape, backbone, adapter, np.ones((2, 3)))
 
     @pytest.mark.parametrize(
         "seed, activation",
