@@ -62,17 +62,16 @@ class AdaptConfig:
 def compute_prototypes(embeddings, labels) -> Classifier:
     """Renormalized per-class mean of (n, d) unit embeddings with (n,)
     labels, as a cosine Classifier with one row per class of the labels. A
-    class whose embedding mean is (numerically) zero raises DegenerateVector
-    rather than being patched.
+    class whose embedding mean is (numerically) zero or not finite raises
+    DegenerateVector rather than being patched.
     """
     ids = sorted(set(labels.tolist()))
-    rows = []
-    for y in ids:
-        try:
-            rows.append(l2_normalize(embeddings[labels == y].mean(axis=0)))
-        except DegenerateVector as e:
-            raise DegenerateVector(f"class {y}: {e}") from e
-    return Classifier(ids, np.stack(rows))
+    means = np.stack([embeddings[labels == y].mean(axis=0) for y in ids])
+    try:
+        prototypes = l2_normalize(means)
+    except DegenerateVector as e:
+        raise DegenerateVector(f"class mean {e}") from e
+    return Classifier(ids, prototypes)
 
 
 def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
@@ -156,10 +155,9 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
     if mode == "ce_ablation":
         head = Classifier.linear(table.class_ids, old_embeds.shape[1])
 
-    # which of (backbone, adapter), and so of backprop's gradient pair, train
-    trains = (mode != "lightweight_only", adapter is not None)
-    trained_backbone = backbone if trains[0] else None  # backprop stops before a frozen one
-    params = [m.flat for m, t in zip((backbone, adapter), trains) if t]
+    trained_backbone = None if mode == "lightweight_only" else backbone
+    # backprop stops before a frozen backbone and returns None for it, as for no adapter
+    params = [m.flat for m in (trained_backbone, adapter) if m is not None]
     if head is not None:
         params += [head.weight, head.bias]
     state = OptimizerState(lr=config.lr, momentum=config.momentum)
@@ -185,7 +183,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
                     if threshold is None or report.slack < threshold.slack:
                         threshold = report
                 grads = backprop(tape, trained_backbone, adapter, d_e / len(idx), grads)
-                flat_grads = [g.flat for g, t in zip(grads, trains) if t]
+                flat_grads = [g.flat for g in grads if g is not None]
                 if head is not None:
                     flat_grads += [d_w / len(idx), d_b / len(idx)]
                 sgd_step(params, flat_grads, state)

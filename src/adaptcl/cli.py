@@ -346,12 +346,7 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     root.mkdir(parents=True, exist_ok=True)
     overall, rows, cache = 0, [], {}
     for value, cell_config in zip(values, configs):
-        try:
-            code, cells = write_artifacts(cell_config, run_cells(cell_config, cache))
-        except AdaptclError as e:
-            print(f"sweep cell {axis}={value} failed: {e}", file=sys.stderr)
-            overall = 1
-            continue
+        code, cells = write_artifacts(cell_config, run_cells(cell_config, cache))
         overall = max(overall, code)
         for cell in cells:
             if cell.ok:

@@ -14,7 +14,7 @@ from .continual import Task, TaskStream
 from .errors import InvalidSpec
 from .model import Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
-from .numerics import OptimizerState, diverged_as, make_rng, require_finite, sgd_step
+from .numerics import OptimizerState, diverged_as, l2_normalize, make_rng, require_finite, sgd_step
 
 BATCH_SIZE = 32  # of pretraining; no config key sets it
 
@@ -81,8 +81,7 @@ def generate_synthetic(spec: SyntheticSpec):
     rng = make_rng(spec.seed, 101)
 
     def draw_centers(n):
-        c = rng.standard_normal((n, spec.input_dim))
-        return c / np.linalg.norm(c, axis=1, keepdims=True)
+        return l2_normalize(rng.standard_normal((n, spec.input_dim)))
 
     pre_centers = draw_centers(spec.n_pretrain_classes)
     inc_centers = draw_centers(spec.n_incremental_classes)

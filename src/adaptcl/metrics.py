@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, IncompleteMatrix, LengthMismatch, SingleTask, TooFewSamples
+from .numerics import l2_normalize
 
 LOG2 = math.log(2.0)
 # the most floats one array pass of a verify campaign draws:
@@ -191,8 +192,7 @@ def verify_lemma1(n_pairs: int, dim: int, rng) -> float:
     turn, the same normals as one (dim,) draw per vector."""
     worst = 0.0
     for k in blocks(n_pairs, 2 * dim):
-        v = rng.standard_normal((k, 2, dim))
-        v /= np.linalg.norm(v, axis=2, keepdims=True)
+        v = l2_normalize(rng.standard_normal((k, 2, dim)))
         a, b = v[:, 0], v[:, 1]
         lhs = np.sum((a - b) ** 2, axis=1)
         rhs = 2.0 * (1.0 - np.sum(a * b, axis=1))

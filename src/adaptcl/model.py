@@ -18,7 +18,7 @@ from .errors import (
     TapeConsumed,
     UnknownLabel,
 )
-from .numerics import EPS_NORM
+from .numerics import l2_normalize_with_norm
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -165,14 +165,10 @@ def adapter_with_tape(adapter, raw, acts=None):
     if adapter is not None:
         adapter_act = _act(adapter.activation, raw @ adapter.down.T)
         a = raw + adapter_act @ adapter.up.T
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails below
-        norm = np.sqrt((a * a).sum(axis=1))
-    ok = (norm > EPS_NORM) & (norm < np.inf)  # False for NaN too
-    if not ok.all():
-        raise DegenerateVector(
-            f"embedding norm {norm[~ok][0]:g}: need a finite norm > {EPS_NORM:g}"
-        )
-    unit = a / norm[:, None]
+    try:
+        unit, norm = l2_normalize_with_norm(a)
+    except DegenerateVector as e:
+        raise DegenerateVector(f"embedding {e}") from e
     tape = Tape(acts=acts, raw_embed=raw, adapter_act=adapter_act, norm=norm, unit=unit)
     return unit, tape
 

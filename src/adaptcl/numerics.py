@@ -39,13 +39,25 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale v to unit Euclidean norm. Raises DegenerateVector below EPS_NORM."""
+def l2_normalize_with_norm(v):
+    """(v scaled to unit Euclidean norm over its last axis, the norms): a
+    (d,) vector gives a 0-d norm, (n, d) rows an (n,) one. The norm is
+    sqrt((v * v).sum(-1)); one that overflows reads as inf. Raises
+    DegenerateVector unless every norm is finite and > EPS_NORM, so for a
+    NaN norm too."""
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n <= EPS_NORM:
-        raise DegenerateVector(f"norm {n:g} <= {EPS_NORM:g}")
-    return v / n
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((v * v).sum(axis=-1))
+    ok = np.isfinite(norm) & (norm > EPS_NORM)
+    if not ok.all():
+        raise DegenerateVector(f"norm {norm[~ok].flat[0]:g}: need a finite norm > {EPS_NORM:g}")
+    return v / norm[..., None], norm
+
+
+def l2_normalize(v) -> np.ndarray:
+    """v scaled to unit Euclidean norm over its last axis; see
+    l2_normalize_with_norm, which also returns the norms."""
+    return l2_normalize_with_norm(v)[0]
 
 
 def log_sum_exp(logits):

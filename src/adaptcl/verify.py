@@ -9,7 +9,6 @@ import numpy as np
 
 from . import model as model_mod
 from .adaptation import acl_loss
-from .errors import DegenerateVector
 from .metrics import (
     BLOCK_FLOATS,
     BoundReport,
@@ -28,9 +27,12 @@ from .model import (
     init_model,
     model_params,
 )
-from .numerics import EPS_NORM, finite_diff_grad, l2_normalize, make_rng
+from .numerics import finite_diff_grad, l2_normalize, make_rng
 
 EPS = np.finfo(np.float64).eps
+LEMMA1_DIMS = (2, 16, 64)
+DIM = 16  # of the unit vectors of lemma2, threshold, markov and stability
+GRAD_REL_TOL, GRAD_H = 1e-4, 1e-5
 
 
 @dataclass
@@ -53,20 +55,10 @@ class VerifySizes:
     grad_probes: int = 10
 
 
-def _unit_rows(v):
-    """v with its rows scaled to unit norm, in place. Raises DegenerateVector
-    for a row below EPS_NORM, as l2_normalize does."""
-    norm = np.linalg.norm(v, axis=1)
-    if not (norm > EPS_NORM).all():
-        raise DegenerateVector(f"norm {norm.min():g} <= {EPS_NORM:g}")
-    v /= norm[:, None]
-    return v
-
-
 def _random_units(rng, n, dim):
     """n unit rows from one (n, dim) normal draw, the same normals as n
     (dim,) draws."""
-    return _unit_rows(rng.standard_normal((n, dim)))
+    return l2_normalize(rng.standard_normal((n, dim)))
 
 
 def _random_table(rng, dim, n_classes):
@@ -103,7 +95,7 @@ def _scored_batches(rng, dim, n_rows=np.inf):
             cut = min(n, n_rows)
             batches.append((prototypes, tau, e[:cut], rng.integers(n_classes, size=n)[:cut]))
             end, n_rows = end + n_classes + n, n_rows - n
-        _unit_rows(v[:end])
+        v[:end] = l2_normalize(v[:end])
         for prototypes, tau, e, y in batches:
             table = Classifier(list(range(len(prototypes))), prototypes)
             yield y, classify(table, e)[0], acl_loss(e, y, table, tau)[0]
@@ -128,30 +120,30 @@ def _campaign(name, reports, cases) -> CheckResult:
     return CheckResult(name, True, f"{cases}, tightest slack {slack}")
 
 
-def run_lemma1(seed, n_pairs, dims=(2, 16, 64)) -> CheckResult:
+def run_lemma1(seed, n_pairs) -> CheckResult:
     """Per dimension, the largest residual of the identity against 1e-12;
     no reports when n_pairs is 0."""
     reports = (
         BoundReport(f"dim {dim}", verify_lemma1(n_pairs, dim, make_rng(seed, 11, dim)), 1e-12, 0.0)
-        for dim in dims
+        for dim in LEMMA1_DIMS
         if n_pairs
     )
     return _campaign("lemma1", reports, f"{n_pairs} pairs per dim, residual <= 1e-12")
 
 
-def run_lemma2(seed, n_sets, n_probes, dim=16) -> CheckResult:
+def run_lemma2(seed, n_sets, n_probes) -> CheckResult:
     """Per set, the minimizer report and the gradient at the mean."""
 
     def reports():
         rng = make_rng(seed, 12)
         for i in range(n_sets):
             n = int(rng.integers(2, 51))
-            yield from verify_lemma2(_random_units(rng, n, dim), rng, n_probes, f"set {i}")
+            yield from verify_lemma2(_random_units(rng, n, DIM), rng, n_probes, f"set {i}")
 
     return _campaign("lemma2", reports(), f"{n_sets} sets x {n_probes} probes")
 
 
-def run_threshold(seed, n_draws, dim=16) -> CheckResult:
+def run_threshold(seed, n_draws) -> CheckResult:
     """Cosine-misclassified draws must incur loss >= log 2, one report per
     batch, named by its draws.
 
@@ -164,25 +156,25 @@ def run_threshold(seed, n_draws, dim=16) -> CheckResult:
 
     def reports():
         done = 0
-        for y, pred, loss in _scored_batches(make_rng(seed, 13), dim, n_draws):
+        for y, pred, loss in _scored_batches(make_rng(seed, 13), DIM, n_draws):
             yield check_loss_threshold(loss, pred != y, f"draws {done}-{done + len(y) - 1}")
             done += len(y)
 
     return _campaign("loss-threshold", reports(), f"{n_draws} draws")
 
 
-def run_markov(seed, n_batches, dim=16) -> CheckResult:
+def run_markov(seed, n_batches) -> CheckResult:
     """Random batches: error rate <= mean loss / log 2."""
 
     def reports():
-        batches = _scored_batches(make_rng(seed, 14), dim)
+        batches = _scored_batches(make_rng(seed, 14), DIM)
         for i, (y, pred, losses) in zip(range(n_batches), batches):
             yield check_markov_bound(losses, pred == y, context=f"batch {i}")
 
     return _campaign("markov", reports(), f"{n_batches} random batches")
 
 
-def run_stability(seed, n_draws, dim=16) -> CheckResult:
+def run_stability(seed, n_draws) -> CheckResult:
     """Random unit triples (old, new, p), one stability report each. Draw i
     takes the next unit rows of one stream: old, new, then p for an even i.
     An odd draw's prototype is the normalized midpoint of old and new, where
@@ -192,16 +184,15 @@ def run_stability(seed, n_draws, dim=16) -> CheckResult:
 
     def reports():
         rng, first = make_rng(seed, 15), 0
-        for k in blocks(n_draws, 6 * dim):  # a draw's 2-3 drawn rows and its old, new, p
+        for k in blocks(n_draws, 6 * DIM):  # a draw's 2-3 drawn rows and its old, new, p
             draws = np.arange(first, first + k)
             even = draws % 2 == 0
             rows = 2 + even
             starts = np.cumsum(rows) - rows
-            v = _random_units(rng, int(rows.sum()), dim)
-            old, new, p = v[starts], v[starts + 1], np.empty((k, dim))
+            v = _random_units(rng, int(rows.sum()), DIM)
+            old, new, p = v[starts], v[starts + 1], np.empty((k, DIM))
             p[even] = v[starts[even] + 2]
-            for i in np.flatnonzero(~even):
-                p[i] = l2_normalize(old[i] + new[i])
+            p[~even] = l2_normalize(old[~even] + new[~even])
             contexts = [f"draw {i}" for i in draws.tolist()]
             yield from check_stability_bounds(old[:, None], new[:, None], p[:, None], contexts)
             first += k
@@ -256,7 +247,7 @@ def _rounding_floor(rows, size, tau, h):
     return 8 * rows * EPS * np.sqrt(size) / (tau * h)
 
 
-def run_gradient_battery(seed, n_seeds, n_probes, rel_tol=1e-4, h=1e-5) -> CheckResult:
+def run_gradient_battery(seed, n_seeds, n_probes) -> CheckResult:
     """Backprop through embed -> normalize -> contrastive loss vs central
     finite differences, per parameter group.
 
@@ -266,21 +257,21 @@ def run_gradient_battery(seed, n_seeds, n_probes, rel_tol=1e-4, h=1e-5) -> Check
     side is one embed_with_tape and one backprop per probe; the numeric side
     differences all of a seed's probes in one pass (_numeric_gradients).
 
-    A group passes when ||analytic - numeric|| <= rel_tol ||numeric|| + floor,
-    the rounding error of the difference. The summed loss has one term per
-    row, each of size up to about 1/tau, so with machine epsilon eps each
-    evaluation is off by about c rows eps / tau, each central difference
-    coordinate by c rows eps / (tau h), and the norm over a group of m
-    coordinates by sqrt(m) times that. With c = 8 the floor is 6e-10 to 4e-8
-    here: it only decides on saturated probes, whose true gradient is below
-    the rounding error."""
+    A group passes when ||analytic - numeric|| <= GRAD_REL_TOL ||numeric|| +
+    floor, the rounding error of the difference at step h = GRAD_H. The
+    summed loss has one term per row, each of size up to about 1/tau, so
+    with machine epsilon eps each evaluation is off by about c rows eps /
+    tau, each central difference coordinate by c rows eps / (tau h), and the
+    norm over a group of m coordinates by sqrt(m) times that. With c = 8 the
+    floor is 6e-10 to 4e-8 here: it only decides on saturated probes, whose
+    true gradient is below the rounding error."""
 
     def reports():
         if not n_probes:
             return
         for s in range(n_seeds):
             backbone, adapter, table, probes = _gradient_probes(seed, s, n_probes)
-            numeric = _numeric_gradients(backbone, adapter, table, probes, h)
+            numeric = _numeric_gradients(backbone, adapter, table, probes, GRAD_H)
             for probe, (x, y, tau) in enumerate(probes):
                 e, tape = model_mod.embed_with_tape(backbone, adapter, x)
                 _, d_e = acl_loss(e, y, table, tau)
@@ -288,12 +279,13 @@ def run_gradient_battery(seed, n_seeds, n_probes, rel_tol=1e-4, h=1e-5) -> Check
                 for name, g in numeric.items():
                     g = g[..., probe]
                     err = np.linalg.norm(analytic[name] - g)
-                    floor = _rounding_floor(len(y), g.size, tau, h)
-                    limit = rel_tol * np.linalg.norm(g) + floor
+                    floor = _rounding_floor(len(y), g.size, tau, GRAD_H)
+                    limit = GRAD_REL_TOL * np.linalg.norm(g) + floor
                     at = f"seed {s} probe {probe} group {name}"
                     yield BoundReport(at, float(err), float(limit), 0.0)
 
-    cases = f"{n_seeds} seeds x {n_probes} probes of 1 or 3 rows, rel tol {rel_tol:g} plus floor"
+    cases = f"{n_seeds} seeds x {n_probes} probes of 1 or 3 rows"
+    cases += f", rel tol {GRAD_REL_TOL:g} plus floor"
     return _campaign("gradients", reports(), cases)
 
 

@@ -64,6 +64,13 @@ class TestComputePrototypes:
         with pytest.raises(DegenerateVector):
             compute_prototypes(embed(backbone, None, x), np.array([0, 0]))
 
+    def test_overflowing_mean(self):
+        # a class mean whose norm overflows has no direction: it must raise,
+        # not become an all-zero prototype
+        e = np.array([[0.6, 0.8], [1e200, 1e200], [1e200, 1e200]])
+        with pytest.raises(DegenerateVector, match="class mean norm inf"):
+            compute_prototypes(e, np.array([0, 1, 1]))
+
 
 class TestAclLoss:
     def test_single_prototype(self):

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every dataclass field of the package is read somewhere in it, no check of
-the package is an assert statement, and the cli loads no module that its
-commands do not all need."""
+the package is an assert statement, the cli loads no module that its
+commands do not all need, and only numerics scales vectors to unit norm."""
 
 import ast
 import os
@@ -102,3 +102,10 @@ def test_cli_import_skips_verify():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def test_eps_norm_only_in_numerics():
+    # numerics.l2_normalize is the one unit-norm kernel, with one rule for a
+    # degenerate norm; a module that names its threshold has its own copy
+    named = [p.name for p in sorted(PACKAGE.glob("*.py")) if "EPS_NORM" in p.read_text()]
+    assert named == ["numerics.py"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from adaptcl.numerics import (
     OptimizerState,
     finite_diff_grad,
     l2_normalize,
+    l2_normalize_with_norm,
     log_sum_exp,
     make_rng,
     sgd_step,
@@ -35,6 +37,28 @@ class TestL2Normalize:
     def test_degenerate(self):
         with pytest.raises(DegenerateVector):
             l2_normalize([1e-12, 0.0])
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 2, 2)], ids=["1d", "rows", "pairs"])
+    def test_degenerate_row_raises(self, shape):
+        # a NaN norm, one that overflows to inf and a zero one each raise,
+        # whatever the other rows hold; the overflow neither warns nor, under
+        # a training loop's errstate, raises FloatingPointError instead
+        for row in ([np.nan, 1.0], [1e200, 1e200], [0.0, 0.0]):
+            v = np.full(shape, 0.5)
+            v.reshape(-1, 2)[-1] = row
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateVector, match="need a finite norm > 1e-08"):
+                    l2_normalize(v)
+
+    def test_rows_are_normalized_alone(self):
+        # over the last axis: each row gets the floats of its own 1-D call
+        v = make_rng(3).standard_normal((4, 2, 16))
+        unit, norm = l2_normalize_with_norm(v)
+        assert norm.shape == (4, 2)
+        for i in np.ndindex(4, 2):
+            assert unit[i].tobytes() == l2_normalize(v[i]).tobytes()
+            assert norm[i] == np.sqrt(np.sum(v[i] * v[i]))
 
     @given(
         st.lists(finite_floats, min_size=2, max_size=8),

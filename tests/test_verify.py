@@ -176,11 +176,9 @@ def test_lemma2_gradient_bits_equal_finite_diff_grad(seed):
 
 def test_lemma1_mutation_caught(monkeypatch):
     # vectors normalized by a norm one part in 1e6 too large must fail the identity
-    real_norm = np.linalg.norm
+    real_normalize = adaptcl.metrics.l2_normalize
     assert run_lemma1(0, SMALL.lemma1_pairs).passed
-    monkeypatch.setattr(
-        np.linalg, "norm", lambda x, *args, **kwargs: real_norm(x, *args, **kwargs) * (1 + 1e-6)
-    )
+    monkeypatch.setattr(adaptcl.metrics, "l2_normalize", lambda v: real_normalize(v) / (1 + 1e-6))
     result = run_lemma1(0, SMALL.lemma1_pairs)
     assert not result.passed
     assert "lhs=" in result.detail
@@ -237,7 +235,7 @@ def test_threshold_checks_batches(monkeypatch):
     # pass per block of about 18 batches, not one per batch
     scored = [_counted(monkeypatch, name) for name in ("classify", "acl_loss")]
     batches = _counted(monkeypatch, "check_loss_threshold")
-    blocks = _counted(monkeypatch, "_unit_rows")
+    blocks = _counted(monkeypatch, "l2_normalize")
     assert run_threshold(0, VerifySizes().threshold_draws).passed
     assert 0 < len(blocks) <= len(batches) / 15
     for calls in scored:
