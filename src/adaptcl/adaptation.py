@@ -74,6 +74,18 @@ def compute_prototypes(embeddings, labels) -> Classifier:
     return Classifier(ids, prototypes)
 
 
+def _acl_scores(e_star, y_idx, table, tau):
+    """acl_loss's scores (n, C), their log-sum-exp (n,) and the losses (n,)."""
+    scores = (e_star @ table.weight.T) / tau
+    lse = log_sum_exp(scores)
+    return scores, lse, lse - scores[np.arange(len(y_idx)), y_idx]
+
+
+def acl_losses(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
+    """acl_loss's per-row losses alone, for callers that need no gradient."""
+    return _acl_scores(e_star, y_idx, table, tau)[2]
+
+
 def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     """Temperature-scaled softmax over prototype cosines, anchored at the
     true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
@@ -84,9 +96,7 @@ def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     per-row losses (n,) and gradients (n, d). tau is one float for every
     row, or an (n, 1) column with one temperature per row."""
     p = table.weight  # (C, d)
-    scores = (e_star @ p.T) / tau
-    lse = log_sum_exp(scores)
-    loss = lse - scores[np.arange(len(y_idx)), y_idx]
+    scores, lse, loss = _acl_scores(e_star, y_idx, table, tau)
     soft = np.exp(scores - lse[:, None])
     grad = (soft @ p - p[y_idx]) / tau
     return loss, grad
@@ -100,14 +110,16 @@ def ce_adapt_loss(e_star: np.ndarray, y_idx: np.ndarray, head: Classifier):
     and d_e (n, d) are per row, and d_W, d_b are the gradients of the summed
     loss."""
     rows = np.arange(len(e_star))
-    logits = e_star @ head.weight.T + head.bias
+    logits = e_star @ head.weight.T
+    logits += head.bias
     lse = log_sum_exp(logits)
     loss = lse - logits[rows, y_idx]
-    delta = np.exp(logits - lse[:, None])
+    delta = np.subtract(logits, lse[:, None], out=logits)
+    np.exp(delta, out=delta)
     delta[rows, y_idx] -= 1.0
     d_e = delta @ head.weight
     d_w = delta.T @ e_star
-    d_b = delta.sum(axis=0)
+    d_b = np.add.reduce(delta, axis=0)
     return loss, d_e, d_w, d_b
 
 
@@ -189,7 +201,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
                 sgd_step(params, flat_grads, state)
 
             new_embeds = embed(backbone, adapter, x)
-            losses, _ = acl_loss(new_embeds, y_idx, table, config.temperature)
+            losses = acl_losses(new_embeds, y_idx, table, config.temperature)
             pred, _ = classify(table, new_embeds)
             stability = check_stability_bound(
                 old_embeds, new_embeds, label_protos, context="stability"

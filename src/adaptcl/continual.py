@@ -136,7 +136,7 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
                 # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
                 # linear epoch sweep (BENCH_3.json)
                 m = max(z.tolist())  # exact, and cheaper than z.max() for a few classes
-                lse = m + np.log(np.exp(np.subtract(z, m, out=t), out=t).sum())
+                lse = m + np.log(np.add.reduce(np.exp(np.subtract(z, m, out=t), out=t)))
                 loss = lse - z[r]
                 if not math.isfinite(loss):
                     raise NonFiniteLoss(f"core-learning loss {loss}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .continual import Task, TaskStream
 from .errors import InvalidSpec
-from .model import Classifier, backprop, embed_with_tape, label_index
+from .model import Backbone, Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
 from .numerics import OptimizerState, diverged_as, l2_normalize, make_rng, require_finite, sgd_step
 
@@ -125,28 +125,44 @@ class PretrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
+def _backbone_and_head(flat, backbone, head):
+    """The backbone, then the head's weight and bias, as views into flat."""
+    size, weights = backbone.flat.size, head.weight.size
+    model = Backbone(flat[:size], backbone.widths, backbone.activation)
+    w = flat[size : size + weights].reshape(head.weight.shape)
+    return model, Classifier(head.class_ids, w, flat[size + weights :])
+
+
 def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
     """Supervised warm-up with a throwaway linear head; returns the trained
-    backbone (the head is discarded, the input backbone is untouched)."""
+    backbone (the head is discarded, the input backbone is untouched).
+
+    The backbone and the head are views into one vector, and their
+    gradients into another of the same layout, so each batch takes one
+    momentum step."""
     x, labels = data
     if not len(labels):
         raise ValueError("pretraining data is empty")
-    backbone = backbone.copy()
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     rows = label_index(head.class_ids, labels, "head")
-    params = [backbone.flat, head.weight, head.bias]
+    flat = np.concatenate([backbone.flat, head.weight, head.bias], axis=None)
+    model, head = _backbone_and_head(flat, backbone, head)
+    grad = np.empty_like(flat)
+    d_model, d_head = _backbone_and_head(grad, backbone, head)
     state = OptimizerState(lr=config.lr, momentum=0.9)
-    grads = None
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(labels))
         x_epoch, rows_epoch = x[order], rows[order]  # each batch is then a slice
         with diverged_as(f"pretraining diverged in epoch {epoch}"):
             for start in range(0, len(labels), BATCH_SIZE):
                 batch = slice(start, start + BATCH_SIZE)
-                e, tape = embed_with_tape(backbone, None, x_epoch[batch])
+                e, tape = embed_with_tape(model, None, x_epoch[batch])
                 loss, d_e, d_w, d_b = ce_adapt_loss(e, rows_epoch[batch], head)
                 require_finite(loss, "pretraining loss")
                 n = len(e)
-                grads = backprop(tape, backbone, None, d_e / n, grads)
-                sgd_step(params, [grads[0].flat, d_w / n, d_b / n], state)
-    return backbone
+                d_e /= n
+                backprop(tape, model, None, d_e, (d_model, None))
+                np.divide(d_w, n, out=d_head.weight)
+                np.divide(d_b, n, out=d_head.bias)
+                sgd_step([flat], [grad], state)
+    return model.copy()

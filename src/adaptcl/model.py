@@ -42,14 +42,16 @@ class ModelConfig:
 
 
 def _act(name, z):
-    return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0)
+    """The activation of z, written into z: callers pass a fresh product."""
+    return np.tanh(z, out=z) if name == "tanh" else np.maximum(z, 0.0, out=z)
 
 
 def _act_deriv(name, a):
-    """The activation's derivative from its output a = _act(name, z): tanh'
-    is 1 - a*a, and relu's max(z, 0) > 0 exactly when z > 0."""
+    """The activation's derivative from its output a = _act(name, z), in a
+    new array: tanh' is 1 - a*a, and relu's max(z, 0) > 0 exactly when z > 0."""
     if name == "tanh":
-        return 1.0 - a * a
+        d = a * a
+        return np.subtract(1.0, d, out=d)
     return (a > 0.0).astype(np.float64)
 
 
@@ -152,9 +154,13 @@ def raw_embed(backbone: Backbone, x, acts=None) -> np.ndarray:
     acts = [] if acts is None else acts
     for w, b in zip(backbone.weights[:-1], backbone.biases[:-1]):
         acts.append(a)
-        a = _act(backbone.activation, a @ w.T + b)
+        z = a @ w.T
+        z += b
+        a = _act(backbone.activation, z)
     acts.append(a)
-    return a @ backbone.weights[-1].T + backbone.biases[-1]
+    z = a @ backbone.weights[-1].T
+    z += backbone.biases[-1]
+    return z
 
 
 def adapter_with_tape(adapter, raw, acts=None):
@@ -211,7 +217,10 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
         raise DimensionMismatch(f"{g.shape} vs {tape.unit.shape}")
 
     u = tape.unit
-    delta = (g - u * np.sum(u * g, axis=1, keepdims=True)) / tape.norm[:, None]
+    delta = u * g
+    np.multiply(u, np.add.reduce(delta, axis=1, keepdims=True), out=delta)
+    np.subtract(g, delta, out=delta)
+    delta /= tape.norm[:, None]
 
     if out is None:
         out = (
@@ -221,20 +230,21 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
     d_backbone, d_adapter = out
     if tape.adapter_act is not None:
         h = tape.adapter_act
-        d_h = _act_deriv(adapter.activation, h) * (delta @ adapter.up)
+        d_h = _act_deriv(adapter.activation, h)
+        d_h *= delta @ adapter.up
         np.matmul(delta.T, h, out=d_adapter.up)
         np.matmul(d_h.T, tape.raw_embed, out=d_adapter.down)
         if backbone is not None:
-            delta = delta + d_h @ adapter.down
+            delta += d_h @ adapter.down
     if backbone is None:
         return out
 
     for i in range(len(backbone.weights) - 1, -1, -1):
         np.matmul(delta.T, tape.acts[i], out=d_backbone.weights[i])
-        delta.sum(axis=0, out=d_backbone.biases[i])
+        np.add.reduce(delta, axis=0, out=d_backbone.biases[i])
         if i > 0:
             delta = delta @ backbone.weights[i]
-            delta = delta * _act_deriv(backbone.activation, tape.acts[i])
+            delta *= _act_deriv(backbone.activation, tape.acts[i])
     return out
 
 

@@ -39,6 +39,16 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _least(a):
+    """The smallest entry of a, NaN if any entry is NaN, inf if a is empty."""
+    return np.minimum.reduce(a, axis=None, initial=np.inf)
+
+
+def _greatest(a):
+    """The largest entry of a, NaN if any entry is NaN, -inf if a is empty."""
+    return np.maximum.reduce(a, axis=None, initial=-np.inf)
+
+
 def l2_normalize_with_norm(v):
     """(v scaled to unit Euclidean norm over its last axis, the norms): a
     (d,) vector gives a 0-d norm, (n, d) rows an (n,) one. The norm is
@@ -47,9 +57,10 @@ def l2_normalize_with_norm(v):
     NaN norm too."""
     v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
-        norm = np.sqrt((v * v).sum(axis=-1))
-    ok = np.isfinite(norm) & (norm > EPS_NORM)
-    if not ok.all():
+        norm = np.sqrt(np.add.reduce(v * v, axis=-1))
+    # NaN fails both comparisons; the per-row mask is built only to name a bad norm
+    if not (_least(norm) > EPS_NORM and _greatest(norm) < np.inf):
+        ok = np.isfinite(norm) & (norm > EPS_NORM)
         raise DegenerateVector(f"norm {norm[~ok].flat[0]:g}: need a finite norm > {EPS_NORM:g}")
     return v / norm[..., None], norm
 
@@ -66,18 +77,21 @@ def log_sum_exp(logits):
     s = np.asarray(logits, dtype=np.float64)
     if s.size == 0:
         raise EmptyInput("log_sum_exp of empty sequence")
-    m = s.max(axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.exp(s - m).sum(axis=-1))
+    m = np.maximum.reduce(s, axis=-1, keepdims=True)
+    t = s - m
+    return m[..., 0] + np.log(np.add.reduce(np.exp(t, out=t), axis=-1))
 
 
 @dataclass
 class OptimizerState:
-    """Momentum SGD state: one velocity buffer per parameter array, created
-    at the first step and then updated in place."""
+    """Momentum SGD state: one velocity buffer and one scratch buffer for
+    lr * velocity per parameter array, created at the first step and then
+    updated in place."""
 
     lr: float
     momentum: float = 0.0
     velocities: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)
 
 
 def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
@@ -88,12 +102,13 @@ def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
         raise ShapeMismatch(f"{len(params)} parameter arrays vs {len(grads)} gradients")
     if not state.velocities:
         state.velocities = [np.zeros_like(p) for p in params]
-    for p, g, v in zip(params, grads, state.velocities):
+        state.scratch = [np.empty_like(p) for p in params]
+    for p, g, v, s in zip(params, grads, state.velocities, state.scratch):
         if p.shape != g.shape:
             raise ShapeMismatch(f"{p.shape} vs {g.shape}")
         v *= state.momentum
         v += g
-        p -= state.lr * v
+        p -= np.multiply(v, state.lr, out=s)
 
 
 def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
@@ -130,8 +145,8 @@ def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
 def require_finite(losses, what: str) -> None:
     """Raise NonFiniteLoss unless every per-row loss is finite; the one-line
     message names the first non-finite value and how many rows had one."""
-    bad = ~np.isfinite(losses)
-    if bad.any():
+    if not (_least(losses) > -np.inf and _greatest(losses) < np.inf):
+        bad = ~np.isfinite(losses)
         raise NonFiniteLoss(f"{what}: {losses[bad][0]} in {bad.sum()} of {bad.size} rows")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .adaptation import acl_loss
+from .adaptation import acl_loss, acl_losses
 from .metrics import (
     BLOCK_FLOATS,
     BoundReport,
@@ -75,7 +75,7 @@ def _scored_batches(rng, dim, n_rows=np.inf):
     """Random batches as (y, pred, loss), until they have n_rows rows, the
     last one cut. A batch has a table of 2-8 random unit prototypes, tau ~
     U(0.02, 0.5), and 5-39 unit rows e with uniform labels y; pred and loss
-    are classify's and acl_loss's on e against the table, with tau.
+    are classify's and acl_losses' on e against the table, with tau.
 
     Each batch draws n_classes, tau, the table's normals, n, the rows'
     normals and the labels, in that order. The batches come in blocks: a
@@ -98,7 +98,7 @@ def _scored_batches(rng, dim, n_rows=np.inf):
         v[:end] = l2_normalize(v[:end])
         for prototypes, tau, e, y in batches:
             table = Classifier(list(range(len(prototypes))), prototypes)
-            yield y, classify(table, e)[0], acl_loss(e, y, table, tau)[0]
+            yield y, classify(table, e)[0], acl_losses(e, y, table, tau)
 
 
 def _campaign(name, reports, cases) -> CheckResult:
@@ -226,7 +226,7 @@ def _gradient_probes(seed, s, n_probes):
 
 def _numeric_gradients(backbone, adapter, table, probes, h):
     """Central differences of every probe's summed loss at once: each
-    evaluation is one embed and one acl_loss call on the stacked rows of all
+    evaluation is one embed and one acl_losses call on the stacked rows of all
     probes, with a per-row tau column, summed per probe. Entry [..., k] of a
     group is probe k's gradient."""
     xs, ys, taus = zip(*probes)
@@ -236,7 +236,7 @@ def _numeric_gradients(backbone, adapter, table, probes, h):
     starts = np.cumsum(rows) - rows
 
     def summed_losses(_params):
-        return np.add.reduceat(acl_loss(embed(backbone, adapter, x), y, table, tau)[0], starts)
+        return np.add.reduceat(acl_losses(embed(backbone, adapter, x), y, table, tau), starts)
 
     return finite_diff_grad(summed_losses, model_params(backbone, adapter), h)
 

@@ -7,9 +7,10 @@ default shape (32 -> 64, 64 -> 16, adapter rank 8). The prototype table (a
 cosine Classifier, which acl_loss and classify both read) and the linear
 head have 10 classes, with ids 0-9, so a batch's labels are also its rows
 of both. Every size is an (n, D) batch, n = 1 included. The SGD step
-updates the backbone's flat vector and the head with momentum 0.9, as each
-pretraining batch does; the pretraining step adds the forward pass,
-ce_adapt_loss and backprop before it, as pretrain_backbone's loop does.
+updates one vector that holds the backbone and the head with momentum 0.9,
+as each pretraining batch does; the pretraining step adds the forward pass,
+ce_adapt_loss, backprop into the gradient vector's views and the head
+gradients divided into theirs before it, as pretrain_backbone's loop does.
 The core-learning cases time one call of the linear core on a 200-row task
 with a copy of the 10-class head and the default 10 epochs, on the frozen
 adapted model (frozen) and with core.tune_adapter (tuned). The last cases
@@ -22,7 +23,7 @@ import pytest
 
 from adaptcl.adaptation import acl_loss, ce_adapt_loss
 from adaptcl.continual import CoreConfig, ExperimentState, core_learn_linear
-from adaptcl.data import SyntheticSpec
+from adaptcl.data import SyntheticSpec, _backbone_and_head
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -118,28 +119,36 @@ def test_classify(benchmark, model, n):
     benchmark(classify, model[3], e)
 
 
+def _pretrain_layout(model):
+    """pretrain_backbone's one parameter vector, holding the backbone and a
+    fresh 10-class head, its views, and a gradient vector with its views."""
+    _, backbone, _, _, _ = model
+    head = Classifier.linear(range(N_CLASSES), backbone.weights[-1].shape[0])
+    flat = np.concatenate([backbone.flat, head.weight, head.bias], axis=None)
+    grad = np.empty_like(flat)
+    return flat, _backbone_and_head(flat, backbone, head), grad, _backbone_and_head(grad, backbone, head)
+
+
 def test_sgd_step(benchmark, model):
-    rng = make_rng(2)
-    head = model[4]
-    params = [model[1].flat.copy(), head.weight.copy(), head.bias.copy()]
-    grads = [1e-3 * rng.standard_normal(p.shape) for p in params]
-    benchmark(sgd_step, params, grads, OptimizerState(lr=0.05, momentum=0.9))
+    flat, _, grad, _ = _pretrain_layout(model)
+    grad[:] = 1e-3 * make_rng(2).standard_normal(grad.shape)
+    benchmark(sgd_step, [flat], [grad], OptimizerState(lr=0.05, momentum=0.9))
 
 
 def test_pretrain_step(benchmark, model):
-    backbone, head = model[1].copy(), Classifier.linear(range(N_CLASSES), model[0].embed_dim)
+    flat, (backbone, head), grad, (d_backbone, d_head) = _pretrain_layout(model)
     x, y, _ = _batch(model, 32)
-    params = [backbone.flat, head.weight, head.bias]
     state = OptimizerState(lr=0.05, momentum=0.9)
-    grads = None
 
     def step():
-        nonlocal grads
         e, tape = embed_with_tape(backbone, None, x)
         loss, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
         require_finite(loss, "pretraining loss")
-        grads = backprop(tape, backbone, None, d_e / len(y), grads)
-        sgd_step(params, [grads[0].flat, d_w / len(y), d_b / len(y)], state)
+        d_e /= len(y)
+        backprop(tape, backbone, None, d_e, (d_backbone, None))
+        np.divide(d_w, len(y), out=d_head.weight)
+        np.divide(d_b, len(y), out=d_head.bias)
+        sgd_step([flat], [grad], state)
 
     benchmark(step)
 

@@ -7,6 +7,7 @@ import adaptcl.adaptation
 from adaptcl.adaptation import (
     AdaptConfig,
     acl_loss,
+    acl_losses,
     adapt,
     ce_adapt_loss,
     compute_prototypes,
@@ -112,6 +113,26 @@ class TestAclLoss:
             assert loss == pytest.approx(single_loss[0], abs=1e-12)
             np.testing.assert_allclose(grad, single_grad[0], rtol=0, atol=1e-12)
 
+    def test_losses_alone_match(self):
+        # acl_losses is acl_loss without the gradient, to the bit, for one
+        # tau and for a per-row tau column
+        rng = make_rng(35)
+        protos = Classifier(list(range(4)), l2_normalize(rng.standard_normal((4, 5))))
+        es = l2_normalize(rng.standard_normal((9, 5)))
+        rows = rng.integers(4, size=9)
+        for tau in (0.1, rng.uniform(0.02, 0.5, size=(9, 1))):
+            losses, _ = acl_loss(es, rows, protos, tau)
+            assert acl_losses(es, rows, protos, tau).tobytes() == losses.tobytes()
+
+    def test_inputs_unchanged(self):
+        rng = make_rng(36)
+        protos = Classifier(list(range(4)), l2_normalize(rng.standard_normal((4, 5))))
+        es, rows = l2_normalize(rng.standard_normal((9, 5))), rng.integers(4, size=9)
+        bits = [a.tobytes() for a in (protos.weight, es, rows)]
+        acl_loss(es, rows, protos, 0.1)
+        acl_losses(es, rows, protos, 0.1)
+        assert [a.tobytes() for a in (protos.weight, es, rows)] == bits
+
     def test_gradient_vs_finite_differences(self):
         rng = make_rng(31)
         protos = Classifier(
@@ -164,6 +185,15 @@ class TestCeAdaptLoss:
         np.testing.assert_allclose(d_w, nums["W"], atol=1e-6)
         np.testing.assert_allclose(d_b, nums["b"], atol=1e-6)
 
+
+    def test_inputs_unchanged(self):
+        rng = make_rng(37)
+        head = Classifier.linear([0, 1, 2], 4)
+        head.weight, head.bias = rng.standard_normal((3, 4)), rng.standard_normal(3)
+        es, rows = l2_normalize(rng.standard_normal((6, 4))), rng.integers(3, size=6)
+        bits = [a.tobytes() for a in (head.weight, head.bias, es, rows)]
+        ce_adapt_loss(es, rows, head)
+        assert [a.tobytes() for a in (head.weight, head.bias, es, rows)] == bits
 
     def test_batch_sums_head_gradients(self):
         rng = make_rng(34)
@@ -263,18 +293,22 @@ class TestAdapt:
             adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
 
     def test_prototypes_frozen(self, toy_setup, monkeypatch):
-        # every acl_loss call of a 2-epoch phase, per batch and per epoch,
-        # scores against the prototypes of the input model, bit for bit
+        # every contrastive loss of a 2-epoch phase, per batch (acl_loss)
+        # and per epoch (acl_losses), scores against the prototypes of the
+        # input model, bit for bit
         backbone, adapter, data, rng = toy_setup
         expected = compute_prototypes(embed(backbone, adapter, data[0]), data[1])
-        real = adaptcl.adaptation.acl_loss
         tables = []
 
-        def recording(e, y, table, tau):
-            tables.append((tuple(table.class_ids), table.weight.tobytes()))
-            return real(e, y, table, tau)
+        def recording(real):
+            def record(e, y, table, tau):
+                tables.append((tuple(table.class_ids), table.weight.tobytes()))
+                return real(e, y, table, tau)
 
-        monkeypatch.setattr(adaptcl.adaptation, "acl_loss", recording)
+            return record
+
+        for name in ("acl_loss", "acl_losses"):
+            monkeypatch.setattr(adaptcl.adaptation, name, recording(getattr(adaptcl.adaptation, name)))
         adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=2, lr=0.1, batch_size=16), rng)
         # 60 samples: 4 batches and one whole-task call per epoch
         want = (tuple(expected.class_ids), expected.weight.tobytes())

@@ -4,6 +4,7 @@ import pytest
 from adaptcl.adaptation import ce_adapt_loss
 from adaptcl.continual import ExperimentState, core_learn_ncm, evaluate
 from adaptcl.data import (
+    BATCH_SIZE,
     PretrainConfig,
     SyntheticSpec,
     _domain_transform,
@@ -169,7 +170,53 @@ def _reference_pretrain(backbone, data, epochs, lr, rng, batch_size=32):
     return backbone
 
 
+def _per_array_pretrain(backbone, data, config, rng):
+    """pretrain_backbone as three parameter arrays: the backbone's vector and
+    the head's weight and bias, stepped one by one, with the gradients in
+    new arrays each batch."""
+    x, labels = data
+    backbone = backbone.copy()
+    head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
+    rows = label_index(head.class_ids, labels, "head")
+    params = [backbone.flat, head.weight, head.bias]
+    velocities = [np.zeros_like(p) for p in params]
+    grads = None
+    for _ in range(config.epochs):
+        order = rng.permutation(len(labels))
+        x_epoch, rows_epoch = x[order], rows[order]
+        for start in range(0, len(labels), BATCH_SIZE):
+            batch = slice(start, start + BATCH_SIZE)
+            e, tape = embed_with_tape(backbone, None, x_epoch[batch])
+            _, d_e, d_w, d_b = ce_adapt_loss(e, rows_epoch[batch], head)
+            n = len(e)
+            grads = backprop(tape, backbone, None, d_e / n, grads)
+            for p, g, v in zip(params, [grads[0].flat, d_w / n, d_b / n], velocities):
+                v *= 0.9
+                v += g
+                p -= config.lr * v
+    return backbone
+
+
 class TestPretrain:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matches_per_array_loop(self, activation):
+        # 100 rows: three full batches and a 4-row one per epoch, and three
+        # epochs, so the momentum carries over epochs and short batches
+        spec = SyntheticSpec(input_dim=8, n_pretrain_classes=5, train_per_class=20, seed=4)
+        pre_train, _, _ = generate_synthetic(spec)
+        assert len(pre_train[1]) % BATCH_SIZE == 4
+        cfg = ModelConfig(embed_dim=4, hidden=(8, 6), activation=activation)
+        backbone, _ = init_model(cfg, 8, make_rng(12))
+        before = backbone.flat.copy()
+        config = PretrainConfig(3, 0.05)
+        trained = pretrain_backbone(backbone, pre_train, config, make_rng(13))
+        reference = _per_array_pretrain(backbone, pre_train, config, make_rng(13))
+        assert trained.flat.tobytes() == reference.flat.tobytes()
+        assert backbone.flat.tobytes() == before.tobytes()
+        # the returned backbone owns its vector: no view into the one that held the head
+        assert trained.flat.base is None
+        assert trained.flat.size == backbone.flat.size
+
     def test_matches_named_array_reference(self):
         # 80 rows: two full batches and a short one per epoch
         cfg = ModelConfig(embed_dim=4, hidden=(8, 6))

@@ -270,6 +270,39 @@ class TestBackprop:
         np.testing.assert_allclose(expected, numeric, atol=1e-6)
 
 
+class TestInputsUnchanged:
+    """The forward pass and backprop write in place only into arrays they
+    allocated: the caller's input, upstream gradient and the tape keep their
+    bits."""
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize(
+        "with_adapter, trains_backbone",
+        [(True, True), (False, True), (True, False)],
+        ids=["full", "no-adapter", "frozen-backbone"],
+    )
+    def test_forward_and_backprop(self, activation, with_adapter, trains_backbone):
+        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), activation=activation, adapter_rank=2)
+        rng = make_rng(14)
+        backbone, adapter = init_model(cfg, 2, rng)
+        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+        adapter = adapter if with_adapter else None
+        params = model_params(backbone, adapter)
+        param_bits = {name: p.tobytes() for name, p in params.items()}
+        x, g = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
+        x_bits, g_bits = x.tobytes(), g.tobytes()
+        _, tape = embed_with_tape(backbone, adapter, x)
+        assert x.tobytes() == x_bits
+        tape_arrays = [*tape.acts, tape.raw_embed, tape.norm, tape.unit]
+        if adapter is not None:
+            tape_arrays.append(tape.adapter_act)
+        tape_bits = [a.tobytes() for a in tape_arrays]
+        backprop(tape, backbone if trains_backbone else None, adapter, g)
+        assert g.tobytes() == g_bits
+        assert [a.tobytes() for a in tape_arrays] == tape_bits
+        assert {name: p.tobytes() for name, p in params.items()} == param_bits
+
+
 class TestClassify:
     def test_basic(self):
         clf = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -51,6 +51,10 @@ class TestL2Normalize:
                 with pytest.raises(DegenerateVector, match="need a finite norm > 1e-08"):
                     l2_normalize(v)
 
+    def test_no_rows(self):
+        unit, norm = l2_normalize_with_norm(np.zeros((0, 3)))
+        assert unit.shape == (0, 3) and norm.shape == (0,)
+
     def test_rows_are_normalized_alone(self):
         # over the last axis: each row gets the floats of its own 1-D call
         v = make_rng(3).standard_normal((4, 2, 16))
@@ -103,6 +107,13 @@ class TestLogSumExp:
         rows = log_sum_exp(s)
         assert rows.shape == (6,)
         assert list(rows) == [log_sum_exp(r) for r in s]
+
+    def test_input_unchanged(self):
+        s = make_rng(44).uniform(-50, 50, size=(6, 4))
+        bits = s.tobytes()
+        log_sum_exp(s)
+        log_sum_exp(s[0])
+        assert s.tobytes() == bits
 
     @given(st.lists(finite_floats, min_size=1, max_size=8), finite_floats)
     def test_shift_invariance(self, values, c):

@@ -187,13 +187,12 @@ def test_lemma1_mutation_caught(monkeypatch):
 def _drop_target_from_denominator(monkeypatch):
     # the contrastive loss with the target class left out of its denominator:
     # log sum_{c != y} exp((s_c - s_y) / tau), which is log(exp(loss) - 1)
-    real_acl_loss = adaptcl.verify.acl_loss
+    real_acl_losses = adaptcl.verify.acl_losses
 
     def mutated(e, y, table, tau):
-        loss, d_e = real_acl_loss(e, y, table, tau)
-        return np.log(np.expm1(loss)), d_e
+        return np.log(np.expm1(real_acl_losses(e, y, table, tau)))
 
-    monkeypatch.setattr(adaptcl.verify, "acl_loss", mutated)
+    monkeypatch.setattr(adaptcl.verify, "acl_losses", mutated)
 
 
 def test_threshold_mutation_caught(monkeypatch):
@@ -231,9 +230,9 @@ def _counted(monkeypatch, name):
 
 
 def test_threshold_checks_batches(monkeypatch):
-    # one classify and one acl_loss call per batch, and one normalization
+    # one classify and one acl_losses call per batch, and one normalization
     # pass per block of about 18 batches, not one per batch
-    scored = [_counted(monkeypatch, name) for name in ("classify", "acl_loss")]
+    scored = [_counted(monkeypatch, name) for name in ("classify", "acl_losses")]
     batches = _counted(monkeypatch, "check_loss_threshold")
     blocks = _counted(monkeypatch, "l2_normalize")
     assert run_threshold(0, VerifySizes().threshold_draws).passed
