@@ -197,8 +197,11 @@ def _cached(cache: dict, stage, key, make):
 
 @dataclass(frozen=True)
 class Cell:
-    """One (seed, mode) cell: its RunResult and the seconds its pretraining
-    and run took."""
+    """One (seed, mode) cell: its RunResult and its manifest wall_clock
+    seconds. They cover its continual run, and its seed's pretraining only
+    when the seed has no pretrained model yet, so only in the seed's first
+    cell; in a sweep, a disabled cell that reuses its seed's result records
+    about 0. Writing its artifacts is not counted."""
 
     seed: int
     mode: str

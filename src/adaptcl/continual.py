@@ -103,50 +103,64 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
 
     The head takes plain SGD steps of batch size 1 with no momentum: for each
     sample (e, y), p = softmax(W e + b), W -= lr * outer(p - onehot(y), e) and
-    b -= lr * (p - onehot(y)), in place. With tune_adapter the embedding
-    gradient (p - onehot(y)) @ W, taken before the head update, is
-    backpropagated into the adapter, which takes the same kind of step; the
-    backbone's raw embeddings are computed once, and backprop stops there."""
+    b -= lr * (p - onehot(y)). For the call the head is one (C, d + 1) array
+    [W | b], stepped in place by one rank-1 update with the augmented row
+    [e, 1]: the bias column gets (delta * 1.0) * lr, the same floats as
+    delta * lr. The logits stay W e + b, not [W | b] @ [e, 1], whose floats
+    depend on the BLAS kernel. W and b are written back to the Classifier at
+    the end as arrays of their own. With tune_adapter the embedding gradient (p - onehot(y)) @ W, taken before the
+    head update, is backpropagated into the adapter, which takes the same
+    kind of step; the backbone's raw embeddings are computed once, and
+    backprop stops there."""
     before = state.backbone.flat.copy()
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    W, b, lr, adapter = head.weight, head.bias, config.lr, state.adapter
+    d, lr, adapter = head.weight.shape[1], config.lr, state.adapter
+    Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
+    head.weight, head.bias = W, b = Wb[:, :d], Wb[:, d]  # a failed call leaves its steps so far
     adapter_state, grads = OptimizerState(lr=lr), None
     tuned = config.tune_adapter and adapter is not None
     if tuned:
         # one row at a time, as a per-sample forward pass computes them: a
         # batched forward differs in the last bits
         inputs = np.concatenate([raw_embed(state.backbone, x[i : i + 1]) for i in range(len(x))])
+        unit = np.ones(d + 1)  # [e, 1] for the adapter's unit embedding e
     else:
-        inputs = embed(state.backbone, adapter, x)
-    # the head step's buffers: logits, scratch, p - onehot(y) and its outer product with e
-    z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(W.shape)
+        inputs = np.ones((len(x), d + 1))  # rows [e, 1]
+        inputs[:, :d] = embed(state.backbone, adapter, x)
+    # the head step's buffers: logits, scratch, p - onehot(y) and its outer product with [e, 1]
+    z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(Wb.shape)
     column = delta[:, None]
+    dot, add, subtract, multiply, exp, log = np.dot, np.add, np.subtract, np.multiply, np.exp, np.log
     for epoch in range(1, config.epochs + 1):
         with diverged_as(f"core learning diverged in epoch {epoch}"):
             order = rng.permutation(len(labels))
-            for e, r in zip(inputs[order], rows[order].tolist()):
-                if tuned:
+            shuffled = inputs[order]
+            for ea, e, r in zip(shuffled, shuffled[:, :d], rows[order].tolist()):
+                if tuned:  # ea and e are the raw embedding
                     (e,), tape = adapter_with_tape(adapter, e[None])
-                np.dot(W, e, out=z)
-                z += b
+                    unit[:d] = e
+                    ea = unit
+                dot(W, e, z)
+                add(z, b, z)
                 # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
                 # linear epoch sweep (BENCH_3.json)
-                m = max(z.tolist())  # exact, and cheaper than z.max() for a few classes
-                lse = m + np.log(np.add.reduce(np.exp(np.subtract(z, m, out=t), out=t)))
-                loss = lse - z[r]
+                zs = z.tolist()
+                m = max(zs)  # exact, and cheaper than z.max() for a few classes
+                lse = m + log(add.reduce(exp(subtract(z, m, t), t)))
+                loss = lse - zs[r]
                 if not math.isfinite(loss):
                     raise NonFiniteLoss(f"core-learning loss {loss}")
-                np.exp(np.subtract(z, lse, out=delta), out=delta)  # softmax, then minus onehot(y)
+                exp(subtract(z, lse, delta), delta)  # softmax, then minus onehot(y)
                 delta[r] -= 1.0
                 if tuned:
                     grads = backprop(tape, None, adapter, (delta @ W)[None], grads)
                     sgd_step([adapter.flat], [grads[1].flat], adapter_state)
-                W -= np.multiply(np.multiply(column, e, out=outer), lr, out=outer)
-                b -= np.multiply(delta, lr, out=t)
+                Wb -= multiply(multiply(column, ea, outer), lr, outer)
+    head.weight, head.bias = W.copy(), b.copy()  # C-contiguous, owning their data
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
     return state
 

@@ -256,11 +256,14 @@ class TestCoreLearnLinearReference:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("tune_adapter", [False, True])
     def test_bit_identical_to_allocating_loop(self, activation, tune_adapter):
-        # the head step on preallocated buffers, and the tuned step through
-        # raw embeddings computed once, keep every float of the loop that
-        # allocated its arrays and ran the whole model per sample
+        # the [W | b] head step on preallocated buffers, and the tuned step
+        # through raw embeddings computed once, keep every float of the loop
+        # that allocated its arrays and ran the whole model per sample; the
+        # head grows to 11 classes, past the 8 at which np.add.reduce
+        # switches to its unrolled sum
         rng = make_rng(55)
-        stream = TaskStream([_cluster_task(rng, [0, 1, 2]), _cluster_task(rng, [3, 4])])
+        classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9, 10]]
+        stream = TaskStream([_cluster_task(rng, ids) for ids in classes])
         cfg = ModelConfig(embed_dim=6, hidden=(8, 8), activation=activation, adapter_rank=2)
         backbone, adapter = init_model(cfg, 4, make_rng(56))
         for bias in backbone.biases:  # positive, so no relu embedding is all zero
@@ -274,8 +277,10 @@ class TestCoreLearnLinearReference:
         for k, task in enumerate(stream.tasks):
             core_learn_linear(states[0], task.train, core, make_rng(58, k))
             _allocating_core_learn_linear(states[1], task.train, core, make_rng(58, k))
+            for array in (states[0].classifier.weight, states[0].classifier.bias):
+                assert array.flags.c_contiguous and array.flags.owndata
         lean, ref = states
-        assert lean.classifier.class_ids == ref.classifier.class_ids == [0, 1, 2, 3, 4]
+        assert lean.classifier.class_ids == ref.classifier.class_ids == list(range(11))
         np.testing.assert_array_equal(lean.classifier.weight, ref.classifier.weight)
         np.testing.assert_array_equal(lean.classifier.bias, ref.classifier.bias)
         np.testing.assert_array_equal(lean.adapter.flat, ref.adapter.flat)
@@ -283,12 +288,15 @@ class TestCoreLearnLinearReference:
         assert np.array_equal(lean.adapter.flat, adapter.flat) == (not tune_adapter)
 
     def test_non_finite_logit_raises(self, stream_and_model):
+        # an inf weight reaches the logits through the strided W view of [W | b]
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.linear([0], 6))
-        state.classifier.bias[0] = np.inf
-        with pytest.raises(NonFiniteLoss), np.errstate(invalid="ignore"):
-            core = CoreConfig(epochs=1, lr=0.1)
-            core_learn_linear(state, stream.tasks[0].train, core, make_rng(1))
+        for where in ("bias", "weight"):
+            state = ExperimentState(backbone, adapter, Classifier.linear([0], 6))
+            getattr(state.classifier, where).flat[0] = np.inf
+            with pytest.raises(NonFiniteLoss) as caught, np.errstate(invalid="ignore"):
+                core = CoreConfig(epochs=1, lr=0.1)
+                core_learn_linear(state, stream.tasks[0].train, core, make_rng(1))
+            assert "\n" not in str(caught.value)
 
 
 class TestRunAcl:
