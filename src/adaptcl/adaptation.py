@@ -33,9 +33,9 @@ from .numerics import (
     OptimizerState,
     diverged_as,
     l2_normalize,
-    log_sum_exp,
     require_finite,
     sgd_step,
+    softmax_cross_entropy,
 )
 
 ADAPT_MODES = ("acl", "ce_ablation", "lightweight_only", "disabled")
@@ -74,49 +74,38 @@ def compute_prototypes(embeddings, labels) -> Classifier:
     return Classifier(ids, prototypes)
 
 
-def _acl_scores(e_star, y_idx, table, tau):
-    """acl_loss's scores (n, C), their log-sum-exp (n,) and the losses (n,)."""
-    scores = (e_star @ table.weight.T) / tau
-    lse = log_sum_exp(scores)
-    return scores, lse, lse - scores[np.arange(len(y_idx)), y_idx]
-
-
 def acl_losses(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     """acl_loss's per-row losses alone, for callers that need no gradient."""
-    return _acl_scores(e_star, y_idx, table, tau)[2]
+    return softmax_cross_entropy((e_star @ table.weight.T) / tau, y_idx)[0]
 
 
 def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     """Temperature-scaled softmax over prototype cosines, anchored at the
-    true class. Returns (loss, d_loss/d_e_star); the gradient is taken with
-    the embedding as a free vector, before the normalization Jacobian.
+    true class: the softmax cross-entropy of the logits (e_star @ P.T) / tau
+    against the frozen prototypes P. Returns (loss, d_loss/d_e_star); the
+    gradient (softmax @ P - P[y]) / tau is taken with the embedding as a
+    free vector, before the normalization Jacobian.
 
     table: a cosine Classifier whose weight rows are the prototypes. (n, d)
     embeddings with (n,) true-class rows of the table (label_index) give
     per-row losses (n,) and gradients (n, d). tau is one float for every
     row, or an (n, 1) column with one temperature per row."""
     p = table.weight  # (C, d)
-    scores, lse, loss = _acl_scores(e_star, y_idx, table, tau)
-    soft = np.exp(scores - lse[:, None])
-    grad = (soft @ p - p[y_idx]) / tau
-    return loss, grad
+    loss, soft = softmax_cross_entropy((e_star @ p.T) / tau, y_idx)
+    return loss, (soft @ p - p[y_idx]) / tau
 
 
 def ce_adapt_loss(e_star: np.ndarray, y_idx: np.ndarray, head: Classifier):
-    """Softmax cross-entropy on linear-head logits.
+    """Softmax cross-entropy on linear-head logits e_star @ W.T + b.
 
     Returns (loss, d_loss/d_e_star, d_loss/d_W, d_loss/d_b) for (n, d)
     embeddings with (n,) true-class rows of the head (label_index): loss (n,)
     and d_e (n, d) are per row, and d_W, d_b are the gradients of the summed
     loss."""
-    rows = np.arange(len(e_star))
     logits = e_star @ head.weight.T
     logits += head.bias
-    lse = log_sum_exp(logits)
-    loss = lse - logits[rows, y_idx]
-    delta = np.subtract(logits, lse[:, None], out=logits)
-    np.exp(delta, out=delta)
-    delta[rows, y_idx] -= 1.0
+    loss, delta = softmax_cross_entropy(logits, y_idx)
+    delta[np.arange(len(delta)), y_idx] -= 1.0  # softmax - onehot(y)
     d_e = delta @ head.weight
     d_w = delta.T @ e_star
     d_b = np.add.reduce(delta, axis=0)

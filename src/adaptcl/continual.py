@@ -146,8 +146,8 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
                     ea = unit
                 dot(W, e, z)
                 add(z, b, z)
-                # log_sum_exp(z) inline: the call costs about 0.1 s of a 1.55 s
-                # linear epoch sweep (BENCH_3.json)
+                # numerics.softmax_cross_entropy inline, for one row: a kernel call
+                # per step costs about 0.1 s of a 1.55 s linear epoch sweep (BENCH_3.json)
                 zs = z.tolist()
                 m = max(zs)  # exact, and cheaper than z.max() for a few classes
                 lse = m + log(add.reduce(exp(subtract(z, m, t), t)))

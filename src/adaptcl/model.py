@@ -325,9 +325,18 @@ def save_checkpoint(path, backbone: Backbone, adapter) -> None:
             f.write(",".join(map(repr, arr.reshape(-1).tolist())) + "\n")
 
 
+def _header(lines, i, key):
+    """The value of header line i, which must read `key;<value>`."""
+    name, *value = lines[i].split(";")
+    if name != key or len(value) != 1:
+        raise ValueError(f"line {i + 1} is {lines[i]!r}: want {key};<value>")
+    return value[0]
+
+
 def load_checkpoint(path):
     """The model save_checkpoint wrote. Raises CheckpointError unless the file
-    holds a known activation, finite values, each layer array once, both
+    starts with its activation;<name> and n_layers;<N> lines and holds a
+    known activation, finite values, each layer array once, both
     adapter arrays or neither, no other array, and layer shapes that chain."""
     from .errors import CheckpointError
 
@@ -337,10 +346,10 @@ def load_checkpoint(path):
     except (OSError, UnicodeDecodeError) as e:
         raise CheckpointError(str(e)) from e
     try:
-        activation = lines[0].split(";")[1]
+        activation = _header(lines, 0, "activation")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        n_layers = int(lines[1].split(";")[1])
+        n_layers = int(_header(lines, 1, "n_layers"))
         if n_layers < 1:
             raise ValueError("no layers")
         arrays = {}

@@ -71,27 +71,28 @@ def l2_normalize(v) -> np.ndarray:
     return l2_normalize_with_norm(v)[0]
 
 
-def log_sum_exp(logits):
-    """Numerically stable log(sum(exp(s_i))) over the last axis: one value
-    per row of an (n, C) matrix."""
+def softmax_cross_entropy(logits, y_idx):
+    """(losses, softmax) of (n, C) logits with (n,) true-class columns y_idx:
+    per row log(sum(exp(s))) - s[y], with the log-sum-exp shifted by the
+    row's max, and the (n, C) softmax exp(s - lse) in a new array."""
     s = np.asarray(logits, dtype=np.float64)
     if s.size == 0:
-        raise EmptyInput("log_sum_exp of empty sequence")
+        raise EmptyInput("softmax cross-entropy of empty logits")
     m = np.maximum.reduce(s, axis=-1, keepdims=True)
     t = s - m
-    return m[..., 0] + np.log(np.add.reduce(np.exp(t, out=t), axis=-1))
+    lse = m[..., 0] + np.log(np.add.reduce(np.exp(t, out=t), axis=-1))
+    losses = lse - s[np.arange(len(s)), y_idx]
+    return losses, np.exp(np.subtract(s, lse[..., None], out=t), out=t)
 
 
 @dataclass
 class OptimizerState:
-    """Momentum SGD state: one velocity buffer and one scratch buffer for
-    lr * velocity per parameter array, created at the first step and then
-    updated in place."""
+    """Momentum SGD state: one velocity buffer per parameter array, created
+    at the first step and then updated in place."""
 
     lr: float
     momentum: float = 0.0
     velocities: list = field(default_factory=list)
-    scratch: list = field(default_factory=list)
 
 
 def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
@@ -102,13 +103,12 @@ def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
         raise ShapeMismatch(f"{len(params)} parameter arrays vs {len(grads)} gradients")
     if not state.velocities:
         state.velocities = [np.zeros_like(p) for p in params]
-        state.scratch = [np.empty_like(p) for p in params]
-    for p, g, v, s in zip(params, grads, state.velocities, state.scratch):
+    for p, g, v in zip(params, grads, state.velocities):
         if p.shape != g.shape:
             raise ShapeMismatch(f"{p.shape} vs {g.shape}")
         v *= state.momentum
         v += g
-        p -= np.multiply(v, state.lr, out=s)
+        p -= state.lr * v
 
 
 def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:

@@ -6,9 +6,10 @@ Run with `python -m pytest tests/bench_kernels.py`. The name does not match
 default shape (32 -> 64, 64 -> 16, adapter rank 8). The prototype table (a
 cosine Classifier, which acl_loss and classify both read) and the linear
 head have 10 classes, with ids 0-9, so a batch's labels are also its rows
-of both. Every size is an (n, D) batch, n = 1 included. The SGD step
-updates one vector that holds the backbone and the head with momentum 0.9,
-as each pretraining batch does; the pretraining step adds the forward pass,
+of both. Every size is an (n, D) batch, n = 1 included. acl_losses is timed
+apart from acl_loss: it is the loss alone, as adapt's per-epoch checks and
+adaptcl verify call it. The SGD step updates one vector that holds the
+backbone and the head with momentum 0.9, as each pretraining batch does; the pretraining step adds the forward pass,
 ce_adapt_loss, backprop into the gradient vector's views and the head
 gradients divided into theirs before it, as pretrain_backbone's loop does.
 The core-learning cases time one call of the linear core on a 200-row task
@@ -22,7 +23,7 @@ campaign per case.
 import numpy as np
 import pytest
 
-from adaptcl.adaptation import acl_loss, ce_adapt_loss
+from adaptcl.adaptation import acl_loss, acl_losses, ce_adapt_loss
 from adaptcl.continual import CoreConfig, ExperimentState, core_learn_linear
 from adaptcl.data import SyntheticSpec, _backbone_and_head
 from adaptcl.model import (
@@ -105,6 +106,13 @@ def test_acl_loss(benchmark, model, n):
     table = model[3]
     _, y, e = _batch(model, n)
     benchmark(acl_loss, e, y, table, 0.1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_acl_losses(benchmark, model, n):
+    table = model[3]
+    _, y, e = _batch(model, n)
+    benchmark(acl_losses, e, y, table, 0.1)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -212,6 +212,26 @@ class TestCeAdaptLoss:
         np.testing.assert_allclose(d_b, sum(s[3] for s in singles), rtol=0, atol=1e-12)
 
 
+class TestAclIsSoftmaxCrossEntropy:
+    def test_ce_head_at_prototypes_over_tau(self):
+        # ACL is the softmax cross-entropy of a linear head W = P / tau, b = 0
+        # whose weights stay frozen: same losses and embedding gradient. Both
+        # treat the embedding as a free vector, so norms up to 2 make a
+        # clipped cosine show as well as a lost tau
+        rng = make_rng(38)
+        for n, n_classes, tau in [(1, 1, 0.1), (5, 2, 0.02), (16, 4, 0.07), (32, 10, 0.5)]:
+            protos = Classifier(
+                list(range(n_classes)), l2_normalize(rng.standard_normal((n_classes, 8)))
+            )
+            head = Classifier(protos.class_ids, protos.weight / tau, np.zeros(n_classes))
+            es = l2_normalize(rng.standard_normal((n, 8))) * rng.uniform(0.5, 2.0, (n, 1))
+            rows = rng.integers(n_classes, size=n)
+            losses, d_e = acl_loss(es, rows, protos, tau)
+            ce_losses, ce_d_e, _, _ = ce_adapt_loss(es, rows, head)
+            np.testing.assert_allclose(losses, ce_losses, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(d_e, ce_d_e, rtol=0, atol=1e-12)
+
+
 def _toy_task(rng, n_per_class=20):
     centers = [np.array([2.0, 0.0]), np.array([0.0, 2.0]), np.array([-2.0, -2.0])]
     x = [c + 0.2 * rng.standard_normal(2) for c in centers for _ in range(n_per_class)]

@@ -943,6 +943,9 @@ class TestDumpEmbeddings:
             ("layer0.b;12\n0.0,", "layer0.b;12\nnan,"),
             ("n_layers;2\n", "n_layers;2\nlayer2.b;1\n0.0\n"),
             ("n_layers;2\n", "n_layers;2\nlayer0.b;12\n" + ",".join(["0.0"] * 12) + "\n"),
+            ("activation;tanh", "colour;tanh"),
+            ("n_layers;2", "widgets;2"),
+            ("activation;tanh", "activation;tanh;relu"),
         ],
         ids=[
             "unknown-activation",
@@ -950,6 +953,9 @@ class TestDumpEmbeddings:
             "nan-value",
             "unknown-array",
             "repeated-array",
+            "activation-key-renamed",
+            "n_layers-key-renamed",
+            "activation-extra-field",
         ],
     )
     def test_invalid_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, old, new):

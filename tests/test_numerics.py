@@ -17,9 +17,9 @@ from adaptcl.numerics import (
     finite_diff_grad,
     l2_normalize,
     l2_normalize_with_norm,
-    log_sum_exp,
     make_rng,
     sgd_step,
+    softmax_cross_entropy,
 )
 
 finite_floats = st.floats(
@@ -77,21 +77,26 @@ class TestL2Normalize:
         )
 
 
-class TestLogSumExp:
+class TestSoftmaxCrossEntropy:
     def test_single(self):
-        assert log_sum_exp([0.0]) == 0.0
+        losses, p = softmax_cross_entropy([[0.0]], [0])
+        assert losses.tolist() == [0.0] and p.tolist() == [[1.0]]
 
     def test_two_zeros(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)
+        losses, p = softmax_cross_entropy([[0.0, 0.0]], [1])
+        assert losses[0] == pytest.approx(math.log(2), abs=1e-15)
+        assert p.tolist() == [[0.5, 0.5]]
 
     def test_large_shift(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(
-            1000.0 + math.log(2), abs=1e-9
-        )
+        with np.errstate(over="raise", invalid="raise"):
+            losses, p = softmax_cross_entropy([[1000.0, 1000.0]], [0])
+        assert losses[0] == pytest.approx(math.log(2), abs=1e-9)
+        np.testing.assert_allclose(p, [[0.5, 0.5]], rtol=0, atol=1e-9)
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
-            log_sum_exp([])
+        for shape in [(0, 3), (1, 0)]:
+            with pytest.raises(EmptyInput):
+                softmax_cross_entropy(np.zeros(shape), np.zeros(shape[0], dtype=int))
 
     def test_against_extended_precision(self):
         import mpmath
@@ -99,26 +104,41 @@ class TestLogSumExp:
         rng = make_rng(42)
         for _ in range(50):
             s = rng.uniform(-50, 50, size=rng.integers(1, 10))
-            oracle = float(mpmath.log(mpmath.fsum(mpmath.exp(x) for x in s)))
-            assert abs(log_sum_exp(s) - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            y = int(rng.integers(len(s)))
+            total = mpmath.fsum(mpmath.exp(x) for x in s)
+            oracle = float(mpmath.log(total) - s[y])
+            (loss,), (p,) = softmax_cross_entropy(s[None], [y])
+            assert abs(loss - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            p_oracle = [float(mpmath.exp(x) / total) for x in s]
+            np.testing.assert_allclose(p, p_oracle, rtol=0, atol=1e-12)
 
     def test_rows_of_a_matrix(self):
-        s = make_rng(43).uniform(-50, 50, size=(6, 4))
-        rows = log_sum_exp(s)
-        assert rows.shape == (6,)
-        assert list(rows) == [log_sum_exp(r) for r in s]
+        rng = make_rng(43)
+        s, y = rng.uniform(-50, 50, size=(6, 4)), rng.integers(4, size=6)
+        losses, p = softmax_cross_entropy(s, y)
+        assert losses.shape == (6,) and p.shape == (6, 4)
+        for i in range(6):
+            row_loss, row_p = softmax_cross_entropy(s[i : i + 1], y[i : i + 1])
+            assert row_loss.tobytes() == losses[i : i + 1].tobytes()
+            assert row_p.tobytes() == p[i : i + 1].tobytes()
 
     def test_input_unchanged(self):
-        s = make_rng(44).uniform(-50, 50, size=(6, 4))
-        bits = s.tobytes()
-        log_sum_exp(s)
-        log_sum_exp(s[0])
-        assert s.tobytes() == bits
+        rng = make_rng(44)
+        s, y = rng.uniform(-50, 50, size=(6, 4)), rng.integers(4, size=6)
+        bits = s.tobytes(), y.tobytes()
+        _, p = softmax_cross_entropy(s, y)
+        softmax_cross_entropy(s[:1], y[:1])
+        assert (s.tobytes(), y.tobytes()) == bits
+        assert not np.shares_memory(p, s)
 
     @given(st.lists(finite_floats, min_size=1, max_size=8), finite_floats)
     def test_shift_invariance(self, values, c):
-        s = np.array(values)
-        assert log_sum_exp(s + c) == pytest.approx(log_sum_exp(s) + c, abs=1e-10)
+        s = np.array([values])
+        y = [len(values) - 1]
+        losses, p = softmax_cross_entropy(s, y)
+        shifted_losses, shifted_p = softmax_cross_entropy(s + c, y)
+        assert shifted_losses[0] == pytest.approx(losses[0], abs=1e-10)
+        np.testing.assert_allclose(shifted_p, p, rtol=0, atol=1e-10)
 
 
 class TestSgdStep:
