@@ -4,7 +4,7 @@ plotting.
 
 Config files are flat `section.key = value` text; every run directory gets a
 manifest (written even on failure) plus deterministic CSV artifacts.
-Exit codes: 0 success, 1 run/verification failure, 2 config error.
+Exit codes: 0 success, 1 run/verification failure, 2 config or command-line error.
 """
 
 import argparse
@@ -32,7 +32,7 @@ from .metrics import (
     plasticity,
 )
 from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint
-from .numerics import make_rng
+from .numerics import make_rng, require_seed
 
 
 def _fmt(x) -> str:
@@ -61,6 +61,8 @@ class RunConfig:
                 raise ConfigError(f"unknown adaptation mode {m!r}")
         _require_distinct("adapt.modes", self.adapt_modes)
         _require_distinct("run.seeds", self.run_seeds)
+        for seed in self.run_seeds:
+            require_seed(seed, "run.seeds")
         if self.metrics_plasticity not in ("best_ever", "immediate"):
             raise ConfigError(
                 f"metrics.plasticity must be best_ever or immediate, "
@@ -398,8 +400,16 @@ def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ConfigError, which main reports in one
+    line with exit code 2; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adaptcl",
         description="Continual-learning benchmark with a pre-task adaptation phase",
     )
@@ -429,8 +439,8 @@ def main(argv=None) -> int:
     p_dump.add_argument("--out", default="embeddings.csv")
     p_dump.add_argument("--splits", default="train,test")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command in ("run", "sweep"):
             overrides = {"run.seeds": args.seeds, "run.out": args.out}
             config = load_config(args.config, {k: v for k, v in overrides.items() if v})
@@ -455,7 +465,9 @@ def main(argv=None) -> int:
                         raise ConfigError(f"size {name} must be a count >= 0, got {count!r}")
                     setattr(sizes, name, int(count))
                 _require_distinct("--sizes", [item.partition("=")[0] for item in items])
-            return cmd_verify(args.seed, sizes)
+            with _config_errors():
+                seed = require_seed(args.seed, "--seed")
+            return cmd_verify(seed, sizes)
         if args.command == "dump-embeddings":
             config = load_config(args.config)
             splits = tuple(s for s in args.splits.split(",") if s)

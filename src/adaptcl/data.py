@@ -14,7 +14,15 @@ from .continual import Task, TaskStream
 from .errors import InvalidSpec
 from .model import Backbone, Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
-from .numerics import OptimizerState, diverged_as, l2_normalize, make_rng, require_finite, sgd_step
+from .numerics import (
+    OptimizerState,
+    diverged_as,
+    l2_normalize,
+    make_rng,
+    require_finite,
+    require_seed,
+    sgd_step,
+)
 
 BATCH_SIZE = 32  # of pretraining; no config key sets it
 
@@ -44,6 +52,7 @@ class SyntheticSpec:
             raise InvalidSpec("tasks must evenly partition the incremental classes")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise InvalidSpec("need train and test samples per class")
+        require_seed(self.seed)
 
 
 def _expm_skew(a):

@@ -1,8 +1,8 @@
-"""Continual-learning metrics over the lower-triangular accuracy matrix, and
-standalone verifiers for the toolkit's theoretical guarantees: the
-loss-threshold/Markov misclassification bound, the feature-deviation bound,
-the freezes, the sphere distance-cosine identity, and the
-mean-as-minimizer property.
+"""Continual-learning metrics over the lower-triangular accuracy matrix,
+and the guarantees a run checks live: the loss-threshold/Markov
+misclassification bound, the feature-deviation bound and the freezes, each
+as BoundReports. The lemma checkers, which only `adaptcl verify` runs, are in
+verify.py.
 """
 
 import math
@@ -10,14 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, IncompleteMatrix, LengthMismatch, SingleTask, TooFewSamples
-from .numerics import l2_normalize
+from .errors import BoundViolation, IncompleteMatrix, LengthMismatch, SingleTask
 
 LOG2 = math.log(2.0)
-# the most floats one array pass of a verify campaign draws:
-# whole campaigns at once raised the peak memory of `adaptcl verify` by about
-# a megabyte, 16384 floats still by 0.3 MB, 8192 by none that showed
-BLOCK_FLOATS = 8192
 
 
 @dataclass
@@ -142,6 +137,13 @@ def check_loss_threshold(losses, wrong, context="threshold") -> BoundReport:
     return BoundReport(context, LOG2, rhs, tolerance=1e-12)
 
 
+def mean_sq_distance(e, z):
+    """mean_k ||e_k - z_k||^2 over the rows of e, with z broadcast against
+    them: a 0-d array for one (d,) point z, one value per point for (m, 1, d)
+    points, and one per set for (K, n, d) stacks of e and z."""
+    return np.mean(np.sum((e - z) ** 2, axis=-1), axis=-1)
+
+
 def check_stability_bounds(old_embeddings, new_embeddings, label_prototypes, contexts) -> list:
     """One report per set of a (K, n, d) stack, named contexts[k]:
     mean||e_new - e_old||^2 vs 2(mean||e_new - p_y||^2 + mean||e_old - p_y||^2)
@@ -152,8 +154,8 @@ def check_stability_bounds(old_embeddings, new_embeddings, label_prototypes, con
     p = np.asarray(label_prototypes, dtype=np.float64)
     if not (old.shape[:-1] == new.shape[:-1] == p.shape[:-1]) or old.shape[-2] == 0:
         raise LengthMismatch("aligned non-empty sequences required")
-    lhs = _mean_sq_distance(new, old)
-    rhs = 2.0 * (_mean_sq_distance(new, p) + _mean_sq_distance(old, p))
+    lhs = mean_sq_distance(new, old)
+    rhs = 2.0 * (mean_sq_distance(new, p) + mean_sq_distance(old, p))
     return [
         BoundReport(context, l, r, tolerance=1e-9)
         for context, l, r in zip(contexts, lhs.tolist(), rhs.tolist())
@@ -175,86 +177,3 @@ def check_unchanged(before, after, context) -> BoundReport:
     before = np.asarray(before, dtype=np.float64).view(np.uint64)
     after = np.asarray(after, dtype=np.float64).view(np.uint64)
     return BoundReport(context, int(np.count_nonzero(before != after)), 0, tolerance=0)
-
-
-def blocks(n: int, row_size: int):
-    """Row counts of blocks that cover n rows of row_size floats each, at
-    most BLOCK_FLOATS floats to a block but at least one row."""
-    rows = max(1, BLOCK_FLOATS // row_size)
-    for start in range(0, n, rows):
-        yield min(rows, n - start)
-
-
-def verify_lemma1(n_pairs: int, dim: int, rng) -> float:
-    """Max |  ||a-b||^2 - 2(1 - cos(a,b)) | over seeded random unit pairs.
-
-    Each block of pairs is one (k, 2, dim) draw: a then b for every pair in
-    turn, the same normals as one (dim,) draw per vector."""
-    worst = 0.0
-    for k in blocks(n_pairs, 2 * dim):
-        v = l2_normalize(rng.standard_normal((k, 2, dim)))
-        a, b = v[:, 0], v[:, 1]
-        lhs = np.sum((a - b) ** 2, axis=1)
-        rhs = 2.0 * (1.0 - np.sum(a * b, axis=1))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
-
-
-def _mean_sq_distance(e, z):
-    """mean_k ||e_k - z_k||^2 over the rows of e, with z broadcast against
-    them: a 0-d array for one (d,) point z, one value per point for (m, 1, d)
-    points, and one per set for (K, n, d) stacks of e and z."""
-    return np.mean(np.sum((e - z) ** 2, axis=-1), axis=-1)
-
-
-def _mean_sq_distance_grad(e, z, h):
-    """The central difference of _mean_sq_distance(e, .) at the (d,) point
-    z with step h, all d coordinates in one pass per sign: the same floats
-    as numerics.finite_diff_grad, which steps one coordinate per call."""
-    step = h * np.eye(len(z))
-    f_plus = _mean_sq_distance(e, (z + step)[:, None])
-    return (f_plus - _mean_sq_distance(e, (z - step)[:, None])) / (2.0 * h)
-
-
-def verify_lemma2(class_embeddings, rng, n_probes: int = 100, context="mean-minimizer"):
-    """The unnormalized mean minimizes mean squared distance.
-
-    Returns two reports. The minimizer: lhs the mean squared distance to the
-    mean, rhs the best mean squared distance over random perturbed probe
-    points. The gradient at the mean, named context + " gradient at mean":
-    lhs the norm of a central finite difference of f(z) = mean_k ||e_k - z||^2
-    at z = mean, rhs its rounding tolerance.
-
-    f is quadratic in z, so a central difference has no truncation error at
-    any step h: away from the mean it reads the gradient 2(z - mean), and at
-    the computed mean only rounding is left. Per coordinate, to first order
-    in the unit roundoff u, for n rows of dimension d and M = max|e|, that
-    rounding is at most the sum of:
-    - (n + d + 2) u (f(mean) + h^2) / h from the two evaluations of f, each
-      a sum of nonnegative terms off by at most (n + d + 2) u f;
-    - 2 n u M, the true gradient at a computed mean that is off by n u M;
-    - 2 u (M + h), by which the rounded steps mean +- h differ.
-    The norm of the difference is checked against sqrt(d) times twice that
-    sum. h = 0.5 keeps h^2 and 1/h near the scale of f <= 1 of unit
-    embeddings, where the tolerance is 1e-14 to 1e-12.
-    """
-    e = np.asarray(class_embeddings, dtype=np.float64)
-    if e.ndim != 2 or len(e) < 2:
-        raise TooFewSamples("need at least 2 embeddings")
-    mean = e.mean(axis=0)
-    lhs = float(_mean_sq_distance(e, mean))
-    rhs = lhs if n_probes == 0 else np.inf
-    for k in blocks(n_probes, e.size):
-        z = mean + 0.1 * rng.standard_normal((k, len(mean)))
-        rhs = min(rhs, float(_mean_sq_distance(e, z[:, None]).min()))
-    h = 0.5
-    grad = _mean_sq_distance_grad(e, mean, h)
-    n, d = e.shape
-    u = np.finfo(np.float64).eps / 2
-    e_max = float(np.abs(e).max())
-    per_coord = (n + d + 2) * u * (lhs + h * h) / h + 2 * n * u * e_max + 2 * u * (e_max + h)
-    grad_tol = float(2.0 * np.sqrt(d) * per_coord)
-    return (
-        BoundReport(context, lhs, rhs, tolerance=1e-12),
-        BoundReport(f"{context} gradient at mean", float(np.linalg.norm(grad)), grad_tol, 0.0),
-    )

@@ -1,5 +1,5 @@
 """Low-level vector math: unit-sphere geometry, stable softmax machinery,
-momentum SGD, seeded RNG streams, and a central-difference gradient oracle.
+momentum SGD, seeded RNG streams and the finite-loss checks of training.
 
 All arithmetic is float64. The RNG is numpy's counter-based Philox generator,
 which produces identical streams for identical seeds on every platform.
@@ -20,8 +20,16 @@ from .errors import (
 EPS_NORM = 1e-8
 
 
+def require_seed(seed: int, what: str = "seed") -> int:
+    """seed if it lies in [0, 2^64), the range of one Philox key word; else a
+    ValueError naming what. A seed outside it would alias another modulo 2^64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream ids).
+    """Counter-based generator keyed by (seed, stream ids); see require_seed.
 
     Distinct stream ids give independent substreams of the same seed, so
     components (data generation, init, shuffling) can be reseeded without
@@ -35,7 +43,7 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
         word = ((word ^ (word >> 30)) * 0xBF58476D1CE4E5B9) & mask
         word = ((word ^ (word >> 27)) * 0x94D049BB133111EB) & mask
         word ^= word >> 31
-    key = np.array([int(seed) & mask, word], dtype=np.uint64)
+    key = np.array([require_seed(int(seed)), word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -109,37 +117,6 @@ def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
         v *= state.momentum
         v += g
         p -= state.lr * v
-
-
-def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
-    """Central-difference gradient of loss_fn(params) per coordinate.
-
-    loss_fn must be a pure function of the parameter dict; params are
-    perturbed in place and restored, so aliased views are safe. A scalar
-    loss gives each parameter's gradient in its own shape. A loss that
-    returns an (m,) vector of m losses gives p.shape + (m,) per parameter p:
-    entry [..., k] is the gradient of loss k, the same floats as a scalar
-    call on loss k alone, at two evaluations of loss_fn per coordinate.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grads = {}
-    for name, p in params.items():
-        flat_p = p.reshape(-1)
-        diffs = []
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            f_plus = np.asarray(loss_fn(params), dtype=np.float64)
-            flat_p[i] = orig - h
-            f_minus = np.asarray(loss_fn(params), dtype=np.float64)
-            flat_p[i] = orig
-            if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
-                raise NonFiniteLoss(f"non-finite loss probing {name}[{i}]")
-            diffs.append((f_plus - f_minus) / (2.0 * h))
-        g = np.array(diffs, dtype=np.float64)
-        grads[name] = g.reshape(p.shape + g.shape[1:])
-    return grads
 
 
 def require_finite(losses, what: str) -> None:

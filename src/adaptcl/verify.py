@@ -1,4 +1,5 @@
-"""Standalone verification campaigns for every runtime guarantee: the
+"""The `adaptcl verify` campaigns, their lemma checkers and the
+central-difference gradient oracle, for every runtime guarantee: the
 distance-cosine identity, the mean-as-minimizer property, the
 misclassification loss threshold, the Markov error bound, the
 feature-deviation bound, and the analytic-vs-numeric gradient battery."""
@@ -9,15 +10,13 @@ import numpy as np
 
 from . import model as model_mod
 from .adaptation import acl_loss, acl_losses
+from .errors import NonFiniteLoss, TooFewSamples
 from .metrics import (
-    BLOCK_FLOATS,
     BoundReport,
-    blocks,
     check_loss_threshold,
     check_markov_bound,
     check_stability_bounds,
-    verify_lemma1,
-    verify_lemma2,
+    mean_sq_distance,
 )
 from .model import (
     Classifier,
@@ -27,12 +26,16 @@ from .model import (
     init_model,
     model_params,
 )
-from .numerics import finite_diff_grad, l2_normalize, make_rng
+from .numerics import l2_normalize, make_rng
 
 EPS = np.finfo(np.float64).eps
 LEMMA1_DIMS = (2, 16, 64)
 DIM = 16  # of the unit vectors of lemma2, threshold, markov and stability
 GRAD_REL_TOL, GRAD_H = 1e-4, 1e-5
+# the most floats one array pass of a verify campaign draws:
+# whole campaigns at once raised the peak memory of `adaptcl verify` by about
+# a megabyte, 16384 floats still by 0.3 MB, 8192 by none that showed
+BLOCK_FLOATS = 8192
 
 
 @dataclass
@@ -53,6 +56,82 @@ class VerifySizes:
     stability_draws: int = 1000
     grad_seeds: int = 3
     grad_probes: int = 10
+
+
+def blocks(n: int, row_size: int):
+    """Row counts of blocks that cover n rows of row_size floats each, at
+    most BLOCK_FLOATS floats to a block but at least one row."""
+    rows = max(1, BLOCK_FLOATS // row_size)
+    for start in range(0, n, rows):
+        yield min(rows, n - start)
+
+
+def verify_lemma1(n_pairs: int, dim: int, rng) -> float:
+    """Max |  ||a-b||^2 - 2(1 - cos(a,b)) | over seeded random unit pairs.
+
+    Each block of pairs is one (k, 2, dim) draw: a then b for every pair in
+    turn, the same normals as one (dim,) draw per vector."""
+    worst = 0.0
+    for k in blocks(n_pairs, 2 * dim):
+        v = l2_normalize(rng.standard_normal((k, 2, dim)))
+        a, b = v[:, 0], v[:, 1]
+        lhs = np.sum((a - b) ** 2, axis=1)
+        rhs = 2.0 * (1.0 - np.sum(a * b, axis=1))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def _mean_sq_distance_grad(e, z, h):
+    """The central difference of mean_sq_distance(e, .) at the (d,) point
+    z with step h, all d coordinates in one pass per sign: the same floats
+    as finite_diff_grad, which steps one coordinate per call."""
+    step = h * np.eye(len(z))
+    f_plus = mean_sq_distance(e, (z + step)[:, None])
+    return (f_plus - mean_sq_distance(e, (z - step)[:, None])) / (2.0 * h)
+
+
+def verify_lemma2(class_embeddings, rng, n_probes: int = 100, context="mean-minimizer"):
+    """The unnormalized mean minimizes mean squared distance.
+
+    Returns two reports. The minimizer: lhs the mean squared distance to the
+    mean, rhs the best mean squared distance over random perturbed probe
+    points. The gradient at the mean, named context + " gradient at mean":
+    lhs the norm of a central finite difference of f(z) = mean_k ||e_k - z||^2
+    at z = mean, rhs its rounding tolerance.
+
+    f is quadratic in z, so a central difference has no truncation error at
+    any step h: away from the mean it reads the gradient 2(z - mean), and at
+    the computed mean only rounding is left. Per coordinate, to first order
+    in the unit roundoff u, for n rows of dimension d and M = max|e|, that
+    rounding is at most the sum of:
+    - (n + d + 2) u (f(mean) + h^2) / h from the two evaluations of f, each
+      a sum of nonnegative terms off by at most (n + d + 2) u f;
+    - 2 n u M, the true gradient at a computed mean that is off by n u M;
+    - 2 u (M + h), by which the rounded steps mean +- h differ.
+    The norm of the difference is checked against sqrt(d) times twice that
+    sum. h = 0.5 keeps h^2 and 1/h near the scale of f <= 1 of unit
+    embeddings, where the tolerance is 1e-14 to 1e-12.
+    """
+    e = np.asarray(class_embeddings, dtype=np.float64)
+    if e.ndim != 2 or len(e) < 2:
+        raise TooFewSamples("need at least 2 embeddings")
+    mean = e.mean(axis=0)
+    lhs = float(mean_sq_distance(e, mean))
+    rhs = lhs if n_probes == 0 else np.inf
+    for k in blocks(n_probes, e.size):
+        z = mean + 0.1 * rng.standard_normal((k, len(mean)))
+        rhs = min(rhs, float(mean_sq_distance(e, z[:, None]).min()))
+    h = 0.5
+    grad = _mean_sq_distance_grad(e, mean, h)
+    n, d = e.shape
+    u = np.finfo(np.float64).eps / 2
+    e_max = float(np.abs(e).max())
+    per_coord = (n + d + 2) * u * (lhs + h * h) / h + 2 * n * u * e_max + 2 * u * (e_max + h)
+    grad_tol = float(2.0 * np.sqrt(d) * per_coord)
+    return (
+        BoundReport(context, lhs, rhs, tolerance=1e-12),
+        BoundReport(f"{context} gradient at mean", float(np.linalg.norm(grad)), grad_tol, 0.0),
+    )
 
 
 def _random_units(rng, n, dim):
@@ -222,6 +301,37 @@ def _gradient_probes(seed, s, n_probes):
             y = np.concatenate([y, batch_rng.integers(3, size=2)])
         probes.append((x, y, tau))
     return backbone, adapter, table, probes
+
+
+def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
+    """Central-difference gradient of loss_fn(params) per coordinate.
+
+    loss_fn must be a pure function of the parameter dict; params are
+    perturbed in place and restored, so aliased views are safe. A scalar
+    loss gives each parameter's gradient in its own shape. A loss that
+    returns an (m,) vector of m losses gives p.shape + (m,) per parameter p:
+    entry [..., k] is the gradient of loss k, the same floats as a scalar
+    call on loss k alone, at two evaluations of loss_fn per coordinate.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    grads = {}
+    for name, p in params.items():
+        flat_p = p.reshape(-1)
+        diffs = []
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + h
+            f_plus = np.asarray(loss_fn(params), dtype=np.float64)
+            flat_p[i] = orig - h
+            f_minus = np.asarray(loss_fn(params), dtype=np.float64)
+            flat_p[i] = orig
+            if not (np.isfinite(f_plus).all() and np.isfinite(f_minus).all()):
+                raise NonFiniteLoss(f"non-finite loss probing {name}[{i}]")
+            diffs.append((f_plus - f_minus) / (2.0 * h))
+        g = np.array(diffs, dtype=np.float64)
+        grads[name] = g.reshape(p.shape + g.shape[1:])
+    return grads
 
 
 def _numeric_gradients(backbone, adapter, table, probes, h):

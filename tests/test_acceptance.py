@@ -18,11 +18,9 @@ from adaptcl.metrics import (
     forgetting,
     last_accuracy,
     plasticity,
-    verify_lemma1,
-    verify_lemma2,
 )
 from adaptcl.numerics import l2_normalize, make_rng
-from adaptcl.verify import run_gradient_battery, run_threshold
+from adaptcl.verify import run_gradient_battery, run_threshold, verify_lemma1, verify_lemma2
 
 LOG2 = math.log(2.0)
 DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"

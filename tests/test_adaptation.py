@@ -21,7 +21,8 @@ from adaptcl.model import (
     init_model,
     label_index,
 )
-from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
+from adaptcl.numerics import l2_normalize, make_rng
+from adaptcl.verify import finite_diff_grad
 
 LOG2 = math.log(2.0)
 

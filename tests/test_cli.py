@@ -89,6 +89,11 @@ class TestConfigErrors:
             "run.seeds = 5,5",
             "run.seeds = 1\nrun.seeds = 2",
             "data.input_dim = 0",
+            "run.seeds = -1",
+            "run.seeds = 18446744073709551616",
+            "run.seeds = -1,18446744073709551615",
+            "data.seed = -1",
+            "data.seed = 18446744073709551616",
         ],
         ids=[
             "sigma-negative",
@@ -105,6 +110,11 @@ class TestConfigErrors:
             "seed-repeated",
             "key-repeated",
             "input-dim-zero",
+            "seed-negative",
+            "seed-2-to-the-64",
+            "seed-aliasing-the-largest",
+            "data-seed-negative",
+            "data-seed-2-to-the-64",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, line):
@@ -855,6 +865,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_verify_seed_range(self, monkeypatch):
+        # a seed is one Philox key word: -1 would print what 2^64 - 1 prints
+        seeds = []
+        monkeypatch.setattr(adaptcl.cli, "cmd_verify", lambda seed, sizes: seeds.append(seed) or 0)
+        for seed in ("-1", "18446744073709551616"):
+            code, err = _exit_and_stderr(["verify", "--seed", seed])
+            assert code == 2 and _one_line(err, "config error: --seed must be in [0, 2^64), got")
+        assert _exit_and_stderr(["verify", "--seed", "18446744073709551615"]) == (0, "")
+        assert seeds == [2**64 - 1]
+
 
 @pytest.fixture
 def fresh_checkpoint(tmp_path):
@@ -1002,6 +1022,40 @@ def _exit_and_stderr(argv):
 
 def _one_line(err, *prefixes):
     return err.count("\n") == 1 and err.startswith(prefixes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["run"],
+        ["run", "--config", "x.cfg", "--bogus"],
+        ["sweep", "--config", "x.cfg"],
+        ["verify", "--seed", "1.5"],
+        ["verify", "--sizes"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "missing-option",
+        "unknown-option",
+        "missing-axis",
+        "seed-not-an-int",
+        "option-without-value",
+    ],
+)
+def test_bad_command_line(argv):
+    # argparse would print usage plus an error line and raise SystemExit
+    code, err = _exit_and_stderr(argv)
+    assert code == 2 and _one_line(err, "config error: adaptcl"), err
+
+
+def test_help_still_exits(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "-h"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: adaptcl verify")
 
 
 def _write(path, text):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every dataclass field of the package is read somewhere in it, no check of
 the package is an assert statement, the cli loads no module that its
-commands do not all need, and only numerics scales vectors to unit norm."""
+commands do not all need, what only verify calls is defined in verify,
+and only numerics scales vectors to unit norm."""
 
 import ast
 import os
@@ -93,15 +94,96 @@ def test_no_assert_statements(module):
     assert assert_statements((PACKAGE / module).read_text()) == []
 
 
-def test_cli_import_skips_verify():
+# what only `adaptcl verify` calls, all defined in verify.py
+VERIFY_ONLY = (
+    "BLOCK_FLOATS",
+    "blocks",
+    "verify_lemma1",
+    "_mean_sq_distance_grad",
+    "verify_lemma2",
+    "finite_diff_grad",
+)
+
+
+def test_cli_import_skips_verify(tmp_path):
     # every adaptcl process imports the cli, and only `adaptcl verify` runs
-    # the campaigns; the others would load and compile the module for nothing
-    code = "import sys, adaptcl.cli; print('adaptcl.verify' in sys.modules)"
+    # the campaigns; the others would load and compile the module for
+    # nothing. A run that stops at its config loads every module a run
+    # imports, and none of them defines what only verify calls.
+    code = (
+        "import sys, adaptcl.cli\n"
+        f"adaptcl.cli.main(['run', '--config', {str(tmp_path / 'none.cfg')!r}])\n"
+        "loaded = [m for n, m in sys.modules.items() if n.startswith('adaptcl')]\n"
+        f"print('adaptcl.verify' in sys.modules, [n for m in loaded for n in {VERIFY_ONLY}"
+        " if hasattr(m, n)])"
+    )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False []"
+
+
+def _top_level_names(tree) -> dict:
+    """name -> the top-level statement of the module that defines it."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined[stmt.name] = stmt
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                defined.update((n.id, stmt) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return defined
+
+
+def _referenced(stmts) -> set:
+    """Names that the statements load, read as an attribute or import."""
+    names = set()
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def verify_only_names(sources: dict) -> list:
+    """Top-level names of modules other than verify.py and errors.py that
+    no module but verify.py references outside the name's own definition:
+    code that only `adaptcl verify` runs, which belongs in verify.py, where
+    other commands do not load it. errors.py is exempt as the home of the
+    shared exception types. Like unread_fields, the check is by name only."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = {module: _referenced(tree.body) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        if module in ("verify.py", "errors.py"):
+            continue
+        for name, stmt in _top_level_names(tree).items():
+            users = {m for m, names in references.items() if m != module and name in names}
+            if name in _referenced(s for s in tree.body if s is not stmt):
+                users.add(module)
+            if users == {"verify.py"}:
+                found.append(f"{module}: {name}")
+    return found
+
+
+def test_detects_a_verify_only_name():
+    sources = {
+        "a.py": "X = 1\nY = X\ndef f():\n    return f()\ndef g():\n    pass\n",
+        "b.py": "from .a import Y\nimport a\nprint(Y, a.g)\ndef h():\n    pass\n",
+        "errors.py": "class E(Exception):\n    pass\n",
+        "verify.py": "from .a import f, X\nfrom .b import h\nfrom .errors import E\n",
+    }
+    assert verify_only_names(sources) == ["a.py: f", "b.py: h"]
+
+
+def test_verify_only_names_live_in_verify():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert verify_only_names(sources) == []
 
 
 def test_eps_norm_only_in_numerics():

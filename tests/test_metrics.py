@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import adaptcl.metrics
+import adaptcl.verify
 from adaptcl.errors import (
     BoundViolation,
     IncompleteMatrix,
@@ -14,7 +14,6 @@ from adaptcl.errors import (
     TooFewSamples,
 )
 from adaptcl.metrics import (
-    BLOCK_FLOATS,
     AccuracyMatrix,
     BoundReport,
     avg_incremental_accuracy,
@@ -25,10 +24,9 @@ from adaptcl.metrics import (
     forgetting,
     last_accuracy,
     plasticity,
-    verify_lemma1,
-    verify_lemma2,
 )
 from adaptcl.numerics import l2_normalize, make_rng
+from adaptcl.verify import BLOCK_FLOATS, verify_lemma1, verify_lemma2
 
 LOG2 = math.log(2.0)
 
@@ -235,7 +233,7 @@ class TestLemma1:
         for _ in range(n_pairs):
             a, b = rng.standard_normal(dim), rng.standard_normal(dim)
             worst = max(worst, abs(float(np.sum((a - b) ** 2)) - 2.0 * (1.0 - float(a @ b))))
-        monkeypatch.setattr(adaptcl.metrics, "l2_normalize", lambda v: v)
+        monkeypatch.setattr(adaptcl.verify, "l2_normalize", lambda v: v)
         got = verify_lemma1(n_pairs, dim, make_rng(11, dim))
         assert got == pytest.approx(worst, rel=1e-12)
 

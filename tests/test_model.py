@@ -21,7 +21,8 @@ from adaptcl.model import (
     raw_embed,
     save_checkpoint,
 )
-from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
+from adaptcl.numerics import l2_normalize, make_rng
+from adaptcl.verify import finite_diff_grad
 
 
 @pytest.fixture

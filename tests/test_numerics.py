@@ -14,13 +14,13 @@ from adaptcl.errors import (
 )
 from adaptcl.numerics import (
     OptimizerState,
-    finite_diff_grad,
     l2_normalize,
     l2_normalize_with_norm,
     make_rng,
     sgd_step,
     softmax_cross_entropy,
 )
+from adaptcl.verify import finite_diff_grad
 
 finite_floats = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -254,6 +254,13 @@ class TestRng:
         a = make_rng(123, 1).standard_normal(10)
         b = make_rng(123, 2).standard_normal(10)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_one_key_word(self, seed):
+        # -1 would alias 2^64 - 1, and 2^64 would alias 0
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+            make_rng(seed)
+        assert make_rng(2**64 - 1).standard_normal() != make_rng(0).standard_normal()
 
 
 def test_sphere_distance_cosine_identity():

@@ -10,7 +10,7 @@ from adaptcl.adaptation import acl_loss
 from adaptcl.errors import DegenerateVector
 from adaptcl.metrics import BoundReport, check_loss_threshold, check_markov_bound
 from adaptcl.model import Classifier, classify, embed, model_params
-from adaptcl.numerics import finite_diff_grad, l2_normalize, make_rng
+from adaptcl.numerics import l2_normalize, make_rng
 from adaptcl.verify import (
     VerifySizes,
     _campaign,
@@ -18,6 +18,7 @@ from adaptcl.verify import (
     _numeric_gradients,
     _random_units,
     _rounding_floor,
+    finite_diff_grad,
     run_all,
     run_gradient_battery,
     run_lemma1,
@@ -148,13 +149,13 @@ def test_row_zero_only_mutation_caught(monkeypatch):
 def test_lemma2_shifted_point_mutation_caught(monkeypatch):
     # the gradient check must fail when it probes the renormalized prototype
     # instead of the mean
-    real_grad = adaptcl.metrics._mean_sq_distance_grad
+    real_grad = adaptcl.verify._mean_sq_distance_grad
 
     def at_prototype(e, z, h):
         return real_grad(e, z / np.linalg.norm(z), h)
 
     assert run_lemma2(0, 5, 20).passed
-    monkeypatch.setattr(adaptcl.metrics, "_mean_sq_distance_grad", at_prototype)
+    monkeypatch.setattr(adaptcl.verify, "_mean_sq_distance_grad", at_prototype)
     result = run_lemma2(0, 5, 20)
     assert not result.passed
     assert "lhs=" in result.detail
@@ -168,17 +169,17 @@ def test_lemma2_gradient_bits_equal_finite_diff_grad(seed):
     for _ in range(20):
         e = _random_units(rng, int(rng.integers(2, 51)), 16)
         mean = e.mean(axis=0)
-        one_pass = adaptcl.metrics._mean_sq_distance_grad(e, mean, 0.5)
-        loss = lambda p: adaptcl.metrics._mean_sq_distance(e, p["z"])  # noqa: E731
+        one_pass = adaptcl.verify._mean_sq_distance_grad(e, mean, 0.5)
+        loss = lambda p: adaptcl.metrics.mean_sq_distance(e, p["z"])  # noqa: E731
         per_coordinate = finite_diff_grad(loss, {"z": mean.copy()}, 0.5)["z"]
         assert one_pass.tobytes() == per_coordinate.tobytes()
 
 
 def test_lemma1_mutation_caught(monkeypatch):
     # vectors normalized by a norm one part in 1e6 too large must fail the identity
-    real_normalize = adaptcl.metrics.l2_normalize
+    real_normalize = adaptcl.verify.l2_normalize
     assert run_lemma1(0, SMALL.lemma1_pairs).passed
-    monkeypatch.setattr(adaptcl.metrics, "l2_normalize", lambda v: real_normalize(v) / (1 + 1e-6))
+    monkeypatch.setattr(adaptcl.verify, "l2_normalize", lambda v: real_normalize(v) / (1 + 1e-6))
     result = run_lemma1(0, SMALL.lemma1_pairs)
     assert not result.passed
     assert "lhs=" in result.detail
@@ -246,7 +247,7 @@ def test_stability_checks_blocks(monkeypatch):
     calls = _counted(monkeypatch, "check_stability_bounds")
     draws = VerifySizes().stability_draws
     assert run_stability(0, draws).passed
-    assert 0 < len(calls) <= -(-draws // (adaptcl.metrics.BLOCK_FLOATS // (6 * 16)))
+    assert 0 < len(calls) <= -(-draws // (adaptcl.verify.BLOCK_FLOATS // (6 * 16)))
 
 
 def test_random_units():
