@@ -93,6 +93,9 @@ def _config_keys() -> dict:
 
 
 CONFIG_KEYS = _config_keys()
+# retired keys, each with the one value (in any case) that parse_config still
+# skips, so that manifests written before it was retired load
+RETIRED_KEYS = {"core.tune_adapter": "false"}
 
 
 def _convert(key: str, text: str, f):
@@ -145,6 +148,8 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if RETIRED_KEYS.get(key) == value.lower():
+            continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:

@@ -15,16 +15,8 @@ import numpy as np
 from .adaptation import AdaptConfig, adapt, compute_prototypes
 from .errors import AdaptclError, BoundViolation, NonFiniteLoss
 from .metrics import AccuracyMatrix, check_unchanged
-from .model import (
-    Classifier,
-    adapter_with_tape,
-    backprop,
-    classify,
-    embed,
-    label_index,
-    raw_embed,
-)
-from .numerics import OptimizerState, diverged_as, sgd_step
+from .model import Classifier, classify, embed, label_index
+from .numerics import diverged_as
 
 CORE_STRATEGIES = ("ncm", "linear")
 
@@ -34,7 +26,6 @@ class CoreConfig:
     strategy: str = "ncm"
     epochs: int = 10
     lr: float = 0.1
-    tune_adapter: bool = False
 
     def __post_init__(self):
         if self.strategy not in CORE_STRATEGIES:
@@ -97,9 +88,9 @@ def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
 
 
 def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng):
-    """Cross-entropy fine-tuning of the linear head (optionally the adapter)
-    on current-task data; the backbone stays bit-identical, or the
-    frozen-backbone check raises BoundViolation.
+    """Cross-entropy fine-tuning of the linear head on current-task data,
+    embedded once by the frozen adapted model; the backbone stays
+    bit-identical, or the frozen-backbone check raises BoundViolation.
 
     The head takes plain SGD steps of batch size 1 with no momentum: for each
     sample (e, y), p = softmax(W e + b), W -= lr * outer(p - onehot(y), e) and
@@ -108,29 +99,18 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     [e, 1]: the bias column gets (delta * 1.0) * lr, the same floats as
     delta * lr. The logits stay W e + b, not [W | b] @ [e, 1], whose floats
     depend on the BLAS kernel. W and b are written back to the Classifier at
-    the end as arrays of their own. With tune_adapter the embedding gradient (p - onehot(y)) @ W, taken before the
-    head update, is backpropagated into the adapter, which takes the same
-    kind of step; the backbone's raw embeddings are computed once, and
-    backprop stops there."""
+    the end as arrays of their own."""
     before = state.backbone.flat.copy()
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    d, lr, adapter = head.weight.shape[1], config.lr, state.adapter
+    d, lr = head.weight.shape[1], config.lr
     Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
     head.weight, head.bias = W, b = Wb[:, :d], Wb[:, d]  # a failed call leaves its steps so far
-    adapter_state, grads = OptimizerState(lr=lr), None
-    tuned = config.tune_adapter and adapter is not None
-    if tuned:
-        # one row at a time, as a per-sample forward pass computes them: a
-        # batched forward differs in the last bits
-        inputs = np.concatenate([raw_embed(state.backbone, x[i : i + 1]) for i in range(len(x))])
-        unit = np.ones(d + 1)  # [e, 1] for the adapter's unit embedding e
-    else:
-        inputs = np.ones((len(x), d + 1))  # rows [e, 1]
-        inputs[:, :d] = embed(state.backbone, adapter, x)
+    inputs = np.ones((len(x), d + 1))  # rows [e, 1]
+    inputs[:, :d] = embed(state.backbone, state.adapter, x)
     # the head step's buffers: logits, scratch, p - onehot(y) and its outer product with [e, 1]
     z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(Wb.shape)
     column = delta[:, None]
@@ -140,10 +120,6 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
             order = rng.permutation(len(labels))
             shuffled = inputs[order]
             for ea, e, r in zip(shuffled, shuffled[:, :d], rows[order].tolist()):
-                if tuned:  # ea and e are the raw embedding
-                    (e,), tape = adapter_with_tape(adapter, e[None])
-                    unit[:d] = e
-                    ea = unit
                 dot(W, e, z)
                 add(z, b, z)
                 # numerics.softmax_cross_entropy inline, for one row: a kernel call
@@ -156,9 +132,6 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
                     raise NonFiniteLoss(f"core-learning loss {loss}")
                 exp(subtract(z, lse, delta), delta)  # softmax, then minus onehot(y)
                 delta[r] -= 1.0
-                if tuned:
-                    grads = backprop(tape, None, adapter, (delta @ W)[None], grads)
-                    sgd_step([adapter.flat], [grads[1].flat], adapter_state)
                 Wb -= multiply(multiply(column, ea, outer), lr, outer)
     head.weight, head.bias = W.copy(), b.copy()  # C-contiguous, owning their data
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")

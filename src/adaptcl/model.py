@@ -131,42 +131,33 @@ def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator):
 
 @dataclass
 class Tape:
-    """Intermediates of one forward pass over an (n, D) batch, or of its
-    adapter part over (n, d) raw embeddings; consumed exactly once by
-    backprop. unit is (n, d) and norm (n,)."""
+    """Intermediates of one forward pass over an (n, D) batch; consumed
+    exactly once by backprop. unit is (n, d) and norm (n,)."""
 
-    acts: "list | None"  # each backbone layer's input; None for a tape that starts at raw
-    raw_embed: np.ndarray  # backbone output before adapter
+    acts: list  # each backbone layer's input
+    raw: np.ndarray  # backbone output before adapter
     adapter_act: "np.ndarray | None"  # act(e @ Down^T); None without an adapter
     norm: np.ndarray
     unit: np.ndarray
     consumed: bool = False
 
 
-def raw_embed(backbone: Backbone, x, acts=None) -> np.ndarray:
-    """The backbone part of the forward pass: (n, D) rows to the (n, d) raw
-    embeddings, before the adapter. acts, a list, receives each layer's
-    input, which backprop needs to continue into the backbone."""
+def embed_with_tape(backbone: Backbone, adapter, x):
+    """Forward pass over (n, D) rows: backbone, adapter, l2-normalize.
+    Returns the (n, d) unit embeddings and the Tape that backprop consumes."""
     a = np.asarray(x, dtype=np.float64)
     in_dim = backbone.weights[0].shape[1]
     if a.ndim != 2 or a.shape[1] != in_dim:
         raise DimensionMismatch(f"input shape {a.shape} vs expected (n, {in_dim})")
-    acts = [] if acts is None else acts
+    acts = []
     for w, b in zip(backbone.weights[:-1], backbone.biases[:-1]):
         acts.append(a)
         z = a @ w.T
         z += b
         a = _act(backbone.activation, z)
     acts.append(a)
-    z = a @ backbone.weights[-1].T
-    z += backbone.biases[-1]
-    return z
-
-
-def adapter_with_tape(adapter, raw, acts=None):
-    """The adapter part of the forward pass: (n, d) raw embeddings to the
-    (n, d) unit embeddings and their Tape. Without the backbone's acts, the
-    tape's backprop stops at the raw embedding."""
+    raw = a @ backbone.weights[-1].T
+    raw += backbone.biases[-1]
     a, adapter_act = raw, None
     if adapter is not None:
         adapter_act = _act(adapter.activation, raw @ adapter.down.T)
@@ -175,16 +166,7 @@ def adapter_with_tape(adapter, raw, acts=None):
         unit, norm = l2_normalize_with_norm(a)
     except DegenerateVector as e:
         raise DegenerateVector(f"embedding {e}") from e
-    tape = Tape(acts=acts, raw_embed=raw, adapter_act=adapter_act, norm=norm, unit=unit)
-    return unit, tape
-
-
-def embed_with_tape(backbone: Backbone, adapter, x):
-    """Forward pass over (n, D) rows: the backbone part, then the adapter
-    part. Returns the (n, d) unit embeddings and the Tape that backprop
-    consumes."""
-    acts = []
-    return adapter_with_tape(adapter, raw_embed(backbone, x, acts), acts)
+    return unit, Tape(acts=acts, raw=raw, adapter_act=adapter_act, norm=norm, unit=unit)
 
 
 def embed(backbone: Backbone, adapter, x) -> np.ndarray:
@@ -209,8 +191,6 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
     """
     if tape.consumed:
         raise TapeConsumed("tape already used")
-    if backbone is not None and tape.acts is None:
-        raise ValueError("tape has no backbone activations: it starts at the raw embedding")
     tape.consumed = True
     g = np.asarray(d_embedding, dtype=np.float64)
     if g.shape != tape.unit.shape:
@@ -233,7 +213,7 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
         d_h = _act_deriv(adapter.activation, h)
         d_h *= delta @ adapter.up
         np.matmul(delta.T, h, out=d_adapter.up)
-        np.matmul(d_h.T, tape.raw_embed, out=d_adapter.down)
+        np.matmul(d_h.T, tape.raw, out=d_adapter.down)
         if backbone is not None:
             delta += d_h @ adapter.down
     if backbone is None:
@@ -336,8 +316,9 @@ def _header(lines, i, key):
 def load_checkpoint(path):
     """The model save_checkpoint wrote. Raises CheckpointError unless the file
     starts with its activation;<name> and n_layers;<N> lines and holds a
-    known activation, finite values, each layer array once, both
-    adapter arrays or neither, no other array, and layer shapes that chain."""
+    known activation, dims of decimal counts, finite values, each layer array
+    once, both adapter arrays or neither, no other array, and layer shapes
+    that chain."""
     from .errors import CheckpointError
 
     try:
@@ -358,7 +339,10 @@ def load_checkpoint(path):
             name, dims = lines[i].split(";")
             if name in arrays:
                 raise ValueError(f"repeated array {name}")
-            shape = tuple(int(s) for s in dims.split("x"))
+            sizes = dims.split("x")
+            if not all(s.isdecimal() for s in sizes):  # int() reads -1, +1 and " 1" too
+                raise ValueError(f"{name} dims {dims!r}: want counts joined by x")
+            shape = tuple(map(int, sizes))
             row = lines[i + 1]  # empty for an array of size 0
             values = np.array([float(v) for v in row.split(",")] if row else [])
             if not np.isfinite(values).all():

@@ -18,7 +18,7 @@ import adaptcl.cli
 import adaptcl.continual
 import adaptcl.data
 import adaptcl.verify
-from adaptcl.cli import CONFIG_KEYS, config_text, load_config, main
+from adaptcl.cli import CONFIG_KEYS, config_text, load_config, main, parse_config
 from adaptcl.errors import ConfigError, NonFiniteLoss
 from adaptcl.model import ACTIVATIONS, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from adaptcl.numerics import make_rng
@@ -195,6 +195,38 @@ class TestConfigErrors:
 
 REPO = Path(__file__).resolve().parents[1]
 
+# the config text of a manifest written while core.tune_adapter was a key
+RETIRED_KEY_MANIFEST_CONFIG = """data.input_dim = 32
+data.n_pretrain_classes = 10
+data.n_incremental_classes = 8
+data.n_tasks = 4
+data.train_per_class = 100
+data.test_per_class = 50
+data.sigma = 0.3
+data.domain_shift = 2.0
+data.seed = 0
+model.embed_dim = 16
+model.hidden = 64,64
+model.activation = tanh
+model.adapter_rank = 8
+pretrain.epochs = 30
+pretrain.lr = 0.05
+adapt.temperature = 0.1
+adapt.epochs = 1
+adapt.lr = 0.05
+adapt.batch_size = 16
+adapt.momentum = 0.0
+adapt.first_task_only = false
+adapt.modes = acl,disabled
+core.strategy = ncm
+core.epochs = 10
+core.lr = 0.1
+core.tune_adapter = false
+metrics.plasticity = best_ever
+run.seeds = 1993,1994,1995,1996,1997
+run.out = out
+"""
+
 
 class TestSchema:
     def test_accepted_keys(self):
@@ -224,7 +256,6 @@ class TestSchema:
             "core.strategy",
             "core.epochs",
             "core.lr",
-            "core.tune_adapter",
             "metrics.plasticity",
             "run.seeds",
             "run.out",
@@ -232,8 +263,27 @@ class TestSchema:
         table = (REPO / "README.md").read_text().split("### Config format")[1]
         table = table.split("\n### ")[0]
         assert [key for key in CONFIG_KEYS if f"`{key}`" not in table] == []
+        rows = [line.split(" | ")[0] for line in table.splitlines() if line.startswith("| `")]
+        named = {key for row in rows for key in row.split("`")[1::2]}
+        assert named - set(CONFIG_KEYS) == set()
         for path in (REPO / "configs" / "default.cfg", REPO / "perfbench" / "default.cfg"):
             assert load_config(path).run_seeds == (1993, 1994, 1995, 1996, 1997)
+
+    def test_retired_key_loads_only_as_false(self, tmp_path):
+        # an old manifest's config reads as if it had no core.tune_adapter line
+        old = RETIRED_KEY_MANIFEST_CONFIG
+        without = old.replace("core.tune_adapter = false\n", "")
+        assert without != old
+        config = parse_config(without)
+        assert parse_config(old) == config
+        for value in ("False", "FALSE"):
+            assert parse_config(f"{without}core.tune_adapter = {value}\n") == config
+        assert "tune_adapter" not in config_text(parse_config(old))
+        path = tmp_path / "tuned.cfg"
+        path.write_text(without + "core.tune_adapter = true\n")
+        code, err = _exit_and_stderr(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2 and _one_line(err, "config error:"), err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRun:
@@ -744,7 +794,7 @@ class TestFailures:
         adaptation = (
             "adaptation diverged in epoch 1: embedding norm inf: need a finite norm > 1e-08"
         )
-        core = "core learning diverged in epoch 1: overflow encountered in multiply"
+        core = "core learning diverged in epoch 1: overflow encountered in "
         cases = {
             # pretraining diverges, so both cells of the seed fail before run_acl
             "pretrain.lr = 1e200": {
@@ -753,10 +803,10 @@ class TestFailures:
             },
             # adaptation diverges; the disabled cell does not adapt and passes
             "adapt.lr = 1e200": {"acl": ("failed: NonFiniteLoss: ", adaptation)},
-            # the adapter's core-learning step overflows in both cells
-            "core.strategy = linear\ncore.tune_adapter = true\ncore.lr = 1e200": {
-                "acl": ("failed: NonFiniteLoss: ", core),
-                "disabled": ("failed: NonFiniteLoss: ", core),
+            # the head's core-learning step overflows in both cells
+            "core.strategy = linear\ncore.lr = 1e308": {
+                "acl": ("failed: NonFiniteLoss: ", core + "add"),
+                "disabled": ("failed: NonFiniteLoss: ", core + "subtract"),
             },
         }
         for i, (setting, cells) in enumerate(cases.items()):
@@ -796,7 +846,7 @@ class TestFailures:
     def test_huge_core_lr_head_only_passes(self, tiny_config, tmp_path, capsys):
         # a head-only linear core stays finite at this step size: the
         # per-epoch divergence guard must not fail it
-        text = "core.strategy = linear\ncore.tune_adapter = false\ncore.lr = 1e200\n"
+        text = "core.strategy = linear\ncore.lr = 1e200\n"
         tiny_config.write_text(tiny_config.read_text() + text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -966,6 +1016,9 @@ class TestDumpEmbeddings:
             ("activation;tanh", "colour;tanh"),
             ("n_layers;2", "widgets;2"),
             ("activation;tanh", "activation;tanh;relu"),
+            ("layer0.W;12x8", "layer0.W;-1x8"),
+            ("layer0.W;12x8", "layer0.W;+12x8"),
+            ("layer0.W;12x8", "layer0.W; 12x8"),
         ],
         ids=[
             "unknown-activation",
@@ -976,6 +1029,9 @@ class TestDumpEmbeddings:
             "activation-key-renamed",
             "n_layers-key-renamed",
             "activation-extra-field",
+            "negative-dim",
+            "signed-dim",
+            "spaced-dim",
         ],
     )
     def test_invalid_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, old, new):
@@ -1106,7 +1162,7 @@ def test_fuzz_config(tiny_config, tmp_path, lines, repeat):
 
 @FUZZ
 @given(lines=st.lists(_config_line | _text, max_size=6))
-@example(lines=["run.out = a b/c", "core.tune_adapter = TRUE", "pretrain.lr = 1e-3"])
+@example(lines=["run.out = a b/c", "adapt.first_task_only = TRUE", "pretrain.lr = 1e-3"])
 @example(lines=["run.seeds = 3, 1", "adapt.modes = disabled,acl", "data.sigma = 0.25"])
 def test_fuzz_config_text_round_trip(tmp_path, lines):
     # every config that loads is written as a text that loads back to it

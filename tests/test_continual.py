@@ -17,10 +17,8 @@ from adaptcl.errors import BoundViolation, NonFiniteLoss
 from adaptcl.model import (
     Classifier,
     ModelConfig,
-    backprop,
     classify,
     embed,
-    embed_with_tape,
     init_model,
     label_index,
 )
@@ -167,66 +165,48 @@ class TestCoreLearnLinear:
         assert acc(state) >= before
 
 
-def _reference_core_learn_linear(state, task_data, epochs, lr, rng, tune_adapter):
-    """Per-sample head SGD spelled out with ce_adapt_loss and sgd_step; a
-    frozen adapter embeds the task once, as core_learn_linear does."""
+def _reference_core_learn_linear(state, task_data, epochs, lr, rng):
+    """Per-sample head SGD spelled out with ce_adapt_loss and sgd_step on
+    the task embedded once, as core_learn_linear does."""
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    head_state, adapter_state = OptimizerState(lr=lr), OptimizerState(lr=lr)
+    head_state = OptimizerState(lr=lr)
     frozen = embed(state.backbone, state.adapter, x)
     for _ in range(epochs):
         for i in rng.permutation(len(labels)):
-            if tune_adapter:
-                e, tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
-            else:
-                e = frozen[i : i + 1]
-            _, d_e, d_w, d_b = ce_adapt_loss(e, rows[i : i + 1], head)
+            _, _, d_w, d_b = ce_adapt_loss(frozen[i : i + 1], rows[i : i + 1], head)
             sgd_step([head.weight, head.bias], [d_w, d_b], head_state)
-            if tune_adapter:
-                _, grads = backprop(tape, state.backbone, state.adapter, d_e)
-                sgd_step([state.adapter.flat], [grads.flat], adapter_state)
     return state
 
 
 def _allocating_core_learn_linear(state, task_data, config, rng):
     """core_learn_linear's loop spelled out with allocating array
-    expressions: each head step makes new arrays, and a tuned adapter runs
-    the whole model forward and backward for each sample."""
+    expressions: each head step makes new arrays."""
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
     W, b = head.weight, head.bias
-    adapter_state, grads = OptimizerState(lr=config.lr), None
-    tuned = config.tune_adapter and state.adapter is not None
-    if not tuned:
-        frozen = embed(state.backbone, state.adapter, x)
+    frozen = embed(state.backbone, state.adapter, x)
     for _ in range(config.epochs):
         for i in rng.permutation(len(labels)):
-            if not tuned:
-                e = frozen[i]
-            else:
-                (e,), tape = embed_with_tape(state.backbone, state.adapter, x[i : i + 1])
+            e = frozen[i]
             z = W @ e + b
             m = z.max()
             lse = m + np.log(np.exp(z - m).sum())
             delta = np.exp(z - lse)
             delta[rows[i]] -= 1.0
-            if tuned:
-                grads = backprop(tape, state.backbone, state.adapter, (delta @ W)[None], grads)
-                sgd_step([state.adapter.flat], [grads[1].flat], adapter_state)
             W -= config.lr * (delta[:, None] * e)
             b -= config.lr * delta
     return state
 
 
 class TestCoreLearnLinearReference:
-    @pytest.mark.parametrize("tune_adapter", [False, True])
-    def test_matches_reference_loop(self, stream_and_model, tune_adapter):
+    def test_matches_reference_loop(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         adapter.up[:] = make_rng(53).uniform(-0.3, 0.3, adapter.up.shape)
         states = [
@@ -234,33 +214,22 @@ class TestCoreLearnLinearReference:
             for _ in range(2)
         ]
         for task in stream.tasks:  # the second task grows a trained head
-            core = CoreConfig(epochs=3, lr=0.1, tune_adapter=tune_adapter)
+            core = CoreConfig(epochs=3, lr=0.1)
             core_learn_linear(states[0], task.train, core, make_rng(54))
-            _reference_core_learn_linear(
-                states[1], task.train, 3, 0.1, make_rng(54), tune_adapter
-            )
+            _reference_core_learn_linear(states[1], task.train, 3, 0.1, make_rng(54))
         lean, ref = states
         assert lean.classifier.class_ids == ref.classifier.class_ids == [0, 1, 2, 3]
         assert np.abs(lean.classifier.weight).max() > 0
-        lean_params = {"W": lean.classifier.weight, "b": lean.classifier.bias}
-        lean_params.update(lean.adapter.param_dict())
-        ref_params = {"W": ref.classifier.weight, "b": ref.classifier.bias}
-        ref_params.update(ref.adapter.param_dict())
-        for name, value in ref_params.items():
-            np.testing.assert_allclose(lean_params[name], value, rtol=0, atol=1e-12)
-        if tune_adapter:
-            assert not np.array_equal(lean.adapter.up, adapter.up)
-        else:
-            np.testing.assert_array_equal(lean.adapter.up, adapter.up)
+        for name in ("weight", "bias"):
+            lean_array, ref_array = getattr(lean.classifier, name), getattr(ref.classifier, name)
+            np.testing.assert_allclose(lean_array, ref_array, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(lean.adapter.flat, adapter.flat)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    @pytest.mark.parametrize("tune_adapter", [False, True])
-    def test_bit_identical_to_allocating_loop(self, activation, tune_adapter):
-        # the [W | b] head step on preallocated buffers, and the tuned step
-        # through raw embeddings computed once, keep every float of the loop
-        # that allocated its arrays and ran the whole model per sample; the
-        # head grows to 11 classes, past the 8 at which np.add.reduce
-        # switches to its unrolled sum
+    def test_bit_identical_to_allocating_loop(self, activation):
+        # the [W | b] head step on preallocated buffers keeps every float of
+        # the loop that allocated its arrays; the head grows to 11 classes,
+        # past the 8 at which np.add.reduce switches to its unrolled sum
         rng = make_rng(55)
         classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9, 10]]
         stream = TaskStream([_cluster_task(rng, ids) for ids in classes])
@@ -273,7 +242,7 @@ class TestCoreLearnLinearReference:
             ExperimentState(backbone.copy(), adapter.copy(), Classifier.linear([], 6))
             for _ in range(2)
         ]
-        core = CoreConfig(epochs=3, lr=0.1, tune_adapter=tune_adapter)
+        core = CoreConfig(epochs=3, lr=0.1)
         for k, task in enumerate(stream.tasks):
             core_learn_linear(states[0], task.train, core, make_rng(58, k))
             _allocating_core_learn_linear(states[1], task.train, core, make_rng(58, k))
@@ -283,9 +252,8 @@ class TestCoreLearnLinearReference:
         assert lean.classifier.class_ids == ref.classifier.class_ids == list(range(11))
         np.testing.assert_array_equal(lean.classifier.weight, ref.classifier.weight)
         np.testing.assert_array_equal(lean.classifier.bias, ref.classifier.bias)
-        np.testing.assert_array_equal(lean.adapter.flat, ref.adapter.flat)
         assert lean.backbone.flat.tobytes() == backbone.flat.tobytes()
-        assert np.array_equal(lean.adapter.flat, adapter.flat) == (not tune_adapter)
+        assert lean.adapter.flat.tobytes() == adapter.flat.tobytes()
 
     def test_non_finite_logit_raises(self, stream_and_model):
         # an inf weight reaches the logits through the strided W view of [W | b]
