@@ -95,11 +95,13 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     The head takes plain SGD steps of batch size 1 with no momentum: for each
     sample (e, y), p = softmax(W e + b), W -= lr * outer(p - onehot(y), e) and
     b -= lr * (p - onehot(y)). For the call the head is one (C, d + 1) array
-    [W | b], stepped in place by one rank-1 update with the augmented row
-    [e, 1]: the bias column gets (delta * 1.0) * lr, the same floats as
-    delta * lr. The logits stay W e + b, not [W | b] @ [e, 1], whose floats
-    depend on the BLAS kernel. W and b are written back to the Classifier at
-    the end as arrays of their own."""
+    [W | b], and each sample is its augmented row a = [e, 1], so a step is
+    z = [W | b] @ a, p = exp(z - max z) / sum, and one rank-1 update
+    [W | b] -= (p - onehot(y)) ⊗ (lr * a), with lr * a made once per epoch.
+    Its floats can differ in the last bits from those of W e + b,
+    exp(z - lse) and lr applied after the outer product; the head is in no
+    checkpoint. W and b are written back to the Classifier at the end as
+    arrays of their own."""
     before = state.backbone.flat.copy()
     x, labels = task_data
     head = state.classifier
@@ -111,28 +113,29 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     head.weight, head.bias = W, b = Wb[:, :d], Wb[:, d]  # a failed call leaves its steps so far
     inputs = np.ones((len(x), d + 1))  # rows [e, 1]
     inputs[:, :d] = embed(state.backbone, state.adapter, x)
-    # the head step's buffers: logits, scratch, p - onehot(y) and its outer product with [e, 1]
+    # the head step's buffers: logits, shifted exponentials, p - onehot(y) and its outer product
     z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(Wb.shape)
     column = delta[:, None]
-    dot, add, subtract, multiply, exp, log = np.dot, np.add, np.subtract, np.multiply, np.exp, np.log
+    dot, subtract, multiply, divide, exp = np.dot, np.subtract, np.multiply, np.divide, np.exp
+    log, fsum, isfinite = math.log, math.fsum, math.isfinite
     for epoch in range(1, config.epochs + 1):
         with diverged_as(f"core learning diverged in epoch {epoch}"):
             order = rng.permutation(len(labels))
             shuffled = inputs[order]
-            for ea, e, r in zip(shuffled, shuffled[:, :d], rows[order].tolist()):
-                dot(W, e, z)
-                add(z, b, z)
-                # numerics.softmax_cross_entropy inline, for one row: a kernel call
-                # per step costs about 0.1 s of a 1.55 s linear epoch sweep (BENCH_3.json)
+            # numerics.softmax_cross_entropy inline, for one row, in six NumPy calls: a
+            # step's few floats cost less than its dispatches (BENCH_3.json, BENCH_28.json)
+            for a, a_lr, r in zip(shuffled, shuffled * lr, rows[order].tolist()):
+                dot(Wb, a, z)
                 zs = z.tolist()
                 m = max(zs)  # exact, and cheaper than z.max() for a few classes
-                lse = m + log(add.reduce(exp(subtract(z, m, t), t)))
-                loss = lse - zs[r]
-                if not math.isfinite(loss):
+                exp(subtract(z, m, t), t)
+                s = fsum(t.tolist())  # not sum(), which is compensated only from Python 3.12 on
+                loss = m + log(s) - zs[r]
+                if not isfinite(loss):
                     raise NonFiniteLoss(f"core-learning loss {loss}")
-                exp(subtract(z, lse, delta), delta)  # softmax, then minus onehot(y)
+                divide(t, s, delta)  # softmax, then minus onehot(y)
                 delta[r] -= 1.0
-                Wb -= multiply(multiply(column, ea, outer), lr, outer)
+                Wb -= multiply(column, a_lr, outer)
     head.weight, head.bias = W.copy(), b.copy()  # C-contiguous, owning their data
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
     return state

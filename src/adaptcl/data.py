@@ -65,14 +65,18 @@ def _expm_skew(a):
 
 def _domain_transform(spec: SyntheticSpec, rng):
     """Fixed rigid map c -> R c + t with rotation angle and shift scaled by
-    the domain_shift magnitude; exactly the identity at zero."""
+    the domain_shift magnitude; exactly the identity at zero. One dimension
+    has no rotation, so R is the identity there and only the shift applies;
+    its 1x1 draw for the skew is still made, which keeps every later draw."""
     g = rng.standard_normal((spec.input_dim, spec.input_dim))
-    skew = g - g.T
-    skew /= np.linalg.norm(skew)
     direction = rng.standard_normal(spec.input_dim)
     direction /= np.linalg.norm(direction)
     delta = spec.domain_shift
-    rotation = _expm_skew(delta * skew) if delta > 0 else np.eye(spec.input_dim)
+    rotation = np.eye(spec.input_dim)
+    if delta > 0 and spec.input_dim > 1:
+        skew = g - g.T
+        skew /= np.linalg.norm(skew)
+        rotation = _expm_skew(delta * skew)
     translation = delta * direction
     return rotation, translation
 

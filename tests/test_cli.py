@@ -412,6 +412,13 @@ class TestRun:
         path.write_text(tiny_config.read_text().replace("adapter_rank = 3", "adapter_rank = 0"))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
+    def test_one_input_dimension_runs(self, tiny_config, tmp_path):
+        path = tiny_config.parent / "dim1.cfg"
+        path.write_text(tiny_config.read_text().replace("input_dim = 8", "input_dim = 1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("strategy", ["ncm", "linear"])
     def test_one_class_per_task_acl_is_disabled(self, tiny_config, tmp_path, strategy):
         # ACL's softmax spans the current task's prototypes only: with one
@@ -805,7 +812,7 @@ class TestFailures:
             "adapt.lr = 1e200": {"acl": ("failed: NonFiniteLoss: ", adaptation)},
             # the head's core-learning step overflows in both cells
             "core.strategy = linear\ncore.lr = 1e308": {
-                "acl": ("failed: NonFiniteLoss: ", core + "add"),
+                "acl": ("failed: NonFiniteLoss: ", core + "dot"),
                 "disabled": ("failed: NonFiniteLoss: ", core + "subtract"),
             },
         }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,18 +192,18 @@ def _allocating_core_learn_linear(state, task_data, config, rng):
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    W, b = head.weight, head.bias
+    Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
     frozen = embed(state.backbone, state.adapter, x)
+    augmented = np.concatenate([frozen, np.ones((len(labels), 1))], axis=1)
     for _ in range(config.epochs):
         for i in rng.permutation(len(labels)):
-            e = frozen[i]
-            z = W @ e + b
-            m = z.max()
-            lse = m + np.log(np.exp(z - m).sum())
-            delta = np.exp(z - lse)
+            a = augmented[i]
+            z = Wb @ a
+            t = np.exp(z - z.max())
+            delta = t / math.fsum(t.tolist())
             delta[rows[i]] -= 1.0
-            W -= config.lr * (delta[:, None] * e)
-            b -= config.lr * delta
+            Wb = Wb - np.outer(delta, config.lr * a)
+    head.weight, head.bias = Wb[:, :-1].copy(), Wb[:, -1].copy()
     return state
 
 
@@ -228,8 +230,7 @@ class TestCoreLearnLinearReference:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_bit_identical_to_allocating_loop(self, activation):
         # the [W | b] head step on preallocated buffers keeps every float of
-        # the loop that allocated its arrays; the head grows to 11 classes,
-        # past the 8 at which np.add.reduce switches to its unrolled sum
+        # the loop that allocated its arrays, on a head that grows to 11 classes
         rng = make_rng(55)
         classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9, 10]]
         stream = TaskStream([_cluster_task(rng, ids) for ids in classes])
@@ -256,7 +257,7 @@ class TestCoreLearnLinearReference:
         assert lean.adapter.flat.tobytes() == adapter.flat.tobytes()
 
     def test_non_finite_logit_raises(self, stream_and_model):
-        # an inf weight reaches the logits through the strided W view of [W | b]
+        # an inf weight or bias reaches the logits of the [W | b] product
         stream, backbone, adapter = stream_and_model
         for where in ("bias", "weight"):
             state = ExperimentState(backbone, adapter, Classifier.linear([0], 6))

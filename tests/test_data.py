@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ class TestGenerate:
         rotation, translation = _domain_transform(spec, make_rng(0))
         np.testing.assert_array_equal(rotation, np.eye(spec.input_dim))
         np.testing.assert_array_equal(translation, np.zeros(spec.input_dim))
+
+    def test_one_dimension_is_shifted_not_rotated(self):
+        # a 1x1 skew has norm 0: the transform must not divide by it
+        spec = SyntheticSpec(**{**vars(SMALL), "input_dim": 1})
+        rotation, translation = _domain_transform(spec, make_rng(0))
+        np.testing.assert_array_equal(rotation, np.eye(1))
+        np.testing.assert_array_equal(np.abs(translation), [spec.domain_shift])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pretrain_train, pretrain_test, stream = generate_synthetic(spec)
+        splits = [pretrain_train, pretrain_test]
+        splits += [split for task in stream.tasks for split in (task.train, task.test)]
+        for x, _ in splits:
+            assert x.shape[1] == 1 and np.isfinite(x).all()
 
     def test_classes_disjoint_and_exhaustive(self):
         _, _, stream = generate_synthetic(SMALL)
