@@ -29,14 +29,7 @@ from .model import (
     embed_with_tape,
     label_index,
 )
-from .numerics import (
-    OptimizerState,
-    diverged_as,
-    l2_normalize,
-    require_finite,
-    sgd_step,
-    softmax_cross_entropy,
-)
+from .numerics import diverged_as, l2_normalize, require_finite, softmax_cross_entropy
 
 ADAPT_MODES = ("acl", "ce_ablation", "lightweight_only", "disabled")
 
@@ -47,7 +40,6 @@ class AdaptConfig:
     epochs: int = 1
     lr: float = 0.05
     batch_size: int = 32
-    momentum: float = 0.0
     first_task_only: bool = False
 
     def __post_init__(self):
@@ -161,7 +153,6 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
     params = [m.flat for m in (trained_backbone, adapter) if m is not None]
     if head is not None:
         params += [head.weight, head.bias]
-    state = OptimizerState(lr=config.lr, momentum=config.momentum)
     grads, records = None, []
 
     for epoch in range(1, config.epochs + 1):
@@ -187,7 +178,8 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
                 flat_grads = [g.flat for g in grads if g is not None]
                 if head is not None:
                     flat_grads += [d_w / len(idx), d_b / len(idx)]
-                sgd_step(params, flat_grads, state)
+                for p, g in zip(params, flat_grads):
+                    p -= config.lr * g
 
             new_embeds = embed(backbone, adapter, x)
             losses = acl_losses(new_embeds, y_idx, table, config.temperature)

@@ -51,7 +51,6 @@ class RunConfig:
     adapt: AdaptConfig
     adapt_modes: tuple[str, ...] = ("acl",)
     core: CoreConfig
-    metrics_plasticity: str = "best_ever"
     run_seeds: tuple[int, ...]
     run_out: Path = Path("out")
 
@@ -63,11 +62,6 @@ class RunConfig:
         _require_distinct("run.seeds", self.run_seeds)
         for seed in self.run_seeds:
             require_seed(seed, "run.seeds")
-        if self.metrics_plasticity not in ("best_ever", "immediate"):
-            raise ConfigError(
-                f"metrics.plasticity must be best_ever or immediate, "
-                f"got {self.metrics_plasticity!r}"
-            )
 
 
 def _require_distinct(what: str, items) -> None:
@@ -94,14 +88,18 @@ def _config_keys() -> dict:
 
 CONFIG_KEYS = _config_keys()
 # retired keys, each with the one value (in any case) that parse_config still
-# skips, so that manifests written before it was retired load
-RETIRED_KEYS = {"core.tune_adapter": "false"}
+# skips, so that manifests and configs written before it was retired load
+RETIRED_KEYS = {
+    "core.tune_adapter": "false",
+    "adapt.momentum": "0.0",
+    "metrics.plasticity": "best_ever",
+}
 
 
 def _convert(key: str, text: str, f):
     """A config value by its field's type; a tuple is a comma list, a float
-    must be finite and a path must be one config line's value, without a NUL
-    byte. Config files, overrides and sweep values all come here."""
+    must be finite and a path must be one non-empty config line's value,
+    without a NUL byte. Config files, overrides and sweep values all come here."""
     if f.type is bool:
         if text.lower() not in ("true", "false"):
             raise ConfigError(f"{key} must be true or false")
@@ -113,8 +111,11 @@ def _convert(key: str, text: str, f):
     if f.type is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text!r}")
     if f.type is Path:  # the manifest writes it back as a config line
-        if "\0" in text or "#" in text or text != text.strip() or len(text.splitlines()) > 1:
-            raise ConfigError(f"{key} must be one line without NUL, '#' or outer spaces: {text!r}")
+        one_line = len(text.splitlines()) == 1 and text == text.strip()
+        if not one_line or "\0" in text or "#" in text:
+            raise ConfigError(
+                f"{key} must be one non-empty line without NUL, '#' or outer spaces: {text!r}"
+            )
     return value
 
 
@@ -148,8 +149,12 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'section.key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if RETIRED_KEYS.get(key) == value.lower():
-            continue
+        if key in RETIRED_KEYS:
+            if value.lower() == RETIRED_KEYS[key]:
+                continue
+            raise ConfigError(
+                f"line {lineno}: {key!r} is retired; only '{key} = {RETIRED_KEYS[key]}' still loads"
+            )
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -258,7 +263,7 @@ def run_cells(config: RunConfig, cache: dict):
             yield Cell(seed, mode, result, time.perf_counter() - t0)
 
 
-def _metrics_row(config: RunConfig, cell: Cell) -> list:
+def _metrics_row(cell: Cell) -> list:
     """The metrics.csv fields of an ok cell."""
     m = cell.result.matrix
     return [
@@ -268,7 +273,7 @@ def _metrics_row(config: RunConfig, cell: Cell) -> list:
         _fmt(last_accuracy(m)),
         _fmt(avg_incremental_accuracy(m)),
         _fmt(forgetting(m)) if m.K >= 2 else "",
-        _fmt(plasticity(m, immediate=config.metrics_plasticity == "immediate")),
+        _fmt(plasticity(m)),
     ]
 
 
@@ -317,7 +322,7 @@ def write_artifacts(config: RunConfig, cells):
 
         with open(out / "metrics.csv", "w", newline="\n") as f:
             f.write("run_id,seed,mode,LA,AIA,forgetting,plasticity\n")
-            f.writelines(",".join(_metrics_row(config, c)) + "\n" for c in done if c.ok)
+            f.writelines(",".join(_metrics_row(c)) + "\n" for c in done if c.ok)
         manifest["files"].append("metrics.csv")
 
         with open(out / "bounds.csv", "w", newline="\n") as f:
@@ -360,7 +365,7 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
         overall = max(overall, code)
         for cell in cells:
             if cell.ok:
-                rows.append([axis, value, *_metrics_row(cell_config, cell)[1:5]])
+                rows.append([axis, value, *_metrics_row(cell)[1:5]])
     with open(root / "sweep.csv", "w", newline="\n") as f:
         f.write("axis,value,seed,mode,LA,AIA\n")
         for row in rows:
@@ -448,7 +453,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command in ("run", "sweep"):
             overrides = {"run.seeds": args.seeds, "run.out": args.out}
-            config = load_config(args.config, {k: v for k, v in overrides.items() if v})
+            config = load_config(args.config, {k: v for k, v in overrides.items() if v is not None})
         if args.command == "run":
             return cmd_run(config)
         if args.command == "sweep":

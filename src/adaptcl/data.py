@@ -14,15 +14,7 @@ from .continual import Task, TaskStream
 from .errors import InvalidSpec
 from .model import Backbone, Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
-from .numerics import (
-    OptimizerState,
-    diverged_as,
-    l2_normalize,
-    make_rng,
-    require_finite,
-    require_seed,
-    sgd_step,
-)
+from .numerics import diverged_as, l2_normalize, make_rng, require_finite, require_seed
 
 BATCH_SIZE = 32  # of pretraining; no config key sets it
 
@@ -152,7 +144,7 @@ def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
 
     The backbone and the head are views into one vector, and their
     gradients into another of the same layout, so each batch takes one
-    momentum step."""
+    momentum-0.9 step on the one vector."""
     x, labels = data
     if not len(labels):
         raise ValueError("pretraining data is empty")
@@ -162,7 +154,7 @@ def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
     model, head = _backbone_and_head(flat, backbone, head)
     grad = np.empty_like(flat)
     d_model, d_head = _backbone_and_head(grad, backbone, head)
-    state = OptimizerState(lr=config.lr, momentum=0.9)
+    velocity = np.zeros_like(flat)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(labels))
         x_epoch, rows_epoch = x[order], rows[order]  # each batch is then a slice
@@ -177,5 +169,7 @@ def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
                 backprop(tape, model, None, d_e, (d_model, None))
                 np.divide(d_w, n, out=d_head.weight)
                 np.divide(d_b, n, out=d_head.bias)
-                sgd_step([flat], [grad], state)
+                velocity *= 0.9
+                velocity += grad
+                flat -= config.lr * velocity
     return model.copy()

@@ -17,10 +17,6 @@ class EmptyInput(AdaptclError):
     """An operation received an empty sequence."""
 
 
-class ShapeMismatch(AdaptclError):
-    """Parameter and gradient shapes disagree."""
-
-
 class NonFiniteLoss(AdaptclError):
     """A loss evaluation produced NaN or infinity."""
 

@@ -75,14 +75,9 @@ def forgetting(m: AccuracyMatrix) -> float:
     return float(np.mean(drops))
 
 
-def plasticity(m: AccuracyMatrix, immediate: bool = False) -> float:
-    """Mean over tasks of the best-ever accuracy on that task.
-
-    immediate=True instead averages each task's accuracy right after it was
-    learned (the diagonal)."""
+def plasticity(m: AccuracyMatrix) -> float:
+    """Mean over tasks of the best-ever accuracy on that task."""
     _require_complete(m)
-    if immediate:
-        return float(np.mean([m.rows[j][j] for j in range(m.K)]))
     return float(np.mean([max(m.rows[b][j] for b in range(j, m.K)) for j in range(m.K)]))
 
 

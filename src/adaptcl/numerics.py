@@ -1,21 +1,15 @@
 """Low-level vector math: unit-sphere geometry, stable softmax machinery,
-momentum SGD, seeded RNG streams and the finite-loss checks of training.
+seeded RNG streams and the finite-loss checks of training.
 
 All arithmetic is float64. The RNG is numpy's counter-based Philox generator,
 which produces identical streams for identical seeds on every platform.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateVector,
-    EmptyInput,
-    NonFiniteLoss,
-    ShapeMismatch,
-)
+from .errors import DegenerateVector, EmptyInput, NonFiniteLoss
 
 EPS_NORM = 1e-8
 
@@ -91,32 +85,6 @@ def softmax_cross_entropy(logits, y_idx):
     lse = m[..., 0] + np.log(np.add.reduce(np.exp(t, out=t), axis=-1))
     losses = lse - s[np.arange(len(s)), y_idx]
     return losses, np.exp(np.subtract(s, lse[..., None], out=t), out=t)
-
-
-@dataclass
-class OptimizerState:
-    """Momentum SGD state: one velocity buffer per parameter array, created
-    at the first step and then updated in place."""
-
-    lr: float
-    momentum: float = 0.0
-    velocities: list = field(default_factory=list)
-
-
-def sgd_step(params: list, grads: list, state: OptimizerState) -> None:
-    """In-place update p <- p - lr * v with v <- momentum * v + g, for each
-    float64 array p of params and its gradient g, the same position of grads.
-    A state steps the same list of parameters at every call."""
-    if len(params) != len(grads):
-        raise ShapeMismatch(f"{len(params)} parameter arrays vs {len(grads)} gradients")
-    if not state.velocities:
-        state.velocities = [np.zeros_like(p) for p in params]
-    for p, g, v in zip(params, grads, state.velocities):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"{p.shape} vs {g.shape}")
-        v *= state.momentum
-        v += g
-        p -= state.lr * v
 
 
 def require_finite(losses, what: str) -> None:

@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32, of
-one momentum SGD step, and of one whole 32-row pretraining step.
+"""Micro-benchmarks of the numeric kernels at batch sizes 1, 16 and 32, and
+of one whole 32-row pretraining step.
 
 Run with `python -m pytest tests/bench_kernels.py`. The name does not match
 `test_*.py`, so the test suite does not collect this file. The model has the
@@ -8,10 +8,11 @@ cosine Classifier, which acl_loss and classify both read) and the linear
 head have 10 classes, with ids 0-9, so a batch's labels are also its rows
 of both. Every size is an (n, D) batch, n = 1 included. acl_losses is timed
 apart from acl_loss: it is the loss alone, as adapt's per-epoch checks and
-adaptcl verify call it. The SGD step updates one vector that holds the
-backbone and the head with momentum 0.9, as each pretraining batch does; the pretraining step adds the forward pass,
+adaptcl verify call it. The pretraining step runs the forward pass,
 ce_adapt_loss, backprop into the gradient vector's views and the head
-gradients divided into theirs before it, as pretrain_backbone's loop does.
+gradients divided into theirs, then one momentum-0.9 update of the one
+vector that holds the backbone and the head, as pretrain_backbone's loop
+does.
 The core-learning cases time one call of the linear core on a 200-row task
 with a copy of the first 2 or all 10 classes of the head (the default run's
 tasks train heads of 2 to 8 classes) and the default 10 epochs, on the
@@ -34,7 +35,7 @@ from adaptcl.model import (
     embed_with_tape,
     init_model,
 )
-from adaptcl.numerics import OptimizerState, l2_normalize, make_rng, require_finite, sgd_step
+from adaptcl.numerics import l2_normalize, make_rng, require_finite
 from adaptcl.verify import (
     VerifySizes,
     run_gradient_battery,
@@ -137,18 +138,13 @@ def _pretrain_layout(model):
     return flat, _backbone_and_head(flat, backbone, head), grad, _backbone_and_head(grad, backbone, head)
 
 
-def test_sgd_step(benchmark, model):
-    flat, _, grad, _ = _pretrain_layout(model)
-    grad[:] = 1e-3 * make_rng(2).standard_normal(grad.shape)
-    benchmark(sgd_step, [flat], [grad], OptimizerState(lr=0.05, momentum=0.9))
-
-
 def test_pretrain_step(benchmark, model):
     flat, (backbone, head), grad, (d_backbone, d_head) = _pretrain_layout(model)
     x, y, _ = _batch(model, 32)
-    state = OptimizerState(lr=0.05, momentum=0.9)
+    velocity = np.zeros_like(flat)
 
     def step():
+        nonlocal flat, velocity  # updated in place, as pretrain_backbone does
         e, tape = embed_with_tape(backbone, None, x)
         loss, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
         require_finite(loss, "pretraining loss")
@@ -156,7 +152,9 @@ def test_pretrain_step(benchmark, model):
         backprop(tape, backbone, None, d_e, (d_backbone, None))
         np.divide(d_w, len(y), out=d_head.weight)
         np.divide(d_b, len(y), out=d_head.bias)
-        sgd_step([flat], [grad], state)
+        velocity *= 0.9
+        velocity += grad
+        flat -= 0.05 * velocity
 
     benchmark(step)
 

@@ -16,8 +16,10 @@ from adaptcl.errors import BoundViolation, DegenerateVector, UnknownLabel
 from adaptcl.model import (
     Classifier,
     ModelConfig,
+    backprop,
     classify,
     embed,
+    embed_with_tape,
     init_model,
     label_index,
 )
@@ -244,6 +246,35 @@ def _bits(*modules):
     return [m.flat.tobytes() for m in modules]
 
 
+def _reference_adapt(backbone, adapter, data, mode, config, rng):
+    """adapt's parameter updates without its checks, one array at a time:
+    each batch steps every trained array by p -= lr * g, its gradient of the
+    batch's mean loss."""
+    x, labels = data
+    backbone, adapter = backbone.copy(), adapter.copy()
+    table = compute_prototypes(embed(backbone, adapter, x), labels)
+    rows = label_index(table.class_ids, labels, "prototype table")
+    head = Classifier.linear(table.class_ids, table.weight.shape[1])
+    trained = None if mode == "lightweight_only" else backbone
+    for _ in range(config.epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            e, tape = embed_with_tape(backbone, adapter, x[idx])
+            if mode == "ce_ablation":
+                _, d_e, d_w, d_b = ce_adapt_loss(e, rows[idx], head)
+            else:
+                _, d_e = acl_loss(e, rows[idx], table, config.temperature)
+            d_backbone, d_adapter = backprop(tape, trained, adapter, d_e / len(idx))
+            if trained is not None:
+                backbone.flat -= config.lr * d_backbone.flat
+            adapter.flat -= config.lr * d_adapter.flat
+            if mode == "ce_ablation":
+                head.weight -= config.lr * (d_w / len(idx))
+                head.bias -= config.lr * (d_b / len(idx))
+    return backbone, adapter
+
+
 @pytest.fixture
 def toy_setup():
     rng = make_rng(40)
@@ -394,6 +425,16 @@ class TestAdapt:
         monkeypatch.setattr(adaptcl.adaptation, "acl_loss", halved)
         with pytest.raises(BoundViolation, match=r"^threshold bound violated"):
             adapt(backbone, adapter, data, "acl", cfg, make_rng(1))
+
+    @pytest.mark.parametrize("mode", ["acl", "lightweight_only", "ce_ablation"])
+    def test_update_is_plain_sgd(self, toy_setup, mode):
+        # 60 samples in batches of 16 leave a short last batch in each epoch
+        backbone, adapter, data, _ = toy_setup
+        cfg = AdaptConfig(epochs=2, lr=0.1, batch_size=16)
+        b2, a2, _ = adapt(backbone, adapter, data, mode, cfg, make_rng(7))
+        want = _reference_adapt(backbone, adapter, data, mode, cfg, make_rng(7))
+        assert _bits(b2, a2) == _bits(*want)
+        assert _bits(a2) != _bits(adapter)
 
     def test_lightweight_only_freezes_backbone(self, toy_setup):
         backbone, adapter, data, rng = toy_setup

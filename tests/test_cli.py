@@ -18,7 +18,7 @@ import adaptcl.cli
 import adaptcl.continual
 import adaptcl.data
 import adaptcl.verify
-from adaptcl.cli import CONFIG_KEYS, config_text, load_config, main, parse_config
+from adaptcl.cli import CONFIG_KEYS, RETIRED_KEYS, config_text, load_config, main, parse_config
 from adaptcl.errors import ConfigError, NonFiniteLoss
 from adaptcl.model import ACTIVATIONS, ModelConfig, init_model, load_checkpoint, save_checkpoint
 from adaptcl.numerics import make_rng
@@ -94,6 +94,7 @@ class TestConfigErrors:
             "run.seeds = -1,18446744073709551615",
             "data.seed = -1",
             "data.seed = 18446744073709551616",
+            "run.out =",
         ],
         ids=[
             "sigma-negative",
@@ -115,16 +116,34 @@ class TestConfigErrors:
             "seed-aliasing-the-largest",
             "data-seed-negative",
             "data-seed-2-to-the-64",
+            "out-empty",
         ],
     )
-    def test_bad_value(self, tmp_path, capsys, line):
+    def test_bad_value(self, tmp_path, capsys, monkeypatch, line):
         # a case that sets run.seeds stands alone: a second line would repeat the key
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "bad.cfg"
         seeds = "" if line.startswith("run.seeds") else "run.seeds = 1\n"
         path.write_text(f"{seeds}{line}\n")
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flag", ["--seeds=", "--out="])
+    def test_empty_override(self, tiny_config, tmp_path, capsys, monkeypatch, command, flag):
+        # an empty --seeds or --out is an error, not the config's value
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", str(tiny_config), flag]
+        if command == "sweep":
+            argv += ["--axis", "epochs", "--values", "1"]
+        if flag == "--seeds=":
+            argv += ["--out", "o"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [tiny_config.name]
 
     def test_missing_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -195,7 +214,8 @@ class TestConfigErrors:
 
 REPO = Path(__file__).resolve().parents[1]
 
-# the config text of a manifest written while core.tune_adapter was a key
+# the config text of a manifest written while core.tune_adapter,
+# adapt.momentum and metrics.plasticity were keys
 RETIRED_KEY_MANIFEST_CONFIG = """data.input_dim = 32
 data.n_pretrain_classes = 10
 data.n_incremental_classes = 8
@@ -250,13 +270,11 @@ class TestSchema:
             "adapt.epochs",
             "adapt.lr",
             "adapt.batch_size",
-            "adapt.momentum",
             "adapt.modes",
             "adapt.first_task_only",
             "core.strategy",
             "core.epochs",
             "core.lr",
-            "metrics.plasticity",
             "run.seeds",
             "run.out",
         }
@@ -269,21 +287,37 @@ class TestSchema:
         for path in (REPO / "configs" / "default.cfg", REPO / "perfbench" / "default.cfg"):
             assert load_config(path).run_seeds == (1993, 1994, 1995, 1996, 1997)
 
+    def test_default_config_sets_every_key(self):
+        lines = (REPO / "configs" / "default.cfg").read_text().splitlines()
+        keys = [line.split("=")[0].strip() for line in lines if line.split("#")[0].strip()]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+
     def test_retired_key_loads_only_as_false(self, tmp_path):
-        # an old manifest's config reads as if it had no core.tune_adapter line
-        old = RETIRED_KEY_MANIFEST_CONFIG
-        without = old.replace("core.tune_adapter = false\n", "")
-        assert without != old
+        # an old manifest's config reads as if it had none of its retired
+        # lines; each retired key loads under its one value, in any case, only
+        other = {
+            "core.tune_adapter": "true",
+            "adapt.momentum": "0.9",
+            "metrics.plasticity": "immediate",
+        }
+        assert set(other) == set(RETIRED_KEYS)
+        old = without = RETIRED_KEY_MANIFEST_CONFIG
+        for key, value in RETIRED_KEYS.items():
+            assert f"\n{key} = {value}\n" in without
+            without = without.replace(f"\n{key} = {value}\n", "\n")
         config = parse_config(without)
         assert parse_config(old) == config
-        for value in ("False", "FALSE"):
-            assert parse_config(f"{without}core.tune_adapter = {value}\n") == config
-        assert "tune_adapter" not in config_text(parse_config(old))
-        path = tmp_path / "tuned.cfg"
-        path.write_text(without + "core.tune_adapter = true\n")
-        code, err = _exit_and_stderr(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 2 and _one_line(err, "config error:"), err
-        assert not (tmp_path / "o").exists()
+        for key, value in RETIRED_KEYS.items():
+            for text in (value, value.upper(), value.title()):
+                assert parse_config(f"{without}{key} = {text}\n") == config
+            assert key not in config_text(parse_config(old))
+            path = tmp_path / "retired.cfg"
+            path.write_text(f"{without}{key} = {other[key]}\n")
+            out = tmp_path / "o"
+            code, err = _exit_and_stderr(["run", "--config", str(path), "--out", str(out)])
+            assert code == 2 and _one_line(err, "config error:"), err
+            assert f"{key!r} is retired; only '{key} = {value}' still loads" in err
+            assert not out.exists()
 
 
 class TestRun:
@@ -373,13 +407,6 @@ class TestRun:
         main(["run", "--config", str(tiny_config), "--out", str(out2)])
         for name in ("accuracy_matrix_11.csv", "metrics.csv", "bounds.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_plasticity_variant_immediate(self, tiny_config, tmp_path):
-        cfg = tiny_config.read_text() + "metrics.plasticity = immediate\n"
-        path = tiny_config.parent / "imm.cfg"
-        path.write_text(cfg)
-        out = tmp_path / "out_imm"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
     def test_plasticity_variant_invalid(self, tiny_config, tmp_path):
         cfg = tiny_config.read_text() + "metrics.plasticity = nope\n"
@@ -663,12 +690,6 @@ class TestSweep:
             assert sorted(row.split(",")[0] for row in metrics) == [
                 "acl_5", "acl_6", "disabled_5", "disabled_6"
             ]
-
-    def test_metrics_sweep_runs_disabled_once_per_seed(self, tiny_config, tmp_path, monkeypatch):
-        # no run reads a metrics.* key, so the disabled runs are shared too
-        args = tiny_config, tmp_path, monkeypatch, "metrics.plasticity", "best_ever,immediate"
-        modes, _ = self._sweep_modes(*args)
-        assert modes.count("disabled") == 2 and modes.count("acl") == 4
 
     def test_failed_disabled_run_shared(self, tiny_config, tmp_path, monkeypatch):
         # a failed disabled result is recorded by every cell, like a standalone run

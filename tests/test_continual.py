@@ -24,7 +24,7 @@ from adaptcl.model import (
     init_model,
     label_index,
 )
-from adaptcl.numerics import OptimizerState, make_rng, sgd_step
+from adaptcl.numerics import make_rng
 
 
 def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
@@ -168,19 +168,19 @@ class TestCoreLearnLinear:
 
 
 def _reference_core_learn_linear(state, task_data, epochs, lr, rng):
-    """Per-sample head SGD spelled out with ce_adapt_loss and sgd_step on
-    the task embedded once, as core_learn_linear does."""
+    """Per-sample head SGD spelled out with ce_adapt_loss and plain steps
+    p -= lr * g on the task embedded once, as core_learn_linear does."""
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    head_state = OptimizerState(lr=lr)
     frozen = embed(state.backbone, state.adapter, x)
     for _ in range(epochs):
         for i in rng.permutation(len(labels)):
             _, _, d_w, d_b = ce_adapt_loss(frozen[i : i + 1], rows[i : i + 1], head)
-            sgd_step([head.weight, head.bias], [d_w, d_b], head_state)
+            head.weight -= lr * d_w
+            head.bias -= lr * d_b
     return state
 
 

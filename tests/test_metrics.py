@@ -94,10 +94,6 @@ class TestAccuracyMetrics:
         )
         assert plasticity(m) == pytest.approx(expected)
 
-    def test_plasticity_immediate_variant(self):
-        m = _matrix([[0.5], [0.9, 0.4]])
-        assert plasticity(m, immediate=True) == pytest.approx(np.mean([0.5, 0.4]))
-
     def test_aia_between_stage_extremes(self):
         rng = make_rng(3)
         for _ in range(20):

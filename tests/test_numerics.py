@@ -10,14 +10,11 @@ from adaptcl.errors import (
     DegenerateVector,
     EmptyInput,
     NonFiniteLoss,
-    ShapeMismatch,
 )
 from adaptcl.numerics import (
-    OptimizerState,
     l2_normalize,
     l2_normalize_with_norm,
     make_rng,
-    sgd_step,
     softmax_cross_entropy,
 )
 from adaptcl.verify import finite_diff_grad
@@ -139,59 +136,6 @@ class TestSoftmaxCrossEntropy:
         shifted_losses, shifted_p = softmax_cross_entropy(s + c, y)
         assert shifted_losses[0] == pytest.approx(losses[0], abs=1e-10)
         np.testing.assert_allclose(shifted_p, p, rtol=0, atol=1e-10)
-
-
-class TestSgdStep:
-    def test_zero_lr(self):
-        p = np.array([1.0, 2.0])
-        sgd_step([p], [np.array([5.0, 5.0])], OptimizerState(lr=0.0))
-        np.testing.assert_array_equal(p, [1.0, 2.0])
-
-    def test_plain_step(self):
-        p = np.array([1.0])
-        sgd_step([p], [np.array([0.5])], OptimizerState(lr=1.0))
-        np.testing.assert_array_equal(p, [0.5])
-
-    def test_momentum_unroll(self):
-        p = np.array([0.0])
-        state = OptimizerState(lr=0.1, momentum=0.9)
-        g1, g2 = np.array([1.0]), np.array([2.0])
-        sgd_step([p], [g1.copy()], state)
-        sgd_step([p], [g2.copy()], state)
-        # hand unroll: v1 = g1; v2 = 0.9 v1 + g2; p = -lr (v1 + v2)
-        v1 = g1
-        v2 = 0.9 * v1 + g2
-        np.testing.assert_allclose(p, -0.1 * (v1 + v2), atol=1e-15)
-
-    def test_momentum_in_place_matches_formula(self):
-        # three steps leave the gradients untouched, keep one velocity buffer
-        # per parameter and match v = m v + g; p = p - lr v bit for bit
-        rng = make_rng(3)
-        shapes = [(4, 3), (4,)]
-        p = [rng.standard_normal(s) for s in shapes]
-        want_p = [v.copy() for v in p]
-        want_v = [np.zeros(s) for s in shapes]
-        state = OptimizerState(lr=0.05, momentum=0.9)
-        buffers = None
-        for _ in range(3):
-            grads = [rng.standard_normal(s) for s in shapes]
-            kept = [g.copy() for g in grads]
-            sgd_step(p, grads, state)
-            buffers = buffers or list(state.velocities)
-            for k in range(len(shapes)):
-                np.testing.assert_array_equal(grads[k], kept[k])
-                assert state.velocities[k] is buffers[k]
-                want_v[k] = 0.9 * want_v[k] + kept[k]
-                want_p[k] = want_p[k] - 0.05 * want_v[k]
-        for k in range(len(shapes)):
-            assert p[k].tobytes() == want_p[k].tobytes()
-            assert state.velocities[k].tobytes() == want_v[k].tobytes()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            sgd_step([np.zeros(2)], [np.zeros(3)], OptimizerState(lr=0.1))
-        with pytest.raises(ShapeMismatch):
-            sgd_step([np.zeros(2), np.zeros(3)], [np.zeros(2)], OptimizerState(lr=0.1))
 
 
 class TestFiniteDiff:
