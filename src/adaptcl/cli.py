@@ -93,6 +93,7 @@ RETIRED_KEYS = {
     "core.tune_adapter": "false",
     "adapt.momentum": "0.0",
     "metrics.plasticity": "best_ever",
+    "model.activation": "tanh",
 }
 
 
@@ -365,9 +366,9 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
         overall = max(overall, code)
         for cell in cells:
             if cell.ok:
-                rows.append([axis, value, *_metrics_row(cell)[1:5]])
+                rows.append([axis, value, *_metrics_row(cell)[1:]])
     with open(root / "sweep.csv", "w", newline="\n") as f:
-        f.write("axis,value,seed,mode,LA,AIA\n")
+        f.write("axis,value,seed,mode,LA,AIA,forgetting,plasticity\n")
         for row in rows:
             f.write(",".join(row) + "\n")
     return overall

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continual import Task, TaskStream
-from .errors import InvalidSpec
 from .model import Backbone, Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
 from .numerics import diverged_as, l2_normalize, make_rng, require_finite, require_seed
@@ -33,17 +32,17 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.input_dim < 1:
-            raise InvalidSpec("input_dim must be >= 1")
+            raise ValueError("input_dim must be >= 1")
         if self.n_pretrain_classes < 2 or self.n_incremental_classes < 2:
-            raise InvalidSpec("need at least 2 classes per phase")
+            raise ValueError("need at least 2 classes per phase")
         if self.sigma <= 0:
-            raise InvalidSpec("sigma must be positive")
+            raise ValueError("sigma must be positive")
         if self.domain_shift < 0:
-            raise InvalidSpec("domain_shift must be non-negative")
+            raise ValueError("domain_shift must be non-negative")
         if self.n_tasks < 1 or self.n_incremental_classes % self.n_tasks:
-            raise InvalidSpec("tasks must evenly partition the incremental classes")
+            raise ValueError("tasks must evenly partition the incremental classes")
         if self.train_per_class < 1 or self.test_per_class < 1:
-            raise InvalidSpec("need train and test samples per class")
+            raise ValueError("need train and test samples per class")
         require_seed(self.seed)
 
 
@@ -133,7 +132,7 @@ class PretrainConfig:
 def _backbone_and_head(flat, backbone, head):
     """The backbone, then the head's weight and bias, as views into flat."""
     size, weights = backbone.flat.size, head.weight.size
-    model = Backbone(flat[:size], backbone.widths, backbone.activation)
+    model = Backbone(flat[:size], backbone.widths)
     w = flat[size : size + weights].reshape(head.weight.shape)
     return model, Classifier(head.class_ids, w, flat[size + weights :])
 

@@ -49,10 +49,6 @@ class TooFewSamples(AdaptclError):
     """Not enough samples for the requested check."""
 
 
-class InvalidSpec(AdaptclError):
-    """Synthetic benchmark spec fails validation."""
-
-
 class ConfigError(AdaptclError):
     """Run configuration is missing or malformed."""
 

@@ -1,10 +1,10 @@
 """Embedding network, residual adapter, classifiers, and a hand-rolled
 reverse-mode pass through embed -> adapter -> l2-normalize.
 
-The backbone is a small feed-forward net mapping R^D to R^d; the final layer
-is linear and the output is projected to the unit sphere. The adapter is a
-bottleneck residual applied before normalization, with its up-projection
-zero-initialized so a fresh adapter is an exact identity.
+The backbone is a small feed-forward tanh net mapping R^D to R^d; the final
+layer is linear and the output is projected to the unit sphere. The adapter
+is a tanh bottleneck residual applied before normalization, with its
+up-projection zero-initialized so a fresh adapter is an exact identity.
 """
 
 from dataclasses import dataclass
@@ -20,14 +20,11 @@ from .errors import (
 )
 from .numerics import l2_normalize_with_norm
 
-ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
     embed_dim: int = 16
     hidden: tuple[int, ...] = (64, 64)
-    activation: str = "tanh"
     adapter_rank: int = 8
 
     def __post_init__(self):
@@ -35,24 +32,14 @@ class ModelConfig:
             raise ValueError("need embed_dim >= 2")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("need at least one positive hidden width")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.adapter_rank < 0:
             raise ValueError("adapter_rank must be >= 0")
 
 
-def _act(name, z):
-    """The activation of z, written into z: callers pass a fresh product."""
-    return np.tanh(z, out=z) if name == "tanh" else np.maximum(z, 0.0, out=z)
-
-
-def _act_deriv(name, a):
-    """The activation's derivative from its output a = _act(name, z), in a
-    new array: tanh' is 1 - a*a, and relu's max(z, 0) > 0 exactly when z > 0."""
-    if name == "tanh":
-        d = a * a
-        return np.subtract(1.0, d, out=d)
-    return (a > 0.0).astype(np.float64)
+def _tanh_deriv(a):
+    """tanh' from its output a = tanh(z), 1 - a*a, in a new array."""
+    d = a * a
+    return np.subtract(1.0, d, out=d)
 
 
 @dataclass
@@ -63,7 +50,6 @@ class Backbone:
 
     flat: np.ndarray
     widths: tuple
-    activation: str
 
     def __post_init__(self):
         self.weights, self.biases = [], []
@@ -82,7 +68,7 @@ class Backbone:
         return d
 
     def copy(self) -> "Backbone":
-        return Backbone(self.flat.copy(), self.widths, self.activation)
+        return Backbone(self.flat.copy(), self.widths)
 
 
 @dataclass
@@ -92,7 +78,6 @@ class AdapterModule:
 
     flat: np.ndarray
     dim: int
-    activation: str
 
     def __post_init__(self):
         rank = self.flat.size // (2 * self.dim)
@@ -103,7 +88,7 @@ class AdapterModule:
         return {"adapter.down": self.down, "adapter.up": self.up}
 
     def copy(self) -> "AdapterModule":
-        return AdapterModule(self.flat.copy(), self.dim, self.activation)
+        return AdapterModule(self.flat.copy(), self.dim)
 
 
 def model_params(backbone: Backbone, adapter: "AdapterModule | None") -> dict:
@@ -118,12 +103,12 @@ def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator):
     up-projection."""
     widths = (input_dim, *config.hidden, config.embed_dim)
     size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
-    backbone = Backbone(np.zeros(size), widths, config.activation)
+    backbone = Backbone(np.zeros(size), widths)
     for w in backbone.weights:
         s = 1.0 / np.sqrt(w.shape[1])
         w[:] = rng.uniform(-s, s, size=w.shape)
     d = config.embed_dim
-    adapter = AdapterModule(np.zeros(2 * config.adapter_rank * d), d, config.activation)
+    adapter = AdapterModule(np.zeros(2 * config.adapter_rank * d), d)
     s = 1.0 / np.sqrt(d)
     adapter.down[:] = rng.uniform(-s, s, size=adapter.down.shape)
     return backbone, adapter
@@ -136,7 +121,7 @@ class Tape:
 
     acts: list  # each backbone layer's input
     raw: np.ndarray  # backbone output before adapter
-    adapter_act: "np.ndarray | None"  # act(e @ Down^T); None without an adapter
+    adapter_act: "np.ndarray | None"  # tanh(raw @ down.T); None without an adapter
     norm: np.ndarray
     unit: np.ndarray
     consumed: bool = False
@@ -154,13 +139,14 @@ def embed_with_tape(backbone: Backbone, adapter, x):
         acts.append(a)
         z = a @ w.T
         z += b
-        a = _act(backbone.activation, z)
+        a = np.tanh(z, out=z)
     acts.append(a)
     raw = a @ backbone.weights[-1].T
     raw += backbone.biases[-1]
     a, adapter_act = raw, None
     if adapter is not None:
-        adapter_act = _act(adapter.activation, raw @ adapter.down.T)
+        z = raw @ adapter.down.T
+        adapter_act = np.tanh(z, out=z)
         a = raw + adapter_act @ adapter.up.T
     try:
         unit, norm = l2_normalize_with_norm(a)
@@ -210,7 +196,7 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
     d_backbone, d_adapter = out
     if tape.adapter_act is not None:
         h = tape.adapter_act
-        d_h = _act_deriv(adapter.activation, h)
+        d_h = _tanh_deriv(h)
         d_h *= delta @ adapter.up
         np.matmul(delta.T, h, out=d_adapter.up)
         np.matmul(d_h.T, tape.raw, out=d_adapter.down)
@@ -224,7 +210,7 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
         np.add.reduce(delta, axis=0, out=d_backbone.biases[i])
         if i > 0:
             delta = delta @ backbone.weights[i]
-            delta *= _act_deriv(backbone.activation, tape.acts[i])
+            delta *= _tanh_deriv(tape.acts[i])
     return out
 
 
@@ -296,7 +282,7 @@ def save_checkpoint(path, backbone: Backbone, adapter) -> None:
     of values. Layout documented in the README."""
     params = model_params(backbone, adapter)
     with open(path, "w", newline="\n") as f:
-        f.write(f"activation;{backbone.activation}\n")
+        f.write("activation;tanh\n")
         f.write(f"n_layers;{len(backbone.weights)}\n")
         for name in sorted(params):
             arr = params[name]
@@ -315,10 +301,9 @@ def _header(lines, i, key):
 
 def load_checkpoint(path):
     """The model save_checkpoint wrote. Raises CheckpointError unless the file
-    starts with its activation;<name> and n_layers;<N> lines and holds a
-    known activation, dims of decimal counts, finite values, each layer array
-    once, both adapter arrays or neither, no other array, and layer shapes
-    that chain."""
+    starts with its activation;tanh and n_layers;<N> lines and holds dims of
+    decimal counts, finite values, each layer array once, both adapter arrays
+    or neither, no other array, and layer shapes that chain."""
     from .errors import CheckpointError
 
     try:
@@ -328,8 +313,8 @@ def load_checkpoint(path):
         raise CheckpointError(str(e)) from e
     try:
         activation = _header(lines, 0, "activation")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
+        if activation != "tanh":
+            raise ValueError(f"activation {activation!r}: only tanh loads")
         n_layers = int(_header(lines, 1, "n_layers"))
         if n_layers < 1:
             raise ValueError("no layers")
@@ -360,14 +345,14 @@ def load_checkpoint(path):
                 raise ValueError(f"layer{i} shapes {w.shape} and {b.shape} do not chain")
             widths.append(len(b))
         layers = [a for pair in zip(weights, biases) for a in pair]
-        backbone = Backbone(np.concatenate(layers, axis=None), tuple(widths), activation)
+        backbone = Backbone(np.concatenate(layers, axis=None), tuple(widths))
         adapter = None
         if extra:
             down, up = arrays["adapter.down"], arrays["adapter.up"]
             rank, width = len(down), widths[-1]
             if not width or down.shape != (rank, width) or up.shape != (width, rank):
                 raise ValueError(f"adapter shapes do not fit embedding width {width}")
-            adapter = AdapterModule(np.concatenate([down, up], axis=None), width, activation)
+            adapter = AdapterModule(np.concatenate([down, up], axis=None), width)
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing array {e}") from e
     except (IndexError, ValueError) as e:

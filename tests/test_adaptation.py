@@ -30,14 +30,14 @@ LOG2 = math.log(2.0)
 
 
 class _IdentityBackbone:
-    """Passes 2-d inputs straight through (weights = I); for prototype tests."""
+    """Identity weights and zero biases on 2-d inputs, so a row embeds to the
+    unit direction of tanh(x); for prototype tests."""
 
     def __new__(cls):
         cfg = ModelConfig(embed_dim=2, hidden=(2,))
         backbone, _ = init_model(cfg, 2, make_rng(0))
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
-        backbone.activation = "relu"
         return backbone
 
 
@@ -63,7 +63,6 @@ class TestComputePrototypes:
         backbone, _ = init_model(cfg, 2, make_rng(0))
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
-        backbone.activation = "tanh"
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateVector):
             compute_prototypes(embed(backbone, None, x), np.array([0, 0]))

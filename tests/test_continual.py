@@ -227,16 +227,15 @@ class TestCoreLearnLinearReference:
             np.testing.assert_allclose(lean_array, ref_array, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(lean.adapter.flat, adapter.flat)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_bit_identical_to_allocating_loop(self, activation):
+    def test_bit_identical_to_allocating_loop(self):
         # the [W | b] head step on preallocated buffers keeps every float of
         # the loop that allocated its arrays, on a head that grows to 11 classes
         rng = make_rng(55)
         classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9, 10]]
         stream = TaskStream([_cluster_task(rng, ids) for ids in classes])
-        cfg = ModelConfig(embed_dim=6, hidden=(8, 8), activation=activation, adapter_rank=2)
+        cfg = ModelConfig(embed_dim=6, hidden=(8, 8), adapter_rank=2)
         backbone, adapter = init_model(cfg, 4, make_rng(56))
-        for bias in backbone.biases:  # positive, so no relu embedding is all zero
+        for bias in backbone.biases:
             bias[:] = rng.uniform(0.1, 0.5, bias.shape)
         adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
         states = [

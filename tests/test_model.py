@@ -7,7 +7,6 @@ import pytest
 import adaptcl.model
 from adaptcl.errors import CheckpointError, DegenerateVector, DimensionMismatch, TapeConsumed
 from adaptcl.model import (
-    ACTIVATIONS,
     Classifier,
     ModelConfig,
     backprop,
@@ -107,19 +106,13 @@ class TestEmbed:
                 embed(backbone, adapter, xs)
 
 
-def _batch_gradient_error(backprop_fn, seed, n_rows=5, activation="tanh"):
+def _batch_gradient_error(backprop_fn, seed, n_rows=5):
     """Worst relative error of backprop_fn against central differences of
     sum_i <u_i, g_i> over a batch of n_rows inputs."""
-    cfg = ModelConfig(embed_dim=3, hidden=(4,), activation=activation, adapter_rank=2)
+    cfg = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2)
     rng = make_rng(seed, 78)
     backbone, adapter = init_model(cfg, 2, rng)
     adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-    if activation == "relu":
-        # with zero biases, a relu model whose hidden units are all dead embeds
-        # to 0, and one with a single live unit embeds to a direction that does
-        # not depend on that unit's scale, so the true layer0 gradient is 0 and
-        # the check would compare rounding noise; an output bias avoids both
-        backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)
     xs = rng.standard_normal((n_rows, 2))
     directions = rng.standard_normal((n_rows, 3))
 
@@ -167,27 +160,24 @@ class TestBackprop:
         for want, got in zip(fresh, reused):
             assert got.flat.tobytes() == want.flat.tobytes()
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_adapter_only_pass(self, activation, monkeypatch):
+    def test_adapter_only_pass(self, monkeypatch):
         # backbone=None stops the pass at the raw embedding: the adapter's
         # gradient is the full pass's to the bit, and no backbone layer's
-        # gradient is computed (the activation derivative runs for the
-        # adapter alone)
-        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), activation=activation, adapter_rank=2)
+        # gradient is computed (the tanh derivative runs for the adapter alone)
+        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), adapter_rank=2)
         rng = make_rng(12)
         backbone, adapter = init_model(cfg, 2, rng)
         adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-        backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)  # see _batch_gradient_error
         x, g = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
         full = backprop(embed_with_tape(backbone, adapter, x)[1], backbone, adapter, g)
         derivs = []
-        real = adaptcl.model._act_deriv
+        real = adaptcl.model._tanh_deriv
 
-        def counted(name, a):
+        def counted(a):
             derivs.append(a.shape)
-            return real(name, a)
+            return real(a)
 
-        monkeypatch.setattr(adaptcl.model, "_act_deriv", counted)
+        monkeypatch.setattr(adaptcl.model, "_tanh_deriv", counted)
         frozen = backprop(embed_with_tape(backbone, adapter, x)[1], None, adapter, g)
         assert frozen[0] is None
         assert frozen[1].flat.tobytes() == full[1].flat.tobytes()
@@ -198,18 +188,12 @@ class TestBackprop:
         again = backprop(embed_with_tape(backbone, adapter, x)[1], None, adapter, g, frozen)
         assert again is frozen and again[1].flat.tobytes() == full[1].flat.tobytes()
 
-    @pytest.mark.parametrize(
-        "seed, activation",
-        [(s, "tanh") for s in range(3)] + [(s, "relu") for s in range(3)],
-        ids=["0", "1", "2", "relu-0", "relu-1", "relu-2"],
-    )
-    def test_matches_finite_differences(self, seed, activation):
-        cfg = ModelConfig(embed_dim=3, hidden=(4,), activation=activation, adapter_rank=2)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_finite_differences(self, seed):
+        cfg = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2)
         rng = make_rng(seed, 77)
         backbone, adapter = init_model(cfg, 2, rng)
         adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-        if activation == "relu":
-            backbone.biases[-1][:] = rng.uniform(-0.5, 0.5, 3)  # see _batch_gradient_error
         direction = rng.standard_normal(3)
         for _ in range(10):
             x = rng.standard_normal((1, 2))
@@ -225,7 +209,7 @@ class TestBackprop:
                 err = np.linalg.norm(analytic[name] - numeric[name])
                 scale = max(np.linalg.norm(numeric[name]), 1e-10)
                 assert err / scale <= 1e-4, name
-        assert _batch_gradient_error(backprop, seed, activation=activation) <= 1e-4
+        assert _batch_gradient_error(backprop, seed) <= 1e-4
 
     def test_row_zero_only_mutation_caught(self):
         # a backprop that drops every row but the first must fail the batch check
@@ -266,14 +250,13 @@ class TestInputsUnchanged:
     allocated: the caller's input, upstream gradient and the tape keep their
     bits."""
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize(
         "with_adapter, trains_backbone",
         [(True, True), (False, True), (True, False)],
         ids=["full", "no-adapter", "frozen-backbone"],
     )
-    def test_forward_and_backprop(self, activation, with_adapter, trains_backbone):
-        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), activation=activation, adapter_rank=2)
+    def test_forward_and_backprop(self, with_adapter, trains_backbone):
+        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), adapter_rank=2)
         rng = make_rng(14)
         backbone, adapter = init_model(cfg, 2, rng)
         adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
