@@ -1,61 +1,28 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit. A subclass exists only where
+a catch site, an exit code, a message prefix or a failed cell's manifest
+entry tells it apart; every other error is a plain AdaptclError."""
 
 
 class AdaptclError(Exception):
-    """Base class for all toolkit errors."""
+    """Base of all toolkit errors: the CLI exits 1 with one `error:` line."""
 
 
 class DegenerateVector(AdaptclError):
-    """Vector norm too small to normalize."""
-
-
-class DimensionMismatch(AdaptclError):
-    """Operands have incompatible dimensions."""
-
-
-class EmptyInput(AdaptclError):
-    """An operation received an empty sequence."""
+    """Norm too small to normalize; diverged_as and compute_prototypes catch it."""
 
 
 class NonFiniteLoss(AdaptclError):
-    """A loss evaluation produced NaN or infinity."""
-
-
-class TapeConsumed(AdaptclError):
-    """A backprop tape was used more than once."""
-
-
-class EmptyClassifier(AdaptclError):
-    """Classifier holds no classes."""
-
-
-class UnknownLabel(AdaptclError):
-    """Label not present in the prototype table or head."""
-
-
-class IncompleteMatrix(AdaptclError):
-    """Accuracy matrix is missing rows."""
-
-
-class SingleTask(AdaptclError):
-    """Metric needs at least two tasks."""
-
-
-class LengthMismatch(AdaptclError):
-    """Paired sequences differ in length."""
-
-
-class TooFewSamples(AdaptclError):
-    """Not enough samples for the requested check."""
+    """Loss is NaN or infinite; names a failed cell's stderr line and manifest entry."""
 
 
 class ConfigError(AdaptclError):
-    """Run configuration is missing or malformed."""
+    """Run configuration is missing or malformed; exit 2, `config error:`."""
 
 
 class CheckpointError(AdaptclError):
-    """Model checkpoint file is missing or malformed."""
+    """Model checkpoint is missing or malformed; exit 1, `checkpoint error:`."""
 
 
 class BoundViolation(AssertionError):
-    """A theoretical guarantee failed at runtime; always an implementation bug."""
+    """A theoretical guarantee failed at runtime; always an implementation bug.
+    Names a failed cell's stderr line and manifest entry."""

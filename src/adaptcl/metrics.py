@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, IncompleteMatrix, LengthMismatch, SingleTask
+from .errors import AdaptclError, BoundViolation
 
 LOG2 = math.log(2.0)
 
@@ -46,9 +46,7 @@ class AccuracyMatrix:
 
 def _require_complete(m: AccuracyMatrix):
     if not m.complete:
-        raise IncompleteMatrix(
-            f"matrix has {m.K} of {m.expected_tasks} rows"
-        )
+        raise AdaptclError(f"matrix has {m.K} of {m.expected_tasks} rows")
 
 
 def last_accuracy(m: AccuracyMatrix) -> float:
@@ -67,7 +65,7 @@ def forgetting(m: AccuracyMatrix) -> float:
     Unclamped: negative values indicate backward transfer."""
     _require_complete(m)
     if m.K < 2:
-        raise SingleTask("forgetting needs K >= 2")
+        raise AdaptclError("forgetting needs K >= 2")
     drops = []
     for j in range(m.K - 1):
         best = max(m.rows[b][j] for b in range(j, m.K - 1))
@@ -115,9 +113,9 @@ def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     losses = np.asarray(losses, dtype=np.float64)
     correct = np.asarray(correct_flags, dtype=bool)
     if losses.shape != correct.shape:
-        raise LengthMismatch(f"{losses.shape} vs {correct.shape}")
+        raise AdaptclError(f"{losses.shape} vs {correct.shape}")
     if losses.size == 0:
-        raise LengthMismatch("empty sequences")
+        raise AdaptclError("empty sequences")
     lhs = float(np.mean(~correct))
     rhs = float(np.mean(losses)) / LOG2
     return BoundReport(context, lhs, rhs, tolerance=1e-12)
@@ -148,7 +146,7 @@ def check_stability_bounds(old_embeddings, new_embeddings, label_prototypes, con
     new = np.asarray(new_embeddings, dtype=np.float64)
     p = np.asarray(label_prototypes, dtype=np.float64)
     if not (old.shape[:-1] == new.shape[:-1] == p.shape[:-1]) or old.shape[-2] == 0:
-        raise LengthMismatch("aligned non-empty sequences required")
+        raise AdaptclError("aligned non-empty sequences required")
     lhs = mean_sq_distance(new, old)
     rhs = 2.0 * (mean_sq_distance(new, p) + mean_sq_distance(old, p))
     return [

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVector,
-    DimensionMismatch,
-    EmptyClassifier,
-    TapeConsumed,
-    UnknownLabel,
-)
+from .errors import AdaptclError, DegenerateVector
 from .numerics import l2_normalize_with_norm
 
 
@@ -116,24 +110,23 @@ def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator):
 
 @dataclass
 class Tape:
-    """Intermediates of one forward pass over an (n, D) batch; consumed
-    exactly once by backprop. unit is (n, d) and norm (n,)."""
+    """Intermediates of one forward pass over an (n, D) batch, which
+    backprop reads. unit is (n, d) and norm (n,)."""
 
     acts: list  # each backbone layer's input
     raw: np.ndarray  # backbone output before adapter
     adapter_act: "np.ndarray | None"  # tanh(raw @ down.T); None without an adapter
     norm: np.ndarray
     unit: np.ndarray
-    consumed: bool = False
 
 
 def embed_with_tape(backbone: Backbone, adapter, x):
     """Forward pass over (n, D) rows: backbone, adapter, l2-normalize.
-    Returns the (n, d) unit embeddings and the Tape that backprop consumes."""
+    Returns the (n, d) unit embeddings and the Tape that backprop reads."""
     a = np.asarray(x, dtype=np.float64)
     in_dim = backbone.weights[0].shape[1]
     if a.ndim != 2 or a.shape[1] != in_dim:
-        raise DimensionMismatch(f"input shape {a.shape} vs expected (n, {in_dim})")
+        raise AdaptclError(f"input shape {a.shape} vs expected (n, {in_dim})")
     acts = []
     for w, b in zip(backbone.weights[:-1], backbone.biases[:-1]):
         acts.append(a)
@@ -175,12 +168,9 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
     adapter residual, then the backbone layers in reverse. Weight gradients
     are delta^T @ acts, summed over the rows of the batch.
     """
-    if tape.consumed:
-        raise TapeConsumed("tape already used")
-    tape.consumed = True
     g = np.asarray(d_embedding, dtype=np.float64)
     if g.shape != tape.unit.shape:
-        raise DimensionMismatch(f"{g.shape} vs {tape.unit.shape}")
+        raise AdaptclError(f"{g.shape} vs {tape.unit.shape}")
 
     u = tape.unit
     delta = u * g
@@ -221,7 +211,7 @@ def label_index(class_ids, labels, owner):
     try:
         return np.array([position[y] for y in labels.tolist()])
     except KeyError as e:
-        raise UnknownLabel(f"label {e.args[0]!r} not in {owner}") from None
+        raise AdaptclError(f"label {e.args[0]!r} not in {owner}") from None
 
 
 @dataclass
@@ -259,10 +249,10 @@ class Classifier:
     def logits(self, embedding: np.ndarray) -> np.ndarray:
         """Logits per class id: (n, d) -> (n, C)."""
         if not self.class_ids:
-            raise EmptyClassifier("no classes registered")
+            raise AdaptclError("no classes registered")
         e = np.asarray(embedding, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != self.weight.shape[1]:
-            raise DimensionMismatch(f"{e.shape} vs weight {self.weight.shape}")
+            raise AdaptclError(f"{e.shape} vs weight {self.weight.shape}")
         scores = e @ self.weight.T
         if self.bias is None:
             return np.clip(scores, -1.0, 1.0)

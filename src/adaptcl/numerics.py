@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DegenerateVector, EmptyInput, NonFiniteLoss
+from .errors import AdaptclError, DegenerateVector, NonFiniteLoss
 
 EPS_NORM = 1e-8
 
@@ -79,7 +79,7 @@ def softmax_cross_entropy(logits, y_idx):
     row's max, and the (n, C) softmax exp(s - lse) in a new array."""
     s = np.asarray(logits, dtype=np.float64)
     if s.size == 0:
-        raise EmptyInput("softmax cross-entropy of empty logits")
+        raise AdaptclError("softmax cross-entropy of empty logits")
     m = np.maximum.reduce(s, axis=-1, keepdims=True)
     t = s - m
     lse = m[..., 0] + np.log(np.add.reduce(np.exp(t, out=t), axis=-1))

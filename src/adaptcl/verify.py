@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model as model_mod
 from .adaptation import acl_loss, acl_losses
-from .errors import NonFiniteLoss, TooFewSamples
+from .errors import AdaptclError, NonFiniteLoss
 from .metrics import (
     BoundReport,
     check_loss_threshold,
@@ -114,7 +114,7 @@ def verify_lemma2(class_embeddings, rng, n_probes: int = 100, context="mean-mini
     """
     e = np.asarray(class_embeddings, dtype=np.float64)
     if e.ndim != 2 or len(e) < 2:
-        raise TooFewSamples("need at least 2 embeddings")
+        raise AdaptclError("need at least 2 embeddings")
     mean = e.mean(axis=0)
     lhs = float(mean_sq_distance(e, mean))
     rhs = lhs if n_probes == 0 else np.inf

@@ -12,7 +12,7 @@ from adaptcl.adaptation import (
     ce_adapt_loss,
     compute_prototypes,
 )
-from adaptcl.errors import BoundViolation, DegenerateVector, UnknownLabel
+from adaptcl.errors import AdaptclError, BoundViolation, DegenerateVector
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -95,9 +95,9 @@ class TestAclLoss:
     def test_unknown_label(self):
         # acl_loss takes table rows; mapping a label not in the table raises
         protos = Classifier([0], np.array([[1.0, 0.0]]))
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(AdaptclError, match="label 9 not in prototype table"):
             label_index(protos.class_ids, np.array([9]), "prototype table")
-        with pytest.raises(UnknownLabel):
+        with pytest.raises(AdaptclError, match="label 9 not in prototype table"):
             label_index(protos.class_ids, np.array([0, 9]), "prototype table")
 
     def test_batch_rows_match_single(self):

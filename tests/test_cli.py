@@ -1092,6 +1092,16 @@ class TestDumpEmbeddings:
         # the failure comes before --out is opened
         assert not (tmp_path / "e.csv").exists()
 
+    def test_checkpoint_input_width_differs(self, tiny_config, tmp_path):
+        # a valid checkpoint built for 5 inputs, on data of data.input_dim = 8
+        ckpt = tmp_path / "narrow.ckpt"
+        cfg = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
+        save_checkpoint(ckpt, *init_model(cfg, 5, make_rng(0)))
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(ckpt)]
+        code, err = _exit_and_stderr(argv + ["--out", str(tmp_path / "e.csv")])
+        assert code == 1 and _one_line(err, "error: input shape"), err
+        assert not (tmp_path / "e.csv").exists()
+
 
 FUZZ = settings(
     max_examples=60,

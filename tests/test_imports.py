@@ -151,16 +151,16 @@ def _referenced(stmts) -> set:
 
 
 def verify_only_names(sources: dict) -> list:
-    """Top-level names of modules other than verify.py and errors.py that
-    no module but verify.py references outside the name's own definition:
-    code that only `adaptcl verify` runs, which belongs in verify.py, where
-    other commands do not load it. errors.py is exempt as the home of the
-    shared exception types. Like unread_fields, the check is by name only."""
+    """Top-level names of modules other than verify.py that no module but
+    verify.py references outside the name's own definition: code that only
+    `adaptcl verify` runs, which belongs in verify.py, where other commands
+    do not load it; an exception type too. Like unread_fields, the check is
+    by name only."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     references = {module: _referenced(tree.body) for module, tree in trees.items()}
     found = []
     for module, tree in trees.items():
-        if module in ("verify.py", "errors.py"):
+        if module == "verify.py":
             continue
         for name, stmt in _top_level_names(tree).items():
             users = {m for m, names in references.items() if m != module and name in names}
@@ -178,7 +178,7 @@ def test_detects_a_verify_only_name():
         "errors.py": "class E(Exception):\n    pass\n",
         "verify.py": "from .a import f, X\nfrom .b import h\nfrom .errors import E\n",
     }
-    assert verify_only_names(sources) == ["a.py: f", "b.py: h"]
+    assert verify_only_names(sources) == ["a.py: f", "b.py: h", "errors.py: E"]
 
 
 def test_verify_only_names_live_in_verify():

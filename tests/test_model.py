@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import adaptcl.model
-from adaptcl.errors import CheckpointError, DegenerateVector, DimensionMismatch, TapeConsumed
+from adaptcl.errors import AdaptclError, CheckpointError, DegenerateVector
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -90,7 +90,7 @@ class TestEmbed:
     def test_input_not_rows_raises(self, small_model, fn, shape):
         # every input is an (n, D) batch; a 1-D row is not the case n = 1
         _, backbone, adapter = small_model
-        with pytest.raises(DimensionMismatch, match="input shape"):
+        with pytest.raises(AdaptclError, match="input shape"):
             fn(backbone, adapter, np.ones(shape))
 
     @pytest.mark.parametrize("value", [1e300, np.nan, 0.0], ids=["overflow", "nan", "zero"])
@@ -131,13 +131,25 @@ def _batch_gradient_error(backprop_fn, seed, n_rows=5):
 
 
 class TestBackprop:
-    def test_tape_single_use(self, small_model):
+    @pytest.mark.parametrize("train_backbone", [True, False], ids=["backbone", "adapter-only"])
+    def test_tape_is_only_read(self, small_model, train_backbone):
+        # backprop may run twice on one tape: the second pass returns the
+        # same gradient bits and leaves every tape array as it was
         _, backbone, adapter = small_model
-        x = make_rng(4).standard_normal((1, 2))
+        rng = make_rng(4)
+        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+        x, g = rng.standard_normal((4, 2)), rng.standard_normal((4, 3))
         _, tape = embed_with_tape(backbone, adapter, x)
-        backprop(tape, backbone, adapter, np.ones((1, 3)))
-        with pytest.raises(TapeConsumed):
-            backprop(tape, backbone, adapter, np.ones((1, 3)))
+        arrays = [*tape.acts, tape.raw, tape.adapter_act, tape.norm, tape.unit]
+        before = [a.tobytes() for a in arrays]
+        trained = backbone if train_backbone else None
+        first = backprop(tape, trained, adapter, g)
+        second = backprop(tape, trained, adapter, g)
+        assert (first[0] is None) == (second[0] is None) == (not train_backbone)
+        for a, b in zip(first, second):
+            if a is not None:
+                assert a.flat.tobytes() == b.flat.tobytes()
+        assert [a.tobytes() for a in arrays] == before
 
     def test_zero_upstream(self, small_model):
         _, backbone, adapter = small_model
@@ -319,9 +331,10 @@ class TestClassify:
 
     def test_one_dimensional_input_raises(self):
         clf = Classifier([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(AdaptclError, match="vs weight"):
             classify(clf, np.array([1.0, 0.0]))
-        with pytest.raises(DimensionMismatch):  # nor is a stack of row sets taken
+        # nor is a stack of row sets taken
+        with pytest.raises(AdaptclError, match="vs weight"):
             classify(clf, np.ones((3, 4, 2)))
 
     def test_positive_rescale_invariance(self):
