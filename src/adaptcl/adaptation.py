@@ -76,7 +76,8 @@ def acl_loss(e_star: np.ndarray, y_idx: np.ndarray, table: Classifier, tau):
     true class: the softmax cross-entropy of the logits (e_star @ P.T) / tau
     against the frozen prototypes P. Returns (loss, d_loss/d_e_star); the
     gradient (softmax @ P - P[y]) / tau is taken with the embedding as a
-    free vector, before the normalization Jacobian.
+    free vector, before the normalization Jacobian. So ACL is ce_adapt_loss
+    of a head W = P / tau, b = 0 whose weights stay frozen.
 
     table: a cosine Classifier whose weight rows are the prototypes. (n, d)
     embeddings with (n,) true-class rows of the table (label_index) give
@@ -123,8 +124,10 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
 
     Returns (adapted backbone, adapted adapter, [EpochRecord per epoch]). The
     inputs are never mutated; mode="disabled" or epochs=0 returns exact copies
-    and no records. A prototype table, or under lightweight_only a backbone,
-    that changed in any bit over the phase raises BoundViolation.
+    and no records. Each batch takes one plain SGD step, p -= lr * g, on
+    every trained array (the backbone unless lightweight_only, the adapter,
+    and ce_ablation's head), with g the gradient of the batch's mean loss. A prototype table, or under lightweight_only a backbone, that
+    changed in any bit over the phase raises BoundViolation.
     """
     if mode not in ADAPT_MODES:
         raise ValueError(f"unknown adaptation mode {mode!r}")

@@ -75,6 +75,11 @@ def _require_distinct(what: str, items) -> None:
         raise ConfigError(f"{what} repeats {repeated[0]!r}")
 
 
+def _comma_list(text: str) -> list:
+    """The comma-separated items of text, each stripped, empty ones dropped."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _config_keys() -> dict:
     """section.key -> (RunConfig section field or None, the key's field)."""
     keys = {}
@@ -106,8 +111,7 @@ def _convert(key: str, text: str, f):
             raise ConfigError(f"{key} must be true or false")
         return text.lower() == "true"
     if get_origin(f.type) is tuple:
-        item = get_args(f.type)[0]
-        return tuple(item(p.strip()) for p in text.split(",") if p.strip())
+        return tuple(map(get_args(f.type)[0], _comma_list(text)))
     value = f.type(text)
     if f.type is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {text!r}")
@@ -349,7 +353,10 @@ def cmd_run(config: RunConfig) -> int:
 
 def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     """One run per value, of config with key axis (a bare name is an adapt.*
-    key) set to the value and run.out set to the value's own directory."""
+    key) set to the value and run.out set to the value's own directory.
+    One run_cells cache passes through every value, so over an adapt.* axis
+    the data, each seed's pretraining and its disabled run are made once;
+    every cell still writes the files of a standalone run."""
     key = axis if "." in axis else f"adapt.{axis}"
     if key not in CONFIG_KEYS or key.startswith("run."):
         raise ConfigError(f"sweep axis must be a config key outside run.*, got {axis!r}")
@@ -458,14 +465,13 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(config)
         if args.command == "sweep":
-            values = [v.strip() for v in args.values.split(",") if v.strip()]
-            return cmd_sweep(config, args.axis, values)
+            return cmd_sweep(config, args.axis, _comma_list(args.values))
         if args.command == "verify":
             from .verify import VerifySizes  # here, so other commands skip loading it
 
             sizes = VerifySizes()
             if args.sizes:
-                items = args.sizes.split(",")
+                items = _comma_list(args.sizes)
                 for item in items:
                     name, sep, count = item.partition("=")
                     if not sep:
@@ -481,7 +487,7 @@ def main(argv=None) -> int:
             return cmd_verify(seed, sizes)
         if args.command == "dump-embeddings":
             config = load_config(args.config)
-            splits = tuple(s for s in args.splits.split(",") if s)
+            splits = tuple(_comma_list(args.splits))
             if not splits or not set(splits) <= {"train", "test"}:
                 raise ConfigError(f"--splits must name train and/or test, got {args.splits!r}")
             _require_distinct("--splits", splits)

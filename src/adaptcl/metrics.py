@@ -81,6 +81,9 @@ def plasticity(m: AccuracyMatrix) -> float:
 
 @dataclass
 class BoundReport:
+    """One checked guarantee, lhs <= rhs up to tolerance; require is the one
+    place that raises BoundViolation."""
+
     context: str
     lhs: float
     rhs: float

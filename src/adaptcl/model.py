@@ -5,13 +5,14 @@ The backbone is a small feed-forward tanh net mapping R^D to R^d; the final
 layer is linear and the output is projected to the unit sphere. The adapter
 is a tanh bottleneck residual applied before normalization, with its
 up-projection zero-initialized so a fresh adapter is an exact identity.
+Every kernel takes (n, ...) rows, and a 1-D input raises AdaptclError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdaptclError, DegenerateVector
+from .errors import AdaptclError, CheckpointError, DegenerateVector
 from .numerics import l2_normalize_with_norm
 
 
@@ -294,8 +295,6 @@ def load_checkpoint(path):
     starts with its activation;tanh and n_layers;<N> lines and holds dims of
     decimal counts, finite values, each layer array once, both adapter arrays
     or neither, no other array, and layer shapes that chain."""
-    from .errors import CheckpointError
-
     try:
         with open(path) as f:
             lines = [ln.rstrip("\n") for ln in f]

@@ -3,6 +3,10 @@ seeded RNG streams and the finite-loss checks of training.
 
 All arithmetic is float64. The RNG is numpy's counter-based Philox generator,
 which produces identical streams for identical seeds on every platform.
+l2_normalize is the only code that scales vectors to unit norm, and
+softmax_cross_entropy the one softmax kernel (core_learn_linear inlines it
+for one row). There is no optimizer object: each training loop writes its
+own in-place step.
 """
 
 from contextlib import contextmanager

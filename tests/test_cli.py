@@ -913,13 +913,15 @@ class TestFailures:
 
 class TestVerify:
     def test_verify_passes(self, capsys):
-        sizes = (
+        small = (
             "lemma1_pairs=100,lemma2_sets=3,threshold_draws=200,"
             "markov_batches=10,stability_draws=50,grad_seeds=1,grad_probes=2"
         )
-        assert main(["verify", "--seed", "0", "--sizes", sizes]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        # a --sizes item is read without its surrounding spaces
+        for sizes in (small, "lemma1_pairs=1, grad_probes=2"):
+            assert main(["verify", "--seed", "0", "--sizes", sizes]) == 0
+            out = capsys.readouterr().out
+            assert "PASS" in out and "FAIL" not in out
 
     def test_verify_zero_sizes_warns(self, capsys):
         sizes = (
@@ -990,6 +992,12 @@ class TestDumpEmbeddings:
         for line in lines[1:5]:
             vec = np.array([float(v) for v in line.split(",")[3:]])
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
+        # a --splits item is read without its surrounding spaces
+        spaced = tmp_path / "spaced.csv"
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--splits", "train, test"]
+        argv += ["--checkpoint", str(out / "model_acl_11.ckpt"), "--out", str(spaced)]
+        assert main(argv) == 0
+        assert spaced.read_bytes() == emb.read_bytes()
 
     def test_unknown_split(self, tiny_config, fresh_checkpoint, tmp_path, capsys):
         argv = ["dump-embeddings", "--config", str(tiny_config), "--splits", "foo"]
