@@ -195,13 +195,25 @@ def config_text(config: RunConfig) -> str:
     return "".join(f"{key} = {_value_text(config, key)}\n" for key in CONFIG_KEYS)
 
 
-def _write_matrix_csv(path, matrix, status):
-    K = matrix.expected_tasks
+def _write_csv(path, header, rows) -> None:
+    """The one text format of every CSV artifact: the header's names, then
+    each row's fields (strings, floats already _fmt), comma-joined, one line
+    each. Fields are written unquoted, so none may hold a comma or a line end."""
     with open(path, "w", newline="\n") as f:
-        f.write("after_task," + ",".join(f"task_{j + 1}" for j in range(K)) + ",status\n")
-        for b, row in enumerate(matrix.rows, start=1):
-            cells = [_fmt(a) for a in row] + [""] * (K - len(row))
-            f.write(f"{b}," + ",".join(cells) + f",{status}\n")
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_matrix_csv(path, matrix, status):
+    """Row b: the accuracies on tasks 1..b after learning task b, empty
+    fields up to task K, then the status."""
+    K = matrix.expected_tasks
+    header = ["after_task", *(f"task_{j + 1}" for j in range(K)), "status"]
+    rows = (
+        [str(b), *map(_fmt, row), *[""] * (K - len(row)), status]
+        for b, row in enumerate(matrix.rows, start=1)
+    )
+    _write_csv(path, header, rows)
 
 
 def _cached(cache: dict, stage, key, make):
@@ -268,8 +280,11 @@ def run_cells(config: RunConfig, cache: dict):
             yield Cell(seed, mode, result, time.perf_counter() - t0)
 
 
+METRICS_HEADER = ("run_id", "seed", "mode", "LA", "AIA", "forgetting", "plasticity")
+
+
 def _metrics_row(cell: Cell) -> list:
-    """The metrics.csv fields of an ok cell."""
+    """The metrics.csv fields of an ok cell, in METRICS_HEADER order."""
     m = cell.result.matrix
     return [
         f"{cell.mode}_{cell.seed}",
@@ -325,18 +340,10 @@ def write_artifacts(config: RunConfig, cells):
                     checks = filter(None, (r.stability, r.markov, r.threshold))
                     bounds += [(f"{c.context}/{at}", c) for c in checks]
 
-        with open(out / "metrics.csv", "w", newline="\n") as f:
-            f.write("run_id,seed,mode,LA,AIA,forgetting,plasticity\n")
-            f.writelines(",".join(_metrics_row(c)) + "\n" for c in done if c.ok)
+        _write_csv(out / "metrics.csv", METRICS_HEADER, (_metrics_row(c) for c in done if c.ok))
         manifest["files"].append("metrics.csv")
-
-        with open(out / "bounds.csv", "w", newline="\n") as f:
-            f.write("context,lhs,rhs,slack,pass\n")
-            for context, check in bounds:
-                f.write(
-                    f"{context},{_fmt(check.lhs)},{_fmt(check.rhs)},"
-                    f"{_fmt(check.slack)},{check.passed}\n"
-                )
+        rows = ([at, *map(_fmt, (c.lhs, c.rhs, c.slack)), str(c.passed)] for at, c in bounds)
+        _write_csv(out / "bounds.csv", ["context", "lhs", "rhs", "slack", "pass"], rows)
         manifest["files"].append("bounds.csv")
     finally:
         with open(out / "manifest.json", "w", newline="\n") as f:
@@ -371,13 +378,8 @@ def cmd_sweep(config: RunConfig, axis: str, values) -> int:
     for value, cell_config in zip(values, configs):
         code, cells = write_artifacts(cell_config, run_cells(cell_config, cache))
         overall = max(overall, code)
-        for cell in cells:
-            if cell.ok:
-                rows.append([axis, value, *_metrics_row(cell)[1:]])
-    with open(root / "sweep.csv", "w", newline="\n") as f:
-        f.write("axis,value,seed,mode,LA,AIA,forgetting,plasticity\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+        rows += ([axis, value, *_metrics_row(c)[1:]] for c in cells if c.ok)
+    _write_csv(root / "sweep.csv", ["axis", "value", *METRICS_HEADER[1:]], rows)
     return overall
 
 
@@ -410,11 +412,13 @@ def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits) -> int:
         for split in splits:
             x, labels = getattr(task, split)
             blocks.append((k, split, labels, embed(backbone, adapter, x)))
-    with open(out_path, "w", newline="\n") as f:
-        f.write("task_id,class_id,split," + ",".join(f"e_{i + 1}" for i in range(d)) + "\n")
-        for k, split, labels, embeddings in blocks:
-            for y, e in zip(labels, embeddings):
-                f.write(f"{k},{y},{split}," + ",".join(_fmt(v) for v in e) + "\n")
+    header = ["task_id", "class_id", "split", *(f"e_{i + 1}" for i in range(d))]
+    rows = (
+        [str(k), str(y), split, *map(_fmt, e)]  # str, not repr, of an np.int64 id
+        for k, split, labels, embeddings in blocks
+        for y, e in zip(labels, embeddings)
+    )
+    _write_csv(out_path, header, rows)
     return 0
 
 
@@ -498,8 +502,9 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 1
-    except (AdaptclError, OSError) as e:  # OSError: an output path cannot be written
-        print(f"error: {e}", file=sys.stderr)
+    # OSError: an output path cannot be written; MemoryError: the data does not fit
+    except (AdaptclError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
     return 0
 

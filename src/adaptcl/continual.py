@@ -73,8 +73,9 @@ class ExperimentState:
     classifier: Classifier
 
 
-def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
-    """Insert current-task prototypes computed with the frozen adapted model.
+def core_learn_ncm(state: ExperimentState, task_data):
+    """Insert into state.classifier the current-task prototypes computed
+    with the frozen adapted model.
 
     No parameter updates; previously stored prototypes are never touched. A
     class already in the classifier raises ValueError, and a backbone that
@@ -84,7 +85,6 @@ def core_learn_ncm(state: ExperimentState, task_data) -> ExperimentState:
     table = compute_prototypes(embed(state.backbone, state.adapter, x), labels)
     state.classifier.add_classes(table.class_ids, table.weight)
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("ncm core learning")
-    return state
 
 
 def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng):
@@ -138,7 +138,6 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
                 Wb -= multiply(column, a_lr, outer)
     head.weight, head.bias = W.copy(), b.copy()  # C-contiguous, owning their data
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
-    return state
 
 
 def evaluate(state: ExperimentState, stream: TaskStream, up_to_task: int):

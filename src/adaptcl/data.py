@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continual import Task, TaskStream
+from .errors import AdaptclError
 from .model import Backbone, Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
 from .numerics import diverged_as, l2_normalize, make_rng, require_finite, require_seed
@@ -81,42 +82,44 @@ def generate_synthetic(spec: SyntheticSpec):
 
     Cluster means are drawn on the unit sphere; incremental means are then
     rotated and shifted by the domain transform. Deterministic in spec.seed.
+    A spec whose draws overflow (a huge sigma) raises a one-line AdaptclError.
     """
-    rng = make_rng(spec.seed, 101)
+    with diverged_as("synthetic data generation failed", AdaptclError):
+        rng = make_rng(spec.seed, 101)
 
-    def draw_centers(n):
-        return l2_normalize(rng.standard_normal((n, spec.input_dim)))
+        def draw_centers(n):
+            return l2_normalize(rng.standard_normal((n, spec.input_dim)))
 
-    pre_centers = draw_centers(spec.n_pretrain_classes)
-    inc_centers = draw_centers(spec.n_incremental_classes)
-    rotation, translation = _domain_transform(spec, rng)
-    inc_centers = inc_centers @ rotation.T + translation
+        pre_centers = draw_centers(spec.n_pretrain_classes)
+        inc_centers = draw_centers(spec.n_incremental_classes)
+        rotation, translation = _domain_transform(spec, rng)
+        inc_centers = inc_centers @ rotation.T + translation
 
-    def build_split(centers, labels, per_class):
-        x = np.concatenate([_sample_class(c, spec, rng, per_class) for c in centers])
-        return x, np.repeat(np.array(labels, dtype=np.int64), per_class)
+        def build_split(centers, labels, per_class):
+            x = np.concatenate([_sample_class(c, spec, rng, per_class) for c in centers])
+            return x, np.repeat(np.array(labels, dtype=np.int64), per_class)
 
-    pre_labels = range(spec.n_pretrain_classes)
-    pretrain_train = build_split(pre_centers, pre_labels, spec.train_per_class)
-    # never read by the CLI, but drawn before the tasks, whose draws it fixes
-    pretrain_test = build_split(pre_centers, pre_labels, spec.test_per_class)
+        pre_labels = range(spec.n_pretrain_classes)
+        pretrain_train = build_split(pre_centers, pre_labels, spec.train_per_class)
+        # never read by the CLI, but drawn before the tasks, whose draws it fixes
+        pretrain_test = build_split(pre_centers, pre_labels, spec.test_per_class)
 
-    first = spec.n_pretrain_classes
-    inc_labels = range(first, first + spec.n_incremental_classes)
-    per_task = spec.n_incremental_classes // spec.n_tasks
-    tasks = []
-    for t in range(spec.n_tasks):
-        lo, hi = t * per_task, (t + 1) * per_task
-        centers = inc_centers[lo:hi]
-        labels = inc_labels[lo:hi]
-        tasks.append(
-            Task(
-                class_ids=frozenset(labels),
-                train=build_split(centers, labels, spec.train_per_class),
-                test=build_split(centers, labels, spec.test_per_class),
+        first = spec.n_pretrain_classes
+        inc_labels = range(first, first + spec.n_incremental_classes)
+        per_task = spec.n_incremental_classes // spec.n_tasks
+        tasks = []
+        for t in range(spec.n_tasks):
+            lo, hi = t * per_task, (t + 1) * per_task
+            centers = inc_centers[lo:hi]
+            labels = inc_labels[lo:hi]
+            tasks.append(
+                Task(
+                    class_ids=frozenset(labels),
+                    train=build_split(centers, labels, spec.train_per_class),
+                    test=build_split(centers, labels, spec.test_per_class),
+                )
             )
-        )
-    return pretrain_train, pretrain_test, TaskStream(tasks)
+        return pretrain_train, pretrain_test, TaskStream(tasks)
 
 
 @dataclass(frozen=True)

@@ -100,15 +100,16 @@ def require_finite(losses, what: str) -> None:
 
 
 @contextmanager
-def diverged_as(what: str):
-    """Run one epoch of a training loop with floating-point overflow and
-    invalid values raising. Either, or an embedding the loop can no longer
-    normalize, ends it as a one-line NonFiniteLoss "<what>: <reason>". A
-    silent inf weight could leave tanh embeddings finite and reach a
-    checkpoint that load_checkpoint rejects."""
+def diverged_as(what: str, error=NonFiniteLoss):
+    """Run one epoch of a training loop, or the data draws, with
+    floating-point overflow and invalid values raising. Either, or a vector
+    that can no longer be normalized, ends it as a one-line error (a
+    NonFiniteLoss unless given) "<what>: <reason>". A silent inf weight could
+    leave tanh embeddings finite and reach a checkpoint that load_checkpoint
+    rejects."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except (FloatingPointError, DegenerateVector) as e:
-        raise NonFiniteLoss(f"{what}: {e}") from e
+        raise error(f"{what}: {e}") from e
 

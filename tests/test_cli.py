@@ -910,6 +910,46 @@ class TestFailures:
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["failures"] == {}
 
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 74.5 GiB", "error: Unable to allocate 74.5 GiB"),
+            ("", "error: MemoryError"),
+        ],
+    )
+    def test_data_that_does_not_fit(
+        self, tiny_config, tmp_path, monkeypatch, capsys, message, line
+    ):
+        # data generation runs out of memory before any cell: one line, exit 1,
+        # and the manifest is still written; no real memory is asked for
+        def out_of_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(adaptcl.cli, "generate_synthetic", out_of_memory)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert json.loads((out / "manifest.json").read_text())["status"] == {}
+
+    def test_overflowing_data(self, tiny_config, tmp_path, capsys):
+        # data.sigma is finite, so the config check accepts it, but its draws
+        # overflow: run and dump-embeddings each fail in one line, before any cell
+        tiny_config.write_text(
+            tiny_config.read_text().replace("data.sigma = 0.3", "data.sigma = 1e308")
+        )
+        line = "error: synthetic data generation failed: overflow encountered in multiply"
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert json.loads((out / "manifest.json").read_text())["status"] == {}
+        checkpoint = tmp_path / "m.ckpt"
+        model = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
+        save_checkpoint(checkpoint, *init_model(model, 8, make_rng(0)))
+        argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(checkpoint)]
+        assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "e.csv").exists()
+
 
 class TestVerify:
     def test_verify_passes(self, capsys):

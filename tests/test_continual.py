@@ -181,7 +181,6 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng):
             _, _, d_w, d_b = ce_adapt_loss(frozen[i : i + 1], rows[i : i + 1], head)
             head.weight -= lr * d_w
             head.bias -= lr * d_b
-    return state
 
 
 def _allocating_core_learn_linear(state, task_data, config, rng):
@@ -204,7 +203,6 @@ def _allocating_core_learn_linear(state, task_data, config, rng):
             delta[rows[i]] -= 1.0
             Wb = Wb - np.outer(delta, config.lr * a)
     head.weight, head.bias = Wb[:, :-1].copy(), Wb[:, -1].copy()
-    return state
 
 
 class TestCoreLearnLinearReference:
@@ -350,7 +348,7 @@ class TestRunAcl:
             calls.append(task_data)
             if len(calls) == 2:
                 raise BoundViolation("planted")
-            return real_ncm(state, task_data)
+            real_ncm(state, task_data)
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", violates_on_second_task)
         result = run_acl(
