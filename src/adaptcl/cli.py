@@ -297,16 +297,15 @@ def _metrics_row(cell: Cell) -> list:
     ]
 
 
-def _failure(cell: str, e: BaseException) -> dict:
-    """The manifest entry of a failed cell; also prints one line naming the
-    cell and the exception to stderr."""
-    print(f"error: {cell}: {type(e).__name__}: {e}", file=sys.stderr)
+def _failure(e: BaseException) -> dict:
+    """The manifest entry of a failure: the exception's type and traceback."""
     return {"type": type(e).__name__, "traceback": "".join(traceback.format_exception(e))}
 
 
 def write_artifacts(config: RunConfig, cells):
     """Write each cell's files as the cell arrives, then metrics.csv and
-    bounds.csv; manifest.json is written last, also when a cell raises.
+    bounds.csv; manifest.json is written last, also when an exception ends
+    the run, which it records as failures["run"] before raising it on.
     Returns the exit code and the cells."""
     out = config.run_out
     out.mkdir(parents=True, exist_ok=True)
@@ -332,7 +331,9 @@ def write_artifacts(config: RunConfig, cells):
                 files.append(f"model_{stem}.ckpt")
                 save_checkpoint(out / files[-1], result.state.backbone, result.state.adapter)
             else:
-                manifest["failures"][name] = _failure(name, result.exception)
+                e = result.exception
+                print(f"error: {name}: {type(e).__name__}: {e}", file=sys.stderr)
+                manifest["failures"][name] = _failure(e)
             manifest["files"] += files
             for k, records in result.epoch_records:
                 for r in records:
@@ -345,6 +346,9 @@ def write_artifacts(config: RunConfig, cells):
         rows = ([at, *map(_fmt, (c.lhs, c.rhs, c.slack)), str(c.passed)] for at, c in bounds)
         _write_csv(out / "bounds.csv", ["context", "lhs", "rhs", "slack", "pass"], rows)
         manifest["files"].append("bounds.csv")
+    except Exception as e:
+        manifest["failures"]["run"] = _failure(e)
+        raise
     finally:
         with open(out / "manifest.json", "w", newline="\n") as f:
             json.dump(manifest, f, indent=2)

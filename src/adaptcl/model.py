@@ -8,6 +8,7 @@ up-projection zero-initialized so a fresh adapter is an exact identity.
 Every kernel takes (n, ...) rows, and a 1-D input raises AdaptclError.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,82 +269,62 @@ def classify(classifier: Classifier, embedding: np.ndarray):
     return np.asarray(classifier.class_ids)[idx], logits
 
 
-def save_checkpoint(path, backbone: Backbone, adapter) -> None:
-    """Text checkpoint: per array a `name;dims` header line, then one CSV row
-    of values. Layout documented in the README."""
+def _checkpoint_lines(backbone: Backbone, adapter):
+    """The lines of the model's checkpoint, without line ends: activation;tanh,
+    n_layers;<N>, then per array in name order a `name;dims` line and a row
+    of its values' reprs, comma-joined (empty for an array of size 0). The
+    one definition of the format, for writing and for loading."""
     params = model_params(backbone, adapter)
+    yield "activation;tanh"
+    yield f"n_layers;{len(backbone.weights)}"
+    for name in sorted(params):
+        arr = params[name]
+        yield f"{name};{'x'.join(map(str, arr.shape))}"
+        yield ",".join(map(repr, arr.reshape(-1).tolist()))
+
+
+def save_checkpoint(path, backbone: Backbone, adapter) -> None:
+    """Text checkpoint: the _checkpoint_lines of the model, each ended by a
+    line feed. Layout documented in the README."""
     with open(path, "w", newline="\n") as f:
-        f.write("activation;tanh\n")
-        f.write(f"n_layers;{len(backbone.weights)}\n")
-        for name in sorted(params):
-            arr = params[name]
-            dims = "x".join(str(s) for s in arr.shape)
-            f.write(f"{name};{dims}\n")
-            f.write(",".join(map(repr, arr.reshape(-1).tolist())) + "\n")
-
-
-def _header(lines, i, key):
-    """The value of header line i, which must read `key;<value>`."""
-    name, *value = lines[i].split(";")
-    if name != key or len(value) != 1:
-        raise ValueError(f"line {i + 1} is {lines[i]!r}: want {key};<value>")
-    return value[0]
+        f.writelines(line + "\n" for line in _checkpoint_lines(backbone, adapter))
 
 
 def load_checkpoint(path):
     """The model save_checkpoint wrote. Raises CheckpointError unless the file
-    starts with its activation;tanh and n_layers;<N> lines and holds dims of
-    decimal counts, finite values, each layer array once, both adapter arrays
-    or neither, no other array, and layer shapes that chain."""
+    is exactly what save_checkpoint writes for the arrays it holds, and those
+    hold finite values only."""
     try:
-        with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f]
+        with open(path, newline="") as f:
+            lines = f.read().split("\n")
     except (OSError, UnicodeDecodeError) as e:
         raise CheckpointError(str(e)) from e
     try:
-        activation = _header(lines, 0, "activation")
-        if activation != "tanh":
-            raise ValueError(f"activation {activation!r}: only tanh loads")
-        n_layers = int(_header(lines, 1, "n_layers"))
-        if n_layers < 1:
-            raise ValueError("no layers")
         arrays = {}
-        i = 2
-        while i < len(lines):
-            name, dims = lines[i].split(";")
-            if name in arrays:
-                raise ValueError(f"repeated array {name}")
-            sizes = dims.split("x")
-            if not all(s.isdecimal() for s in sizes):  # int() reads -1, +1 and " 1" too
-                raise ValueError(f"{name} dims {dims!r}: want counts joined by x")
-            shape = tuple(map(int, sizes))
-            row = lines[i + 1]  # empty for an array of size 0
+        for head, row in zip(lines[2::2], lines[3::2]):
+            name, dims = head.split(";")
             values = np.array([float(v) for v in row.split(",")] if row else [])
             if not np.isfinite(values).all():
                 raise ValueError(f"non-finite value in {name}")
-            arrays[name] = values.reshape(shape)
-            i += 2
-        extra = set(arrays) - {f"layer{k}.{p}" for k in range(n_layers) for p in "Wb"}
-        if extra not in (set(), {"adapter.down", "adapter.up"}):
-            raise ValueError(f"arrays {sorted(extra)}: want both adapter arrays or neither")
-        weights = [arrays[f"layer{i}.W"] for i in range(n_layers)]
-        biases = [arrays[f"layer{i}.b"] for i in range(n_layers)]
-        widths = [weights[0].shape[-1]]
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if b.ndim != 1 or w.shape != (len(b), widths[-1]):
-                raise ValueError(f"layer{i} shapes {w.shape} and {b.shape} do not chain")
-            widths.append(len(b))
-        layers = [a for pair in zip(weights, biases) for a in pair]
-        backbone = Backbone(np.concatenate(layers, axis=None), tuple(widths))
+            arrays[name] = values.reshape(tuple(map(int, dims.split("x"))))
+        n_layers = int(lines[1].removeprefix("n_layers;"))
+        layers = [arrays[f"layer{i}.{p}"] for i in range(n_layers) for p in "Wb"]
+        widths = (layers[0].shape[-1], *map(len, layers[1::2]))
+        backbone = Backbone(np.concatenate(layers, axis=None), widths)
         adapter = None
-        if extra:
-            down, up = arrays["adapter.down"], arrays["adapter.up"]
-            rank, width = len(down), widths[-1]
-            if not width or down.shape != (rank, width) or up.shape != (width, rank):
-                raise ValueError(f"adapter shapes do not fit embedding width {width}")
-            adapter = AdapterModule(np.concatenate([down, up], axis=None), width)
+        if "adapter.down" in arrays:
+            if not widths[-1]:
+                raise ValueError("adapter on embedding width 0")
+            down_up = arrays["adapter.down"], arrays["adapter.up"]
+            adapter = AdapterModule(np.concatenate(down_up, axis=None), widths[-1])
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing array {e}") from e
     except (IndexError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
+    written = itertools.chain(_checkpoint_lines(backbone, adapter), [""])
+    for number, (line, want) in enumerate(itertools.zip_longest(lines, written), start=1):
+        if line != want:
+            raise CheckpointError(
+                f"malformed checkpoint {path}: line {number} is not what save_checkpoint writes"
+            )
     return backbone, adapter

@@ -904,6 +904,7 @@ class TestFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == {"seed=11,mode=acl": "ok"}
         assert list(manifest["wall_clock"]) == ["seed=11,mode=acl"]
+        assert manifest["failures"]["run"]["type"] == "TypeError"
 
     def test_no_failures_on_success(self, tiny_config, tmp_path):
         out = tmp_path / "o"
@@ -929,7 +930,20 @@ class TestFailures:
         out = tmp_path / "o"
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
-        assert json.loads((out / "manifest.json").read_text())["status"] == {}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == {}
+        assert manifest["failures"]["run"]["type"] == "MemoryError"
+
+    def test_unwritable_artifact(self, tiny_config, tmp_path, capsys):
+        # metrics.csv cannot be written after every cell ran: one line, exit 1,
+        # and the manifest names the run's failure
+        out = tmp_path / "o"
+        (out / "metrics.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert _one_line(capsys.readouterr().err, "error: [Errno 21] Is a directory")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == {"seed=11,mode=acl": "ok"}
+        assert manifest["failures"]["run"]["type"] == "IsADirectoryError"
 
     def test_overflowing_data(self, tiny_config, tmp_path, capsys):
         # data.sigma is finite, so the config check accepts it, but its draws
@@ -941,7 +955,9 @@ class TestFailures:
         out = tmp_path / "o"
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
-        assert json.loads((out / "manifest.json").read_text())["status"] == {}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == {}
+        assert manifest["failures"]["run"]["type"] == "AdaptclError"
         checkpoint = tmp_path / "m.ckpt"
         model = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
         save_checkpoint(checkpoint, *init_model(model, 8, make_rng(0)))
@@ -1098,6 +1114,7 @@ class TestDumpEmbeddings:
             ("layer0.W;12x8", "layer0.W;-1x8"),
             ("layer0.W;12x8", "layer0.W;+12x8"),
             ("layer0.W;12x8", "layer0.W; 12x8"),
+            ("layer0.b;12\n0.0,", "layer0.b;12\n0,"),
         ],
         ids=[
             "unknown-activation",
@@ -1112,6 +1129,7 @@ class TestDumpEmbeddings:
             "negative-dim",
             "signed-dim",
             "spaced-dim",
+            "non-canonical-value",
         ],
     )
     def test_invalid_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, old, new):
@@ -1129,7 +1147,7 @@ class TestDumpEmbeddings:
         # "unit" embeddings and exit 0
         lines = fresh_checkpoint.read_text().splitlines()
         i = next(k for k, line in enumerate(lines) if line.startswith("layer1.W;")) + 1
-        lines[i] = ",".join("1e300" for _ in lines[i].split(","))
+        lines[i] = ",".join(repr(1e300) for _ in lines[i].split(","))
         bad = tmp_path / "big.ckpt"
         bad.write_text("\n".join(lines) + "\n")
         argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(bad)]

@@ -438,6 +438,24 @@ def test_checkpoint_roundtrip_rank_zero_adapter(tmp_path, small_model):
     np.testing.assert_array_equal(embed(backbone, adapter, x), embed(b2, a2, x))
 
 
+@pytest.mark.parametrize(
+    "hidden, rank, keep_adapter",
+    [((4,), 0, True), ((4,), 2, False), ((3,) * 11, 2, True)],
+    ids=["rank-zero-adapter", "no-adapter", "twelve-layers"],
+)
+def test_checkpoint_save_load_save(tmp_path, hidden, rank, keep_adapter):
+    # a loaded checkpoint saves to the same bytes; with 11 or more layers,
+    # layer10 sorts before layer2 in the file and still loads by name
+    cfg = ModelConfig(embed_dim=3, hidden=hidden, adapter_rank=rank)
+    backbone, adapter = init_model(cfg, 2, make_rng(0))
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(first, backbone, adapter if keep_adapter else None)
+    loaded = load_checkpoint(first)
+    assert (loaded[1] is not None) == keep_adapter
+    save_checkpoint(second, *loaded)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_checkpoint_adapter_on_zero_width_rejected(tmp_path):
     # an adapter on an embedding of width 0 has no layout to load into
     path = tmp_path / "zero.ckpt"
