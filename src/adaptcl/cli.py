@@ -247,7 +247,7 @@ def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> Ru
     pretrained model, kept in cache while the data, model and pretrain
     sections stay, then the continual run on the seed's task order. A
     pretraining that raises fails the cell with no accuracy row."""
-    pre_train, _, stream = data
+    pre_train, _, tasks = data
 
     def pretrained():
         backbone, adapter = init_model(config.model, config.data.input_dim, make_rng(seed, 2))
@@ -257,9 +257,9 @@ def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> Ru
     try:
         backbone, adapter = _cached(cache, ("pretrained", seed), sections, pretrained)
     except AdaptclError as e:
-        return RunResult(AccuracyMatrix([], expected_tasks=len(stream)), [], None, e)
-    stream = stream.permuted(make_rng(seed, 1))
-    return run_acl(stream, backbone, adapter, mode, config.adapt, config.core, make_rng(seed, 4))
+        return RunResult(AccuracyMatrix([], expected_tasks=len(tasks)), [], None, e)
+    tasks = [tasks[i] for i in make_rng(seed, 1).permutation(len(tasks))]
+    return run_acl(tasks, backbone, adapter, mode, config.adapt, config.core, make_rng(seed, 4))
 
 
 def run_cells(config: RunConfig, cache: dict):
@@ -325,14 +325,16 @@ def write_artifacts(config: RunConfig, cells):
             manifest["wall_clock"][name] = round(cell.seconds, 3)
             result, stem = cell.result, f"{cell.mode}_{cell.seed}"
             files = [f"accuracy_matrix_{stem if len(config.adapt_modes) > 1 else cell.seed}.csv"]
-            _write_matrix_csv(out / files[0], result.matrix, result.status)
-            manifest["status"][name] = result.status if cell.ok else f"failed: {result.error}"
+            _write_matrix_csv(out / files[0], result.matrix, "ok" if cell.ok else "failed")
             if cell.ok:
+                manifest["status"][name] = "ok"
                 files.append(f"model_{stem}.ckpt")
                 save_checkpoint(out / files[-1], result.state.backbone, result.state.adapter)
             else:
                 e = result.exception
-                print(f"error: {name}: {type(e).__name__}: {e}", file=sys.stderr)
+                error = f"{type(e).__name__}: {e}"
+                print(f"error: {name}: {error}", file=sys.stderr)
+                manifest["status"][name] = f"failed: {error}"
                 manifest["failures"][name] = _failure(e)
             manifest["files"] += files
             for k, records in result.epoch_records:
@@ -409,10 +411,10 @@ def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits) -> int:
     """Every task's embeddings are computed before out_path is opened, so a
     model that fails on the data leaves an earlier file as it was."""
     backbone, adapter = load_checkpoint(checkpoint)
-    _, _, stream = generate_synthetic(config.data)
+    _, _, tasks = generate_synthetic(config.data)
     d = backbone.weights[-1].shape[0]
     blocks = []
-    for k, task in enumerate(stream.tasks, start=1):
+    for k, task in enumerate(tasks, start=1):
         for split in splits:
             x, labels = getattr(task, split)
             blocks.append((k, split, labels, embed(backbone, adapter, x)))

@@ -1,5 +1,5 @@
 """Class-incremental driver: alternates the adaptation phase with a pluggable
-core-learning strategy over an ordered task stream, evaluating on all seen
+core-learning strategy over an ordered task list, evaluating on all seen
 tasks after each stage.
 
 Two strategies stand in for the integrated methods: "ncm" accumulates class
@@ -32,38 +32,6 @@ class CoreConfig:
             raise ValueError(f"unknown core strategy {self.strategy!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-
-
-@dataclass
-class Task:
-    class_ids: frozenset
-    train: tuple  # (x (n, D), y (n,))
-    test: tuple
-
-    def __post_init__(self):
-        if not len(self.train[1]) or not len(self.test[1]):
-            raise ValueError("task must have train and test samples")
-
-
-@dataclass
-class TaskStream:
-    tasks: list
-
-    def __post_init__(self):
-        if not self.tasks:
-            raise ValueError("stream must contain at least one task")
-        seen = set()
-        for t in self.tasks:
-            if seen & t.class_ids:
-                raise ValueError("task class sets must be pairwise disjoint")
-            seen |= t.class_ids
-
-    def __len__(self):
-        return len(self.tasks)
-
-    def permuted(self, rng) -> "TaskStream":
-        order = rng.permutation(len(self.tasks))
-        return TaskStream([self.tasks[i] for i in order])
 
 
 @dataclass
@@ -140,10 +108,11 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
 
 
-def evaluate(state: ExperimentState, stream: TaskStream, up_to_task: int):
-    """Per-task accuracies a[k][j] for j <= k over the union label space."""
+def evaluate(state: ExperimentState, tasks: list, up_to_task: int):
+    """Per-task accuracies a[k][j] for j <= k over the union label space, on
+    the first up_to_task tasks of the task list."""
     row = []
-    for task in stream.tasks[:up_to_task]:
+    for task in tasks[:up_to_task]:
         x, labels = task.test
         pred, _ = classify(state.classifier, embed(state.backbone, state.adapter, x))
         row.append(float(np.mean(pred == labels)))
@@ -157,18 +126,9 @@ class RunResult:
     state: "ExperimentState | None"  # None for a run that failed before run_acl
     exception: "BaseException | None" = None  # why a failed run stopped
 
-    @property
-    def status(self) -> str:
-        return "ok" if self.exception is None else "failed"
-
-    @property
-    def error(self) -> str:
-        e = self.exception
-        return f"{type(e).__name__}: {e}" if e is not None else ""
-
 
 def run_acl(
-    stream: TaskStream,
+    tasks: list,
     backbone,
     adapter,
     mode: str,
@@ -176,17 +136,18 @@ def run_acl(
     core_cfg: CoreConfig,
     rng,
 ) -> RunResult:
-    """Adapt -> freeze -> core-learn -> evaluate, for each task in order.
+    """Adapt -> freeze -> core-learn -> evaluate, for each task of the task
+    list in order.
 
-    On failure mid-stream the partial accuracy matrix is returned with
-    status "failed"."""
+    A run that fails mid-list returns the partial accuracy matrix with the
+    exception that stopped it."""
     ncm = core_cfg.strategy == "ncm"
     d = backbone.weights[-1].shape[0]
     classifier = Classifier([], np.zeros((0, d))) if ncm else Classifier.linear([], d)
     state = ExperimentState(backbone.copy(), adapter.copy(), classifier)
     rows, reports = [], []
     try:
-        for k, task in enumerate(stream.tasks, start=1):
+        for k, task in enumerate(tasks, start=1):
             if mode != "disabled" and not (adapt_cfg.first_task_only and k > 1):
                 state.backbone, state.adapter, records = adapt(
                     state.backbone, state.adapter, task.train, mode, adapt_cfg, rng
@@ -196,7 +157,7 @@ def run_acl(
                 core_learn_ncm(state, task.train)
             else:
                 core_learn_linear(state, task.train, core_cfg, rng)
-            rows.append(evaluate(state, stream, k))
+            rows.append(evaluate(state, tasks, k))
     except (AdaptclError, BoundViolation) as e:  # the partial matrix must survive
-        return RunResult(AccuracyMatrix(rows, expected_tasks=len(stream)), reports, state, e)
-    return RunResult(AccuracyMatrix(rows, expected_tasks=len(stream)), reports, state)
+        return RunResult(AccuracyMatrix(rows, expected_tasks=len(tasks)), reports, state, e)
+    return RunResult(AccuracyMatrix(rows, expected_tasks=len(tasks)), reports, state)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continual import Task, TaskStream
 from .errors import AdaptclError
 from .model import Backbone, Classifier, backprop, embed_with_tape, label_index
 from .adaptation import ce_adapt_loss
@@ -47,6 +46,14 @@ class SyntheticSpec:
         require_seed(self.seed)
 
 
+@dataclass
+class Task:
+    """One task of the incremental stream: its train and test (x, y) splits."""
+
+    train: tuple
+    test: tuple
+
+
 def _expm_skew(a):
     """exp(a) of a real skew-symmetric matrix. 1j * a is Hermitian, so
     eigh gives a = v diag(-1j w) v^H with real w and unitary v, and
@@ -78,7 +85,8 @@ def _sample_class(center, spec, rng, n):
 
 
 def generate_synthetic(spec: SyntheticSpec):
-    """Pretrain train/test (x, y) splits plus the incremental task stream.
+    """Pretrain train/test (x, y) splits plus the incremental stream as a
+    task list, whose tasks hold disjoint, consecutive class ranges.
 
     Cluster means are drawn on the unit sphere; incremental means are then
     rotated and shifted by the domain transform. Deterministic in spec.seed.
@@ -112,14 +120,9 @@ def generate_synthetic(spec: SyntheticSpec):
             lo, hi = t * per_task, (t + 1) * per_task
             centers = inc_centers[lo:hi]
             labels = inc_labels[lo:hi]
-            tasks.append(
-                Task(
-                    class_ids=frozenset(labels),
-                    train=build_split(centers, labels, spec.train_per_class),
-                    test=build_split(centers, labels, spec.test_per_class),
-                )
-            )
-        return pretrain_train, pretrain_test, TaskStream(tasks)
+            train = build_split(centers, labels, spec.train_per_class)  # drawn before test
+            tasks.append(Task(train, build_split(centers, labels, spec.test_per_class)))
+        return pretrain_train, pretrain_test, tasks
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,12 @@ from adaptcl.adaptation import AdaptConfig, ce_adapt_loss
 from adaptcl.continual import (
     CoreConfig,
     ExperimentState,
-    Task,
-    TaskStream,
     core_learn_linear,
     core_learn_ncm,
     evaluate,
     run_acl,
 )
+from adaptcl.data import Task
 from adaptcl.errors import BoundViolation, NonFiniteLoss
 from adaptcl.model import (
     Classifier,
@@ -36,39 +35,31 @@ def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
 
     train = split(n_train)
     test = split(n_test)
-    return Task(class_ids=frozenset(class_ids), train=train, test=test)
+    return Task(train, test)
 
 
 @pytest.fixture
 def stream_and_model():
     rng = make_rng(50)
-    stream = TaskStream(
-        [_cluster_task(rng, [0, 1]), _cluster_task(rng, [2, 3])]
-    )
+    stream = [_cluster_task(rng, [0, 1]), _cluster_task(rng, [2, 3])]
     cfg = ModelConfig(embed_dim=6, hidden=(8,), adapter_rank=2)
     backbone, adapter = init_model(cfg, 4, make_rng(51))
     return stream, backbone, adapter
-
-
-def test_disjoint_class_sets_enforced():
-    rng = make_rng(52)
-    with pytest.raises(ValueError):
-        TaskStream([_cluster_task(rng, [0, 1]), _cluster_task(rng, [1, 2])])
 
 
 class TestCoreLearnNcm:
     def test_first_task_classes(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream.tasks[0].train)
+        core_learn_ncm(state, stream[0].train)
         assert state.classifier.class_ids == [0, 1]
 
     def test_append_only(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream.tasks[0].train)
+        core_learn_ncm(state, stream[0].train)
         first = dict(zip(state.classifier.class_ids, state.classifier.weight.copy()))
-        core_learn_ncm(state, stream.tasks[1].train)
+        core_learn_ncm(state, stream[1].train)
         assert state.classifier.class_ids == [0, 1, 2, 3]
         for c, p in first.items():
             np.testing.assert_array_equal(
@@ -90,21 +81,21 @@ class TestCoreLearnNcm:
         with pytest.raises(
             BoundViolation, match=r"^frozen backbone bound violated in ncm core learning: 1 > 0$"
         ):
-            core_learn_ncm(state, stream.tasks[0].train)
+            core_learn_ncm(state, stream[0].train)
 
     def test_repeated_task_rejected(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream.tasks[0].train)
+        core_learn_ncm(state, stream[0].train)
         with pytest.raises(ValueError, match="class 0 already in classifier"):
-            core_learn_ncm(state, stream.tasks[0].train)
+            core_learn_ncm(state, stream[0].train)
 
     def test_prediction_brute_force(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream.tasks[0].train)
-        core_learn_ncm(state, stream.tasks[1].train)
-        x = stream.tasks[0].test[0][:1]
+        core_learn_ncm(state, stream[0].train)
+        core_learn_ncm(state, stream[1].train)
+        x = stream[0].test[0][:1]
         e = embed(backbone, adapter, x)
         sims = {
             c: float(e[0] @ p) for c, p in zip(state.classifier.class_ids, state.classifier.weight)
@@ -118,7 +109,7 @@ class TestCoreLearnLinear:
     def test_zero_epochs_adds_rows_only(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
-        core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=0, lr=0.1), make_rng(1))
+        core_learn_linear(state, stream[0].train, CoreConfig(epochs=0, lr=0.1), make_rng(1))
         assert state.classifier.class_ids == [0, 1]
         np.testing.assert_array_equal(state.classifier.weight, np.zeros((2, 6)))
 
@@ -126,7 +117,7 @@ class TestCoreLearnLinear:
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
         before = backbone.flat.tobytes()
-        core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=5, lr=0.1), make_rng(1))
+        core_learn_linear(state, stream[0].train, CoreConfig(epochs=5, lr=0.1), make_rng(1))
         assert state.backbone.flat.tobytes() == before
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
@@ -144,12 +135,12 @@ class TestCoreLearnLinear:
         with pytest.raises(
             BoundViolation, match=r"^frozen backbone bound violated in linear core learning: 1 > 0$"
         ):
-            core_learn_linear(state, stream.tasks[0].train, CoreConfig(epochs=2), make_rng(1))
+            core_learn_linear(state, stream[0].train, CoreConfig(epochs=2), make_rng(1))
 
     def test_training_improves_train_accuracy(self, stream_and_model):
         # smoke check, not a guarantee
         stream, backbone, adapter = stream_and_model
-        data = stream.tasks[0].train
+        data = stream[0].train
 
         def acc(state):
             hits = 0
@@ -213,7 +204,7 @@ class TestCoreLearnLinearReference:
             ExperimentState(backbone.copy(), adapter.copy(), Classifier.linear([], 6))
             for _ in range(2)
         ]
-        for task in stream.tasks:  # the second task grows a trained head
+        for task in stream:  # the second task grows a trained head
             core = CoreConfig(epochs=3, lr=0.1)
             core_learn_linear(states[0], task.train, core, make_rng(54))
             _reference_core_learn_linear(states[1], task.train, 3, 0.1, make_rng(54))
@@ -230,7 +221,7 @@ class TestCoreLearnLinearReference:
         # the loop that allocated its arrays, on a head that grows to 11 classes
         rng = make_rng(55)
         classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9, 10]]
-        stream = TaskStream([_cluster_task(rng, ids) for ids in classes])
+        stream = [_cluster_task(rng, ids) for ids in classes]
         cfg = ModelConfig(embed_dim=6, hidden=(8, 8), adapter_rank=2)
         backbone, adapter = init_model(cfg, 4, make_rng(56))
         for bias in backbone.biases:
@@ -241,7 +232,7 @@ class TestCoreLearnLinearReference:
             for _ in range(2)
         ]
         core = CoreConfig(epochs=3, lr=0.1)
-        for k, task in enumerate(stream.tasks):
+        for k, task in enumerate(stream):
             core_learn_linear(states[0], task.train, core, make_rng(58, k))
             _allocating_core_learn_linear(states[1], task.train, core, make_rng(58, k))
             for array in (states[0].classifier.weight, states[0].classifier.bias):
@@ -261,19 +252,19 @@ class TestCoreLearnLinearReference:
             getattr(state.classifier, where).flat[0] = np.inf
             with pytest.raises(NonFiniteLoss) as caught, np.errstate(invalid="ignore"):
                 core = CoreConfig(epochs=1, lr=0.1)
-                core_learn_linear(state, stream.tasks[0].train, core, make_rng(1))
+                core_learn_linear(state, stream[0].train, core, make_rng(1))
             assert "\n" not in str(caught.value)
 
 
 class TestRunAcl:
     def test_single_task(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
-        single = TaskStream(stream.tasks[:1])
+        single = stream[:1]
         result = run_acl(
             single, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
             make_rng(2),
         )
-        assert result.status == "ok"
+        assert result.exception is None
         assert result.matrix.K == 1
         assert len(result.epoch_records) == 1
 
@@ -283,7 +274,7 @@ class TestRunAcl:
             stream, backbone, adapter, "disabled", AdaptConfig(), CoreConfig(), make_rng(2)
         )
         assert result.epoch_records == []
-        assert result.status == "ok"
+        assert result.exception is None
         # frozen-backbone run leaves the model untouched
         assert result.state.backbone.flat.tobytes() == backbone.flat.tobytes()
 
@@ -323,7 +314,7 @@ class TestRunAcl:
             CoreConfig(strategy="linear", epochs=5, lr=0.1),
             make_rng(4),
         )
-        assert result.status == "ok"
+        assert result.exception is None
         assert result.state.classifier.class_ids == [0, 1, 2, 3]
 
 
@@ -354,18 +345,16 @@ class TestRunAcl:
         result = run_acl(
             stream, backbone, adapter, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
         )
-        assert result.status == "failed"
-        assert result.error == "BoundViolation: planted"
+        assert type(result.exception) is BoundViolation and str(result.exception) == "planted"
         assert result.matrix.K == 1 and not result.matrix.complete
 
 
 class TestEvaluate:
     def test_always_right_and_wrong(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
-        task = stream.tasks[0]
+        task = stream[0]
         all_zero = (task.test[0], np.zeros_like(task.test[1]))
-        t = Task(class_ids=frozenset([0, 1]), train=task.train, test=all_zero)
-        s = TaskStream([t])
+        s = [Task(task.train, all_zero)]
         e0 = embed(backbone, adapter, task.test[0][:1])
         state = ExperimentState(
             backbone, adapter, Classifier([0], e0 / np.linalg.norm(e0))
@@ -375,10 +364,10 @@ class TestEvaluate:
     def test_brute_force_scoring(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
         state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream.tasks[0].train)
+        core_learn_ncm(state, stream[0].train)
         row = evaluate(state, stream, 1)
         hits = 0
-        for x, y in zip(stream.tasks[0].test[0][:, None], stream.tasks[0].test[1]):
+        for x, y in zip(stream[0].test[0][:, None], stream[0].test[1]):
             pred, _ = classify(state.classifier, embed(backbone, adapter, x))
             hits += pred[0] == y
-        assert row == [hits / len(stream.tasks[0].test[1])]
+        assert row == [hits / len(stream[0].test[1])]

@@ -90,7 +90,7 @@ class TestGenerate:
     def test_deterministic(self):
         _, _, s1 = generate_synthetic(SMALL)
         _, _, s2 = generate_synthetic(SMALL)
-        for t1, t2 in zip(s1.tasks, s2.tasks):
+        for t1, t2 in zip(s1, s2):
             for a1, a2 in zip(t1.train, t2.train):  # inputs, then labels
                 np.testing.assert_array_equal(a1, a2)
 
@@ -110,16 +110,18 @@ class TestGenerate:
             warnings.simplefilter("error")
             pretrain_train, pretrain_test, stream = generate_synthetic(spec)
         splits = [pretrain_train, pretrain_test]
-        splits += [split for task in stream.tasks for split in (task.train, task.test)]
+        splits += [split for task in stream for split in (task.train, task.test)]
         for x, _ in splits:
             assert x.shape[1] == 1 and np.isfinite(x).all()
 
     def test_classes_disjoint_and_exhaustive(self):
         _, _, stream = generate_synthetic(SMALL)
         seen = set()
-        for t in stream.tasks:
-            assert not (seen & t.class_ids)
-            seen |= t.class_ids
+        for t in stream:
+            classes = set(t.train[1].tolist())
+            assert set(t.test[1].tolist()) == classes
+            assert not (seen & classes)
+            seen |= classes
         expected = set(
             range(
                 SMALL.n_pretrain_classes,
@@ -156,7 +158,7 @@ class TestGenerate:
             return hits / len(test[1])
 
         acc_pretrain = ncm_accuracy(pre_train, pre_test)
-        acc_incremental = ncm_accuracy(stream.tasks[0].train, stream.tasks[0].test)
+        acc_incremental = ncm_accuracy(stream[0].train, stream[0].test)
         assert acc_incremental < acc_pretrain
 
 

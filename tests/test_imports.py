@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every dataclass field of the package is read somewhere in it, no check of
 the package is an assert statement, the cli loads no module that its
-commands do not all need, what only verify calls is defined in verify,
-and only numerics scales vectors to unit norm."""
+commands do not all need, data does not load continual, what only verify
+calls is defined in verify, and only numerics scales vectors to unit norm."""
 
 import ast
 import os
@@ -122,6 +122,16 @@ def test_cli_import_skips_verify(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False []"
+
+
+def test_data_import_skips_continual():
+    # data builds the tasks that continual runs; the dependency goes one way
+    code = "import sys, adaptcl.data\nprint('adaptcl.continual' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def _top_level_names(tree) -> dict:
