@@ -1,12 +1,11 @@
-"""Pre-task adaptation: class prototypes from the pre-adaptation model, the
-prototype-anchored contrastive loss with its analytic gradient, a
-cross-entropy ablation loss, and the mini-batch adaptation loop.
+"""Pre-task adaptation of the backbone and the adapter: class prototypes from
+the pre-adaptation model, the prototype-anchored contrastive loss with its
+analytic gradient, a cross-entropy ablation loss, and the mini-batch loop.
 
 Prototypes are computed once from the model state at phase entry and stay
-frozen for the whole phase, as does the backbone under lightweight_only; the
-loop checks the per-sample misclassification threshold per batch, the
-feature-deviation and Markov bounds per epoch, and each freeze at the end of
-the phase.
+frozen for the whole phase; the loop checks the per-sample misclassification
+threshold per batch, the feature-deviation and Markov bounds per epoch, and
+the frozen prototypes at the end of the phase.
 """
 
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .model import (
 )
 from .numerics import diverged_as, l2_normalize, require_finite, softmax_cross_entropy
 
-ADAPT_MODES = ("acl", "ce_ablation", "lightweight_only", "disabled")
+ADAPT_MODES = ("acl", "ce_ablation", "disabled")
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,17 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
 
     Returns (adapted backbone, adapted adapter, [EpochRecord per epoch]). The
     inputs are never mutated; mode="disabled" or epochs=0 returns exact copies
-    and no records. Each batch takes one plain SGD step, p -= lr * g, on
-    every trained array (the backbone unless lightweight_only, the adapter,
-    and ce_ablation's head), with g the gradient of the batch's mean loss. A prototype table, or under lightweight_only a backbone, that
-    changed in any bit over the phase raises BoundViolation.
+    and no records. Each batch takes one plain SGD step, p -= lr * g, on the
+    backbone, the adapter and ce_ablation's head, with g the gradient of the
+    batch's mean loss. A prototype table that changed in any bit over the
+    phase raises BoundViolation.
     """
     if mode not in ADAPT_MODES:
         raise ValueError(f"unknown adaptation mode {mode!r}")
     x, labels = data
     if not len(labels):
         raise ValueError("adaptation data is empty")
-    frozen_backbone = backbone.flat  # of the input, which is never mutated
-    backbone = backbone.copy()
-    adapter = adapter.copy() if adapter is not None else None
+    backbone, adapter = backbone.copy(), adapter.copy()
     if mode == "disabled":
         return backbone, adapter, []
 
@@ -151,9 +148,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
     if mode == "ce_ablation":
         head = Classifier.linear(table.class_ids, old_embeds.shape[1])
 
-    trained_backbone = None if mode == "lightweight_only" else backbone
-    # backprop stops before a frozen backbone and returns None for it, as for no adapter
-    params = [m.flat for m in (trained_backbone, adapter) if m is not None]
+    params = [backbone.flat, adapter.flat]
     if head is not None:
         params += [head.weight, head.bias]
     grads, records = None, []
@@ -177,8 +172,8 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
                     report.require(f"epoch {epoch}")
                     if threshold is None or report.slack < threshold.slack:
                         threshold = report
-                grads = backprop(tape, trained_backbone, adapter, d_e / len(idx), grads)
-                flat_grads = [g.flat for g in grads if g is not None]
+                grads = backprop(tape, backbone, adapter, d_e / len(idx), grads)
+                flat_grads = [g.flat for g in grads]
                 if head is not None:
                     flat_grads += [d_w / len(idx), d_b / len(idx)]
                 for p, g in zip(params, flat_grads):
@@ -195,7 +190,4 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
             markov.require(f"epoch {epoch}")
             records.append(EpochRecord(epoch, stability, markov, threshold))
     check_unchanged(frozen_table, table.weight, "frozen prototypes").require("adaptation")
-    if mode == "lightweight_only":
-        frozen = check_unchanged(frozen_backbone, backbone.flat, "frozen backbone")
-        frozen.require("lightweight_only adaptation")
     return backbone, adapter, records

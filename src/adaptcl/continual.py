@@ -46,19 +46,15 @@ def core_learn_ncm(state: ExperimentState, task_data):
     with the frozen adapted model.
 
     No parameter updates; previously stored prototypes are never touched. A
-    class already in the classifier raises ValueError, and a backbone that
-    changed in any bit raises BoundViolation (the frozen-backbone check)."""
-    before = state.backbone.flat.copy()
+    class already in the classifier raises ValueError."""
     x, labels = task_data
     table = compute_prototypes(embed(state.backbone, state.adapter, x), labels)
     state.classifier.add_classes(table.class_ids, table.weight)
-    check_unchanged(before, state.backbone.flat, "frozen backbone").require("ncm core learning")
 
 
 def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng):
     """Cross-entropy fine-tuning of the linear head on current-task data,
-    embedded once by the frozen adapted model; the backbone stays
-    bit-identical, or the frozen-backbone check raises BoundViolation.
+    embedded once by the frozen adapted model.
 
     The head takes plain SGD steps of batch size 1 with no momentum: for each
     sample (e, y), p = softmax(W e + b), W -= lr * outer(p - onehot(y), e) and
@@ -70,7 +66,6 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     exp(z - lse) and lr applied after the outer product; the head is in no
     checkpoint. W and b are written back to the Classifier at the end as
     arrays of their own."""
-    before = state.backbone.flat.copy()
     x, labels = task_data
     head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
@@ -105,7 +100,6 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
                 delta[r] -= 1.0
                 Wb -= multiply(column, a_lr, outer)
     head.weight, head.bias = W.copy(), b.copy()  # C-contiguous, owning their data
-    check_unchanged(before, state.backbone.flat, "frozen backbone").require("linear core learning")
 
 
 def evaluate(state: ExperimentState, tasks: list, up_to_task: int):
@@ -137,7 +131,8 @@ def run_acl(
     rng,
 ) -> RunResult:
     """Adapt -> freeze -> core-learn -> evaluate, for each task of the task
-    list in order.
+    list in order. A backbone that core learning changes in any bit fails the
+    run with BoundViolation (the frozen-backbone check).
 
     A run that fails mid-list returns the partial accuracy matrix with the
     exception that stopped it."""
@@ -153,10 +148,13 @@ def run_acl(
                     state.backbone, state.adapter, task.train, mode, adapt_cfg, rng
                 )
                 reports.append((k, records))
+            before = state.backbone.flat.copy()
             if ncm:
                 core_learn_ncm(state, task.train)
             else:
                 core_learn_linear(state, task.train, core_cfg, rng)
+            frozen = check_unchanged(before, state.backbone.flat, "frozen backbone")
+            frozen.require(f"{core_cfg.strategy} core learning")
             rows.append(evaluate(state, tasks, k))
     except (AdaptclError, BoundViolation) as e:  # the partial matrix must survive
         return RunResult(AccuracyMatrix(rows, expected_tasks=len(tasks)), reports, state, e)

@@ -1,8 +1,10 @@
-"""Continual-learning metrics over the lower-triangular accuracy matrix,
-and the guarantees a run checks live: the loss-threshold/Markov
-misclassification bound, the feature-deviation bound and the freezes, each
-as BoundReports. The lemma checkers, which only `adaptcl verify` runs, are in
-verify.py.
+"""Continual-learning metrics over the lower-triangular accuracy matrix, and
+the guarantees a run checks live as BoundReports: the loss-threshold/Markov
+misclassification bound, the feature-deviation bound and the freezes. The
+three bounds hold for any model in exact arithmetic: they guard that the
+losses, classify and the embedding code agree, not that adaptation helps, and
+only classify's cosine clip lets rounding break one. Only `adaptcl verify`
+runs the lemma checkers, in verify.py.
 """
 
 import math
@@ -109,10 +111,10 @@ class BoundReport:
 def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
     """Misclassification rate vs mean(loss)/log 2.
 
-    The per-sample loss threshold (see check_loss_threshold) implies
-    this bound: each misclassified sample adds at least log 2 / n to the mean
-    loss. It is kept for its aggregate figures, which adapt() reports per
-    epoch as the markov rows of bounds.csv."""
+    The per-sample loss threshold (check_loss_threshold) implies this bound
+    for any model: each misclassified sample adds at least log 2 / n to the
+    mean loss. It is kept for its aggregate figures, which adapt() reports
+    per epoch as the markov rows of bounds.csv."""
     losses = np.asarray(losses, dtype=np.float64)
     correct = np.asarray(correct_flags, dtype=bool)
     if losses.shape != correct.shape:
@@ -125,8 +127,8 @@ def check_markov_bound(losses, correct_flags, context="markov") -> BoundReport:
 
 
 def check_loss_threshold(losses, wrong, context="threshold") -> BoundReport:
-    """Every misclassified sample has loss >= log 2: lhs log 2, rhs the
-    smallest loss of a sample flagged wrong, or inf when none is."""
+    """Every misclassified sample has loss >= log 2, for any model: lhs log 2,
+    rhs the smallest loss of a sample flagged wrong, or inf when none is."""
     losses = np.asarray(losses, dtype=np.float64)
     wrong = np.asarray(wrong, dtype=bool)
     rhs = float(losses[wrong].min()) if wrong.any() else math.inf
@@ -144,7 +146,7 @@ def check_stability_bounds(old_embeddings, new_embeddings, label_prototypes, con
     """One report per set of a (K, n, d) stack, named contexts[k]:
     mean||e_new - e_old||^2 vs 2(mean||e_new - p_y||^2 + mean||e_old - p_y||^2)
     over the set's n rows, with row i of label_prototypes[k] the prototype
-    p_y of sample i's class."""
+    p_y of sample i's class. The triangle inequality gives it for any rows."""
     old = np.asarray(old_embeddings, dtype=np.float64)
     new = np.asarray(new_embeddings, dtype=np.float64)
     p = np.asarray(label_prototypes, dtype=np.float64)

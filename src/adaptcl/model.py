@@ -155,16 +155,13 @@ def embed(backbone: Backbone, adapter, x) -> np.ndarray:
     return embed_with_tape(backbone, adapter, x)[0]
 
 
-def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.ndarray, out=None):
+def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray, out=None):
     """Gradients of sum_i <unit_i, d_embedding_i> w.r.t. all parameters, as a
     (Backbone, AdapterModule or None) pair laid out like the model: its flat
     vectors are the gradients of the model's flat vectors, and
     model_params(*grads) names them. out, a pair an earlier call returned for
     the same model, is overwritten and returned instead of a new pair, so a
     training loop allocates one pair for all of its steps.
-
-    A caller that trains no backbone passes backbone=None: the pass then
-    stops at the raw embedding and the pair's backbone part is None.
 
     Applies the normalization Jacobian (I - uu^T)/||v|| per row, then the
     adapter residual, then the backbone layers in reverse. Weight gradients
@@ -181,10 +178,7 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
     delta /= tape.norm[:, None]
 
     if out is None:
-        out = (
-            backbone.copy() if backbone is not None else None,
-            adapter.copy() if adapter is not None else None,
-        )
+        out = backbone.copy(), adapter.copy() if adapter is not None else None
     d_backbone, d_adapter = out
     if tape.adapter_act is not None:
         h = tape.adapter_act
@@ -192,10 +186,7 @@ def backprop(tape: Tape, backbone: "Backbone | None", adapter, d_embedding: np.n
         d_h *= delta @ adapter.up
         np.matmul(delta.T, h, out=d_adapter.up)
         np.matmul(d_h.T, tape.raw, out=d_adapter.down)
-        if backbone is not None:
-            delta += d_h @ adapter.down
-    if backbone is None:
-        return out
+        delta += d_h @ adapter.down
 
     for i in range(len(backbone.weights) - 1, -1, -1):
         np.matmul(delta.T, tape.acts[i], out=d_backbone.weights[i])

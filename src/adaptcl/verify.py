@@ -2,9 +2,10 @@
 central-difference gradient oracle, for every runtime guarantee: the
 distance-cosine identity, the mean-as-minimizer property, the
 misclassification loss threshold, the Markov error bound, the
-feature-deviation bound, and the analytic-vs-numeric gradient battery.
-Only `adaptcl verify` loads this module, and nothing else in the package
-uses what it defines (tests/test_imports.py checks both)."""
+feature-deviation bound, and the analytic-vs-numeric gradient battery. Each
+holds for any model in exact arithmetic, so they test the code, not whether
+adaptation helps. Only `adaptcl verify` loads this module, and nothing else
+in the package uses what it defines (tests/test_imports.py checks both)."""
 
 from dataclasses import dataclass
 

@@ -86,6 +86,7 @@ class TestConfigErrors:
             "data.domain_shift = inf",
             "core.lr = -inf",
             "adapt.modes = disabled,acl,disabled",
+            "adapt.modes = acl,lightweight_only",
             "run.seeds = 5,5",
             "run.seeds = 1\nrun.seeds = 2",
             "data.input_dim = 0",
@@ -108,6 +109,7 @@ class TestConfigErrors:
             "domain-shift-inf",
             "core-lr-minus-inf",
             "mode-repeated",
+            "mode-retired",
             "seed-repeated",
             "key-repeated",
             "input-dim-zero",
@@ -360,7 +362,7 @@ class TestRun:
 
     def test_threshold_row_per_adapted_epoch(self, tiny_config, tmp_path):
         # ce_ablation does not score against the prototypes: no threshold check
-        modes = ("acl", "lightweight_only", "ce_ablation")
+        modes = ("acl", "ce_ablation")
         cfg = tiny_config.read_text().replace("adapt.epochs = 1", "adapt.epochs = 2")
         path = tiny_config.parent / "modes.cfg"
         path.write_text(cfg.replace("adapt.modes = acl", "adapt.modes = " + ",".join(modes)))

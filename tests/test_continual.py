@@ -38,6 +38,11 @@ def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
     return Task(train, test)
 
 
+def _run_one_task(stream, backbone, adapter, core_cfg):
+    """run_acl with no adaptation on the stream's first task."""
+    return run_acl(stream[:1], backbone, adapter, "disabled", AdaptConfig(), core_cfg, make_rng(1))
+
+
 @pytest.fixture
 def stream_and_model():
     rng = make_rng(50)
@@ -68,20 +73,20 @@ class TestCoreLearnNcm:
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
         # prototypes computed through a backbone nudged by one ulp must fail
-        # the frozen-backbone check
+        # the frozen-backbone check that run_acl makes around core learning
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run's state holds it
         real = adaptcl.continual.compute_prototypes
 
         def nudging(embeddings, labels):
-            state.backbone.flat[0] = np.nextafter(state.backbone.flat[0], np.inf)
+            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
             return real(embeddings, labels)
 
         monkeypatch.setattr(adaptcl.continual, "compute_prototypes", nudging)
         with pytest.raises(
             BoundViolation, match=r"^frozen backbone bound violated in ncm core learning: 1 > 0$"
         ):
-            core_learn_ncm(state, stream[0].train)
+            raise _run_one_task(stream, backbone, adapter, CoreConfig()).exception
 
     def test_repeated_task_rejected(self, stream_and_model):
         stream, backbone, adapter = stream_and_model
@@ -122,9 +127,9 @@ class TestCoreLearnLinear:
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
         # an epoch that nudges one backbone entry by one ulp must fail the
-        # frozen-backbone check
+        # frozen-backbone check that run_acl makes around core learning
         stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
+        monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run's state holds it
         real = adaptcl.continual.diverged_as
 
         def nudging(what):
@@ -135,7 +140,7 @@ class TestCoreLearnLinear:
         with pytest.raises(
             BoundViolation, match=r"^frozen backbone bound violated in linear core learning: 1 > 0$"
         ):
-            core_learn_linear(state, stream[0].train, CoreConfig(epochs=2), make_rng(1))
+            raise _run_one_task(stream, backbone, adapter, CoreConfig("linear", epochs=2)).exception
 
     def test_training_improves_train_accuracy(self, stream_and_model):
         # smoke check, not a guarantee

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import adaptcl.model
 from adaptcl.errors import AdaptclError, CheckpointError, DegenerateVector
 from adaptcl.model import (
     Classifier,
@@ -131,8 +130,7 @@ def _batch_gradient_error(backprop_fn, seed, n_rows=5):
 
 
 class TestBackprop:
-    @pytest.mark.parametrize("train_backbone", [True, False], ids=["backbone", "adapter-only"])
-    def test_tape_is_only_read(self, small_model, train_backbone):
+    def test_tape_is_only_read(self, small_model):
         # backprop may run twice on one tape: the second pass returns the
         # same gradient bits and leaves every tape array as it was
         _, backbone, adapter = small_model
@@ -142,13 +140,10 @@ class TestBackprop:
         _, tape = embed_with_tape(backbone, adapter, x)
         arrays = [*tape.acts, tape.raw, tape.adapter_act, tape.norm, tape.unit]
         before = [a.tobytes() for a in arrays]
-        trained = backbone if train_backbone else None
-        first = backprop(tape, trained, adapter, g)
-        second = backprop(tape, trained, adapter, g)
-        assert (first[0] is None) == (second[0] is None) == (not train_backbone)
+        first = backprop(tape, backbone, adapter, g)
+        second = backprop(tape, backbone, adapter, g)
         for a, b in zip(first, second):
-            if a is not None:
-                assert a.flat.tobytes() == b.flat.tobytes()
+            assert a.flat.tobytes() == b.flat.tobytes()
         assert [a.tobytes() for a in arrays] == before
 
     def test_zero_upstream(self, small_model):
@@ -171,34 +166,6 @@ class TestBackprop:
         assert reused is stale
         for want, got in zip(fresh, reused):
             assert got.flat.tobytes() == want.flat.tobytes()
-
-    def test_adapter_only_pass(self, monkeypatch):
-        # backbone=None stops the pass at the raw embedding: the adapter's
-        # gradient is the full pass's to the bit, and no backbone layer's
-        # gradient is computed (the tanh derivative runs for the adapter alone)
-        cfg = ModelConfig(embed_dim=3, hidden=(4, 4), adapter_rank=2)
-        rng = make_rng(12)
-        backbone, adapter = init_model(cfg, 2, rng)
-        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-        x, g = rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
-        full = backprop(embed_with_tape(backbone, adapter, x)[1], backbone, adapter, g)
-        derivs = []
-        real = adaptcl.model._tanh_deriv
-
-        def counted(a):
-            derivs.append(a.shape)
-            return real(a)
-
-        monkeypatch.setattr(adaptcl.model, "_tanh_deriv", counted)
-        frozen = backprop(embed_with_tape(backbone, adapter, x)[1], None, adapter, g)
-        assert frozen[0] is None
-        assert frozen[1].flat.tobytes() == full[1].flat.tobytes()
-        assert np.abs(frozen[1].flat).max() > 0
-        assert derivs == [(5, 2)]  # the adapter's hidden layer, of rank 2
-        # a second frozen pass writes all of the pair the first one returned
-        frozen[1].flat[:] = 0.0
-        again = backprop(embed_with_tape(backbone, adapter, x)[1], None, adapter, g, frozen)
-        assert again is frozen and again[1].flat.tobytes() == full[1].flat.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, seed):
@@ -262,12 +229,8 @@ class TestInputsUnchanged:
     allocated: the caller's input, upstream gradient and the tape keep their
     bits."""
 
-    @pytest.mark.parametrize(
-        "with_adapter, trains_backbone",
-        [(True, True), (False, True), (True, False)],
-        ids=["full", "no-adapter", "frozen-backbone"],
-    )
-    def test_forward_and_backprop(self, with_adapter, trains_backbone):
+    @pytest.mark.parametrize("with_adapter", [True, False], ids=["full", "no-adapter"])
+    def test_forward_and_backprop(self, with_adapter):
         cfg = ModelConfig(embed_dim=3, hidden=(4, 4), adapter_rank=2)
         rng = make_rng(14)
         backbone, adapter = init_model(cfg, 2, rng)
@@ -283,7 +246,7 @@ class TestInputsUnchanged:
         if adapter is not None:
             tape_arrays.append(tape.adapter_act)
         tape_bits = [a.tobytes() for a in tape_arrays]
-        backprop(tape, backbone if trains_backbone else None, adapter, g)
+        backprop(tape, backbone, adapter, g)
         assert g.tobytes() == g_bits
         assert [a.tobytes() for a in tape_arrays] == tape_bits
         assert {name: p.tobytes() for name, p in params.items()} == param_bits
