@@ -1,5 +1,5 @@
-"""Pre-task adaptation of the backbone and the adapter: class prototypes from
-the pre-adaptation model, the prototype-anchored contrastive loss with its
+"""Pre-task adaptation of the model: class prototypes from the
+pre-adaptation model, the prototype-anchored contrastive loss with its
 analytic gradient, a cross-entropy ablation loss, and the mini-batch loop.
 
 Prototypes are computed once from the model state at phase entry and stay
@@ -118,14 +118,14 @@ class EpochRecord:
     threshold: "BoundReport | None"
 
 
-def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
+def adapt(backbone, data, mode: str, config: AdaptConfig, rng):
     """One adaptation phase on a task's training data, in one of ADAPT_MODES.
 
-    Returns (adapted backbone, adapted adapter, [EpochRecord per epoch]). The
-    inputs are never mutated; mode="disabled" or epochs=0 returns exact copies
-    and no records. Each batch takes one plain SGD step, p -= lr * g, on the
-    backbone, the adapter and ce_ablation's head, with g the gradient of the
-    batch's mean loss. A prototype table that changed in any bit over the
+    Returns (adapted backbone, [EpochRecord per epoch]). The input is never
+    mutated; mode="disabled" or epochs=0 returns an exact copy and no
+    records. Each batch takes one plain SGD step, p -= lr * g, on every
+    entry of backbone.flat and on ce_ablation's head, with g the gradient of
+    the batch's mean loss. A prototype table that changed in any bit over the
     phase raises BoundViolation.
     """
     if mode not in ADAPT_MODES:
@@ -133,11 +133,11 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
     x, labels = data
     if not len(labels):
         raise ValueError("adaptation data is empty")
-    backbone, adapter = backbone.copy(), adapter.copy()
+    backbone = backbone.copy()
     if mode == "disabled":
-        return backbone, adapter, []
+        return backbone, []
 
-    old_embeds = embed(backbone, adapter, x)
+    old_embeds = embed(backbone, x)
     table = compute_prototypes(old_embeds, labels)
     frozen_table = table.weight.copy()
     y_idx = label_index(table.class_ids, labels, "prototype table")
@@ -148,7 +148,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
     if mode == "ce_ablation":
         head = Classifier.linear(table.class_ids, old_embeds.shape[1])
 
-    params = [backbone.flat, adapter.flat]
+    params = [backbone.flat]
     if head is not None:
         params += [head.weight, head.bias]
     grads, records = None, []
@@ -159,7 +159,7 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
             order = rng.permutation(len(labels))
             for start in range(0, len(labels), config.batch_size):
                 idx = order[start : start + config.batch_size]
-                e_star, tape = embed_with_tape(backbone, adapter, x[idx])
+                e_star, tape = embed_with_tape(backbone, x[idx])
                 if head is not None:
                     losses, d_e, d_w, d_b = ce_adapt_loss(e_star, y_idx[idx], head)
                 else:
@@ -172,14 +172,14 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
                     report.require(f"epoch {epoch}")
                     if threshold is None or report.slack < threshold.slack:
                         threshold = report
-                grads = backprop(tape, backbone, adapter, d_e / len(idx), grads)
-                flat_grads = [g.flat for g in grads]
+                grads = backprop(tape, backbone, d_e / len(idx), grads)
+                flat_grads = [grads.flat]
                 if head is not None:
                     flat_grads += [d_w / len(idx), d_b / len(idx)]
                 for p, g in zip(params, flat_grads):
                     p -= config.lr * g
 
-            new_embeds = embed(backbone, adapter, x)
+            new_embeds = embed(backbone, x)
             losses = acl_losses(new_embeds, y_idx, table, config.temperature)
             pred, _ = classify(table, new_embeds)
             stability = check_stability_bound(
@@ -190,4 +190,4 @@ def adapt(backbone, adapter, data, mode: str, config: AdaptConfig, rng):
             markov.require(f"epoch {epoch}")
             records.append(EpochRecord(epoch, stability, markov, threshold))
     check_unchanged(frozen_table, table.weight, "frozen prototypes").require("adaptation")
-    return backbone, adapter, records
+    return backbone, records

@@ -250,16 +250,16 @@ def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> Ru
     pre_train, _, tasks = data
 
     def pretrained():
-        backbone, adapter = init_model(config.model, config.data.input_dim, make_rng(seed, 2))
-        return pretrain_backbone(backbone, pre_train, config.pretrain, make_rng(seed, 3)), adapter
+        backbone = init_model(config.model, config.data.input_dim, make_rng(seed, 2))
+        return pretrain_backbone(backbone, pre_train, config.pretrain, make_rng(seed, 3))
 
     sections = config.data, config.model, config.pretrain
     try:
-        backbone, adapter = _cached(cache, ("pretrained", seed), sections, pretrained)
+        backbone = _cached(cache, ("pretrained", seed), sections, pretrained)
     except AdaptclError as e:
         return RunResult(AccuracyMatrix([], expected_tasks=len(tasks)), [], None, e)
     tasks = [tasks[i] for i in make_rng(seed, 1).permutation(len(tasks))]
-    return run_acl(tasks, backbone, adapter, mode, config.adapt, config.core, make_rng(seed, 4))
+    return run_acl(tasks, backbone, mode, config.adapt, config.core, make_rng(seed, 4))
 
 
 def run_cells(config: RunConfig, cache: dict):
@@ -329,7 +329,7 @@ def write_artifacts(config: RunConfig, cells):
             if cell.ok:
                 manifest["status"][name] = "ok"
                 files.append(f"model_{stem}.ckpt")
-                save_checkpoint(out / files[-1], result.state.backbone, result.state.adapter)
+                save_checkpoint(out / files[-1], result.state.backbone)
             else:
                 e = result.exception
                 error = f"{type(e).__name__}: {e}"
@@ -410,14 +410,14 @@ def cmd_verify(seed: int, sizes) -> int:
 def cmd_dump_embeddings(config: RunConfig, checkpoint, out_path, splits) -> int:
     """Every task's embeddings are computed before out_path is opened, so a
     model that fails on the data leaves an earlier file as it was."""
-    backbone, adapter = load_checkpoint(checkpoint)
+    backbone = load_checkpoint(checkpoint)
     _, _, tasks = generate_synthetic(config.data)
     d = backbone.weights[-1].shape[0]
     blocks = []
     for k, task in enumerate(tasks, start=1):
         for split in splits:
             x, labels = getattr(task, split)
-            blocks.append((k, split, labels, embed(backbone, adapter, x)))
+            blocks.append((k, split, labels, embed(backbone, x)))
     header = ["task_id", "class_id", "split", *(f"e_{i + 1}" for i in range(d))]
     rows = (
         [str(k), str(y), split, *map(_fmt, e)]  # str, not repr, of an np.int64 id

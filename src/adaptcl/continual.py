@@ -15,7 +15,7 @@ import numpy as np
 from .adaptation import AdaptConfig, adapt, compute_prototypes
 from .errors import AdaptclError, BoundViolation, NonFiniteLoss
 from .metrics import AccuracyMatrix, check_unchanged
-from .model import Classifier, classify, embed, label_index
+from .model import Backbone, Classifier, classify, embed, label_index
 from .numerics import diverged_as
 
 CORE_STRATEGIES = ("ncm", "linear")
@@ -36,8 +36,7 @@ class CoreConfig:
 
 @dataclass
 class ExperimentState:
-    backbone: object
-    adapter: object
+    backbone: Backbone
     classifier: Classifier
 
 
@@ -48,7 +47,7 @@ def core_learn_ncm(state: ExperimentState, task_data):
     No parameter updates; previously stored prototypes are never touched. A
     class already in the classifier raises ValueError."""
     x, labels = task_data
-    table = compute_prototypes(embed(state.backbone, state.adapter, x), labels)
+    table = compute_prototypes(embed(state.backbone, x), labels)
     state.classifier.add_classes(table.class_ids, table.weight)
 
 
@@ -75,7 +74,7 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
     head.weight, head.bias = W, b = Wb[:, :d], Wb[:, d]  # a failed call leaves its steps so far
     inputs = np.ones((len(x), d + 1))  # rows [e, 1]
-    inputs[:, :d] = embed(state.backbone, state.adapter, x)
+    inputs[:, :d] = embed(state.backbone, x)
     # the head step's buffers: logits, shifted exponentials, p - onehot(y) and its outer product
     z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(Wb.shape)
     column = delta[:, None]
@@ -108,7 +107,7 @@ def evaluate(state: ExperimentState, tasks: list, up_to_task: int):
     row = []
     for task in tasks[:up_to_task]:
         x, labels = task.test
-        pred, _ = classify(state.classifier, embed(state.backbone, state.adapter, x))
+        pred, _ = classify(state.classifier, embed(state.backbone, x))
         row.append(float(np.mean(pred == labels)))
     return row
 
@@ -122,31 +121,23 @@ class RunResult:
 
 
 def run_acl(
-    tasks: list,
-    backbone,
-    adapter,
-    mode: str,
-    adapt_cfg: AdaptConfig,
-    core_cfg: CoreConfig,
-    rng,
+    tasks: list, backbone, mode: str, adapt_cfg: AdaptConfig, core_cfg: CoreConfig, rng
 ) -> RunResult:
     """Adapt -> freeze -> core-learn -> evaluate, for each task of the task
-    list in order. A backbone that core learning changes in any bit fails the
-    run with BoundViolation (the frozen-backbone check).
+    list in order. Core learning that changes any bit of backbone.flat fails
+    the run with BoundViolation (the frozen-backbone check).
 
     A run that fails mid-list returns the partial accuracy matrix with the
     exception that stopped it."""
     ncm = core_cfg.strategy == "ncm"
     d = backbone.weights[-1].shape[0]
     classifier = Classifier([], np.zeros((0, d))) if ncm else Classifier.linear([], d)
-    state = ExperimentState(backbone.copy(), adapter.copy(), classifier)
+    state = ExperimentState(backbone.copy(), classifier)
     rows, reports = [], []
     try:
         for k, task in enumerate(tasks, start=1):
             if mode != "disabled" and not (adapt_cfg.first_task_only and k > 1):
-                state.backbone, state.adapter, records = adapt(
-                    state.backbone, state.adapter, task.train, mode, adapt_cfg, rng
-                )
+                state.backbone, records = adapt(state.backbone, task.train, mode, adapt_cfg, rng)
                 reports.append((k, records))
             before = state.backbone.flat.copy()
             if ncm:

@@ -135,30 +135,33 @@ class PretrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def _backbone_and_head(flat, backbone, head):
-    """The backbone, then the head's weight and bias, as views into flat."""
-    size, weights = backbone.flat.size, head.weight.size
-    model = Backbone(flat[:size], backbone.widths)
+def _layers_and_head(flat, size, widths, head):
+    """The first size entries of flat as the layers of widths, then the
+    head's weight and bias, as views into flat."""
+    weights = head.weight.size
+    model = Backbone(flat[:size], widths)
     w = flat[size : size + weights].reshape(head.weight.shape)
     return model, Classifier(head.class_ids, w, flat[size + weights :])
 
 
 def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
-    """Supervised warm-up with a throwaway linear head; returns the trained
-    backbone (the head is discarded, the input backbone is untouched).
+    """Supervised warm-up of the backbone's layers with a throwaway linear
+    head. Returns a trained copy whose entries past the layers are the
+    input's; the head is discarded and the input is untouched.
 
-    The backbone and the head are views into one vector, and their
-    gradients into another of the same layout, so each batch takes one
-    momentum-0.9 step on the one vector."""
+    The layers and the head are views into one vector, and their gradients
+    into another of the same layout, so each batch takes one momentum-0.9
+    step on the one vector."""
     x, labels = data
     if not len(labels):
         raise ValueError("pretraining data is empty")
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     rows = label_index(head.class_ids, labels, "head")
-    flat = np.concatenate([backbone.flat, head.weight, head.bias], axis=None)
-    model, head = _backbone_and_head(flat, backbone, head)
+    size = sum(w.size + b.size for w, b in zip(backbone.weights, backbone.biases))
+    flat = np.concatenate([backbone.flat[:size], head.weight, head.bias], axis=None)
+    model, head = _layers_and_head(flat, size, backbone.widths, head)
     grad = np.empty_like(flat)
-    d_model, d_head = _backbone_and_head(grad, backbone, head)
+    d_model, d_head = _layers_and_head(grad, size, backbone.widths, head)
     velocity = np.zeros_like(flat)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(labels))
@@ -166,15 +169,17 @@ def pretrain_backbone(backbone, data, config: PretrainConfig, rng):
         with diverged_as(f"pretraining diverged in epoch {epoch}"):
             for start in range(0, len(labels), BATCH_SIZE):
                 batch = slice(start, start + BATCH_SIZE)
-                e, tape = embed_with_tape(model, None, x_epoch[batch])
+                e, tape = embed_with_tape(model, x_epoch[batch])
                 loss, d_e, d_w, d_b = ce_adapt_loss(e, rows_epoch[batch], head)
                 require_finite(loss, "pretraining loss")
                 n = len(e)
                 d_e /= n
-                backprop(tape, model, None, d_e, (d_model, None))
+                backprop(tape, model, d_e, d_model)
                 np.divide(d_w, n, out=d_head.weight)
                 np.divide(d_b, n, out=d_head.bias)
                 velocity *= 0.9
                 velocity += grad
                 flat -= config.lr * velocity
-    return model.copy()
+    trained = backbone.copy()
+    trained.flat[:size] = model.flat
+    return trained

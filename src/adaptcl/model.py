@@ -1,11 +1,12 @@
-"""Embedding network, residual adapter, classifiers, and a hand-rolled
-reverse-mode pass through embed -> adapter -> l2-normalize.
+"""The embedding model, classifiers, and a hand-rolled reverse-mode pass
+through embed -> adapter -> l2-normalize.
 
-The backbone is a small feed-forward tanh net mapping R^D to R^d; the final
-layer is linear and the output is projected to the unit sphere. The adapter
-is a tanh bottleneck residual applied before normalization, with its
-up-projection zero-initialized so a fresh adapter is an exact identity.
-Every kernel takes (n, ...) rows, and a 1-D input raises AdaptclError.
+The model is one Backbone: a small feed-forward tanh net mapping R^D to R^d,
+whose final layer is linear, then a residual adapter, then a projection to
+the unit sphere. The adapter is a tanh bottleneck applied before
+normalization, with its up-projection zero-initialized so a fresh adapter is
+an exact identity; only this module knows it is there. Every kernel takes
+(n, ...) rows, and a 1-D input raises AdaptclError.
 """
 
 import itertools
@@ -40,9 +41,11 @@ def _tanh_deriv(a):
 
 @dataclass
 class Backbone:
-    """The layers' parameters as one float64 vector, flat = W0, b0, W1, b1,
-    ...; weights[l] (out, in) and biases[l] (out,) are views into it. widths
-    are the layer widths: input, hidden..., embedding."""
+    """The model's parameters as one float64 vector, flat = W0, b0, W1, b1,
+    ..., then the adapter's down (r, d) and up (d, r); weights[l] (out, in),
+    biases[l] (out,), down and up are views into it. widths are the layer
+    widths: input, hidden..., embedding d. The adapter rank r is whatever
+    flat holds past the layers."""
 
     flat: np.ndarray
     widths: tuple
@@ -55,59 +58,34 @@ class Backbone:
             self.weights.append(self.flat[start:mid].reshape(fan_out, fan_in))
             self.biases.append(self.flat[mid : mid + fan_out])
             start = mid + fan_out
+        d = self.widths[-1]
+        mid = start + (self.flat.size - start) // 2
+        self.down = self.flat[start:mid].reshape(-1, d)
+        self.up = self.flat[mid:].reshape(d, -1)
 
     def param_dict(self) -> dict:
         d = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             d[f"layer{i}.W"] = w
             d[f"layer{i}.b"] = b
+        d["adapter.down"], d["adapter.up"] = self.down, self.up
         return d
 
     def copy(self) -> "Backbone":
         return Backbone(self.flat.copy(), self.widths)
 
 
-@dataclass
-class AdapterModule:
-    """down (r, d) and up (d, r) as views into one float64 vector, flat =
-    down, up; dim is the embedding width d."""
-
-    flat: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        rank = self.flat.size // (2 * self.dim)
-        self.down = self.flat[: rank * self.dim].reshape(rank, self.dim)
-        self.up = self.flat[rank * self.dim :].reshape(self.dim, rank)
-
-    def param_dict(self) -> dict:
-        return {"adapter.down": self.down, "adapter.up": self.up}
-
-    def copy(self) -> "AdapterModule":
-        return AdapterModule(self.flat.copy(), self.dim)
-
-
-def model_params(backbone: Backbone, adapter: "AdapterModule | None") -> dict:
-    params = backbone.param_dict()
-    if adapter is not None:
-        params.update(adapter.param_dict())
-    return params
-
-
-def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator):
-    """Scaled-uniform init U(-1/sqrt(fan_in), 1/sqrt(fan_in)); zero biases and
+def init_model(config: ModelConfig, input_dim: int, rng: np.random.Generator) -> Backbone:
+    """Scaled-uniform init U(-1/sqrt(fan_in), 1/sqrt(fan_in)) of the layer
+    weights, then the adapter's down-projection; zero biases and
     up-projection."""
     widths = (input_dim, *config.hidden, config.embed_dim)
     size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
-    backbone = Backbone(np.zeros(size), widths)
-    for w in backbone.weights:
+    backbone = Backbone(np.zeros(size + 2 * config.adapter_rank * config.embed_dim), widths)
+    for w in [*backbone.weights, backbone.down]:
         s = 1.0 / np.sqrt(w.shape[1])
         w[:] = rng.uniform(-s, s, size=w.shape)
-    d = config.embed_dim
-    adapter = AdapterModule(np.zeros(2 * config.adapter_rank * d), d)
-    s = 1.0 / np.sqrt(d)
-    adapter.down[:] = rng.uniform(-s, s, size=adapter.down.shape)
-    return backbone, adapter
+    return backbone
 
 
 @dataclass
@@ -117,14 +95,15 @@ class Tape:
 
     acts: list  # each backbone layer's input
     raw: np.ndarray  # backbone output before adapter
-    adapter_act: "np.ndarray | None"  # tanh(raw @ down.T); None without an adapter
+    adapter_act: "np.ndarray | None"  # tanh(raw @ down.T); None at adapter rank 0
     norm: np.ndarray
     unit: np.ndarray
 
 
-def embed_with_tape(backbone: Backbone, adapter, x):
-    """Forward pass over (n, D) rows: backbone, adapter, l2-normalize.
-    Returns the (n, d) unit embeddings and the Tape that backprop reads."""
+def embed_with_tape(backbone: Backbone, x):
+    """Forward pass over (n, D) rows: layers, adapter (skipped at rank 0),
+    l2-normalize. Returns the (n, d) unit embeddings and the Tape that
+    backprop reads."""
     a = np.asarray(x, dtype=np.float64)
     in_dim = backbone.weights[0].shape[1]
     if a.ndim != 2 or a.shape[1] != in_dim:
@@ -139,10 +118,10 @@ def embed_with_tape(backbone: Backbone, adapter, x):
     raw = a @ backbone.weights[-1].T
     raw += backbone.biases[-1]
     a, adapter_act = raw, None
-    if adapter is not None:
-        z = raw @ adapter.down.T
+    if backbone.up.size:
+        z = raw @ backbone.down.T
         adapter_act = np.tanh(z, out=z)
-        a = raw + adapter_act @ adapter.up.T
+        a = raw + adapter_act @ backbone.up.T
     try:
         unit, norm = l2_normalize_with_norm(a)
     except DegenerateVector as e:
@@ -150,18 +129,18 @@ def embed_with_tape(backbone: Backbone, adapter, x):
     return unit, Tape(acts=acts, raw=raw, adapter_act=adapter_act, norm=norm, unit=unit)
 
 
-def embed(backbone: Backbone, adapter, x) -> np.ndarray:
+def embed(backbone: Backbone, x) -> np.ndarray:
     """Forward pass to unit-norm embeddings: (n, D) -> (n, d)."""
-    return embed_with_tape(backbone, adapter, x)[0]
+    return embed_with_tape(backbone, x)[0]
 
 
-def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray, out=None):
+def backprop(tape: Tape, backbone: Backbone, d_embedding: np.ndarray, out=None):
     """Gradients of sum_i <unit_i, d_embedding_i> w.r.t. all parameters, as a
-    (Backbone, AdapterModule or None) pair laid out like the model: its flat
-    vectors are the gradients of the model's flat vectors, and
-    model_params(*grads) names them. out, a pair an earlier call returned for
-    the same model, is overwritten and returned instead of a new pair, so a
-    training loop allocates one pair for all of its steps.
+    Backbone laid out like the model: its flat vector is the gradient of the
+    model's flat vector, and its param_dict names the groups. out, a Backbone
+    an earlier call returned for the same model, is overwritten and returned
+    instead of a new one, so a training loop allocates one for all of its
+    steps.
 
     Applies the normalization Jacobian (I - uu^T)/||v|| per row, then the
     adapter residual, then the backbone layers in reverse. Weight gradients
@@ -178,19 +157,18 @@ def backprop(tape: Tape, backbone: Backbone, adapter, d_embedding: np.ndarray, o
     delta /= tape.norm[:, None]
 
     if out is None:
-        out = backbone.copy(), adapter.copy() if adapter is not None else None
-    d_backbone, d_adapter = out
+        out = backbone.copy()
     if tape.adapter_act is not None:
         h = tape.adapter_act
         d_h = _tanh_deriv(h)
-        d_h *= delta @ adapter.up
-        np.matmul(delta.T, h, out=d_adapter.up)
-        np.matmul(d_h.T, tape.raw, out=d_adapter.down)
-        delta += d_h @ adapter.down
+        d_h *= delta @ backbone.up
+        np.matmul(delta.T, h, out=out.up)
+        np.matmul(d_h.T, tape.raw, out=out.down)
+        delta += d_h @ backbone.down
 
     for i in range(len(backbone.weights) - 1, -1, -1):
-        np.matmul(delta.T, tape.acts[i], out=d_backbone.weights[i])
-        np.add.reduce(delta, axis=0, out=d_backbone.biases[i])
+        np.matmul(delta.T, tape.acts[i], out=out.weights[i])
+        np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ backbone.weights[i]
             delta *= _tanh_deriv(tape.acts[i])
@@ -260,12 +238,12 @@ def classify(classifier: Classifier, embedding: np.ndarray):
     return np.asarray(classifier.class_ids)[idx], logits
 
 
-def _checkpoint_lines(backbone: Backbone, adapter):
+def _checkpoint_lines(backbone: Backbone):
     """The lines of the model's checkpoint, without line ends: activation;tanh,
     n_layers;<N>, then per array in name order a `name;dims` line and a row
     of its values' reprs, comma-joined (empty for an array of size 0). The
     one definition of the format, for writing and for loading."""
-    params = model_params(backbone, adapter)
+    params = backbone.param_dict()
     yield "activation;tanh"
     yield f"n_layers;{len(backbone.weights)}"
     for name in sorted(params):
@@ -274,11 +252,11 @@ def _checkpoint_lines(backbone: Backbone, adapter):
         yield ",".join(map(repr, arr.reshape(-1).tolist()))
 
 
-def save_checkpoint(path, backbone: Backbone, adapter) -> None:
+def save_checkpoint(path, backbone: Backbone) -> None:
     """Text checkpoint: the _checkpoint_lines of the model, each ended by a
     line feed. Layout documented in the README."""
     with open(path, "w", newline="\n") as f:
-        f.writelines(line + "\n" for line in _checkpoint_lines(backbone, adapter))
+        f.writelines(line + "\n" for line in _checkpoint_lines(backbone))
 
 
 def load_checkpoint(path):
@@ -301,21 +279,18 @@ def load_checkpoint(path):
         n_layers = int(lines[1].removeprefix("n_layers;"))
         layers = [arrays[f"layer{i}.{p}"] for i in range(n_layers) for p in "Wb"]
         widths = (layers[0].shape[-1], *map(len, layers[1::2]))
-        backbone = Backbone(np.concatenate(layers, axis=None), widths)
-        adapter = None
-        if "adapter.down" in arrays:
-            if not widths[-1]:
-                raise ValueError("adapter on embedding width 0")
-            down_up = arrays["adapter.down"], arrays["adapter.up"]
-            adapter = AdapterModule(np.concatenate(down_up, axis=None), widths[-1])
+        if not widths[-1]:
+            raise ValueError("adapter on embedding width 0")
+        parts = [*layers, arrays["adapter.down"], arrays["adapter.up"]]
+        backbone = Backbone(np.concatenate(parts, axis=None), widths)
     except KeyError as e:
         raise CheckpointError(f"malformed checkpoint {path}: missing array {e}") from e
     except (IndexError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
-    written = itertools.chain(_checkpoint_lines(backbone, adapter), [""])
+    written = itertools.chain(_checkpoint_lines(backbone), [""])
     for number, (line, want) in enumerate(itertools.zip_longest(lines, written), start=1):
         if line != want:
             raise CheckpointError(
                 f"malformed checkpoint {path}: line {number} is not what save_checkpoint writes"
             )
-    return backbone, adapter
+    return backbone

@@ -21,14 +21,7 @@ from .metrics import (
     check_stability_bounds,
     mean_sq_distance,
 )
-from .model import (
-    Classifier,
-    ModelConfig,
-    classify,
-    embed,
-    init_model,
-    model_params,
-)
+from .model import Classifier, ModelConfig, classify, embed, init_model
 from .numerics import l2_normalize, make_rng
 
 EPS = np.finfo(np.float64).eps
@@ -285,14 +278,14 @@ def run_stability(seed, n_draws) -> CheckResult:
 
 
 def _gradient_probes(seed, s, n_probes):
-    """Seed s of the gradient battery: (backbone, adapter, table, probes),
+    """Seed s of the gradient battery: (backbone, table, probes),
     each probe an (x, y, tau) batch of 1 or 3 rows, drawn in the battery's
     order."""
     cfg, input_dim = ModelConfig(embed_dim=3, hidden=(4,), adapter_rank=2), 2
     rng = make_rng(seed, 16, s)
     batch_rng = make_rng(seed, 17, s)
-    backbone, adapter = init_model(cfg, input_dim, rng)
-    adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+    backbone = init_model(cfg, input_dim, rng)
+    backbone.up[:] = rng.uniform(-0.3, 0.3, backbone.up.shape)
     table = _random_table(rng, cfg.embed_dim, 3)
     probes = []
     for probe in range(n_probes):
@@ -303,7 +296,7 @@ def _gradient_probes(seed, s, n_probes):
             x = np.vstack([x, batch_rng.standard_normal((2, input_dim))])
             y = np.concatenate([y, batch_rng.integers(3, size=2)])
         probes.append((x, y, tau))
-    return backbone, adapter, table, probes
+    return backbone, table, probes
 
 
 def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
@@ -337,7 +330,7 @@ def finite_diff_grad(loss_fn, params: dict, h: float) -> dict:
     return grads
 
 
-def _numeric_gradients(backbone, adapter, table, probes, h):
+def _numeric_gradients(backbone, table, probes, h):
     """Central differences of every probe's summed loss at once: each
     evaluation is one embed and one acl_losses call on the stacked rows of all
     probes, with a per-row tau column, summed per probe. Entry [..., k] of a
@@ -349,9 +342,9 @@ def _numeric_gradients(backbone, adapter, table, probes, h):
     starts = np.cumsum(rows) - rows
 
     def summed_losses(_params):
-        return np.add.reduceat(acl_losses(embed(backbone, adapter, x), y, table, tau), starts)
+        return np.add.reduceat(acl_losses(embed(backbone, x), y, table, tau), starts)
 
-    return finite_diff_grad(summed_losses, model_params(backbone, adapter), h)
+    return finite_diff_grad(summed_losses, backbone.param_dict(), h)
 
 
 def _rounding_floor(rows, size, tau, h):
@@ -383,12 +376,12 @@ def run_gradient_battery(seed, n_seeds, n_probes) -> CheckResult:
         if not n_probes:
             return
         for s in range(n_seeds):
-            backbone, adapter, table, probes = _gradient_probes(seed, s, n_probes)
-            numeric = _numeric_gradients(backbone, adapter, table, probes, GRAD_H)
+            backbone, table, probes = _gradient_probes(seed, s, n_probes)
+            numeric = _numeric_gradients(backbone, table, probes, GRAD_H)
             for probe, (x, y, tau) in enumerate(probes):
-                e, tape = model_mod.embed_with_tape(backbone, adapter, x)
+                e, tape = model_mod.embed_with_tape(backbone, x)
                 _, d_e = acl_loss(e, y, table, tau)
-                analytic = model_params(*model_mod.backprop(tape, backbone, adapter, d_e))
+                analytic = model_mod.backprop(tape, backbone, d_e).param_dict()
                 for name, g in numeric.items():
                     g = g[..., probe]
                     err = np.linalg.norm(analytic[name] - g)

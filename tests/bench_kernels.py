@@ -11,8 +11,8 @@ apart from acl_loss: it is the loss alone, as adapt's per-epoch checks and
 adaptcl verify call it. The pretraining step runs the forward pass,
 ce_adapt_loss, backprop into the gradient vector's views and the head
 gradients divided into theirs, then one momentum-0.9 update of the one
-vector that holds the backbone and the head, as pretrain_backbone's loop
-does.
+vector that holds the backbone's layers and the head, as pretrain_backbone's
+loop does.
 The core-learning cases time one call of the linear core on a 200-row task
 with a copy of the first 2 or all 10 classes of the head (the default run's
 tasks train heads of 2 to 8 classes) and the default 10 epochs, on the
@@ -25,7 +25,7 @@ import pytest
 
 from adaptcl.adaptation import acl_loss, acl_losses, ce_adapt_loss
 from adaptcl.continual import CoreConfig, ExperimentState, core_learn_linear
-from adaptcl.data import SyntheticSpec, _backbone_and_head
+from adaptcl.data import SyntheticSpec, _layers_and_head
 from adaptcl.model import (
     Classifier,
     ModelConfig,
@@ -64,56 +64,55 @@ CAMPAIGNS = {
 def model():
     cfg = ModelConfig()
     rng = make_rng(0)
-    backbone, adapter = init_model(cfg, INPUT_DIM, rng)
-    adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
+    backbone = init_model(cfg, INPUT_DIM, rng)
+    backbone.up[:] = rng.uniform(-0.3, 0.3, backbone.up.shape)
     units = [l2_normalize(rng.standard_normal(cfg.embed_dim)) for _ in range(N_CLASSES)]
     table = Classifier(list(range(N_CLASSES)), np.stack(units))
     head = Classifier.linear(range(N_CLASSES), cfg.embed_dim)
     head.weight[:] = rng.standard_normal(head.weight.shape)
-    return cfg, backbone, adapter, table, head
+    return cfg, backbone, table, head
 
 
 def _batch(model, n):
-    _, backbone, adapter, _, _ = model
+    backbone = model[1]
     rng = make_rng(1, n)
     x = rng.standard_normal((n, INPUT_DIM))
     y = rng.integers(N_CLASSES, size=n)
-    return x, y, embed(backbone, adapter, x)
+    return x, y, embed(backbone, x)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_forward(benchmark, model, n):
-    _, backbone, adapter, _, _ = model
     x, _, _ = _batch(model, n)
-    benchmark(embed_with_tape, backbone, adapter, x)
+    benchmark(embed_with_tape, model[1], x)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_backprop(benchmark, model, n):
-    _, backbone, adapter, table, _ = model
+    _, backbone, table, _ = model
     x, y, e = _batch(model, n)
     _, d_e = acl_loss(e, y, table, 0.1)
-    tape = embed_with_tape(backbone, adapter, x)[1]
-    benchmark(backprop, tape, backbone, adapter, d_e)
+    tape = embed_with_tape(backbone, x)[1]
+    benchmark(backprop, tape, backbone, d_e)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_acl_loss(benchmark, model, n):
-    table = model[3]
+    table = model[2]
     _, y, e = _batch(model, n)
     benchmark(acl_loss, e, y, table, 0.1)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_acl_losses(benchmark, model, n):
-    table = model[3]
+    table = model[2]
     _, y, e = _batch(model, n)
     benchmark(acl_losses, e, y, table, 0.1)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_ce_adapt_loss(benchmark, model, n):
-    head = model[4]
+    head = model[3]
     _, y, e = _batch(model, n)
     benchmark(ce_adapt_loss, e, y, head)
 
@@ -121,17 +120,20 @@ def test_ce_adapt_loss(benchmark, model, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_classify(benchmark, model, n):
     _, _, e = _batch(model, n)
-    benchmark(classify, model[3], e)
+    benchmark(classify, model[2], e)
 
 
 def _pretrain_layout(model):
-    """pretrain_backbone's one parameter vector, holding the backbone and a
-    fresh 10-class head, its views, and a gradient vector with its views."""
-    _, backbone, _, _, _ = model
+    """pretrain_backbone's one parameter vector, holding the backbone's
+    layers and a fresh 10-class head, its views, and a gradient vector with
+    its views."""
+    backbone = model[1]
     head = Classifier.linear(range(N_CLASSES), backbone.weights[-1].shape[0])
-    flat = np.concatenate([backbone.flat, head.weight, head.bias], axis=None)
+    size = sum(w.size + b.size for w, b in zip(backbone.weights, backbone.biases))
+    flat = np.concatenate([backbone.flat[:size], head.weight, head.bias], axis=None)
     grad = np.empty_like(flat)
-    return flat, _backbone_and_head(flat, backbone, head), grad, _backbone_and_head(grad, backbone, head)
+    layout = [_layers_and_head(v, size, backbone.widths, head) for v in (flat, grad)]
+    return flat, layout[0], grad, layout[1]
 
 
 def test_pretrain_step(benchmark, model):
@@ -141,11 +143,11 @@ def test_pretrain_step(benchmark, model):
 
     def step():
         nonlocal flat, velocity  # updated in place, as pretrain_backbone does
-        e, tape = embed_with_tape(backbone, None, x)
+        e, tape = embed_with_tape(backbone, x)
         loss, d_e, d_w, d_b = ce_adapt_loss(e, y, head)
         require_finite(loss, "pretraining loss")
         d_e /= len(y)
-        backprop(tape, backbone, None, d_e, (d_backbone, None))
+        backprop(tape, backbone, d_e, d_backbone)
         np.divide(d_w, len(y), out=d_head.weight)
         np.divide(d_b, len(y), out=d_head.bias)
         velocity *= 0.9
@@ -158,7 +160,7 @@ def test_pretrain_step(benchmark, model):
 @pytest.mark.parametrize("classes", [2, N_CLASSES])
 def test_core_learn_linear(benchmark, model, classes):
     # the call trains the head: each round gets a fresh copy outside the timing
-    _, backbone, adapter, _, head = model
+    _, backbone, _, head = model
     x, y, _ = _batch(model, 200)
     y = y % classes
     core = CoreConfig(strategy="linear")
@@ -166,7 +168,7 @@ def test_core_learn_linear(benchmark, model, classes):
     def fresh_state():
         weight, bias = head.weight[:classes].copy(), head.bias[:classes].copy()
         copy = Classifier(head.class_ids[:classes], weight, bias)
-        state = ExperimentState(backbone, adapter, copy)
+        state = ExperimentState(backbone, copy)
         return (state, (x, y), core, make_rng(2)), {}
 
     benchmark.pedantic(core_learn_linear, setup=fresh_state, rounds=20, warmup_rounds=1)

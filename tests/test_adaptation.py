@@ -35,7 +35,7 @@ class _IdentityBackbone:
 
     def __new__(cls):
         cfg = ModelConfig(embed_dim=2, hidden=(2,))
-        backbone, _ = init_model(cfg, 2, make_rng(0))
+        backbone = init_model(cfg, 2, make_rng(0))
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
         return backbone
@@ -45,7 +45,7 @@ class TestComputePrototypes:
     def test_symmetric_mean(self):
         backbone = _IdentityBackbone()
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        protos = compute_prototypes(embed(backbone, None, x), np.array([0, 0]))
+        protos = compute_prototypes(embed(backbone, x), np.array([0, 0]))
         np.testing.assert_allclose(
             protos.weight[protos.class_ids.index(0)], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12
         )
@@ -53,19 +53,19 @@ class TestComputePrototypes:
     def test_single_sample(self):
         backbone = _IdentityBackbone()
         x = np.array([[3.0, 4.0]])
-        protos = compute_prototypes(embed(backbone, None, x), np.array([1]))
+        protos = compute_prototypes(embed(backbone, x), np.array([1]))
         np.testing.assert_allclose(
-            protos.weight[protos.class_ids.index(1)], embed(backbone, None, x)[0], atol=0
+            protos.weight[protos.class_ids.index(1)], embed(backbone, x)[0], atol=0
         )
 
     def test_degenerate_mean(self):
         cfg = ModelConfig(embed_dim=2, hidden=(2,))
-        backbone, _ = init_model(cfg, 2, make_rng(0))
+        backbone = init_model(cfg, 2, make_rng(0))
         backbone.weights = [np.eye(2), np.eye(2)]
         backbone.biases = [np.zeros(2), np.zeros(2)]
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DegenerateVector):
-            compute_prototypes(embed(backbone, None, x), np.array([0, 0]))
+            compute_prototypes(embed(backbone, x), np.array([0, 0]))
 
     def test_overflowing_mean(self):
         # a class mean whose norm overflows has no direction: it must raise,
@@ -240,96 +240,88 @@ def _toy_task(rng, n_per_class=20):
     return np.stack(x), np.repeat(np.arange(len(centers)), n_per_class)
 
 
-def _bits(*modules):
-    """The exact bits of each module's parameters."""
-    return [m.flat.tobytes() for m in modules]
+def _bits(model):
+    """The exact bits of the model's parameters."""
+    return model.flat.tobytes()
 
 
-def _reference_adapt(backbone, adapter, data, mode, config, rng):
+def _reference_adapt(backbone, data, mode, config, rng):
     """adapt's parameter updates without its checks, one array at a time:
     each batch steps every trained array by p -= lr * g, its gradient of the
     batch's mean loss."""
     x, labels = data
-    backbone, adapter = backbone.copy(), adapter.copy()
-    table = compute_prototypes(embed(backbone, adapter, x), labels)
+    backbone = backbone.copy()
+    table = compute_prototypes(embed(backbone, x), labels)
     rows = label_index(table.class_ids, labels, "prototype table")
     head = Classifier.linear(table.class_ids, table.weight.shape[1])
     for _ in range(config.epochs):
         order = rng.permutation(len(labels))
         for start in range(0, len(labels), config.batch_size):
             idx = order[start : start + config.batch_size]
-            e, tape = embed_with_tape(backbone, adapter, x[idx])
+            e, tape = embed_with_tape(backbone, x[idx])
             if mode == "ce_ablation":
                 _, d_e, d_w, d_b = ce_adapt_loss(e, rows[idx], head)
             else:
                 _, d_e = acl_loss(e, rows[idx], table, config.temperature)
-            d_backbone, d_adapter = backprop(tape, backbone, adapter, d_e / len(idx))
-            backbone.flat -= config.lr * d_backbone.flat
-            adapter.flat -= config.lr * d_adapter.flat
+            backbone.flat -= config.lr * backprop(tape, backbone, d_e / len(idx)).flat
             if mode == "ce_ablation":
                 head.weight -= config.lr * (d_w / len(idx))
                 head.bias -= config.lr * (d_b / len(idx))
-    return backbone, adapter
+    return backbone
 
 
 @pytest.fixture
 def toy_setup():
     rng = make_rng(40)
     cfg = ModelConfig(embed_dim=4, hidden=(8,), adapter_rank=2)
-    backbone, adapter = init_model(cfg, 2, rng)
-    return backbone, adapter, _toy_task(rng), rng
+    backbone = init_model(cfg, 2, rng)
+    return backbone, _toy_task(rng), rng
 
 
 class TestAdapt:
     def test_zero_epochs_identity(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
-        before = _bits(backbone, adapter)
-        b2, a2, records = adapt(
-            backbone, adapter, data, "acl", AdaptConfig(epochs=0), rng
-        )
-        assert _bits(b2, a2) == before
+        backbone, data, rng = toy_setup
+        before = _bits(backbone)
+        b2, records = adapt(backbone, data, "acl", AdaptConfig(epochs=0), rng)
+        assert _bits(b2) == before
         assert records == []
 
     def test_disabled_mode(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
-        before = _bits(backbone, adapter)
-        b2, a2, report = adapt(
-            backbone, adapter, data, "disabled", AdaptConfig(), rng
-        )
-        assert _bits(b2, a2) == before
+        backbone, data, rng = toy_setup
+        before = _bits(backbone)
+        b2, report = adapt(backbone, data, "disabled", AdaptConfig(), rng)
+        assert _bits(b2) == before
 
     def test_unknown_mode_rejected(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
+        backbone, data, rng = toy_setup
         with pytest.raises(ValueError, match="unknown adaptation mode 'acl2'"):
-            adapt(backbone, adapter, data, "acl2", AdaptConfig(), rng)
+            adapt(backbone, data, "acl2", AdaptConfig(), rng)
 
     def test_zero_lr_report_emitted(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
-        before = _bits(backbone, adapter)
-        b2, a2, records = adapt(
-            backbone, adapter, data, "acl", AdaptConfig(lr=0.0, epochs=1), rng
-        )
-        assert _bits(b2, a2) == before
+        backbone, data, rng = toy_setup
+        before = _bits(backbone)
+        b2, records = adapt(backbone, data, "acl", AdaptConfig(lr=0.0, epochs=1), rng)
+        assert _bits(b2) == before
         assert len(records) == 1
 
     def test_loss_decreases_on_separable_data(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
+        backbone, data, rng = toy_setup
         cfg = AdaptConfig(epochs=3, lr=0.1, batch_size=16)
-        _, _, records = adapt(backbone, adapter, data, "acl", cfg, rng)
+        _, records = adapt(backbone, data, "acl", cfg, rng)
         losses = [r.markov.rhs for r in records]  # mean loss / log 2
         assert losses[-1] < losses[0]
 
     def test_bounds_recorded_and_hold(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
+        backbone, data, rng = toy_setup
         cfg = AdaptConfig(epochs=2, lr=0.1, batch_size=16)
-        _, _, records = adapt(backbone, adapter, data, "acl", cfg, rng)
+        _, records = adapt(backbone, data, "acl", cfg, rng)
         for r in records:
             assert r.stability.lhs <= r.stability.rhs + 1e-9
             assert r.markov.lhs <= r.markov.rhs + 1e-12
 
     @pytest.mark.parametrize("check", ["check_stability_bound", "check_markov_bound"])
     def test_failed_bound_report_raises(self, toy_setup, monkeypatch, check):
-        backbone, adapter, data, rng = toy_setup
+        backbone, data, rng = toy_setup
         real = getattr(adaptcl.adaptation, check)
 
         def failing(*args, **kwargs):
@@ -339,14 +331,14 @@ class TestAdapt:
 
         monkeypatch.setattr(adaptcl.adaptation, check, failing)
         with pytest.raises(BoundViolation):
-            adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
+            adapt(backbone, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
 
     def test_prototypes_frozen(self, toy_setup, monkeypatch):
         # every contrastive loss of a 2-epoch phase, per batch (acl_loss)
         # and per epoch (acl_losses), scores against the prototypes of the
         # input model, bit for bit
-        backbone, adapter, data, rng = toy_setup
-        expected = compute_prototypes(embed(backbone, adapter, data[0]), data[1])
+        backbone, data, rng = toy_setup
+        expected = compute_prototypes(embed(backbone, data[0]), data[1])
         tables = []
 
         def recording(real):
@@ -358,7 +350,7 @@ class TestAdapt:
 
         for name in ("acl_loss", "acl_losses"):
             monkeypatch.setattr(adaptcl.adaptation, name, recording(getattr(adaptcl.adaptation, name)))
-        adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=2, lr=0.1, batch_size=16), rng)
+        adapt(backbone, data, "acl", AdaptConfig(epochs=2, lr=0.1, batch_size=16), rng)
         # 60 samples: 4 batches and one whole-task call per epoch
         want = (tuple(expected.class_ids), expected.weight.tobytes())
         assert tables == [want] * 2 * (4 + 1)
@@ -366,7 +358,7 @@ class TestAdapt:
     def test_prototype_change_caught(self, toy_setup, monkeypatch):
         # the prototypes are frozen for the phase: a loss that nudges one
         # prototype entry by one ulp must fail the exit check
-        backbone, adapter, data, rng = toy_setup
+        backbone, data, rng = toy_setup
         real = adaptcl.adaptation.acl_loss
 
         def nudging(e, y, table, tau):
@@ -377,22 +369,22 @@ class TestAdapt:
         with pytest.raises(
             BoundViolation, match=r"^frozen prototypes bound violated in adaptation: 1 > 0$"
         ):
-            adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
+            adapt(backbone, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
 
     def test_loss_threshold_checked_per_batch(self, toy_setup, monkeypatch):
         # the toy task has no misclassified samples; on two overlapping
         # classes a loss halved below log 2 for a misclassified sample must
         # fail the per-batch threshold check before the per-epoch ones run
-        backbone, adapter, _, _ = toy_setup
+        backbone, _, _ = toy_setup
         rng = make_rng(41)
         centers = (np.array([0.3, 0.0]), np.array([-0.3, 0.0]))
         x = np.stack([c + rng.standard_normal(2) for c in centers for _ in range(20)])
         data = (x, np.repeat([0, 1], 20))
-        e = embed(backbone, adapter, x)
+        e = embed(backbone, x)
         pred, _ = classify(compute_prototypes(e, data[1]), e)
         assert np.any(pred != data[1])
         cfg = AdaptConfig(epochs=1, lr=0.1)
-        adapt(backbone, adapter, data, "acl", cfg, make_rng(1))
+        adapt(backbone, data, "acl", cfg, make_rng(1))
         real = adaptcl.adaptation.acl_loss
 
         def halved(e, y, table, tau):
@@ -401,36 +393,31 @@ class TestAdapt:
 
         monkeypatch.setattr(adaptcl.adaptation, "acl_loss", halved)
         with pytest.raises(BoundViolation, match=r"^threshold bound violated"):
-            adapt(backbone, adapter, data, "acl", cfg, make_rng(1))
+            adapt(backbone, data, "acl", cfg, make_rng(1))
 
     @pytest.mark.parametrize("mode", ["acl", "ce_ablation"])
     def test_update_is_plain_sgd(self, toy_setup, mode):
         # 60 samples in batches of 16 leave a short last batch in each epoch
-        backbone, adapter, data, _ = toy_setup
+        backbone, data, _ = toy_setup
         cfg = AdaptConfig(epochs=2, lr=0.1, batch_size=16)
-        b2, a2, _ = adapt(backbone, adapter, data, mode, cfg, make_rng(7))
-        want = _reference_adapt(backbone, adapter, data, mode, cfg, make_rng(7))
-        assert _bits(b2, a2) == _bits(*want)
-        assert _bits(a2) != _bits(adapter)
+        b2, _ = adapt(backbone, data, mode, cfg, make_rng(7))
+        want = _reference_adapt(backbone, data, mode, cfg, make_rng(7))
+        assert _bits(b2) == _bits(want)
+        # the adapter's entries of the flat vector train too
+        assert b2.down.tobytes() != backbone.down.tobytes()
+        assert b2.up.tobytes() != backbone.up.tobytes()
 
     def test_rank_zero_adapter(self, toy_setup):
         # a size-0 adapter stays empty while the backbone trains
-        _, _, data, rng = toy_setup
+        _, data, rng = toy_setup
         cfg = ModelConfig(embed_dim=4, hidden=(8,), adapter_rank=0)
-        backbone, adapter = init_model(cfg, 2, make_rng(40))
-        b2, a2, records = adapt(backbone, adapter, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
-        assert a2.flat.size == 0 and len(records) == 1
+        backbone = init_model(cfg, 2, make_rng(40))
+        b2, records = adapt(backbone, data, "acl", AdaptConfig(epochs=1, lr=0.1), rng)
+        assert b2.down.size == b2.up.size == 0 and len(records) == 1
         assert _bits(b2) != _bits(backbone)
 
     def test_ce_ablation_runs(self, toy_setup):
-        backbone, adapter, data, rng = toy_setup
-        b2, a2, records = adapt(
-            backbone,
-            adapter,
-            data,
-            "ce_ablation",
-            AdaptConfig(epochs=1, lr=0.1),
-            rng,
-        )
+        backbone, data, rng = toy_setup
+        b2, records = adapt(backbone, data, "ce_ablation", AdaptConfig(epochs=1, lr=0.1), rng)
         assert _bits(b2) != _bits(backbone)
         assert len(records) == 1

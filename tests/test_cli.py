@@ -667,9 +667,9 @@ class TestSweep:
         modes = []
         real = adaptcl.cli.run_acl
 
-        def counted(stream, backbone, adapter, mode, *args, **kwargs):
+        def counted(stream, backbone, mode, *args, **kwargs):
             modes.append(mode)
-            return real(stream, backbone, adapter, mode, *args, **kwargs)
+            return real(stream, backbone, mode, *args, **kwargs)
 
         monkeypatch.setattr(adaptcl.cli, "run_acl", counted)
         path = tmp_path / "two_modes.cfg"
@@ -890,7 +890,7 @@ class TestFailures:
         calls = []
 
         def raises_second(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(args[2])  # the mode
             if len(calls) == 2:
                 raise TypeError("planted")
             return real(*args, **kwargs)
@@ -962,7 +962,7 @@ class TestFailures:
         assert manifest["failures"]["run"]["type"] == "AdaptclError"
         checkpoint = tmp_path / "m.ckpt"
         model = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
-        save_checkpoint(checkpoint, *init_model(model, 8, make_rng(0)))
+        save_checkpoint(checkpoint, init_model(model, 8, make_rng(0)))
         argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(checkpoint)]
         assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 1
         assert capsys.readouterr().err.splitlines() == [line]
@@ -1021,7 +1021,7 @@ def fresh_checkpoint(tmp_path):
     """An untrained checkpoint matching TINY_CFG's model shape."""
     path = tmp_path / "fresh.ckpt"
     cfg = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
-    save_checkpoint(path, *init_model(cfg, 8, make_rng(0)))
+    save_checkpoint(path, init_model(cfg, 8, make_rng(0)))
     return path
 
 
@@ -1075,8 +1075,22 @@ class TestDumpEmbeddings:
 
     @pytest.mark.parametrize(
         "drop",
-        [None, "layer1.W", "layer0.b", "adapter.up", "adapter.down"],
-        ids=["garbage", "no-layer1.W", "no-layer0.b", "down-without-up", "up-without-down"],
+        [
+            None,
+            ["layer1.W"],
+            ["layer0.b"],
+            ["adapter.up"],
+            ["adapter.down"],
+            ["adapter.down", "adapter.up"],
+        ],
+        ids=[
+            "garbage",
+            "no-layer1.W",
+            "no-layer0.b",
+            "down-without-up",
+            "up-without-down",
+            "no-adapter",
+        ],
     )
     def test_bad_checkpoint(self, tiny_config, fresh_checkpoint, tmp_path, capsys, drop):
         bad = tmp_path / "bad.ckpt"
@@ -1084,8 +1098,10 @@ class TestDumpEmbeddings:
             bad.write_text("not a checkpoint")
         else:
             lines = fresh_checkpoint.read_text().splitlines()
-            i = next(k for k, line in enumerate(lines) if line.startswith(f"{drop};"))
-            bad.write_text("\n".join(lines[:i] + lines[i + 2 :]) + "\n")
+            for name in drop:
+                i = next(k for k, line in enumerate(lines) if line.startswith(f"{name};"))
+                lines = lines[:i] + lines[i + 2 :]
+            bad.write_text("\n".join(lines) + "\n")
         assert (
             main(
                 [
@@ -1164,7 +1180,7 @@ class TestDumpEmbeddings:
         # a valid checkpoint built for 5 inputs, on data of data.input_dim = 8
         ckpt = tmp_path / "narrow.ckpt"
         cfg = ModelConfig(embed_dim=6, hidden=(12,), adapter_rank=3)
-        save_checkpoint(ckpt, *init_model(cfg, 5, make_rng(0)))
+        save_checkpoint(ckpt, init_model(cfg, 5, make_rng(0)))
         argv = ["dump-embeddings", "--config", str(tiny_config), "--checkpoint", str(ckpt)]
         code, err = _exit_and_stderr(argv + ["--out", str(tmp_path / "e.csv")])
         assert code == 1 and _one_line(err, "error: input shape"), err

@@ -38,9 +38,9 @@ def _cluster_task(rng, class_ids, dim=4, n_train=15, n_test=10, spread=0.3):
     return Task(train, test)
 
 
-def _run_one_task(stream, backbone, adapter, core_cfg):
+def _run_one_task(stream, backbone, core_cfg):
     """run_acl with no adaptation on the stream's first task."""
-    return run_acl(stream[:1], backbone, adapter, "disabled", AdaptConfig(), core_cfg, make_rng(1))
+    return run_acl(stream[:1], backbone, "disabled", AdaptConfig(), core_cfg, make_rng(1))
 
 
 @pytest.fixture
@@ -48,20 +48,19 @@ def stream_and_model():
     rng = make_rng(50)
     stream = [_cluster_task(rng, [0, 1]), _cluster_task(rng, [2, 3])]
     cfg = ModelConfig(embed_dim=6, hidden=(8,), adapter_rank=2)
-    backbone, adapter = init_model(cfg, 4, make_rng(51))
-    return stream, backbone, adapter
+    return stream, init_model(cfg, 4, make_rng(51))
 
 
 class TestCoreLearnNcm:
     def test_first_task_classes(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream[0].train)
         assert state.classifier.class_ids == [0, 1]
 
     def test_append_only(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream[0].train)
         first = dict(zip(state.classifier.class_ids, state.classifier.weight.copy()))
         core_learn_ncm(state, stream[1].train)
@@ -72,36 +71,39 @@ class TestCoreLearnNcm:
             )
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
-        # prototypes computed through a backbone nudged by one ulp must fail
-        # the frozen-backbone check that run_acl makes around core learning
-        stream, backbone, adapter = stream_and_model
+        # prototypes computed through a backbone nudged by one ulp, in a layer
+        # weight or in the adapter, must fail the frozen-backbone check that
+        # run_acl makes around core learning
+        stream, backbone = stream_and_model
         monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run's state holds it
         real = adaptcl.continual.compute_prototypes
+        for entry in (backbone.flat[:1], backbone.down[0, :1]):
 
-        def nudging(embeddings, labels):
-            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
-            return real(embeddings, labels)
+            def nudging(embeddings, labels, entry=entry):
+                entry[0] = np.nextafter(entry[0], np.inf)
+                return real(embeddings, labels)
 
-        monkeypatch.setattr(adaptcl.continual, "compute_prototypes", nudging)
-        with pytest.raises(
-            BoundViolation, match=r"^frozen backbone bound violated in ncm core learning: 1 > 0$"
-        ):
-            raise _run_one_task(stream, backbone, adapter, CoreConfig()).exception
+            monkeypatch.setattr(adaptcl.continual, "compute_prototypes", nudging)
+            with pytest.raises(
+                BoundViolation,
+                match=r"^frozen backbone bound violated in ncm core learning: 1 > 0$",
+            ):
+                raise _run_one_task(stream, backbone, CoreConfig()).exception
 
     def test_repeated_task_rejected(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream[0].train)
         with pytest.raises(ValueError, match="class 0 already in classifier"):
             core_learn_ncm(state, stream[0].train)
 
     def test_prediction_brute_force(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream[0].train)
         core_learn_ncm(state, stream[1].train)
         x = stream[0].test[0][:1]
-        e = embed(backbone, adapter, x)
+        e = embed(backbone, x)
         sims = {
             c: float(e[0] @ p) for c, p in zip(state.classifier.class_ids, state.classifier.weight)
         }
@@ -112,51 +114,52 @@ class TestCoreLearnNcm:
 
 class TestCoreLearnLinear:
     def test_zero_epochs_adds_rows_only(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier.linear([], 6))
         core_learn_linear(state, stream[0].train, CoreConfig(epochs=0, lr=0.1), make_rng(1))
         assert state.classifier.class_ids == [0, 1]
         np.testing.assert_array_equal(state.classifier.weight, np.zeros((2, 6)))
 
     def test_backbone_frozen(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier.linear([], 6))
         before = backbone.flat.tobytes()
         core_learn_linear(state, stream[0].train, CoreConfig(epochs=5, lr=0.1), make_rng(1))
         assert state.backbone.flat.tobytes() == before
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
-        # an epoch that nudges one backbone entry by one ulp must fail the
-        # frozen-backbone check that run_acl makes around core learning
-        stream, backbone, adapter = stream_and_model
+        # an epoch that nudges one backbone entry by one ulp, in a layer
+        # weight or in the adapter, must fail the frozen-backbone check that
+        # run_acl makes around core learning
+        stream, backbone = stream_and_model
         monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run's state holds it
         real = adaptcl.continual.diverged_as
+        for entry in (backbone.flat[:1], backbone.down[0, :1]):
 
-        def nudging(what):
-            backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
-            return real(what)
+            def nudging(what, entry=entry):
+                entry[0] = np.nextafter(entry[0], np.inf)
+                return real(what)
 
-        monkeypatch.setattr(adaptcl.continual, "diverged_as", nudging)
-        with pytest.raises(
-            BoundViolation, match=r"^frozen backbone bound violated in linear core learning: 1 > 0$"
-        ):
-            raise _run_one_task(stream, backbone, adapter, CoreConfig("linear", epochs=2)).exception
+            monkeypatch.setattr(adaptcl.continual, "diverged_as", nudging)
+            with pytest.raises(
+                BoundViolation,
+                match=r"^frozen backbone bound violated in linear core learning: 1 > 0$",
+            ):
+                raise _run_one_task(stream, backbone, CoreConfig("linear", epochs=2)).exception
 
     def test_training_improves_train_accuracy(self, stream_and_model):
         # smoke check, not a guarantee
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         data = stream[0].train
 
         def acc(state):
             hits = 0
             for x, y in zip(data[0][:, None], data[1]):
-                pred, _ = classify(
-                    state.classifier, embed(state.backbone, state.adapter, x)
-                )
+                pred, _ = classify(state.classifier, embed(state.backbone, x))
                 hits += pred[0] == y
             return hits / len(data[1])
 
-        state = ExperimentState(backbone, adapter, Classifier.linear([], 6))
+        state = ExperimentState(backbone, Classifier.linear([], 6))
         core_learn_linear(state, data, CoreConfig(epochs=0, lr=0.1), make_rng(1))
         before = acc(state)
         core_learn_linear(state, data, CoreConfig(epochs=10, lr=0.1), make_rng(1))
@@ -171,7 +174,7 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng):
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    frozen = embed(state.backbone, state.adapter, x)
+    frozen = embed(state.backbone, x)
     for _ in range(epochs):
         for i in rng.permutation(len(labels)):
             _, _, d_w, d_b = ce_adapt_loss(frozen[i : i + 1], rows[i : i + 1], head)
@@ -188,7 +191,7 @@ def _allocating_core_learn_linear(state, task_data, config, rng):
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
     Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
-    frozen = embed(state.backbone, state.adapter, x)
+    frozen = embed(state.backbone, x)
     augmented = np.concatenate([frozen, np.ones((len(labels), 1))], axis=1)
     for _ in range(config.epochs):
         for i in rng.permutation(len(labels)):
@@ -203,12 +206,9 @@ def _allocating_core_learn_linear(state, task_data, config, rng):
 
 class TestCoreLearnLinearReference:
     def test_matches_reference_loop(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        adapter.up[:] = make_rng(53).uniform(-0.3, 0.3, adapter.up.shape)
-        states = [
-            ExperimentState(backbone.copy(), adapter.copy(), Classifier.linear([], 6))
-            for _ in range(2)
-        ]
+        stream, backbone = stream_and_model
+        backbone.up[:] = make_rng(53).uniform(-0.3, 0.3, backbone.up.shape)
+        states = [ExperimentState(backbone.copy(), Classifier.linear([], 6)) for _ in range(2)]
         for task in stream:  # the second task grows a trained head
             core = CoreConfig(epochs=3, lr=0.1)
             core_learn_linear(states[0], task.train, core, make_rng(54))
@@ -219,7 +219,7 @@ class TestCoreLearnLinearReference:
         for name in ("weight", "bias"):
             lean_array, ref_array = getattr(lean.classifier, name), getattr(ref.classifier, name)
             np.testing.assert_allclose(lean_array, ref_array, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(lean.adapter.flat, adapter.flat)
+        np.testing.assert_array_equal(lean.backbone.flat, backbone.flat)
 
     def test_bit_identical_to_allocating_loop(self):
         # the [W | b] head step on preallocated buffers keeps every float of
@@ -228,14 +228,11 @@ class TestCoreLearnLinearReference:
         classes = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9, 10]]
         stream = [_cluster_task(rng, ids) for ids in classes]
         cfg = ModelConfig(embed_dim=6, hidden=(8, 8), adapter_rank=2)
-        backbone, adapter = init_model(cfg, 4, make_rng(56))
+        backbone = init_model(cfg, 4, make_rng(56))
         for bias in backbone.biases:
             bias[:] = rng.uniform(0.1, 0.5, bias.shape)
-        adapter.up[:] = rng.uniform(-0.3, 0.3, adapter.up.shape)
-        states = [
-            ExperimentState(backbone.copy(), adapter.copy(), Classifier.linear([], 6))
-            for _ in range(2)
-        ]
+        backbone.up[:] = rng.uniform(-0.3, 0.3, backbone.up.shape)
+        states = [ExperimentState(backbone.copy(), Classifier.linear([], 6)) for _ in range(2)]
         core = CoreConfig(epochs=3, lr=0.1)
         for k, task in enumerate(stream):
             core_learn_linear(states[0], task.train, core, make_rng(58, k))
@@ -247,13 +244,12 @@ class TestCoreLearnLinearReference:
         np.testing.assert_array_equal(lean.classifier.weight, ref.classifier.weight)
         np.testing.assert_array_equal(lean.classifier.bias, ref.classifier.bias)
         assert lean.backbone.flat.tobytes() == backbone.flat.tobytes()
-        assert lean.adapter.flat.tobytes() == adapter.flat.tobytes()
 
     def test_non_finite_logit_raises(self, stream_and_model):
         # an inf weight or bias reaches the logits of the [W | b] product
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         for where in ("bias", "weight"):
-            state = ExperimentState(backbone, adapter, Classifier.linear([0], 6))
+            state = ExperimentState(backbone, Classifier.linear([0], 6))
             getattr(state.classifier, where).flat[0] = np.inf
             with pytest.raises(NonFiniteLoss) as caught, np.errstate(invalid="ignore"):
                 core = CoreConfig(epochs=1, lr=0.1)
@@ -263,10 +259,10 @@ class TestCoreLearnLinearReference:
 
 class TestRunAcl:
     def test_single_task(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         single = stream[:1]
         result = run_acl(
-            single, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
+            single, backbone, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
             make_rng(2),
         )
         assert result.exception is None
@@ -274,9 +270,9 @@ class TestRunAcl:
         assert len(result.epoch_records) == 1
 
     def test_disabled_runs_no_adaptation(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         result = run_acl(
-            stream, backbone, adapter, "disabled", AdaptConfig(), CoreConfig(), make_rng(2)
+            stream, backbone, "disabled", AdaptConfig(), CoreConfig(), make_rng(2)
         )
         assert result.epoch_records == []
         assert result.exception is None
@@ -284,11 +280,10 @@ class TestRunAcl:
         assert result.state.backbone.flat.tobytes() == backbone.flat.tobytes()
 
     def test_first_task_only(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         result = run_acl(
             stream,
             backbone,
-            adapter,
             "acl",
             AdaptConfig(epochs=1, lr=0.05, first_task_only=True),
             CoreConfig(),
@@ -297,23 +292,22 @@ class TestRunAcl:
         assert [k for k, _ in result.epoch_records] == [1]
 
     def test_deterministic(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         r1 = run_acl(
-            stream, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
+            stream, backbone, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
             make_rng(3),
         )
         r2 = run_acl(
-            stream, backbone, adapter, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
+            stream, backbone, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
             make_rng(3),
         )
         assert r1.matrix.rows == r2.matrix.rows
 
     def test_linear_strategy(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         result = run_acl(
             stream,
             backbone,
-            adapter,
             "acl",
             AdaptConfig(epochs=1, lr=0.05),
             CoreConfig(strategy="linear", epochs=5, lr=0.1),
@@ -324,7 +318,7 @@ class TestRunAcl:
 
 
     def test_programming_error_propagates(self, stream_and_model, monkeypatch):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
 
         def broken(state, task_data):
             raise TypeError("planted")
@@ -332,11 +326,11 @@ class TestRunAcl:
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", broken)
         with pytest.raises(TypeError, match="planted"):
             run_acl(
-                stream, backbone, adapter, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
+                stream, backbone, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
             )
 
     def test_bound_violation_returns_partial_matrix(self, stream_and_model, monkeypatch):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         real_ncm = adaptcl.continual.core_learn_ncm
         calls = []
 
@@ -348,7 +342,7 @@ class TestRunAcl:
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", violates_on_second_task)
         result = run_acl(
-            stream, backbone, adapter, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
+            stream, backbone, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
         )
         assert type(result.exception) is BoundViolation and str(result.exception) == "planted"
         assert result.matrix.K == 1 and not result.matrix.complete
@@ -356,23 +350,21 @@ class TestRunAcl:
 
 class TestEvaluate:
     def test_always_right_and_wrong(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
+        stream, backbone = stream_and_model
         task = stream[0]
         all_zero = (task.test[0], np.zeros_like(task.test[1]))
         s = [Task(task.train, all_zero)]
-        e0 = embed(backbone, adapter, task.test[0][:1])
-        state = ExperimentState(
-            backbone, adapter, Classifier([0], e0 / np.linalg.norm(e0))
-        )
+        e0 = embed(backbone, task.test[0][:1])
+        state = ExperimentState(backbone, Classifier([0], e0 / np.linalg.norm(e0)))
         assert evaluate(state, s, 1) == [1.0]
 
     def test_brute_force_scoring(self, stream_and_model):
-        stream, backbone, adapter = stream_and_model
-        state = ExperimentState(backbone, adapter, Classifier([], np.zeros((0, 6))))
+        stream, backbone = stream_and_model
+        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
         core_learn_ncm(state, stream[0].train)
         row = evaluate(state, stream, 1)
         hits = 0
         for x, y in zip(stream[0].test[0][:, None], stream[0].test[1]):
-            pred, _ = classify(state.classifier, embed(backbone, adapter, x))
+            pred, _ = classify(state.classifier, embed(backbone, x))
             hits += pred[0] == y
         assert row == [hits / len(stream[0].test[1])]

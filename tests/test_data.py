@@ -14,6 +14,7 @@ from adaptcl.data import (
     pretrain_backbone,
 )
 from adaptcl.model import (
+    Backbone,
     Classifier,
     ModelConfig,
     backprop,
@@ -145,14 +146,14 @@ class TestGenerate:
         )
         pre_train, pre_test, stream = generate_synthetic(spec)
         cfg = ModelConfig(embed_dim=8, hidden=(32,))
-        backbone, adapter = init_model(cfg, 16, make_rng(8))
+        backbone = init_model(cfg, 16, make_rng(8))
         backbone = pretrain_backbone(backbone, pre_train, PretrainConfig(20, 0.05), make_rng(9))
 
         def ncm_accuracy(train, test):
-            state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 8))))
+            state = ExperimentState(backbone, Classifier([], np.zeros((0, 8))))
             core_learn_ncm(state, train)
             hits = sum(
-                classify(state.classifier, embed(backbone, None, x))[0][0] == y
+                classify(state.classifier, embed(backbone, x))[0][0] == y
                 for x, y in zip(test[0][:, None], test[1])
             )
             return hits / len(test[1])
@@ -162,12 +163,18 @@ class TestGenerate:
         assert acc_incremental < acc_pretrain
 
 
+def _layers(backbone):
+    """A copy of the backbone's layers alone: a Backbone of adapter rank 0."""
+    size = sum(w.size + b.size for w, b in zip(backbone.weights, backbone.biases))
+    return Backbone(backbone.flat[:size].copy(), backbone.widths)
+
+
 def _reference_pretrain(backbone, data, epochs, lr, rng, batch_size=32):
     """pretrain_backbone as a loop over named arrays: the labels mapped to
     head rows per batch, and one momentum update per parameter array of the
-    backbone and of the head."""
+    layers and of the head. Returns the trained layers alone."""
     x, labels = data
-    backbone = backbone.copy()
+    backbone = _layers(backbone)
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     params = {**backbone.param_dict(), "head.W": head.weight, "head.b": head.bias}
     velocities = {name: np.zeros_like(p) for name, p in params.items()}
@@ -175,10 +182,10 @@ def _reference_pretrain(backbone, data, epochs, lr, rng, batch_size=32):
         order = rng.permutation(len(labels))
         for start in range(0, len(labels), batch_size):
             idx = order[start : start + batch_size]
-            e, tape = embed_with_tape(backbone, None, x[idx])
+            e, tape = embed_with_tape(backbone, x[idx])
             rows = label_index(head.class_ids, labels[idx], "head")
             _, d_e, d_w, d_b = ce_adapt_loss(e, rows, head)
-            grads = backprop(tape, backbone, None, d_e / len(idx))[0].param_dict()
+            grads = backprop(tape, backbone, d_e / len(idx)).param_dict()
             grads.update({"head.W": d_w / len(idx), "head.b": d_b / len(idx)})
             for name, p in params.items():
                 velocities[name] *= 0.9
@@ -188,11 +195,11 @@ def _reference_pretrain(backbone, data, epochs, lr, rng, batch_size=32):
 
 
 def _per_array_pretrain(backbone, data, config, rng):
-    """pretrain_backbone as three parameter arrays: the backbone's vector and
+    """pretrain_backbone as three parameter arrays: the layers' vector and
     the head's weight and bias, stepped one by one, with the gradients in
-    new arrays each batch."""
+    new arrays each batch. Returns the trained layers alone."""
     x, labels = data
-    backbone = backbone.copy()
+    backbone = _layers(backbone)
     head = Classifier.linear(labels.tolist(), backbone.weights[-1].shape[0])
     rows = label_index(head.class_ids, labels, "head")
     params = [backbone.flat, head.weight, head.bias]
@@ -203,11 +210,11 @@ def _per_array_pretrain(backbone, data, config, rng):
         x_epoch, rows_epoch = x[order], rows[order]
         for start in range(0, len(labels), BATCH_SIZE):
             batch = slice(start, start + BATCH_SIZE)
-            e, tape = embed_with_tape(backbone, None, x_epoch[batch])
+            e, tape = embed_with_tape(backbone, x_epoch[batch])
             _, d_e, d_w, d_b = ce_adapt_loss(e, rows_epoch[batch], head)
             n = len(e)
-            grads = backprop(tape, backbone, None, d_e / n, grads)
-            for p, g, v in zip(params, [grads[0].flat, d_w / n, d_b / n], velocities):
+            grads = backprop(tape, backbone, d_e / n, grads)
+            for p, g, v in zip(params, [grads.flat, d_w / n, d_b / n], velocities):
                 v *= 0.9
                 v += g
                 p -= config.lr * v
@@ -222,13 +229,16 @@ class TestPretrain:
         pre_train, _, _ = generate_synthetic(spec)
         assert len(pre_train[1]) % BATCH_SIZE == 4
         cfg = ModelConfig(embed_dim=4, hidden=(8, 6))
-        backbone, _ = init_model(cfg, 8, make_rng(12))
+        backbone = init_model(cfg, 8, make_rng(12))
         before = backbone.flat.copy()
         config = PretrainConfig(3, 0.05)
         trained = pretrain_backbone(backbone, pre_train, config, make_rng(13))
         reference = _per_array_pretrain(backbone, pre_train, config, make_rng(13))
-        assert trained.flat.tobytes() == reference.flat.tobytes()
-        assert backbone.flat.tobytes() == before.tobytes()
+        # the layers train; the entries past them (the adapter) are the input's
+        size = reference.flat.size
+        assert trained.flat[:size].tobytes() == reference.flat.tobytes()
+        assert trained.flat[size:].tobytes() == before[size:].tobytes()
+        assert backbone.down.size and backbone.flat.tobytes() == before.tobytes()
         # the returned backbone owns its vector: no view into the one that held the head
         assert trained.flat.base is None
         assert trained.flat.size == backbone.flat.size
@@ -236,23 +246,23 @@ class TestPretrain:
     def test_matches_named_array_reference(self):
         # 80 rows: two full batches and a short one per epoch
         cfg = ModelConfig(embed_dim=4, hidden=(8, 6))
-        backbone, _ = init_model(cfg, 8, make_rng(10))
+        backbone = init_model(cfg, 8, make_rng(10))
         pre_train, _, _ = generate_synthetic(SMALL)
         trained = pretrain_backbone(backbone, pre_train, PretrainConfig(3, 0.05), make_rng(11))
         reference = _reference_pretrain(backbone, pre_train, 3, 0.05, make_rng(11))
-        assert trained.flat.tobytes() == reference.flat.tobytes()
+        assert trained.flat[: reference.flat.size].tobytes() == reference.flat.tobytes()
         assert trained.flat.tobytes() != backbone.flat.tobytes()
 
     def test_zero_epochs_identity(self):
         cfg = ModelConfig(embed_dim=4, hidden=(8,))
-        backbone, _ = init_model(cfg, 8, make_rng(10))
+        backbone = init_model(cfg, 8, make_rng(10))
         pre_train, _, _ = generate_synthetic(SMALL)
         trained = pretrain_backbone(backbone, pre_train, PretrainConfig(0, 0.05), make_rng(11))
         assert trained.flat.tobytes() == backbone.flat.tobytes()
 
     def test_deterministic(self):
         cfg = ModelConfig(embed_dim=4, hidden=(8,))
-        backbone, _ = init_model(cfg, 8, make_rng(10))
+        backbone = init_model(cfg, 8, make_rng(10))
         pre_train, _, _ = generate_synthetic(SMALL)
         t1 = pretrain_backbone(backbone, pre_train, PretrainConfig(3, 0.05), make_rng(11))
         t2 = pretrain_backbone(backbone, pre_train, PretrainConfig(3, 0.05), make_rng(11))
@@ -260,13 +270,13 @@ class TestPretrain:
 
     def test_beats_chance_on_heldout(self):
         cfg = ModelConfig(embed_dim=4, hidden=(16,))
-        backbone, _ = init_model(cfg, 8, make_rng(12))
+        backbone = init_model(cfg, 8, make_rng(12))
         pre_train, pre_test, _ = generate_synthetic(SMALL)
         backbone = pretrain_backbone(backbone, pre_train, PretrainConfig(20, 0.05), make_rng(13))
-        state = ExperimentState(backbone, None, Classifier([], np.zeros((0, 4))))
+        state = ExperimentState(backbone, Classifier([], np.zeros((0, 4))))
         core_learn_ncm(state, pre_train)
         hits = sum(
-            classify(state.classifier, embed(backbone, None, x))[0][0] == y
+            classify(state.classifier, embed(backbone, x))[0][0] == y
             for x, y in zip(pre_test[0][:, None], pre_test[1])
         )
         chance = 1.0 / SMALL.n_pretrain_classes

@@ -2,7 +2,8 @@
 every dataclass field of the package is read somewhere in it, no check of
 the package is an assert statement, the cli loads no module that its
 commands do not all need, data does not load continual, what only verify
-calls is defined in verify, and only numerics scales vectors to unit norm."""
+calls is defined in verify, only numerics scales vectors to unit norm, and
+only model names the adapter."""
 
 import ast
 import os
@@ -201,3 +202,38 @@ def test_eps_norm_only_in_numerics():
     # degenerate norm; a module that names its threshold has its own copy
     named = [p.name for p in sorted(PACKAGE.glob("*.py")) if "EPS_NORM" in p.read_text()]
     assert named == ["numerics.py"]
+
+
+NAME_FIELDS = {ast.Name: "id", ast.arg: "arg", ast.Attribute: "attr"}
+
+
+def adapter_names(source: str) -> list:
+    """Names, parameters and attributes whose name contains "adapter", in
+    any case."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, NAME_FIELDS.get(type(node), ""), "")
+        if "adapter" in name.lower():
+            found.append(f"line {node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_detects_an_adapter_name():
+    source = (
+        "def f(adapter, x, adapt):\n"
+        "    return x.adapter_act + AdapterModule(adapter_rank=2)\n"
+        "y = 'adapter'\n"
+    )
+    want = ["line 1: adapter", "line 2: AdapterModule", "line 2: adapter_act"]
+    assert adapter_names(source) == want
+
+
+def test_only_model_names_the_adapter():
+    # the adapter is part of the one model object: no other module passes,
+    # returns or reads one, so retiring it is a change to model.py alone
+    found = {
+        p.name: adapter_names(p.read_text())
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "model.py"
+    }
+    assert {module: names for module, names in found.items() if names} == {}

@@ -9,7 +9,7 @@ import adaptcl.verify
 from adaptcl.adaptation import acl_loss
 from adaptcl.errors import DegenerateVector
 from adaptcl.metrics import BoundReport, check_loss_threshold, check_markov_bound
-from adaptcl.model import Classifier, classify, embed, model_params
+from adaptcl.model import Classifier, classify, embed
 from adaptcl.numerics import l2_normalize, make_rng
 from adaptcl.verify import (
     VerifySizes,
@@ -103,10 +103,9 @@ def test_sign_flip_mutation_caught(monkeypatch):
     # canary: a corrupted analytic gradient must fail the battery
     real_backprop = adaptcl.model.backprop
 
-    def flipped(tape, backbone, adapter, d_embedding):
-        grads = real_backprop(tape, backbone, adapter, d_embedding)
-        for g in grads:
-            g.flat *= -1.0
+    def flipped(tape, backbone, d_embedding):
+        grads = real_backprop(tape, backbone, d_embedding)
+        grads.flat *= -1.0
         return grads
 
     monkeypatch.setattr(adaptcl.model, "backprop", flipped)
@@ -119,9 +118,9 @@ def test_dropped_group_mutation_caught(monkeypatch):
     # the battery and name that array
     real_backprop = adaptcl.model.backprop
 
-    def without_down(tape, backbone, adapter, d_embedding):
-        grads = real_backprop(tape, backbone, adapter, d_embedding)
-        grads[1].down[:] = 0.0
+    def without_down(tape, backbone, d_embedding):
+        grads = real_backprop(tape, backbone, d_embedding)
+        grads.down[:] = 0.0
         return grads
 
     monkeypatch.setattr(adaptcl.model, "backprop", without_down)
@@ -134,11 +133,11 @@ def test_row_zero_only_mutation_caught(monkeypatch):
     # a backprop that drops every batch row but the first must fail the battery
     real_backprop = adaptcl.model.backprop
 
-    def row_zero_only(tape, backbone, adapter, d_embedding):
+    def row_zero_only(tape, backbone, d_embedding):
         kept = np.array(d_embedding)
         if kept.ndim == 2:
             kept[1:] = 0.0
-        return real_backprop(tape, backbone, adapter, kept)
+        return real_backprop(tape, backbone, kept)
 
     monkeypatch.setattr(adaptcl.model, "backprop", row_zero_only)
     result = run_gradient_battery(0, 1, 3)
@@ -388,13 +387,13 @@ def test_stacked_numeric_gradient_is_per_probe():
     # each probe's slice of the one-pass oracle is the central difference of
     # that probe's own summed loss, within the battery's rounding floor
     h = 1e-5
-    backbone, adapter, table, probes = _gradient_probes(0, 0, VerifySizes().grad_probes)
-    stacked = _numeric_gradients(backbone, adapter, table, probes, h)
-    params = model_params(backbone, adapter)
+    backbone, table, probes = _gradient_probes(0, 0, VerifySizes().grad_probes)
+    stacked = _numeric_gradients(backbone, table, probes, h)
+    params = backbone.param_dict()
     for k, (x, y, tau) in enumerate(probes):
 
         def own_loss(_params, x=x, y=y, tau=tau):
-            return float(np.sum(acl_loss(embed(backbone, adapter, x), y, table, tau)[0]))
+            return float(np.sum(acl_loss(embed(backbone, x), y, table, tau)[0]))
 
         own = finite_diff_grad(own_loss, params, h)
         for name, g in own.items():
