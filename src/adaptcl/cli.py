@@ -24,13 +24,7 @@ from .adaptation import ADAPT_MODES, AdaptConfig
 from .continual import CoreConfig, RunResult, run_acl
 from .data import PretrainConfig, SyntheticSpec, generate_synthetic, pretrain_backbone
 from .errors import AdaptclError, CheckpointError, ConfigError
-from .metrics import (
-    AccuracyMatrix,
-    avg_incremental_accuracy,
-    forgetting,
-    last_accuracy,
-    plasticity,
-)
+from .metrics import avg_incremental_accuracy, forgetting, last_accuracy, plasticity
 from .model import ModelConfig, embed, init_model, load_checkpoint, save_checkpoint
 from .numerics import make_rng, require_seed
 
@@ -204,16 +198,15 @@ def _write_csv(path, header, rows) -> None:
         f.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _write_matrix_csv(path, matrix, status):
+def _write_matrix_csv(path, rows, n_tasks, status):
     """Row b: the accuracies on tasks 1..b after learning task b, empty
-    fields up to task K, then the status."""
-    K = matrix.expected_tasks
-    header = ["after_task", *(f"task_{j + 1}" for j in range(K)), "status"]
-    rows = (
-        [str(b), *map(_fmt, row), *[""] * (K - len(row)), status]
-        for b, row in enumerate(matrix.rows, start=1)
+    fields up to task n_tasks, then the status."""
+    header = ["after_task", *(f"task_{j + 1}" for j in range(n_tasks)), "status"]
+    lines = (
+        [str(b), *map(_fmt, row), *[""] * (n_tasks - len(row)), status]
+        for b, row in enumerate(rows, start=1)
     )
-    _write_csv(path, header, rows)
+    _write_csv(path, header, lines)
 
 
 def _cached(cache: dict, stage, key, make):
@@ -257,7 +250,7 @@ def run_single(config: RunConfig, seed: int, mode: str, data, cache: dict) -> Ru
     try:
         backbone = _cached(cache, ("pretrained", seed), sections, pretrained)
     except AdaptclError as e:
-        return RunResult(AccuracyMatrix([], expected_tasks=len(tasks)), [], None, e)
+        return RunResult([], [], None, e)
     tasks = [tasks[i] for i in make_rng(seed, 1).permutation(len(tasks))]
     return run_acl(tasks, backbone, mode, config.adapt, config.core, make_rng(seed, 4))
 
@@ -285,15 +278,15 @@ METRICS_HEADER = ("run_id", "seed", "mode", "LA", "AIA", "forgetting", "plastici
 
 def _metrics_row(cell: Cell) -> list:
     """The metrics.csv fields of an ok cell, in METRICS_HEADER order."""
-    m = cell.result.matrix
+    rows = cell.result.rows
     return [
         f"{cell.mode}_{cell.seed}",
         str(cell.seed),
         cell.mode,
-        _fmt(last_accuracy(m)),
-        _fmt(avg_incremental_accuracy(m)),
-        _fmt(forgetting(m)) if m.K >= 2 else "",
-        _fmt(plasticity(m)),
+        _fmt(last_accuracy(rows)),
+        _fmt(avg_incremental_accuracy(rows)),
+        _fmt(forgetting(rows)) if len(rows) >= 2 else "",
+        _fmt(plasticity(rows)),
     ]
 
 
@@ -325,11 +318,12 @@ def write_artifacts(config: RunConfig, cells):
             manifest["wall_clock"][name] = round(cell.seconds, 3)
             result, stem = cell.result, f"{cell.mode}_{cell.seed}"
             files = [f"accuracy_matrix_{stem if len(config.adapt_modes) > 1 else cell.seed}.csv"]
-            _write_matrix_csv(out / files[0], result.matrix, "ok" if cell.ok else "failed")
+            status = "ok" if cell.ok else "failed"
+            _write_matrix_csv(out / files[0], result.rows, config.data.n_tasks, status)
             if cell.ok:
                 manifest["status"][name] = "ok"
                 files.append(f"model_{stem}.ckpt")
-                save_checkpoint(out / files[-1], result.state.backbone)
+                save_checkpoint(out / files[-1], result.backbone)
             else:
                 e = result.exception
                 error = f"{type(e).__name__}: {e}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from .adaptation import AdaptConfig, adapt, compute_prototypes
 from .errors import AdaptclError, BoundViolation, NonFiniteLoss
-from .metrics import AccuracyMatrix, check_unchanged
+from .metrics import check_unchanged
 from .model import Backbone, Classifier, classify, embed, label_index
 from .numerics import diverged_as
 
@@ -34,24 +34,18 @@ class CoreConfig:
             raise ValueError("epochs must be >= 0")
 
 
-@dataclass
-class ExperimentState:
-    backbone: Backbone
-    classifier: Classifier
-
-
-def core_learn_ncm(state: ExperimentState, task_data):
-    """Insert into state.classifier the current-task prototypes computed
-    with the frozen adapted model.
+def core_learn_ncm(classifier: Classifier, backbone: Backbone, task_data):
+    """Insert into classifier the current-task prototypes computed with the
+    frozen adapted backbone.
 
     No parameter updates; previously stored prototypes are never touched. A
     class already in the classifier raises ValueError."""
     x, labels = task_data
-    table = compute_prototypes(embed(state.backbone, x), labels)
-    state.classifier.add_classes(table.class_ids, table.weight)
+    table = compute_prototypes(embed(backbone, x), labels)
+    classifier.add_classes(table.class_ids, table.weight)
 
 
-def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng):
+def core_learn_linear(head: Classifier, backbone: Backbone, task_data, config: CoreConfig, rng):
     """Cross-entropy fine-tuning of the linear head on current-task data,
     embedded once by the frozen adapted model.
 
@@ -66,7 +60,6 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     checkpoint. W and b are written back to the Classifier at the end as
     arrays of their own."""
     x, labels = task_data
-    head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
@@ -74,7 +67,7 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
     head.weight, head.bias = W, b = Wb[:, :d], Wb[:, d]  # a failed call leaves its steps so far
     inputs = np.ones((len(x), d + 1))  # rows [e, 1]
-    inputs[:, :d] = embed(state.backbone, x)
+    inputs[:, :d] = embed(backbone, x)
     # the head step's buffers: logits, shifted exponentials, p - onehot(y) and its outer product
     z, t, delta, outer = np.empty(len(b)), np.empty(len(b)), np.empty(len(b)), np.empty(Wb.shape)
     column = delta[:, None]
@@ -101,22 +94,22 @@ def core_learn_linear(state: ExperimentState, task_data, config: CoreConfig, rng
     head.weight, head.bias = W.copy(), b.copy()  # C-contiguous, owning their data
 
 
-def evaluate(state: ExperimentState, tasks: list, up_to_task: int):
+def evaluate(classifier: Classifier, backbone: Backbone, tasks: list, up_to_task: int):
     """Per-task accuracies a[k][j] for j <= k over the union label space, on
     the first up_to_task tasks of the task list."""
     row = []
     for task in tasks[:up_to_task]:
         x, labels = task.test
-        pred, _ = classify(state.classifier, embed(state.backbone, x))
+        pred, _ = classify(classifier, embed(backbone, x))
         row.append(float(np.mean(pred == labels)))
     return row
 
 
 @dataclass
 class RunResult:
-    matrix: AccuracyMatrix
+    rows: list  # the accuracy matrix's rows, one per finished task
     epoch_records: list  # (task, [EpochRecord]) per adapted task
-    state: "ExperimentState | None"  # None for a run that failed before run_acl
+    backbone: "Backbone | None"  # the adapted model; None for a run that failed before run_acl
     exception: "BaseException | None" = None  # why a failed run stopped
 
 
@@ -127,26 +120,26 @@ def run_acl(
     list in order. Core learning that changes any bit of backbone.flat fails
     the run with BoundViolation (the frozen-backbone check).
 
-    A run that fails mid-list returns the partial accuracy matrix with the
-    exception that stopped it."""
+    A run that fails mid-list returns the rows of the tasks it finished with
+    the exception that stopped it."""
     ncm = core_cfg.strategy == "ncm"
     d = backbone.weights[-1].shape[0]
     classifier = Classifier([], np.zeros((0, d))) if ncm else Classifier.linear([], d)
-    state = ExperimentState(backbone.copy(), classifier)
+    backbone = backbone.copy()  # every mode of a seed is given the same pretrained model
     rows, reports = [], []
     try:
         for k, task in enumerate(tasks, start=1):
             if mode != "disabled" and not (adapt_cfg.first_task_only and k > 1):
-                state.backbone, records = adapt(state.backbone, task.train, mode, adapt_cfg, rng)
+                backbone, records = adapt(backbone, task.train, mode, adapt_cfg, rng)
                 reports.append((k, records))
-            before = state.backbone.flat.copy()
+            before = backbone.flat.copy()
             if ncm:
-                core_learn_ncm(state, task.train)
+                core_learn_ncm(classifier, backbone, task.train)
             else:
-                core_learn_linear(state, task.train, core_cfg, rng)
-            frozen = check_unchanged(before, state.backbone.flat, "frozen backbone")
+                core_learn_linear(classifier, backbone, task.train, core_cfg, rng)
+            frozen = check_unchanged(before, backbone.flat, "frozen backbone")
             frozen.require(f"{core_cfg.strategy} core learning")
-            rows.append(evaluate(state, tasks, k))
-    except (AdaptclError, BoundViolation) as e:  # the partial matrix must survive
-        return RunResult(AccuracyMatrix(rows, expected_tasks=len(tasks)), reports, state, e)
-    return RunResult(AccuracyMatrix(rows, expected_tasks=len(tasks)), reports, state)
+            rows.append(evaluate(classifier, backbone, tasks, k))
+    except (AdaptclError, BoundViolation) as e:  # the finished rows must survive
+        return RunResult(rows, reports, backbone, e)
+    return RunResult(rows, reports, backbone)

@@ -1,10 +1,12 @@
 """Continual-learning metrics over the lower-triangular accuracy matrix, and
-the guarantees a run checks live as BoundReports: the loss-threshold/Markov
-misclassification bound, the feature-deviation bound and the freezes. The
-three bounds hold for any model in exact arithmetic: they guard that the
-losses, classify and the embedding code agree, not that adaptation helps, and
-only classify's cosine clip lets rounding break one. Only `adaptcl verify`
-runs the lemma checkers, in verify.py.
+the guarantees a run checks live as BoundReports. The metrics take a finished
+run's rows: row b (from 0) holds the accuracies on tasks 1..b+1 after learning
+task b+1. The guarantees are the loss-threshold/Markov misclassification
+bound, the feature-deviation bound and the freezes. The three bounds hold for
+any model in exact arithmetic: they guard that the losses, classify and the
+embedding code agree, not that adaptation helps, and only classify's cosine
+clip lets rounding break one. Only `adaptcl verify` runs the lemma checkers,
+in verify.py.
 """
 
 import math
@@ -17,68 +19,37 @@ from .errors import AdaptclError, BoundViolation
 LOG2 = math.log(2.0)
 
 
-@dataclass
-class AccuracyMatrix:
-    """rows[b][j]: accuracy on task j+1 after learning stage b+1 (j <= b)."""
-
-    rows: list
-    expected_tasks: int = 0
-
-    def __post_init__(self):
-        for b, row in enumerate(self.rows):
-            if len(row) != b + 1:
-                raise ValueError(f"row {b} has {len(row)} entries, expected {b + 1}")
-            if any(not (0.0 <= a <= 1.0) for a in row):
-                raise ValueError("accuracies must lie in [0, 1]")
-        if not self.expected_tasks:
-            self.expected_tasks = len(self.rows)
-
-    @property
-    def K(self):
-        return len(self.rows)
-
-    @property
-    def complete(self):
-        return self.K == self.expected_tasks and self.K > 0
-
-    def stage_accuracies(self):
-        """A_b: mean accuracy over tasks <= b after stage b."""
-        return [float(np.mean(row)) for row in self.rows]
+def _stage_accuracies(rows):
+    """A_b: mean accuracy over tasks <= b after stage b."""
+    return [float(np.mean(row)) for row in rows]
 
 
-def _require_complete(m: AccuracyMatrix):
-    if not m.complete:
-        raise AdaptclError(f"matrix has {m.K} of {m.expected_tasks} rows")
+def last_accuracy(rows) -> float:
+    return _stage_accuracies(rows)[-1]
 
 
-def last_accuracy(m: AccuracyMatrix) -> float:
-    _require_complete(m)
-    return m.stage_accuracies()[-1]
+def avg_incremental_accuracy(rows) -> float:
+    return float(np.mean(_stage_accuracies(rows)))
 
 
-def avg_incremental_accuracy(m: AccuracyMatrix) -> float:
-    _require_complete(m)
-    return float(np.mean(m.stage_accuracies()))
-
-
-def forgetting(m: AccuracyMatrix) -> float:
+def forgetting(rows) -> float:
     """Mean over tasks j < K of best-ever accuracy minus final accuracy.
 
     Unclamped: negative values indicate backward transfer."""
-    _require_complete(m)
-    if m.K < 2:
+    K = len(rows)
+    if K < 2:
         raise AdaptclError("forgetting needs K >= 2")
     drops = []
-    for j in range(m.K - 1):
-        best = max(m.rows[b][j] for b in range(j, m.K - 1))
-        drops.append(best - m.rows[m.K - 1][j])
+    for j in range(K - 1):
+        best = max(rows[b][j] for b in range(j, K - 1))
+        drops.append(best - rows[K - 1][j])
     return float(np.mean(drops))
 
 
-def plasticity(m: AccuracyMatrix) -> float:
+def plasticity(rows) -> float:
     """Mean over tasks of the best-ever accuracy on that task."""
-    _require_complete(m)
-    return float(np.mean([max(m.rows[b][j] for b in range(j, m.K)) for j in range(m.K)]))
+    K = len(rows)
+    return float(np.mean([max(rows[b][j] for b in range(j, K)) for j in range(K)]))
 
 
 @dataclass

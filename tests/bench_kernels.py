@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from adaptcl.adaptation import acl_loss, acl_losses, ce_adapt_loss
-from adaptcl.continual import CoreConfig, ExperimentState, core_learn_linear
+from adaptcl.continual import CoreConfig, core_learn_linear
 from adaptcl.data import SyntheticSpec, _layers_and_head
 from adaptcl.model import (
     Classifier,
@@ -165,13 +165,12 @@ def test_core_learn_linear(benchmark, model, classes):
     y = y % classes
     core = CoreConfig(strategy="linear")
 
-    def fresh_state():
+    def fresh_head():
         weight, bias = head.weight[:classes].copy(), head.bias[:classes].copy()
         copy = Classifier(head.class_ids[:classes], weight, bias)
-        state = ExperimentState(backbone, copy)
-        return (state, (x, y), core, make_rng(2)), {}
+        return (copy, backbone, (x, y), core, make_rng(2)), {}
 
-    benchmark.pedantic(core_learn_linear, setup=fresh_state, rounds=20, warmup_rounds=1)
+    benchmark.pedantic(core_learn_linear, setup=fresh_head, rounds=20, warmup_rounds=1)
 
 
 @pytest.mark.parametrize("campaign", CAMPAIGNS)

@@ -697,7 +697,7 @@ class TestSweep:
 
     def test_failed_disabled_run_shared(self, tiny_config, tmp_path, monkeypatch):
         # a failed disabled result is recorded by every cell, like a standalone run
-        def fails(state, task_data):
+        def fails(classifier, backbone, task_data):
             raise NonFiniteLoss("planted")
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", fails)
@@ -718,14 +718,14 @@ class TestSweep:
 
 def _nudge_backbone_at_task(task):
     """A compute_prototypes for NCM core learning that moves one backbone
-    entry by one ulp at its call for the given task: an entry of the
-    backbone of its caller's state."""
+    entry by one ulp at its call for the given task: an entry of its
+    caller's backbone."""
     real, calls = adaptcl.continual.compute_prototypes, []
 
     def nudging(embeddings, labels):
         calls.append(1)
         if len(calls) == task:
-            backbone = sys._getframe(1).f_locals["state"].backbone
+            backbone = sys._getframe(1).f_locals["backbone"]
             backbone.flat[0] = np.nextafter(backbone.flat[0], np.inf)
         return real(embeddings, labels)
 

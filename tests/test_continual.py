@@ -7,7 +7,6 @@ import adaptcl.continual
 from adaptcl.adaptation import AdaptConfig, ce_adapt_loss
 from adaptcl.continual import (
     CoreConfig,
-    ExperimentState,
     core_learn_linear,
     core_learn_ncm,
     evaluate,
@@ -54,28 +53,26 @@ def stream_and_model():
 class TestCoreLearnNcm:
     def test_first_task_classes(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream[0].train)
-        assert state.classifier.class_ids == [0, 1]
+        classifier = Classifier([], np.zeros((0, 6)))
+        core_learn_ncm(classifier, backbone, stream[0].train)
+        assert classifier.class_ids == [0, 1]
 
     def test_append_only(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream[0].train)
-        first = dict(zip(state.classifier.class_ids, state.classifier.weight.copy()))
-        core_learn_ncm(state, stream[1].train)
-        assert state.classifier.class_ids == [0, 1, 2, 3]
+        classifier = Classifier([], np.zeros((0, 6)))
+        core_learn_ncm(classifier, backbone, stream[0].train)
+        first = dict(zip(classifier.class_ids, classifier.weight.copy()))
+        core_learn_ncm(classifier, backbone, stream[1].train)
+        assert classifier.class_ids == [0, 1, 2, 3]
         for c, p in first.items():
-            np.testing.assert_array_equal(
-                state.classifier.weight[state.classifier.class_ids.index(c)], p
-            )
+            np.testing.assert_array_equal(classifier.weight[classifier.class_ids.index(c)], p)
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
         # prototypes computed through a backbone nudged by one ulp, in a layer
         # weight or in the adapter, must fail the frozen-backbone check that
         # run_acl makes around core learning
         stream, backbone = stream_and_model
-        monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run's state holds it
+        monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run learns on it
         real = adaptcl.continual.compute_prototypes
         for entry in (backbone.flat[:1], backbone.down[0, :1]):
 
@@ -92,47 +89,46 @@ class TestCoreLearnNcm:
 
     def test_repeated_task_rejected(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream[0].train)
+        classifier = Classifier([], np.zeros((0, 6)))
+        core_learn_ncm(classifier, backbone, stream[0].train)
         with pytest.raises(ValueError, match="class 0 already in classifier"):
-            core_learn_ncm(state, stream[0].train)
+            core_learn_ncm(classifier, backbone, stream[0].train)
 
     def test_prediction_brute_force(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream[0].train)
-        core_learn_ncm(state, stream[1].train)
+        classifier = Classifier([], np.zeros((0, 6)))
+        core_learn_ncm(classifier, backbone, stream[0].train)
+        core_learn_ncm(classifier, backbone, stream[1].train)
         x = stream[0].test[0][:1]
         e = embed(backbone, x)
-        sims = {
-            c: float(e[0] @ p) for c, p in zip(state.classifier.class_ids, state.classifier.weight)
-        }
+        sims = {c: float(e[0] @ p) for c, p in zip(classifier.class_ids, classifier.weight)}
         expected = min(c for c in sims if sims[c] == max(sims.values()))
-        pred, _ = classify(state.classifier, e)
+        pred, _ = classify(classifier, e)
         assert pred.tolist() == [expected]
 
 
 class TestCoreLearnLinear:
     def test_zero_epochs_adds_rows_only(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier.linear([], 6))
-        core_learn_linear(state, stream[0].train, CoreConfig(epochs=0, lr=0.1), make_rng(1))
-        assert state.classifier.class_ids == [0, 1]
-        np.testing.assert_array_equal(state.classifier.weight, np.zeros((2, 6)))
+        head = Classifier.linear([], 6)
+        core_learn_linear(head, backbone, stream[0].train, CoreConfig(epochs=0), make_rng(1))
+        assert head.class_ids == [0, 1]
+        np.testing.assert_array_equal(head.weight, np.zeros((2, 6)))
 
     def test_backbone_frozen(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier.linear([], 6))
+        head = Classifier.linear([], 6)
         before = backbone.flat.tobytes()
-        core_learn_linear(state, stream[0].train, CoreConfig(epochs=5, lr=0.1), make_rng(1))
-        assert state.backbone.flat.tobytes() == before
+        core = CoreConfig(epochs=5, lr=0.1)
+        core_learn_linear(head, backbone, stream[0].train, core, make_rng(1))
+        assert backbone.flat.tobytes() == before
 
     def test_backbone_change_caught(self, stream_and_model, monkeypatch):
         # an epoch that nudges one backbone entry by one ulp, in a layer
         # weight or in the adapter, must fail the frozen-backbone check that
         # run_acl makes around core learning
         stream, backbone = stream_and_model
-        monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run's state holds it
+        monkeypatch.setattr(backbone, "copy", lambda: backbone)  # the run learns on it
         real = adaptcl.continual.diverged_as
         for entry in (backbone.flat[:1], backbone.down[0, :1]):
 
@@ -152,29 +148,28 @@ class TestCoreLearnLinear:
         stream, backbone = stream_and_model
         data = stream[0].train
 
-        def acc(state):
+        def acc(head):
             hits = 0
             for x, y in zip(data[0][:, None], data[1]):
-                pred, _ = classify(state.classifier, embed(state.backbone, x))
+                pred, _ = classify(head, embed(backbone, x))
                 hits += pred[0] == y
             return hits / len(data[1])
 
-        state = ExperimentState(backbone, Classifier.linear([], 6))
-        core_learn_linear(state, data, CoreConfig(epochs=0, lr=0.1), make_rng(1))
-        before = acc(state)
-        core_learn_linear(state, data, CoreConfig(epochs=10, lr=0.1), make_rng(1))
-        assert acc(state) >= before
+        head = Classifier.linear([], 6)
+        core_learn_linear(head, backbone, data, CoreConfig(epochs=0, lr=0.1), make_rng(1))
+        before = acc(head)
+        core_learn_linear(head, backbone, data, CoreConfig(epochs=10, lr=0.1), make_rng(1))
+        assert acc(head) >= before
 
 
-def _reference_core_learn_linear(state, task_data, epochs, lr, rng):
+def _reference_core_learn_linear(head, backbone, task_data, epochs, lr, rng):
     """Per-sample head SGD spelled out with ce_adapt_loss and plain steps
     p -= lr * g on the task embedded once, as core_learn_linear does."""
     x, labels = task_data
-    head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
-    frozen = embed(state.backbone, x)
+    frozen = embed(backbone, x)
     for _ in range(epochs):
         for i in rng.permutation(len(labels)):
             _, _, d_w, d_b = ce_adapt_loss(frozen[i : i + 1], rows[i : i + 1], head)
@@ -182,16 +177,15 @@ def _reference_core_learn_linear(state, task_data, epochs, lr, rng):
             head.bias -= lr * d_b
 
 
-def _allocating_core_learn_linear(state, task_data, config, rng):
+def _allocating_core_learn_linear(head, backbone, task_data, config, rng):
     """core_learn_linear's loop spelled out with allocating array
     expressions: each head step makes new arrays."""
     x, labels = task_data
-    head = state.classifier
     new = sorted(set(labels.tolist()) - set(head.class_ids))
     head.add_classes(new, np.zeros((len(new), head.weight.shape[1])))
     rows = label_index(head.class_ids, labels, "head")
     Wb = np.concatenate([head.weight, head.bias[:, None]], axis=1)
-    frozen = embed(state.backbone, x)
+    frozen = embed(backbone, x)
     augmented = np.concatenate([frozen, np.ones((len(labels), 1))], axis=1)
     for _ in range(config.epochs):
         for i in rng.permutation(len(labels)):
@@ -208,18 +202,18 @@ class TestCoreLearnLinearReference:
     def test_matches_reference_loop(self, stream_and_model):
         stream, backbone = stream_and_model
         backbone.up[:] = make_rng(53).uniform(-0.3, 0.3, backbone.up.shape)
-        states = [ExperimentState(backbone.copy(), Classifier.linear([], 6)) for _ in range(2)]
+        lean, ref = Classifier.linear([], 6), Classifier.linear([], 6)
+        before = backbone.flat.copy()
         for task in stream:  # the second task grows a trained head
             core = CoreConfig(epochs=3, lr=0.1)
-            core_learn_linear(states[0], task.train, core, make_rng(54))
-            _reference_core_learn_linear(states[1], task.train, 3, 0.1, make_rng(54))
-        lean, ref = states
-        assert lean.classifier.class_ids == ref.classifier.class_ids == [0, 1, 2, 3]
-        assert np.abs(lean.classifier.weight).max() > 0
+            core_learn_linear(lean, backbone, task.train, core, make_rng(54))
+            _reference_core_learn_linear(ref, backbone, task.train, 3, 0.1, make_rng(54))
+        assert lean.class_ids == ref.class_ids == [0, 1, 2, 3]
+        assert np.abs(lean.weight).max() > 0
         for name in ("weight", "bias"):
-            lean_array, ref_array = getattr(lean.classifier, name), getattr(ref.classifier, name)
+            lean_array, ref_array = getattr(lean, name), getattr(ref, name)
             np.testing.assert_allclose(lean_array, ref_array, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(lean.backbone.flat, backbone.flat)
+        np.testing.assert_array_equal(backbone.flat, before)
 
     def test_bit_identical_to_allocating_loop(self):
         # the [W | b] head step on preallocated buffers keeps every float of
@@ -232,28 +226,28 @@ class TestCoreLearnLinearReference:
         for bias in backbone.biases:
             bias[:] = rng.uniform(0.1, 0.5, bias.shape)
         backbone.up[:] = rng.uniform(-0.3, 0.3, backbone.up.shape)
-        states = [ExperimentState(backbone.copy(), Classifier.linear([], 6)) for _ in range(2)]
+        lean, ref = Classifier.linear([], 6), Classifier.linear([], 6)
+        before = backbone.flat.tobytes()
         core = CoreConfig(epochs=3, lr=0.1)
         for k, task in enumerate(stream):
-            core_learn_linear(states[0], task.train, core, make_rng(58, k))
-            _allocating_core_learn_linear(states[1], task.train, core, make_rng(58, k))
-            for array in (states[0].classifier.weight, states[0].classifier.bias):
+            core_learn_linear(lean, backbone, task.train, core, make_rng(58, k))
+            _allocating_core_learn_linear(ref, backbone, task.train, core, make_rng(58, k))
+            for array in (lean.weight, lean.bias):
                 assert array.flags.c_contiguous and array.flags.owndata
-        lean, ref = states
-        assert lean.classifier.class_ids == ref.classifier.class_ids == list(range(11))
-        np.testing.assert_array_equal(lean.classifier.weight, ref.classifier.weight)
-        np.testing.assert_array_equal(lean.classifier.bias, ref.classifier.bias)
-        assert lean.backbone.flat.tobytes() == backbone.flat.tobytes()
+        assert lean.class_ids == ref.class_ids == list(range(11))
+        np.testing.assert_array_equal(lean.weight, ref.weight)
+        np.testing.assert_array_equal(lean.bias, ref.bias)
+        assert backbone.flat.tobytes() == before
 
     def test_non_finite_logit_raises(self, stream_and_model):
         # an inf weight or bias reaches the logits of the [W | b] product
         stream, backbone = stream_and_model
         for where in ("bias", "weight"):
-            state = ExperimentState(backbone, Classifier.linear([0], 6))
-            getattr(state.classifier, where).flat[0] = np.inf
+            head = Classifier.linear([0], 6)
+            getattr(head, where).flat[0] = np.inf
             with pytest.raises(NonFiniteLoss) as caught, np.errstate(invalid="ignore"):
                 core = CoreConfig(epochs=1, lr=0.1)
-                core_learn_linear(state, stream[0].train, core, make_rng(1))
+                core_learn_linear(head, backbone, stream[0].train, core, make_rng(1))
             assert "\n" not in str(caught.value)
 
 
@@ -266,7 +260,7 @@ class TestRunAcl:
             make_rng(2),
         )
         assert result.exception is None
-        assert result.matrix.K == 1
+        assert len(result.rows) == 1
         assert len(result.epoch_records) == 1
 
     def test_disabled_runs_no_adaptation(self, stream_and_model):
@@ -277,7 +271,7 @@ class TestRunAcl:
         assert result.epoch_records == []
         assert result.exception is None
         # frozen-backbone run leaves the model untouched
-        assert result.state.backbone.flat.tobytes() == backbone.flat.tobytes()
+        assert result.backbone.flat.tobytes() == backbone.flat.tobytes()
 
     def test_first_task_only(self, stream_and_model):
         stream, backbone = stream_and_model
@@ -301,10 +295,17 @@ class TestRunAcl:
             stream, backbone, "acl", AdaptConfig(epochs=1, lr=0.05), CoreConfig(),
             make_rng(3),
         )
-        assert r1.matrix.rows == r2.matrix.rows
+        assert r1.rows == r2.rows
 
-    def test_linear_strategy(self, stream_and_model):
+    def test_linear_strategy(self, stream_and_model, monkeypatch):
         stream, backbone = stream_and_model
+        real_evaluate, heads = adaptcl.continual.evaluate, []
+
+        def evaluate_and_keep_head(classifier, *args):
+            heads.append(classifier)
+            return real_evaluate(classifier, *args)
+
+        monkeypatch.setattr(adaptcl.continual, "evaluate", evaluate_and_keep_head)
         result = run_acl(
             stream,
             backbone,
@@ -314,13 +315,30 @@ class TestRunAcl:
             make_rng(4),
         )
         assert result.exception is None
-        assert result.state.classifier.class_ids == [0, 1, 2, 3]
+        assert heads[-1].class_ids == [0, 1, 2, 3]
+        assert np.abs(heads[-1].weight).max() > 0
 
+    @pytest.mark.parametrize("mode", ["disabled", "acl"])
+    def test_given_model_never_written(self, stream_and_model, monkeypatch, mode):
+        # core learning that writes to the run's model fails the frozen-backbone
+        # check, and the caller's model keeps its bytes: the run learns on a copy
+        stream, backbone = stream_and_model
+        before = backbone.flat.tobytes()
+        real_ncm = adaptcl.continual.core_learn_ncm
+
+        def writes_to_model(classifier, run_backbone, task_data):
+            run_backbone.flat[0] += 1.0
+            real_ncm(classifier, run_backbone, task_data)
+
+        monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", writes_to_model)
+        result = run_acl(stream, backbone, mode, AdaptConfig(epochs=1), CoreConfig(), make_rng(6))
+        assert type(result.exception) is BoundViolation
+        assert backbone.flat.tobytes() == before
 
     def test_programming_error_propagates(self, stream_and_model, monkeypatch):
         stream, backbone = stream_and_model
 
-        def broken(state, task_data):
+        def broken(classifier, backbone, task_data):
             raise TypeError("planted")
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", broken)
@@ -334,18 +352,18 @@ class TestRunAcl:
         real_ncm = adaptcl.continual.core_learn_ncm
         calls = []
 
-        def violates_on_second_task(state, task_data):
+        def violates_on_second_task(classifier, backbone, task_data):
             calls.append(task_data)
             if len(calls) == 2:
                 raise BoundViolation("planted")
-            real_ncm(state, task_data)
+            real_ncm(classifier, backbone, task_data)
 
         monkeypatch.setattr(adaptcl.continual, "core_learn_ncm", violates_on_second_task)
         result = run_acl(
             stream, backbone, "acl", AdaptConfig(epochs=1), CoreConfig(), make_rng(5)
         )
         assert type(result.exception) is BoundViolation and str(result.exception) == "planted"
-        assert result.matrix.K == 1 and not result.matrix.complete
+        assert len(result.rows) == 1
 
 
 class TestEvaluate:
@@ -355,16 +373,16 @@ class TestEvaluate:
         all_zero = (task.test[0], np.zeros_like(task.test[1]))
         s = [Task(task.train, all_zero)]
         e0 = embed(backbone, task.test[0][:1])
-        state = ExperimentState(backbone, Classifier([0], e0 / np.linalg.norm(e0)))
-        assert evaluate(state, s, 1) == [1.0]
+        classifier = Classifier([0], e0 / np.linalg.norm(e0))
+        assert evaluate(classifier, backbone, s, 1) == [1.0]
 
     def test_brute_force_scoring(self, stream_and_model):
         stream, backbone = stream_and_model
-        state = ExperimentState(backbone, Classifier([], np.zeros((0, 6))))
-        core_learn_ncm(state, stream[0].train)
-        row = evaluate(state, stream, 1)
+        classifier = Classifier([], np.zeros((0, 6)))
+        core_learn_ncm(classifier, backbone, stream[0].train)
+        row = evaluate(classifier, backbone, stream, 1)
         hits = 0
         for x, y in zip(stream[0].test[0][:, None], stream[0].test[1]):
-            pred, _ = classify(state.classifier, embed(backbone, x))
+            pred, _ = classify(classifier, embed(backbone, x))
             hits += pred[0] == y
         assert row == [hits / len(stream[0].test[1])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptcl.adaptation import ce_adapt_loss
-from adaptcl.continual import ExperimentState, core_learn_ncm, evaluate
+from adaptcl.continual import core_learn_ncm
 from adaptcl.data import (
     BATCH_SIZE,
     PretrainConfig,
@@ -150,10 +150,10 @@ class TestGenerate:
         backbone = pretrain_backbone(backbone, pre_train, PretrainConfig(20, 0.05), make_rng(9))
 
         def ncm_accuracy(train, test):
-            state = ExperimentState(backbone, Classifier([], np.zeros((0, 8))))
-            core_learn_ncm(state, train)
+            classifier = Classifier([], np.zeros((0, 8)))
+            core_learn_ncm(classifier, backbone, train)
             hits = sum(
-                classify(state.classifier, embed(backbone, x))[0][0] == y
+                classify(classifier, embed(backbone, x))[0][0] == y
                 for x, y in zip(test[0][:, None], test[1])
             )
             return hits / len(test[1])
@@ -273,10 +273,10 @@ class TestPretrain:
         backbone = init_model(cfg, 8, make_rng(12))
         pre_train, pre_test, _ = generate_synthetic(SMALL)
         backbone = pretrain_backbone(backbone, pre_train, PretrainConfig(20, 0.05), make_rng(13))
-        state = ExperimentState(backbone, Classifier([], np.zeros((0, 4))))
-        core_learn_ncm(state, pre_train)
+        classifier = Classifier([], np.zeros((0, 4)))
+        core_learn_ncm(classifier, backbone, pre_train)
         hits = sum(
-            classify(state.classifier, embed(backbone, x))[0][0] == y
+            classify(classifier, embed(backbone, x))[0][0] == y
             for x, y in zip(pre_test[0][:, None], pre_test[1])
         )
         chance = 1.0 / SMALL.n_pretrain_classes
